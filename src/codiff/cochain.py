@@ -135,15 +135,6 @@ class Cochain:
             return {}
         return vec_scale(vec, sign)
 
-    def map_values(self, f):
-        """New cochain with f applied to every output vector (f returns a vector)."""
-        out = {}
-        for t, vec in self.coeffs.items():
-            nv = f(t, vec)
-            if nv:
-                out[t] = nv
-        return out
-
 
 def zero_cochain(space, flavor, degree, parity):
     return Cochain(space, flavor, degree, parity, {})

@@ -1,12 +1,16 @@
 """Coboundary operators, exact cohomology of a structure, cyclic cochains
 and cyclic cohomology, and classification of first-order deformations.
 
-The coboundary is D(phi) = {phi, m}.  For a structure concentrated in one
-arity the complex splits by cochain degree and windowed dimensions are
-exact; for mixed arities the image of a degree-p cochain spreads over
-degrees p..p+N-1, so a window only yields truncated coboundary spaces and
-the report says so (membership tests remain reliable, dimensions are lower
-bounds for coboundaries).
+Windowed cohomology, cyclic cohomology and the coboundary test all query one
+cochain complex: the cochains V^p -> V with D(phi) = {phi, m}, or the cyclic
+scalar cochains with the cyclic coboundary.  For a window a..b a row reports
+the cocycles Z^p = ker D on C^p and the coboundaries B^p = im D ∩ C^p, with D
+applied to the sources of degree >= a - spread, where the spread is the
+largest arity less one.  For a structure concentrated in one arity the
+complex splits by cochain degree and B^p is exact.  For mixed arities the
+image of a degree-p cochain spreads over degrees p..p+N-1, so B^p is a lower
+bound for the coboundary space and the report says so (membership tests
+remain reliable).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
-                      scalar_scale, tilde)
+                      tilde, vec_add)
 from .coderivation import family_bracket
-from .graded import EXTERIOR, TENSOR, koszul_sign, permutation_sign, unshuffles
+from .graded import (EXTERIOR, TENSOR, canonical_word, koszul_sign,
+                     permutation_sign, unshuffles)
 from .structures import deformation_parameter_parity, deform_check
 
 
@@ -46,6 +51,117 @@ def coboundary_family(fam, s):
     return family_bracket(fam, s.parts, convention=s.convention)
 
 
+# --- the two cochain complexes -----------------------------------------------
+
+class _Complex:
+    """A cochain complex of a structure with a basis per degree, built once.
+
+    ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis,
+    ``image(p, i)`` is D of its i-th vector as {degree: coordinates},
+    ``coords(p, c)`` reads a cochain in the basis and ``reconstruct(p, v)``
+    builds the cochain with coordinates v.
+    """
+
+    def __init__(self, s):
+        self.s = s
+        self.field = s.space.field
+        self.spread = (max(s.parts) - 1) if s.parts else 0
+        self._bases = {}
+
+    def _basis(self, p):
+        if p not in self._bases:
+            self._bases[p] = self._build_basis(p)
+        return self._bases[p]
+
+    def dim(self, p):
+        return len(self._basis(p))
+
+
+class _PlainComplex(_Complex):
+    """Cochains V^p -> V on the delta basis of (canonical tuple, output
+    letter) pairs, with D = coboundary."""
+
+    def _build_basis(self, p):
+        par = self.s.space.parities
+        return [(t, j, (par[j] + sum(par[i] for i in t)) & 1)
+                for t in canonical_tuples(self.s.space, self.s.flavor, p)
+                for j in range(self.s.space.dim)]
+
+    def parity(self, p, i):
+        return self._basis(p)[i][2]
+
+    def image(self, p, i):
+        t, j, parity = self._basis(p)[i]
+        delta = Cochain(self.s.space, self.s.flavor, p, parity, {t: {j: 1}})
+        return {q: self.coords(q, c)
+                for q, c in coboundary(delta, self.s).items()}
+
+    def coords(self, p, c):
+        return [self.field(c.coeffs.get(t, {}).get(j, 0))
+                for t, j, _ in self._basis(p)]
+
+    def reconstruct(self, p, coords):
+        coeffs, parity = {}, 0
+        for (t, j, par), x in zip(self._basis(p), coords):
+            if x:
+                coeffs.setdefault(t, {})[j] = x
+                parity = par
+        return Cochain(self.s.space, self.s.flavor, p, parity, coeffs)
+
+
+class _CyclicComplex(_Complex):
+    """Cyclic scalar cochains of arity p + 1 in degree p, on
+    ``cyclic_scalar_basis``, with D = cyclic_coboundary."""
+
+    def _build_basis(self, p):
+        return list(zip(*cyclic_scalar_basis(self.s.space, self.s.flavor, p)))
+
+    def parity(self, p, i):
+        return self._basis(p)[i][0].parity
+
+    def image(self, p, i):
+        fam = cyclic_coboundary(self._basis(p)[i][0], self.s)
+        return {q: self.coords(q, g) for q, g in fam.items()}
+
+    def coords(self, p, f):
+        """Coordinates at the pivot tuples, with an exact membership check:
+        the basis combination must give back every stored coefficient."""
+        if self.s.flavor == EXTERIOR:
+            f = _exterior_form(f)
+        if f is not None:
+            coords = [self.field(f.coeffs.get(t, 0))
+                      for _, t in self._basis(p)]
+            if self.reconstruct(p, coords).coeffs == f.coeffs:
+                return coords
+        raise RuntimeError("scalar cochain falls outside the cyclic space")
+
+    def reconstruct(self, p, coords):
+        coeffs, parity = {}, 0
+        for (b, _), x in zip(self._basis(p), coords):
+            if x:
+                vec_add(coeffs, b.coeffs, x)
+                parity = b.parity
+        return ScalarCochain(self.s.space, self.s.flavor, p + 1, parity,
+                             coeffs)
+
+
+def _assemble(cx, sources, degrees):
+    """D of the (degree, index) sources as columns, stacking the target
+    degrees in order.  Returns (row offset per degree, row count, columns)."""
+    offset, total = {}, 0
+    for q in degrees:
+        offset[q] = total
+        total += cx.dim(q)
+    cols = []
+    for p, i in sources:
+        col = [cx.field(0)] * total
+        for q, coords in cx.image(p, i).items():
+            if q in offset:
+                col[offset[q]:offset[q] + len(coords)] = coords
+        cols.append(col)
+    return offset, total, cols
+
+
 # --- windowed cohomology ----------------------------------------------------
 
 @dataclass
@@ -65,146 +181,78 @@ class CohomologyReport:
     note: str = ""
 
 
-def _window_report(field, window, spread, dim_of, apply_D, reconstruct,
-                   graded_exact, note):
-    """Shared window machinery.
-
-    ``dim_of(p)`` is the dimension of the degree-p cochain space,
-    ``apply_D(p, i)`` returns the differential of its i-th basis vector as
-    {target degree: coordinate list}, ``reconstruct(p, coords)`` builds a
-    representative from coordinates.
-    """
+def _window_report(cx, window, graded_exact, note):
+    """Z^p, B^p and representatives of Z^p / B^p for p in the window, with
+    D applied to every basis vector of degree a - spread .. b."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
-    src_low = max(0, a - spread)
-    src_degrees = list(range(src_low, b + 1))
-    tgt_degrees = list(range(src_low, b + spread + 1))
-    tgt_offset = {}
-    total_rows = 0
-    for q in tgt_degrees:
-        tgt_offset[q] = total_rows
-        total_rows += dim_of(q)
-    # columns per source degree
-    cols = {p: [] for p in src_degrees}
-    for p in src_degrees:
-        for i in range(dim_of(p)):
-            col = [field(0)] * total_rows
-            for q, coords in apply_D(p, i).items():
-                if q in tgt_offset:
-                    off = tgt_offset[q]
-                    for r, x in enumerate(coords):
-                        col[off + r] = x
-            cols[p].append(col)
+    field = cx.field
+    src_low = max(0, a - cx.spread)
+    sources = [(p, i) for p in range(src_low, b + 1) for i in range(cx.dim(p))]
+    # sources and targets both start at src_low, so the columns of degree p
+    # start at the row offset of degree p
+    offset, total_rows, all_cols = _assemble(
+        cx, sources, range(src_low, b + cx.spread + 1))
     rows_out = []
     for p in range(a, b + 1):
-        dim_p = dim_of(p)
+        dim_p = cx.dim(p)
         if dim_p == 0:
             rows_out.append(DegreeRow(p, 0, 0, 0, []))
             continue
+        off_p = offset[p]
         # cocycles: kernel of D restricted to degree-p sources (all rows)
-        block = [[cols[p][j][r] for j in range(dim_p)] for r in range(total_rows)]
-        kern = linalg.kernel_basis(block, field)
-        z_dim = len(kern)
+        own = all_cols[off_p:off_p + dim_p]
+        kern = linalg.kernel_basis(
+            [[col[r] for col in own] for r in range(total_rows)], field)
         # coboundaries landing exactly in degree p, from windowed sources
-        all_cols = [c for q in src_degrees for c in cols[q]]
-        n_src = len(all_cols)
-        off_p = tgt_offset[p]
-        off_rows = [r for r in range(total_rows) if not (off_p <= r < off_p + dim_p)]
-        off_block = [[all_cols[j][r] for j in range(n_src)] for r in off_rows]
-        feasible = linalg.kernel_basis(off_block, field) if off_rows else None
-        images = []
-        if feasible is None:
-            # no off-degree constraints: the image of everything
-            for j in range(n_src):
-                images.append([all_cols[j][off_p + r] for r in range(dim_p)])
-        else:
+        off_rows = [r for r in range(total_rows)
+                    if not off_p <= r < off_p + dim_p]
+        if off_rows:
+            feasible = linalg.kernel_basis(
+                [[col[r] for col in all_cols] for r in off_rows], field)
+            images = []
             for v in feasible:
                 img = [field(0)] * dim_p
-                for j, x in enumerate(v):
+                for x, col in zip(v, all_cols):
                     if x:
                         for r in range(dim_p):
-                            img[r] = img[r] + x * all_cols[j][off_p + r]
+                            img[r] = img[r] + x * col[off_p + r]
                 images.append(img)
+        else:
+            images = [col[off_p:off_p + dim_p] for col in all_cols]
         img_rows, img_pivots = linalg.rref(images, field) if images else ([], [])
-        b_basis = [img_rows[i] for i in range(len(img_pivots))]
-        b_dim = len(img_pivots)
+        b_basis = img_rows[:len(img_pivots)]
+        # representatives: the kernel vectors among the pivot columns of
+        # [B | Z], i.e. each one not in the span of B and the earlier ones
         reps = []
-        span = [row[:] for row in b_basis]
-        for v in kern:
-            if not linalg.in_span(span, v, field):
-                reps.append(reconstruct(p, v))
-                span.append(v)
-        rows_out.append(DegreeRow(p, z_dim, b_dim, z_dim - b_dim, reps))
+        if kern:
+            span = b_basis + kern
+            _, pivots = linalg.echelon(
+                [[v[r] for v in span] for r in range(dim_p)], field)
+            reps = [cx.reconstruct(p, span[c]) for c in pivots
+                    if c >= len(b_basis)]
+        rows_out.append(DegreeRow(p, len(kern), len(b_basis),
+                                  len(kern) - len(b_basis), reps))
     return CohomologyReport(window, rows_out, graded_exact, note)
-
-
-def _cochain_basis(space, flavor, p):
-    return [(t, j) for t in canonical_tuples(space, flavor, p)
-            for j in range(space.dim)]
-
-
-def _basis_cochain(space, flavor, p, t, j):
-    parity = (space.parities[j] + sum(space.parities[i] for i in t)) & 1
-    return Cochain(space, flavor, p, parity, {t: {j: 1}})
-
-
-def _coords_of_cochain(space, flavor, p, c):
-    field = space.field
-    out = []
-    for t in canonical_tuples(space, flavor, p):
-        vec = c.coeffs.get(t, {})
-        for j in range(space.dim):
-            out.append(field(vec.get(j, 0)))
-    return out
 
 
 def cohomology(s, window):
     """Exact windowed cohomology of the structure's coboundary D."""
-    space, flavor, field = s.space, s.flavor, s.space.field
-    arities = sorted(s.parts)
-    spread = (max(arities) - 1) if arities else 0
-    single = len(arities) <= 1
+    single = len(s.parts) <= 1
     note = "" if single else (
         "mixed arities: the complex does not split by degree; coboundary "
         "dimensions are truncated to sources in the window")
-
-    def dim_of(p):
-        return len(canonical_tuples(space, flavor, p)) * space.dim
-
-    def apply_D(p, i):
-        basis = _cochain_basis(space, flavor, p)
-        t, j = basis[i]
-        fam = coboundary(_basis_cochain(space, flavor, p, t, j), s)
-        return {q: _coords_of_cochain(space, flavor, q, c)
-                for q, c in fam.items()}
-
-    def reconstruct(p, coords):
-        basis = _cochain_basis(space, flavor, p)
-        coeffs = {}
-        parity = None
-        for (t, j), x in zip(basis, coords):
-            if x:
-                coeffs.setdefault(t, {})[j] = x
-                par = (space.parities[j] + sum(space.parities[i] for i in t)) & 1
-                parity = par if parity is None else parity
-        if parity is None:
-            parity = 0
-        return Cochain(space, flavor, p, parity, coeffs)
-
-    return _window_report(field, tuple(window), spread, dim_of, apply_D,
-                          reconstruct, single, note)
+    return _window_report(_PlainComplex(s), tuple(window), single, note)
 
 
 # --- cyclicity --------------------------------------------------------------
 
-def is_cyclic(phi, ip):
-    """A tensor cochain is cyclic when <phi(v_1..v_k), v_{k+1}> equals
-    (-1)^{k + |v_1||phi|} <v_1, phi(v_2..v_{k+1})> on every tuple; an
-    exterior cochain when its scalar form is graded antisymmetric."""
+def _cyclic_witness(phi, ip):
+    """The first tuple on which phi breaks the cyclic identity, or None."""
     space = phi.space
     if phi.flavor == EXTERIOR:
-        return scalar_is_antisymmetric(tilde(phi, ip))
+        return _antisymmetry_witness(tilde(phi, ip))
     k = phi.degree
     for t in itertools.product(range(space.dim), repeat=k + 1):
         lhs = ip.pair(phi.value(t[:k]), t[k])
@@ -213,12 +261,13 @@ def is_cyclic(phi, ip):
         if e & 1:
             rhs = -rhs
         if lhs != rhs:
-            return False
-    return True
+            return t
+    return None
 
 
-def scalar_is_antisymmetric(f):
-    """Graded antisymmetry under adjacent swaps, checked on all tuples."""
+def _antisymmetry_witness(f):
+    """The first tuple whose adjacent swap breaks graded antisymmetry, as
+    swapped, or None."""
     space = f.space
     for t in itertools.product(range(space.dim), repeat=f.arity):
         base = f.value(t)
@@ -226,8 +275,20 @@ def scalar_is_antisymmetric(f):
             swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
             sign = -1 if not (space.parities[t[i]] & space.parities[t[i + 1]]) else 1
             if f.value(swapped) != sign * base:
-                return False
-    return True
+                return swapped
+    return None
+
+
+def is_cyclic(phi, ip):
+    """A tensor cochain is cyclic when <phi(v_1..v_k), v_{k+1}> equals
+    (-1)^{k + |v_1||phi|} <v_1, phi(v_2..v_{k+1})> on every tuple; an
+    exterior cochain when its scalar form is graded antisymmetric."""
+    return _cyclic_witness(phi, ip) is None
+
+
+def scalar_is_antisymmetric(f):
+    """Graded antisymmetry under adjacent swaps, checked on all tuples."""
+    return _antisymmetry_witness(f) is None
 
 
 def is_cyclic_scalar(f):
@@ -289,28 +350,9 @@ def structure_is_cyclic(s, ip):
     """Invariance of the inner product: every part is cyclic.  Returns
     (True, None) or (False, (arity, witness letters))."""
     for k in sorted(s.parts):
-        part = s.parts[k]
-        if part.flavor == EXTERIOR:
-            ft = tilde(part, ip)
-            space = part.space
-            for t in itertools.product(range(space.dim), repeat=ft.arity):
-                base = ft.value(t)
-                for i in range(ft.arity - 1):
-                    swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
-                    sign = -1 if not (space.parities[t[i]] & space.parities[t[i + 1]]) else 1
-                    if ft.value(swapped) != sign * base:
-                        return False, (k, tuple(space.names[x] for x in swapped))
-        else:
-            space = part.space
-            kk = part.degree
-            for t in itertools.product(range(space.dim), repeat=kk + 1):
-                lhs = ip.pair(part.value(t[:kk]), t[kk])
-                e = kk + space.parities[t[0]] * part.parity
-                rhs = ip.pair({t[0]: 1}, part.value(t[1:]))
-                if e & 1:
-                    rhs = -rhs
-                if lhs != rhs:
-                    return False, (k, tuple(space.names[x] for x in t))
+        t = _cyclic_witness(s.parts[k], ip)
+        if t is not None:
+            return False, (k, tuple(s.space.names[x] for x in t))
     return True, None
 
 
@@ -377,6 +419,22 @@ def _unshuffle_sum(f, inner, extra_exp):
     return ScalarCochain(space, EXTERIOR, n + 1, parity, out)
 
 
+def _exterior_form(f):
+    """The exterior scalar cochain equal to f as a function, or None when f
+    is not graded alternating: antisymmetric under adjacent swaps, and zero
+    on tuples with a repeated even letter (which only characteristic 2 lets
+    antisymmetry miss)."""
+    if f.flavor == EXTERIOR:
+        return f
+    par = f.space.parities
+    if (_antisymmetry_witness(f) is not None
+            or any(canonical_word(EXTERIOR, t, par) is None for t in f.coeffs)):
+        return None
+    coeffs = {t: f.value(t)
+              for t in canonical_tuples(f.space, EXTERIOR, f.arity)}
+    return ScalarCochain(f.space, EXTERIOR, f.arity, f.parity, coeffs)
+
+
 def cyclic_coboundary(f, s):
     """The differential on cyclic scalar cochains, as a family keyed by
     scalar degree.  Requires a cyclic (tensor) or antisymmetric (exterior)
@@ -385,39 +443,20 @@ def cyclic_coboundary(f, s):
     if s.flavor == TENSOR:
         if f.flavor != TENSOR or not is_cyclic_scalar(f):
             raise ValueError("cyclic coboundary needs a cyclic scalar cochain")
-        out = {}
-        k = f.arity - 1
-        for l, part in s.parts.items():
-            term = _rotation_sum(f, part, (k - 1) * l)
-            if not term.is_zero():
-                out[term.arity - 1] = scalar_add(out[term.arity - 1], term) \
-                    if (term.arity - 1) in out else term
-        return out
-    # exterior: the input must be graded antisymmetric
-    if f.flavor == EXTERIOR:
-        fa = f
+        term_of = _rotation_sum
     else:
-        if not scalar_is_antisymmetric(f):
+        f = _exterior_form(f)
+        if f is None:
             raise ValueError("cyclic coboundary needs an antisymmetric scalar cochain")
-        fa = _as_exterior_scalar(f)
+        term_of = _unshuffle_sum
     out = {}
-    k = fa.arity - 1
+    k = f.arity - 1
     for l, part in s.parts.items():
-        term = _unshuffle_sum(fa, part, (k - 1) * l)
+        term = term_of(f, part, (k - 1) * l)
         if not term.is_zero():
-            out[term.arity - 1] = scalar_add(out[term.arity - 1], term) \
-                if (term.arity - 1) in out else term
+            q = term.arity - 1
+            out[q] = scalar_add(out[q], term) if q in out else term
     return out
-
-
-def _as_exterior_scalar(f):
-    space = f.space
-    out = {}
-    for t in canonical_tuples(space, EXTERIOR, f.arity):
-        v = f.value(t)
-        if v:
-            out[t] = v
-    return ScalarCochain(space, EXTERIOR, f.arity, f.parity, out)
 
 
 # --- cyclic cochain spaces and cyclic cohomology ----------------------------
@@ -468,25 +507,6 @@ def cyclic_scalar_basis(space, flavor, degree):
     return basis, pivot_tuples
 
 
-def _scalar_coords(f, basis, pivot_tuples, field):
-    """Coordinates of a scalar cochain in a pivoted basis, with an exact
-    membership check."""
-    coords = [field(f.value(t)) for t in pivot_tuples]
-    recon = None
-    for x, b in zip(coords, basis):
-        if not x:
-            continue
-        piece = scalar_scale(x, b)
-        recon = piece if recon is None else scalar_add(recon, piece)
-    space = basis[0].space if basis else f.space
-    for t in itertools.product(range(space.dim), repeat=f.arity):
-        want = f.value(t)
-        got = recon.value(t) if recon is not None else 0
-        if want != got:
-            raise RuntimeError("scalar cochain falls outside the cyclic space")
-    return coords
-
-
 def cyclic_cohomology(s, ip=None, window=(0, 3)):
     """Exact windowed cyclic cohomology.
 
@@ -498,44 +518,11 @@ def cyclic_cohomology(s, ip=None, window=(0, 3)):
         ok, witness = structure_is_cyclic(s, ip)
         if not ok:
             raise InvarianceError(*witness)
-    space, field = s.space, s.space.field
-    arities = sorted(s.parts)
-    spread = (max(arities) - 1) if arities else 0
-    single = len(arities) <= 1
+    single = len(s.parts) <= 1
     note = "" if single else (
         "mixed arities: coboundary dimensions are truncated to sources in "
         "the window")
-    cache = {}
-
-    def basis_of(p):
-        if p not in cache:
-            cache[p] = cyclic_scalar_basis(space, s.flavor, p)
-        return cache[p]
-
-    def dim_of(p):
-        return len(basis_of(p)[0])
-
-    def apply_D(p, i):
-        f = basis_of(p)[0][i]
-        fam = cyclic_coboundary(f, s)
-        out = {}
-        for q, g in fam.items():
-            bb, pv = basis_of(q)
-            out[q] = _scalar_coords(g, bb, pv, field)
-        return out
-
-    def reconstruct(p, coords):
-        bb, _ = basis_of(p)
-        acc = None
-        for x, b in zip(coords, bb):
-            if not x:
-                continue
-            piece = scalar_scale(x, b)
-            acc = piece if acc is None else scalar_add(acc, piece)
-        return acc
-
-    return _window_report(field, tuple(window), spread, dim_of, apply_D,
-                          reconstruct, single, note)
+    return _window_report(_CyclicComplex(s), tuple(window), single, note)
 
 
 # --- deformation classification ---------------------------------------------
@@ -570,88 +557,30 @@ def classify_deformation(s, parts, ip=None):
                                 "undetermined at this truncation: direction "
                                 "exceeds the max_arity cap")
     if ip is None:
-        found = _solve_plain_coboundary(s, live, param, max_deg)
-        return DeformationClass(cocycle, found, preserves)
+        cx = _PlainComplex(s)
+        lam = {k: cx.coords(k, c) for k, c in live.items()}
+        return DeformationClass(cocycle, _is_coboundary(cx, lam, param, max_deg),
+                                preserves)
     if not preserves:
         return DeformationClass(cocycle, False, preserves,
                                 "direction is not cyclic, so it cannot be a "
                                 "coboundary in the cyclic complex")
-    found = _solve_cyclic_coboundary(s, live, param, max_deg, ip)
+    cx = _CyclicComplex(s)
+    lam = {k: cx.coords(k, tilde(c, ip)) for k, c in live.items()}
     note = "coboundary tested in the cyclic complex (inner product supplied)"
-    return DeformationClass(cocycle, found, preserves, note)
+    return DeformationClass(cocycle, _is_coboundary(cx, lam, param, max_deg),
+                            preserves, note)
 
 
-def _solve_plain_coboundary(s, lam, param, max_deg):
-    space, flavor, field = s.space, s.flavor, s.space.field
-    spread = (max(s.parts) - 1) if s.parts else 0
-    src_degrees = list(range(0, max_deg + 1))
-    tgt_degrees = list(range(0, max_deg + spread + 1))
-    src_basis = []
-    for q in src_degrees:
-        want = (param + q + 1) & 1
-        for (t, j) in _cochain_basis(space, flavor, q):
-            par = (space.parities[j] + sum(space.parities[i] for i in t)) & 1
-            if par == want:
-                src_basis.append((q, t, j))
-    tgt_offset = {}
-    total = 0
-    for q in tgt_degrees:
-        tgt_offset[q] = total
-        total += len(canonical_tuples(space, flavor, q)) * space.dim
-    matrix = [[field(0)] * len(src_basis) for _ in range(total)]
-    for col, (q, t, j) in enumerate(src_basis):
-        fam = coboundary(_basis_cochain(space, flavor, q, t, j), s)
-        for n, c in fam.items():
-            if n not in tgt_offset:
-                continue
-            coords = _coords_of_cochain(space, flavor, n, c)
-            for r, x in enumerate(coords):
-                matrix[tgt_offset[n] + r][col] = x
-    rhs = [field(0)] * total
-    for n, c in lam.items():
-        coords = _coords_of_cochain(space, flavor, n, c)
-        for r, x in enumerate(coords):
-            rhs[tgt_offset[n] + r] = x
-    return linalg.solve(matrix, rhs, field) is not None
-
-
-def _solve_cyclic_coboundary(s, lam, param, max_deg, ip):
-    space, field = s.space, s.space.field
-    spread = (max(s.parts) - 1) if s.parts else 0
-    cache = {}
-
-    def basis_of(p):
-        if p not in cache:
-            cache[p] = cyclic_scalar_basis(space, s.flavor, p)
-        return cache[p]
-
-    src_cols = []
-    for q in range(0, max_deg + 1):
-        want = (param + q + 1) & 1
-        bb, _ = basis_of(q)
-        for i, f in enumerate(bb):
-            if f.parity == want:
-                src_cols.append((q, i))
-    tgt_offset = {}
-    total = 0
-    for q in range(0, max_deg + spread + 1):
-        tgt_offset[q] = total
-        total += len(basis_of(q)[0])
-    matrix = [[field(0)] * len(src_cols) for _ in range(total)]
-    for col, (q, i) in enumerate(src_cols):
-        fam = cyclic_coboundary(basis_of(q)[0][i], s)
-        for n, g in fam.items():
-            if n not in tgt_offset:
-                continue
-            bb, pv = basis_of(n)
-            coords = _scalar_coords(g, bb, pv, field)
-            for r, x in enumerate(coords):
-                matrix[tgt_offset[n] + r][col] = x
-    rhs = [field(0)] * total
-    for k, c in lam.items():
-        g = tilde(c, ip)
-        bb, pv = basis_of(k)
-        coords = _scalar_coords(g, bb, pv, field)
-        for r, x in enumerate(coords):
-            rhs[tgt_offset[k] + r] = x
-    return linalg.solve(matrix, rhs, field) is not None
+def _is_coboundary(cx, lam_coords, param, max_deg):
+    """Is lambda, given as {degree: coordinates}, D(beta) for a beta of
+    degree <= max_deg whose parity matches a parameter of parity param?"""
+    sources = [(q, i) for q in range(max_deg + 1) for i in range(cx.dim(q))
+               if cx.parity(q, i) == (param + q + 1) & 1]
+    offset, total, cols = _assemble(cx, sources,
+                                    range(max_deg + cx.spread + 1))
+    rhs = [cx.field(0)] * total
+    for k, coords in lam_coords.items():
+        rhs[offset[k]:offset[k] + len(coords)] = coords
+    matrix = [[col[r] for col in cols] for r in range(total)]
+    return linalg.solve(matrix, rhs, cx.field) is not None

@@ -147,10 +147,6 @@ def invert(m, field):
     return [row[n:] for row in a]
 
 
-def matvec(m, v, field):
-    return [sum((row[j] * v[j] for j in range(len(v))), field(0)) for row in m]
-
-
 def in_span(basis, v, field):
     """Is v in the span of the given row vectors?"""
     if not basis:

@@ -11,7 +11,7 @@ from codiff.cochain import (Cochain, InnerProduct, ScalarCochain, add,
 from codiff.coderivation import W_OF_V, bracket, family_is_zero, \
     modified_bracket
 from codiff.graded import EXTERIOR, PRODUCT_FORM, TENSOR, word_parity
-from codiff.homology import (InvarianceError, _rotation_sum,
+from codiff.homology import (InvarianceError, _CyclicComplex, _rotation_sum,
                              classify_deformation, coboundary,
                              coboundary_family, cohomology, cyclic_coboundary,
                              cyclic_cohomology, cyclic_scalar_basis, cyclicize,
@@ -19,7 +19,7 @@ from codiff.homology import (InvarianceError, _rotation_sum,
                              is_cyclic_scalar_blockwise,
                              scalar_is_antisymmetric, structure_is_cyclic)
 from codiff import linalg, oracle
-from codiff.fields import QQ
+from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
 from conftest import make_cochain, random_cochain
@@ -127,6 +127,30 @@ class TestCohomology:
             for rep in row.representatives:
                 assert family_is_zero(coboundary(rep, s))
 
+    def test_representatives_frozen(self, dual_numbers):
+        s, _ = dual_numbers
+        want = [{("x",): {"x": 1}}, {("x", "x"): {"1": 1}},
+                {("x", "x", "x"): {"x": 1}}]
+        got = [[rep.coeffs for rep in row.representatives]
+               for row in cohomology(s, (1, 3)).rows]
+        assert got == [[make_cochain(s.space, TENSOR, k + 1, 0, w).coeffs]
+                       for k, w in enumerate(want)]
+
+    @pytest.mark.parametrize("name, window, want", [
+        ("koszul_dga", (0, 4), [1, 1, 2, 3, 6]),
+        ("koszul_dga", (1, 2), [1, 2]),
+        ("koszul_dga", (2, 3), [2, 3]),
+        ("dual_numbers", (0, 4), [0, 0, 3, 4, 11]),
+    ])
+    def test_window_coboundaries_meet_degree_p(self, request, name, window,
+                                               want):
+        # B^p = im D ∩ C^p with D on every source of degree a - spread .. b,
+        # ranked independently of the library's window machinery
+        s = request.getfixturevalue(name)
+        s = s[0] if isinstance(s, tuple) else s
+        assert [r.coboundaries for r in cohomology(s, window).rows] == want
+        assert window_coboundary_dims(s, window) == want
+
     def test_window_beyond_support_is_empty_not_error(self, abelian1):
         report = cohomology(abelian1, (5, 6))
         assert [(r.cocycles, r.coboundaries, r.quotient)
@@ -145,6 +169,39 @@ class TestCohomology:
         b = [(r.cocycles, r.coboundaries, r.quotient)
              for r in cohomology(s2, (0, 3)).rows]
         assert a == b
+
+
+def window_coboundary_dims(s, window):
+    """rank M - rank(M without the degree-p rows) for p in the window, where
+    M holds D of every delta cochain of degree a - spread .. b."""
+    a, b = window
+    space, field = s.space, s.space.field
+    low = max(0, a - (max(s.parts) - 1))
+
+    def basis(p):
+        return [(t, j) for t in canonical_tuples(space, s.flavor, p)
+                for j in range(space.dim)]
+
+    row_of = {}
+    for q in range(low, b + max(s.parts)):
+        for t, j in basis(q):
+            row_of[(q, t, j)] = len(row_of)
+    cols = []
+    for p in range(low, b + 1):
+        for t, j in basis(p):
+            parity = (space.parities[j] ^ word_parity(space, t)) & 1
+            col = [field(0)] * len(row_of)
+            phi = Cochain(space, s.flavor, p, parity, {t: {j: F(1)}})
+            for q, c in coboundary(phi, s).items():
+                for u, vec in c.coeffs.items():
+                    for k, x in vec.items():
+                        col[row_of[(q, u, k)]] = x
+            cols.append(col)
+    m = [[col[r] for col in cols] for r in range(len(row_of))]
+    full = oracle.dense_rank(m, field)
+    return [full - oracle.dense_rank(
+                [m[r] for (q, _, _), r in row_of.items() if q != p], field)
+            for p in range(a, b + 1)]
 
 
 def hochschild_dims_oracle(m2, upto):
@@ -313,6 +370,22 @@ class TestCyclicCoboundary:
         assert not is_cyclic_scalar(f)
         with pytest.raises(ValueError):
             cyclic_coboundary(f, s)
+        with pytest.raises(RuntimeError,
+                           match="falls outside the cyclic space"):
+            _CyclicComplex(s).coords(1, f)
+
+    def test_exterior_input_must_be_alternating(self):
+        # over F_2 antisymmetry does not force f(a,a) = 0 for an even a, so
+        # this form has no exterior counterpart and both routes refuse it
+        f2 = PrimeField(2)
+        space = GradedSpace(("a", "b"), (0, 0), f2)
+        s = InfinityStructure(L_INFINITY, space, {})
+        f = ScalarCochain(space, TENSOR, 2, 0, {(0, 0): f2(1)})
+        assert scalar_is_antisymmetric(f)
+        with pytest.raises(ValueError):
+            cyclic_coboundary(f, s)
+        with pytest.raises(RuntimeError):
+            _CyclicComplex(s).coords(1, f)
 
     def test_dd_zero(self, dual_numbers, sl2, rng):
         for(s, ip), flavor in ((dual_numbers, TENSOR), (sl2, EXTERIOR)):
