@@ -63,6 +63,10 @@ def run(command, af, convention=W_OF_V, window=(1, 4), max_arity=8,
         return _cmd_validate(s, fmt)
     if command == "bracket":
         return _cmd_bracket(s, af, names, fmt)
+    if command in ("cohomology", "cyclic", "deform"):
+        refusal = _refuse_invalid_base(s, command, fmt)
+        if refusal is not None:
+            return refusal
     if command == "cohomology":
         return _cmd_cohomology(s, window, fmt)
     if command == "cyclic":
@@ -170,16 +174,23 @@ def _cmd_cyclic(s, af, window, fmt):
     return _emit(records, lines, fmt), OK
 
 
-def _cmd_deform(s, af, fmt):
+def _refuse_invalid_base(s, command, fmt):
+    """(text, MATH_FAIL) when the structure fails validation, else None:
+    the complexes of an invalid structure are not complexes at all."""
     try:
         base = validate(s)
     except StructureError as exc:
-        return _emit([{"command": "deform", "error": str(exc)}],
-                     ["deform: base structure parity error: %s" % exc], fmt), MATH_FAIL
-    if not base.ok:
-        line = "deform: base structure does not validate (n=%d)" % base.n
-        return _emit([{"command": "deform", "error": "base structure invalid",
-                       "n": base.n}], [line], fmt), MATH_FAIL
+        return _emit([{"command": command, "error": str(exc)}],
+                     ["%s: base structure parity error: %s" % (command, exc)],
+                     fmt), MATH_FAIL
+    if base.ok:
+        return None
+    line = "%s: base structure does not validate (n=%d)" % (command, base.n)
+    return _emit([{"command": command, "error": "base structure invalid",
+                   "n": base.n}], [line], fmt), MATH_FAIL
+
+
+def _cmd_deform(s, af, fmt):
     lines, records = [], []
     for name in sorted(af.deformations):
         _, fam = af.deformations[name]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .cochain import Cochain, canonical_tuples, vec_add, zero_cochain
 from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
                      SYMMETRIC, TENSOR, Word, canonical_word, grading_pair,
-                     koszul_sign, permutation_sign, unshuffles, word_parity)
+                     reorder_sign, unshuffles, word_parity)
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -74,13 +74,10 @@ def extend_letters(gen, letters, mode):
                     out.pop(key, None)
         return out
     letter_par = [par[x] for x in letters]
-    exterior = gen.flavor == EXTERIOR
     if n < k:
         return out
     for sigma in unshuffles(k, n - k):
-        s = koszul_sign(sigma, letter_par)
-        if exterior:
-            s *= permutation_sign(sigma)
+        s = reorder_sign(gen.flavor, sigma, letter_par)
         head = tuple(letters[sigma[i] - 1] for i in range(k))
         rest = tuple(letters[sigma[i] - 1] for i in range(k, n))
         vec = gen.value(head)

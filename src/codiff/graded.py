@@ -73,36 +73,51 @@ def check_permutation(images):
         raise ValueError("not a permutation of 1..%d: %r" % (n, images))
 
 
+def _inversions(keys, pars):
+    """(inv, odd): the pairs i < j with keys[i] > keys[j], and how many of
+    them join two odd letters (pars[i] is the parity of keys[i]).  These are
+    the adjacent swaps that sort the word, so every reordering sign is read
+    from them: (-1)^inv for the permutation, (-1)^odd in the symmetric
+    algebra (Koszul), (-1)^(inv + odd) in the exterior algebra."""
+    inv = odd = 0
+    for j in range(1, len(keys)):
+        kj, pj = keys[j], pars[j]
+        for i in range(j):
+            if keys[i] > kj:
+                inv += 1
+                odd += pars[i] & pj
+    return inv, odd
+
+
+def _flavor_sign(flavor, keys, pars):
+    """The sign of sorting the word in the symmetric or exterior algebra."""
+    inv, odd = _inversions(keys, pars)
+    if flavor == EXTERIOR:
+        odd += inv
+    return -1 if odd & 1 else 1
+
+
 def permutation_sign(images):
     """Ordinary sign (-1)^sigma."""
     check_permutation(images)
-    seq = list(images)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1, i, -1):
-            if seq[j - 1] > seq[j]:
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-                sign = -sign
-    return sign
+    return -1 if _inversions(images, (0,) * len(images))[0] & 1 else 1
 
 
-def koszul_sign(images, parities):
-    """The sign epsilon(sigma; v_1..v_n) accumulated while sorting the
-    permuted word back into order: one factor (-1)^{|a||b|} per adjacent
-    swap.  Independent of the chosen decomposition."""
+def reorder_sign(flavor, images, parities):
+    """The sign of v_sigma(1)..v_sigma(n) against v_1..v_n in the symmetric
+    (Koszul sign epsilon(sigma; v)) or exterior (epsilon(sigma; v)
+    (-1)^sigma) algebra, whatever adjacent swaps realize sigma."""
     if len(images) != len(parities):
         raise ValueError("permutation size %d != parity vector size %d"
                          % (len(images), len(parities)))
     check_permutation(images)
-    seq = list(images)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1, i, -1):
-            if seq[j - 1] > seq[j]:
-                if parities[seq[j - 1] - 1] & parities[seq[j] - 1]:
-                    sign = -sign
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-    return sign
+    return _flavor_sign(flavor, images, [parities[x - 1] for x in images])
+
+
+def koszul_sign(images, parities):
+    """The sign epsilon(sigma; v_1..v_n): one factor (-1)^{|a||b|} per
+    adjacent swap that sorts the permuted word back into order."""
+    return reorder_sign(SYMMETRIC, images, parities)
 
 
 @lru_cache(maxsize=None)
@@ -119,13 +134,6 @@ def unshuffles(p, q):
     return tuple(out)
 
 
-def swap_sign(flavor, pa, pb):
-    """Sign picked up when two adjacent letters of parities pa, pb trade
-    places: Koszul for the symmetric algebra, extra -1 for the exterior."""
-    s = -1 if (pa & pb) else 1
-    return -s if flavor == EXTERIOR else s
-
-
 def canonical_word(flavor, letters, parities):
     """Sort a word's letters into canonical nondecreasing order.
 
@@ -136,20 +144,12 @@ def canonical_word(flavor, letters, parities):
     """
     if flavor == TENSOR:
         return 1, tuple(letters)
-    seq = list(letters)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1, i, -1):
-            if seq[j - 1] > seq[j]:
-                sign *= swap_sign(flavor, parities[seq[j - 1]], parities[seq[j]])
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
+    seq = tuple(sorted(letters))
+    dead = 1 if flavor == SYMMETRIC else 0
     for a, b in zip(seq, seq[1:]):
-        if a == b:
-            if flavor == SYMMETRIC and parities[a] == 1:
-                return None
-            if flavor == EXTERIOR and parities[a] == 0:
-                return None
-    return sign, tuple(seq)
+        if a == b and parities[a] == dead:
+            return None
+    return _flavor_sign(flavor, letters, [parities[x] for x in letters]), seq
 
 
 @dataclass
@@ -229,9 +229,7 @@ def reduced_diagonal(word):
         return out
     for k in range(1, n):
         for sigma in unshuffles(k, n - k):
-            s = koszul_sign(sigma, letter_par)
-            if word.flavor == EXTERIOR:
-                s *= permutation_sign(sigma)
+            s = reorder_sign(word.flavor, sigma, letter_par)
             lhs = tuple(word.letters[sigma[i] - 1] for i in range(k))
             rhs = tuple(word.letters[sigma[i] - 1] for i in range(k, n))
             left = Word(word.space, word.flavor, lhs, s * word.coefficient)

@@ -22,8 +22,8 @@ from . import linalg
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
                       tilde, vec_add)
 from .coderivation import family_bracket
-from .graded import (EXTERIOR, TENSOR, canonical_word, koszul_sign,
-                     permutation_sign, unshuffles)
+from .graded import (EXTERIOR, TENSOR, canonical_word, reorder_sign,
+                     unshuffles)
 from .structures import deformation_parameter_parity, deform_check
 
 
@@ -291,38 +291,30 @@ def scalar_is_antisymmetric(f):
     return _antisymmetry_witness(f) is None
 
 
+def _rotation_sign(par, t, i):
+    """(-1)^{|t[:i]||t[i:]| + i n} for a tuple t of arity n + 1: the sign of
+    the rotation t -> t[i:] + t[:i], which is its exterior reordering sign
+    (Koszul sign times the sign of the cyclic permutation)."""
+    pa = sum(par[x] for x in t[:i])
+    pb = sum(par[x] for x in t[i:])
+    return -1 if (pa * pb + i * (len(t) - 1)) & 1 else 1
+
+
 def is_cyclic_scalar(f):
     """The rotation identity f(v_1..v_{n+1}) = (-1)^{n + |v_1|(|v_2|+..)}
     f(v_2..v_{n+1}, v_1) on every tuple (tensor-flavored scalar cochains)."""
-    space = f.space
-    n = f.arity - 1
-    for t in itertools.product(range(space.dim), repeat=f.arity):
-        e = n + space.parities[t[0]] * sum(space.parities[i] for i in t[1:])
-        rot = f.value(t[1:] + t[:1])
-        if e & 1:
-            rot = -rot
-        if f.value(t) != rot:
-            return False
-    return True
+    par = f.space.parities
+    return all(f.value(t) == _rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
+               for t in itertools.product(range(f.space.dim), repeat=f.arity))
 
 
 def is_cyclic_scalar_blockwise(f):
     """Block form of the same condition: f(a ox b) = (-1)^{|a||b| + i n}
     f(b ox a) for every splitting after i letters."""
-    space = f.space
-    n = f.arity - 1
-    for t in itertools.product(range(space.dim), repeat=f.arity):
-        for i in range(1, f.arity):
-            alpha, beta = t[:i], t[i:]
-            pa = sum(space.parities[x] for x in alpha)
-            pb = sum(space.parities[x] for x in beta)
-            e = pa * pb + i * n
-            val = f.value(beta + alpha)
-            if e & 1:
-                val = -val
-            if f.value(t) != val:
-                return False
-    return True
+    par = f.space.parities
+    return all(f.value(t) == _rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
+               for t in itertools.product(range(f.space.dim), repeat=f.arity)
+               for i in range(1, f.arity))
 
 
 def cyclicize(f):
@@ -331,16 +323,12 @@ def cyclicize(f):
     if f.flavor != TENSOR:
         raise ValueError("cyclicize acts on tensor-flavored scalar cochains")
     space = f.space
-    n = f.arity - 1
     out = {}
     for t in itertools.product(range(space.dim), repeat=f.arity):
         acc = space.field(0)
         for i in range(f.arity):
-            pa = sum(space.parities[x] for x in t[:i])
-            pb = sum(space.parities[x] for x in t[i:])
-            e = pa * pb + n * i
-            val = f.value(t[i:] + t[:i])
-            acc = acc - val if e & 1 else acc + val
+            rotated = f.value(t[i:] + t[:i])
+            acc = acc + _rotation_sign(space.parities, t, i) * rotated
         if acc:
             out[t] = acc
     return ScalarCochain(space, TENSOR, f.arity, f.parity, out)
@@ -366,13 +354,11 @@ def _rotation_sum(f, inner, extra_exp):
     l = inner.degree
     k = f.arity - 1
     n = k + l - 1
+    sign = -1 if extra_exp & 1 else 1
     out = {}
     for t in itertools.product(range(space.dim), repeat=n + 1):
         acc = space.field(0)
         for i in range(n + 1):
-            pa = sum(space.parities[x] for x in t[:i])
-            pb = sum(space.parities[x] for x in t[i:])
-            e = pa * pb + i * n + extra_exp
             u = t[i:] + t[:i]
             head, tail = u[:l], u[l:]
             vec = inner.value(head)
@@ -381,7 +367,7 @@ def _rotation_sum(f, inner, extra_exp):
             term = space.field(0)
             for bidx, c in vec.items():
                 term = term + c * f.value((bidx,) + tail)
-            acc = acc - term if e & 1 else acc + term
+            acc = acc + sign * _rotation_sign(space.parities, t, i) * term
         if acc:
             out[t] = acc
     parity = (f.parity + inner.parity) & 1
@@ -401,7 +387,7 @@ def _unshuffle_sum(f, inner, extra_exp):
         letter_par = [par[x] for x in t]
         acc = space.field(0)
         for sigma in unshuffles(l, n + 1 - l):
-            s = koszul_sign(sigma, letter_par) * permutation_sign(sigma)
+            s = reorder_sign(EXTERIOR, sigma, letter_par)
             head = tuple(t[sigma[i] - 1] for i in range(l))
             tail = tuple(t[sigma[i] - 1] for i in range(l, n + 1))
             vec = inner.value(head)
@@ -463,48 +449,50 @@ def cyclic_coboundary(f, s):
 
 def cyclic_scalar_basis(space, flavor, degree):
     """Deterministic basis of the degree-n cyclic scalar cochains (arity
-    n+1): exterior complexes use the canonical-tuple dual basis; tensor
-    complexes cyclicize the full dual basis and row-reduce.
+    n+1), the cochains fixed by the signed rotation action: ker(1 - t) at
+    every characteristic.  For p <= arity this lambda-complex need not
+    compute the bicomplex cyclic cohomology.
+
+    There is one basis vector per orbit whose signed stabilizer acts
+    trivially, with coefficient 1 at the orbit's least tuple (its pivot).
+    Tensor orbits are rotation orbits: each rotation of the least tuple
+    carries its rotation sign, and an orbit where two rotations reach one
+    tuple with different signs carries no cyclic cochain.  Exterior orbits
+    are S_{n+1} orbits, and the canonical tuples are exactly those with a
+    trivial signed stabilizer, so each gets its delta cochain.  (In
+    characteristic 2 every signed stabilizer is trivial, but exterior
+    cochains are alternating, so a repeated even letter still drops out.)
 
     Returns (list of ScalarCochain, list of pivot tuples).
     """
     arity = degree + 1
     field = space.field
+    par = space.parities
     if flavor == EXTERIOR:
-        tuples = canonical_tuples(space, EXTERIOR, arity)
-        basis = []
-        for t in tuples:
-            parity = sum(space.parities[i] for i in t) & 1
-            basis.append(ScalarCochain(space, EXTERIOR, arity, parity,
-                                       {t: field(1)}))
-        return basis, list(tuples)
-    all_tuples = list(itertools.product(range(space.dim), repeat=arity))
-    index = {t: i for i, t in enumerate(all_tuples)}
-    rows = []
-    for t in all_tuples:
-        parity = sum(space.parities[i] for i in t) & 1
-        delta = ScalarCochain(space, TENSOR, arity, parity, {t: field(1)})
-        cf = cyclicize(delta)
-        if cf.is_zero():
-            continue
-        row = [field(0)] * len(all_tuples)
-        for u, c in cf.coeffs.items():
-            row[index[u]] = c
-        rows.append(row)
-    if not rows:
-        return [], []
-    red, pivots = linalg.rref(rows, field)
-    basis, pivot_tuples = [], []
-    for r, pc in enumerate(pivots):
-        coeffs = {}
-        parity = None
-        for i, t in enumerate(all_tuples):
-            if red[r][i]:
-                coeffs[t] = red[r][i]
-                parity = sum(space.parities[x] for x in t) & 1
-        basis.append(ScalarCochain(space, TENSOR, arity, parity, coeffs))
-        pivot_tuples.append(all_tuples[pc])
-    return basis, pivot_tuples
+        orbits = ((t, {t: field(1)})
+                  for t in canonical_tuples(space, EXTERIOR, arity))
+    else:
+        orbits = ((t, _rotation_orbit(t, par, field))
+                  for t in itertools.product(range(space.dim), repeat=arity))
+    basis, pivots = [], []
+    for t, coeffs in orbits:
+        if coeffs is not None:
+            basis.append(ScalarCochain(space, flavor, arity,
+                                       sum(par[x] for x in t) & 1, coeffs))
+            pivots.append(t)
+    return basis, pivots
+
+
+def _rotation_orbit(t, par, field):
+    """{rotation of t: its rotation sign}, or None when t is not least in
+    its orbit or two rotations reach one tuple with different signs."""
+    coeffs = {}
+    for i in range(len(t)):
+        u = t[i:] + t[:i]
+        c = field(_rotation_sign(par, t, i))
+        if u < t or coeffs.setdefault(u, c) != c:
+            return None
+    return coeffs
 
 
 def cyclic_cohomology(s, ip=None, window=(0, 3)):

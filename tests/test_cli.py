@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -87,6 +88,80 @@ def test_unknown_bracket_direction():
 def test_max_arity_cap_is_input_error():
     text, status = run("validate", load("sl2.alg"), max_arity=1)
     assert status == 2
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cyclic", "deform"])
+@pytest.mark.parametrize("fmt,want", [
+    ("text", "%s: base structure does not validate (n=3)\n"),
+    ("json-lines", '{"command": "%s", "error": "base structure invalid", '
+                   '"n": 3}\n'),
+], ids=["text", "json-lines"])
+def test_invalid_structure_is_refused(command, fmt, want):
+    text, status = run(command, load("nonassociative.alg"), window=(0, 3),
+                       fmt=fmt)
+    assert (text, status) == (want % command, 1)
+
+
+def over_field(text, field):
+    return re.sub(r"^field Q$", "field " + field, text, flags=re.M)
+
+
+FIXTURE_FILES = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".alg"))
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_FILES)
+def test_q_and_large_prime_agree(fixture, tmp_path, capsys):
+    path = os.path.join(FIXTURES, fixture)
+    with open(path, encoding="utf-8") as fh:
+        modular = tmp_path / fixture
+        modular.write_text(over_field(fh.read(), "F 32003"), encoding="utf-8")
+    for command in ("cohomology", "cyclic", "deform"):
+        outs = []
+        for f in (path, str(modular)):
+            status = main([command, f, "--window", "0..3"])
+            outs.append((capsys.readouterr().out, status))
+        assert outs[0] == outs[1], (command, outs)
+
+
+def m2_text(field):
+    """2x2 matrices with m(eij, ejk) = eik, the trace form and the
+    deformation lam = m."""
+    names = ["e%d%d" % (i, j) for i in (1, 2) for j in (1, 2)]
+    products = ["(e%d%d,e%d%d) = e%d%d" % (i, j, j, k, i, k)
+                for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+    return "\n".join(
+        ["field " + field, "flavor tensor", "space"]
+        + ["  basis %s even" % n for n in names]
+        + ["map m 2"] + ["  m" + p for p in products]
+        + ["inner_product"]
+        + ["  <e%d%d,e%d%d> = 1" % (i, j, j, i)
+           for i in (1, 2) for j in (1, 2)]
+        + ["deformation lam 2 even_parameter"]
+        + ["  lam" + p for p in products]) + "\n"
+
+
+def test_m2_cyclic_cohomology_over_f3_is_morita_invariant():
+    # HC(M2) = HC(k) = 1,0,1,0 in the lambda-complex over F_3 as over Q
+    text, status = run("cyclic", parse(m2_text("F 3")), window=(0, 3))
+    assert status == 0
+    assert [line.rsplit("HC=", 1)[1] for line in text.splitlines()[1:]] == \
+        ["1", "0", "1", "0"]
+
+
+@pytest.mark.parametrize("name", ["m2", "dual_numbers"])
+def test_deform_with_trace_form_over_f3(name):
+    # the directions are cyclic cochains outside the span of rotation
+    # averages, so their coordinates need the full cyclic basis
+    if name == "m2":
+        text = m2_text("F 3")
+    else:
+        with open(os.path.join(FIXTURES, "dual_numbers.alg"),
+                  encoding="utf-8") as fh:
+            text = over_field(fh.read(), "F 3")
+    out, status = run("deform", parse(text))
+    assert status == 0
+    assert out.startswith("deform lam: cocycle=yes coboundary=no "
+                          "preserves_ip=yes")
 
 
 class TestMainEntryPoint:

@@ -333,6 +333,87 @@ class TestCyclicize:
             assert all(linalg.in_span(kb, v, QQ) for v in kp)
 
 
+def rotation_kernel_dim(space, arity):
+    """dim ker(1 - t) on the scalar cochains of this arity, with t the signed
+    one-step rotation, by a dense rank over the space's field."""
+    field = space.field
+    tuples = list(itertools.product(range(space.dim), repeat=arity))
+    ix = {t: i for i, t in enumerate(tuples)}
+    rows = []
+    for t in tuples:
+        e = arity - 1 + space.parities[t[0]] * sum(space.parities[x]
+                                                   for x in t[1:])
+        row = [field(0)] * len(tuples)
+        row[ix[t]] = row[ix[t]] + 1
+        row[ix[t[1:] + t[:1]]] = row[ix[t[1:] + t[:1]]] - (-1) ** (e & 1)
+        rows.append(row)
+    return len(tuples) - oracle.dense_rank(rows, field)
+
+
+def averaged_basis(space, arity):
+    """The span of the rotation averages of all delta cochains in reduced
+    echelon form, as ([coefficient dicts], [pivot tuples])."""
+    tuples = list(itertools.product(range(space.dim), repeat=arity))
+    rows = []
+    for t in tuples:
+        delta = ScalarCochain(space, TENSOR, arity, word_parity(space, t),
+                              {t: space.field(1)})
+        rows.append([cyclicize(delta).value(u) for u in tuples])
+    red, pivots = linalg.rref(rows, space.field)
+    return ([{u: x for u, x in zip(tuples, row) if x}
+             for row in red[:len(pivots)]],
+            [tuples[c] for c in pivots])
+
+
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+EVEN4 = (0, 0, 0, 0)
+
+
+class TestCyclicSpaceAtSmallPrimes:
+    """The tensor cyclic basis spans ker(1 - t) at every characteristic,
+    including p <= arity where rotation averaging spans less."""
+
+    @pytest.mark.parametrize("field,parities,arity", [
+        (QQ, EVEN4, 3), (QQ, (0, 1), 4), (QQ, (0, 1, 1), 3),
+        (F2, EVEN4, 2), (F2, (0, 1), 2), (F2, (0, 1), 4), (F2, (0, 1, 1), 2),
+        (F3, EVEN4, 3), (F3, (0, 1), 3), (F3, (0, 1), 6), (F3, (0, 1, 1), 3),
+        (F5, (0, 1), 5),
+    ])
+    def test_basis_spans_rotation_kernel(self, field, parities, arity):
+        space = GradedSpace(tuple("abcd"[:len(parities)]), parities, field)
+        basis, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
+        assert len(basis) == rotation_kernel_dim(space, arity)
+        assert all(is_cyclic_scalar(b) for b in basis)
+        assert all(b.coeffs[t] == 1 for b, t in zip(basis, pivots))
+
+    def test_m2_space_dimensions(self):
+        # the 4-dimensional even space of M2: 24 cyclic cochains of arity 3
+        # over F_3 and 10 of arity 2 over F_2
+        for field, degree, want in ((F3, 2, 24), (F2, 1, 10)):
+            space = GradedSpace(("a", "b", "c", "d"), EVEN4, field)
+            assert len(cyclic_scalar_basis(space, TENSOR, degree)[0]) == want
+
+    def test_averaging_misses_cyclic_cochains(self):
+        # rotation averages of deltas span less than ker(1 - t) when p
+        # divides the arity: 6 of 10 over F_2 in arity 2, 2 of 4 over F_3
+        # in arity 3 (the constant-letter orbits average to 3 delta = 0)
+        for field, dim, arity, averaged, cyclic in ((F2, 4, 2, 6, 10),
+                                                    (F3, 2, 3, 2, 4)):
+            space = GradedSpace(tuple("abcd"[:dim]), (0,) * dim, field)
+            assert len(averaged_basis(space, arity)[1]) == averaged
+            assert len(cyclic_scalar_basis(space, TENSOR, arity - 1)[0]) == \
+                cyclic
+
+    @pytest.mark.parametrize("parities,arity", [
+        (EVEN4, 1), (EVEN4, 2), ((0, 1), 4), ((0, 1, 1), 3),
+    ])
+    def test_equals_averaged_basis_over_q(self, parities, arity):
+        space = GradedSpace(tuple("abcd"[:len(parities)]), parities)
+        basis, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
+        assert ([b.coeffs for b in basis], pivots) == \
+            averaged_basis(space, arity)
+
+
 class TestCyclicBracketClosure:
     def test_bracket_of_cyclic_is_cyclic(self, dual_numbers, rng):
         s, ip = dual_numbers
