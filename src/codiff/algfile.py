@@ -70,6 +70,7 @@ class AlgebraFile:
 
 _assign_re = re.compile(r"^([A-Za-z_][\w']*)\(([^)]*)\)\s*=\s*(.+)$")
 _pair_re = re.compile(r"^<\s*([^,<>]+?)\s*,\s*([^,<>]+?)\s*>\s*=\s*(.+)$")
+_scalar_re = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _strip(line):
@@ -88,6 +89,7 @@ class _Parser:
         self.maps = {}          # arity -> (name, {tuple: vec}, lineno)
         self.defos = {}         # name -> [parity, {arity: entries}]
         self.ip_entries = None  # {(i, j): scalar}
+        self.ip_line = 0        # line of the inner_product header
         self.block = None
 
     def err(self, code, lineno, message):
@@ -192,6 +194,7 @@ class _Parser:
             if self.ip_entries is not None:
                 self.err(E_DUPLICATE, lineno, "second inner_product block")
             self.ip_entries = {}
+            self.ip_line = lineno
             self.block = ("ip",)
         elif head == "deformation":
             self.end_block(lineno)
@@ -300,6 +303,13 @@ class _Parser:
             try:
                 idx = self.space.index(name)
             except KeyError:
+                if coeff_s is None and _scalar_re.match(name):
+                    try:
+                        self.space.field.parse(name)
+                    except ValueError as exc:
+                        self.err(E_SCALAR, lineno, str(exc))
+                    self.err(E_SCALAR, lineno,
+                             "scalar %r without a basis name" % name)
                 self.err(E_NAME, lineno, "undeclared basis name %r" % name)
             try:
                 coeff = (self.space.field.parse(coeff_s) if coeff_s
@@ -386,7 +396,7 @@ class _Parser:
             try:
                 ip = InnerProduct(self.space, matrix)
             except ValueError as exc:
-                self.err(E_STRUCTURE, 0, "inner_product: %s" % exc)
+                self.err(E_STRUCTURE, self.ip_line, "inner_product: %s" % exc)
         deformations = {}
         for name in sorted(self.defos):
             parity, blocks = self.defos[name]

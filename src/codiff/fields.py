@@ -161,6 +161,8 @@ class PrimeField:
             q = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ValueError("bad scalar %r" % text)
+        if q.denominator % self.p == 0:
+            raise ValueError("scalar %r divides by zero in %s" % (text, self.name))
         return self(q)
 
     def render(self, value):

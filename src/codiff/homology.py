@@ -211,13 +211,16 @@ def _window_report(cx, window, graded_exact, note):
         if off_rows:
             feasible = linalg.kernel_basis(
                 [[col[r] for col in all_cols] for r in off_rows], field)
+            # the nonzero degree-p entries of each column
+            block = [[(r, x) for r, x in enumerate(col[off_p:off_p + dim_p])
+                      if x] for col in all_cols]
             images = []
             for v in feasible:
                 img = [field(0)] * dim_p
-                for x, col in zip(v, all_cols):
+                for x, entries in zip(v, block):
                     if x:
-                        for r in range(dim_p):
-                            img[r] = img[r] + x * col[off_p + r]
+                        for r, y in entries:
+                            img[r] = img[r] + x * y
                 images.append(img)
         else:
             images = [col[off_p:off_p + dim_p] for col in all_cols]

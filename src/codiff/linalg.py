@@ -1,131 +1,145 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p.
 
-Matrices are lists of row lists of field scalars.  Rank over the rationals
-uses fraction-free (Bareiss) elimination to control coefficient growth;
-kernels, solves and inverses use ordinary exact Gauss-Jordan reduction.
+Matrices come in and go out as lists of row lists of field scalars.  Inside,
+one elimination core works on sparse rows ``{column: value}`` and touches
+only nonzeros: over F_p the values are plain ints in [0, p), turned back
+into ``FpElement``s on the way out; over Q they are ``Fraction``s.  No raw
+int leaks out, and no float is ever formed.
+
+Row operations do not change which columns are independent of the earlier
+ones, so the pivot columns, the rank and the reduced row echelon form do not
+depend on the order in which rows are eliminated; the core takes the
+sparsest rows first to keep fill-in down.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import compress
 
-def _nrows(m):
-    return len(m)
-
-
-def _ncols(m):
-    return len(m[0]) if m else 0
+from .fields import FpElement
 
 
-def copy_matrix(m):
-    return [row[:] for row in m]
+def _rational(x):
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _sparse(m, field):
+    """The nonzeros of each row of m as a {column: core value} dict."""
+    width = range(len(m[0]) if m else 0)
+    if field.characteristic:
+        return [{j: field(row[j]).value for j in compress(width, row)}
+                for row in m]
+    return [{j: _rational(row[j]) for j in compress(width, row)} for row in m]
+
+
+def _dense(rows, nrows, ncols, field):
+    """Sparse core rows as nrows dense rows of field scalars, padded with
+    zero rows."""
+    p = field.characteristic
+    zero = field(0)
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for j, v in row.items():
+            dense[j] = FpElement(v, p) if p else v
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(nrows - len(rows)))
+    return out
+
+
+def _add_multiple(row, g, prow, p):
+    """row += g * prow in place, keeping only nonzeros (mod p when p)."""
+    for j, y in prow.items():
+        v = row.get(j, 0) + g * y
+        if p:
+            v %= p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _eliminate(rows, p, reduced):
+    """Gaussian elimination of sparse rows over F_p (Q when p == 0).
+
+    Each row is reduced against the pivot rows found so far until its
+    leading column is new; it is then scaled to a leading 1 and becomes the
+    pivot row of that column.  With ``reduced`` the pivot rows are then
+    cleared above every pivot, which gives the reduced row echelon form.
+    Returns (pivot rows, pivot columns), both in column order.
+    """
+    pivot_rows = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                lead = row[c]
+                if lead != 1:
+                    inv = pow(lead, -1, p) if p else 1 / lead
+                    row = {j: v * inv % p if p else v * inv
+                           for j, v in row.items()}
+                pivot_rows[c] = row
+                break
+            _add_multiple(row, -row[c], prow, p)
+    pivots = sorted(pivot_rows)
+    if reduced:
+        for c in reversed(pivots):
+            row = pivot_rows[c]
+            for d in [j for j in row if j != c and j in pivot_rows]:
+                _add_multiple(row, -row[d], pivot_rows[d], p)
+    return [pivot_rows[c] for c in pivots], pivots
 
 
 def rank(m, field):
-    """Exact rank; Bareiss over Q, plain elimination over F_p."""
-    if not m or not m[0]:
-        return 0
-    if field.characteristic == 0:
-        return _rank_bareiss(m)
+    """Exact rank: the number of pivots of the echelon form."""
     return len(echelon(m, field)[1])
 
 
-def _rank_bareiss(m):
-    a = copy_matrix(m)
-    rows, cols = _nrows(a), _ncols(a)
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) / prev
-            a[i][c] = 0 * a[i][c]
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def echelon(m, field):
-    """Forward elimination.  Returns (rows, pivot column list)."""
-    a = copy_matrix(m)
-    rows, cols = _nrows(a), _ncols(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        inv = field(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+def echelon(m, field, reduced=False):
+    """Row echelon form with leading ones, reduced when ``reduced``.
+    Returns (rows, pivot column list); the rows past the rank are zero."""
+    cols = len(m[0]) if m else 0
+    rows, pivots = _eliminate(_sparse(m, field), field.characteristic,
+                              reduced)
+    return _dense(rows, len(m), cols, field), pivots
 
 
 def rref(m, field):
     """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    a, pivots = echelon(m, field)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        for i in range(r):
-            if a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-    return a, pivots
+    return echelon(m, field, reduced=True)
 
 
 def kernel_basis(m, field):
     """Basis of the right kernel from the reduced echelon form, one vector
     per free column, in column order (the usual deterministic choice)."""
-    cols = _ncols(m)
+    cols = len(m[0]) if m else 0
     if cols == 0:
         return []
-    if not m:
-        m = [[field(0)] * cols]
-    a, pivots = rref(m, field)
+    a, pivots = echelon(m, field, reduced=True)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
+    zero, one = field(0), field(1)
     basis = []
     for fc in free:
-        v = [field(0)] * cols
-        v[fc] = field(1)
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+            if a[r][fc]:
+                v[pc] = -a[r][fc]
         basis.append(v)
     return basis
 
 
 def solve(m, b, field):
     """One solution x of m x = b, or None when inconsistent."""
-    rows, cols = _nrows(m), _ncols(m)
+    rows, cols = len(m), len(m[0]) if m else 0
     if rows != len(b):
         raise ValueError("shape mismatch")
-    aug = [m[i][:] + [b[i]] for i in range(rows)] if rows else []
-    if not aug:
+    if not rows:
         return [field(0)] * cols
-    a, pivots = rref(aug, field)
+    a, pivots = rref([m[i] + [b[i]] for i in range(rows)], field)
     if cols in pivots:
         return None
     x = [field(0)] * cols
@@ -136,10 +150,11 @@ def solve(m, b, field):
 
 def invert(m, field):
     """Inverse matrix, or None when singular."""
-    n = _nrows(m)
-    if n == 0 or _ncols(m) != n:
+    n = len(m)
+    if n == 0 or len(m[0]) != n:
         raise ValueError("inverse needs a square matrix")
-    aug = [m[i][:] + [field(1) if j == i else field(0) for j in range(n)]
+    zero, one = field(0), field(1)
+    aug = [m[i] + [one if j == i else zero for j in range(n)]
            for i in range(n)]
     a, pivots = rref(aug, field)
     if pivots != list(range(n)):

@@ -142,3 +142,39 @@ def test_deformation_parameter_consistency():
               "  basis b even\ndeformation lam 2 odd_parameter\n"
               "  lam(a,b) = a\n")
     assert exc.value.code == E_PARITY
+
+
+@pytest.mark.parametrize("entries,message", [
+    ("  <a,b> = 1\n  <b,a> = 2\n", "graded symmetric"),
+    ("  <a,a> = 1\n", "degenerate"),
+])
+def test_inner_product_errors_carry_the_header_line(entries, message):
+    text = ("field Q\nflavor tensor\nspace\n  basis a even\n  basis b even\n"
+            "map m 2\n  m(a,a) = a\n\ninner_product\n" + entries)
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.code == E_STRUCTURE
+    assert exc.value.line == 9
+    assert message in str(exc.value)
+
+
+def test_missing_declarations_keep_line_zero():
+    with pytest.raises(ParseError) as exc:
+        parse("field Q\nflavor tensor\n")
+    assert (exc.value.code, exc.value.line) == (E_STRUCTURE, 0)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("Q", "1/0", "bad rational scalar '1/0'"),
+    ("Q", "-2", "scalar '2' without a basis name"),
+    ("F 5", "1/0", "bad scalar '1/0'"),
+    ("F 5", "1/5", "scalar '1/5' divides by zero in F_5"),
+    ("F 5", "2/5 a", "scalar '2/5' divides by zero in F_5"),
+])
+def test_scalar_looking_terms_report_e_scalar(field, value, message):
+    text = ("field %s\nflavor tensor\nspace\n  basis a even\nmap m 2\n"
+            "  m(a,a) = %s\n" % (field, value))
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.code, exc.value.line) == (E_SCALAR, 6)
+    assert message in str(exc.value)

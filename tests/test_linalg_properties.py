@@ -1,0 +1,176 @@
+"""Property tests of the sparse elimination core in ``codiff.linalg`` on
+small random matrices over Q, F_2, F_3 and F_32003, against the independent
+``oracle.dense_rank`` and a dense Gauss-Jordan reference kept here."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from codiff import linalg, oracle  # noqa: E402
+from codiff.fields import QQ, FpElement, PrimeField  # noqa: E402
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+ENTRY = st.integers(-3, 3)
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_rows=8, max_cols=10):
+    """(field, matrix): up to max_rows x max_cols entries in -3..3,
+    including empty, zero-row and zero-column matrices."""
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    m = draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    zero_row = draw(st.sampled_from([None] + list(range(rows))))
+    zero_col = draw(st.sampled_from([None] + list(range(cols))))
+    for i, row in enumerate(m):
+        for j in range(cols):
+            if i == zero_row or j == zero_col:
+                row[j] = 0
+    return field, [[field(x) for x in row] for row in m]
+
+
+def reference_rref(m, field):
+    """Dense Gauss-Jordan elimination; the reduced echelon form is unique."""
+    a = [row[:] for row in m]
+    cols = len(a[0]) if a else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = field(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def matvec(m, v, field):
+    return [sum((x * y for x, y in zip(row, v)), field(0)) for row in m]
+
+
+def transpose(m, cols):
+    return [[row[j] for row in m] for j in range(cols)]
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_matches_dense_oracle(fm):
+    field, m = fm
+    assert linalg.rank(m, field) == oracle.dense_rank(m, field)
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_matches_dense_reference(fm):
+    field, m = fm
+    assert linalg.rref(m, field) == reference_rref(m, field)
+
+
+@PROPERTY
+@given(matrices())
+def test_echelon_has_the_rref_pivots_and_row_space(fm):
+    field, m = fm
+    rows, pivots = linalg.echelon(m, field)
+    ref_rows, ref_pivots = reference_rref(m, field)
+    assert pivots == ref_pivots
+    assert len(rows) == len(m)
+    for r, c in enumerate(pivots):
+        assert all(not x for x in rows[r][:c]) and rows[r][c] == 1
+    assert all(not x for row in rows[len(pivots):] for x in row)
+    assert reference_rref(rows, field) == (ref_rows, ref_pivots)
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_basis_spans_the_kernel(fm):
+    field, m = fm
+    cols = len(m[0]) if m else 0
+    basis = linalg.kernel_basis(m, field)
+    assert len(basis) == cols - oracle.dense_rank(m, field)
+    for v in basis:
+        assert len(v) == cols
+        assert all(not x for x in matvec(m, v, field))
+    assert oracle.dense_rank(basis, field) == len(basis)
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_solve_finds_a_solution_exactly_when_one_exists(fm, data):
+    field, m = fm
+    cols = len(m[0]) if m else 0
+    if data.draw(st.booleans(), label="b in the column space"):
+        x = [field(data.draw(ENTRY)) for _ in range(cols)]
+        b = matvec(m, x, field)
+    else:
+        b = [field(data.draw(ENTRY)) for _ in m]
+    aug = [row + [y] for row, y in zip(m, b)]
+    consistent = oracle.dense_rank(aug, field) == oracle.dense_rank(m, field)
+    x = linalg.solve(m, b, field)
+    if not consistent:
+        assert x is None
+    else:
+        assert x is not None and len(x) == cols
+        assert matvec(m, x, field) == b
+
+
+@PROPERTY
+@given(st.sampled_from(FIELDS), st.integers(1, 6), st.data())
+def test_invert_gives_a_two_sided_inverse(field, n, data):
+    a = [[field(data.draw(ENTRY)) for _ in range(n)] for _ in range(n)]
+    inv = linalg.invert(a, field)
+    if oracle.dense_rank(a, field) < n:
+        assert inv is None
+        return
+    identity = [[field(int(i == j)) for j in range(n)] for i in range(n)]
+    assert [matvec(inv, col, field) for col in transpose(a, n)] == \
+        transpose(identity, n)
+    assert [matvec(a, col, field) for col in transpose(inv, n)] == \
+        transpose(identity, n)
+
+
+def _entries(value):
+    """Every scalar in a result of the linalg functions."""
+    if isinstance(value, (list, tuple)):
+        for x in value:
+            yield from _entries(x)
+    elif value is not None:
+        yield value
+
+
+def _assert_field_scalars(value, field):
+    for x in _entries(value):
+        if field.characteristic:
+            assert type(x) is FpElement and x.p == field.p, repr(x)
+        else:
+            assert type(x) is Fraction, repr(x)
+
+
+@PROPERTY
+@given(matrices(max_rows=5, max_cols=5), st.data())
+def test_results_hold_field_scalars_only(fm, data):
+    """No raw int (or float) leaks out of the core, even when the input
+    mixes plain ints with field scalars."""
+    field, m = fm
+    m = [[int(field.render(x)) if data.draw(st.booleans()) else x
+          for x in row] for row in m]
+    rows, pivots = linalg.echelon(m, field)
+    _assert_field_scalars(rows, field)
+    assert all(type(c) is int for c in pivots)
+    _assert_field_scalars(linalg.rref(m, field)[0], field)
+    _assert_field_scalars(linalg.kernel_basis(m, field), field)
+    _assert_field_scalars(linalg.solve(m, [field(1)] * len(m), field), field)
+    _assert_field_scalars(linalg.solve(m, [0] * len(m), field), field)
+    if m and len(m) == len(m[0]):
+        _assert_field_scalars(linalg.invert(m, field), field)
