@@ -152,6 +152,8 @@ def _report_lines(kind, report, symbol):
                         "coboundaries": row.coboundaries,
                         symbol: row.quotient,
                         "graded_exact": report.graded_exact})
+        if report.note:
+            records[-1]["note"] = report.note
     if report.note:
         lines.append("note: %s" % report.note)
     return lines, records

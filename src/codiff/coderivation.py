@@ -136,6 +136,33 @@ def restrict(gen, l, mode=None):
     return Restriction(gen.degree, l, matrix)
 
 
+def reachable(support, inner, rotations=False):
+    """The target tuples, in canonical order, whose extension by ``inner``
+    can land on a tuple of ``support``: a support tuple with one letter b
+    replaced by a head h with b in inner(h), in the canonical form of
+    inner's flavor (dead symmetric and exterior words dropped).  With
+    ``rotations`` only the first letter is replaced and every rotation of
+    h + w[1:] is taken, the tuples a rotation sum reads.  Every other
+    target gives zero."""
+    heads = {}
+    for h, vec in inner.coeffs.items():
+        for b in vec:
+            heads.setdefault(b, []).append(h)
+    par = inner.space.parities
+    out = set()
+    for w in support:
+        for i in range(1 if rotations else len(w)):
+            for h in heads.get(w[i], ()):
+                t = w[:i] + h + w[i + 1:]
+                if rotations:
+                    out.update(t[j:] + t[:j] for j in range(len(t)))
+                else:
+                    cw = canonical_word(inner.flavor, t, par)
+                    if cw is not None:
+                        out.add(cw[1])
+    return sorted(out)
+
+
 def compose(outer, inner, mode=None):
     """outer ∘ (extension of inner restricted to land in outer's degree):
     a cochain of degree outer.degree + inner.degree - 1."""
@@ -148,7 +175,7 @@ def compose(outer, inner, mode=None):
         return zero_cochain(outer.space, outer.flavor, 0,
                             (outer.parity + inner.parity) & 1)
     coeffs = {}
-    for t in canonical_tuples(outer.space, outer.flavor, n):
+    for t in reachable(outer.coeffs, inner):
         acc = {}
         for mid, c in extend_letters(inner, t, mode).items():
             vec_add(acc, outer.value(mid), c)

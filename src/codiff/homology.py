@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from . import linalg
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
                       tilde, vec_add)
-from .coderivation import family_bracket
+from .coderivation import family_bracket, reachable
 from .graded import (EXTERIOR, TENSOR, canonical_word, reorder_sign,
                      unshuffles)
 from .structures import deformation_parameter_parity, deform_check
@@ -81,6 +81,10 @@ class _PlainComplex(_Complex):
     """Cochains V^p -> V on the delta basis of (canonical tuple, output
     letter) pairs, with D = coboundary."""
 
+    def __init__(self, s):
+        super().__init__(s)
+        self._index = {}  # degree -> {(tuple, letter): basis position}
+
     def _build_basis(self, p):
         par = self.s.space.parities
         return [(t, j, (par[j] + sum(par[i] for i in t)) & 1)
@@ -97,8 +101,15 @@ class _PlainComplex(_Complex):
                 for q, c in coboundary(delta, self.s).items()}
 
     def coords(self, p, c):
-        return [self.field(c.coeffs.get(t, {}).get(j, 0))
-                for t, j, _ in self._basis(p)]
+        if p not in self._index:
+            self._index[p] = {(t, j): i for i, (t, j, _)
+                              in enumerate(self._basis(p))}
+        index = self._index[p]
+        out = [self.field(0)] * len(index)
+        for t, vec in c.coeffs.items():
+            for j, x in vec.items():
+                out[index[t, j]] = self.field(x)
+        return out
 
     def reconstruct(self, p, coords):
         coeffs, parity = {}, 0
@@ -240,13 +251,27 @@ def _window_report(cx, window, graded_exact, note):
     return CohomologyReport(window, rows_out, graded_exact, note)
 
 
+def _report_note(s, mixed, small_p=""):
+    """The report's caveats joined by "; ": ``mixed`` for a structure of
+    several arities, ``small_p`` when given, and for an exterior structure
+    over F_2 the characteristic-2 caveat."""
+    notes = [mixed] if len(s.parts) > 1 else []
+    if small_p:
+        notes.append(small_p)
+    if s.flavor == EXTERIOR and s.space.field.characteristic == 2:
+        notes.append("characteristic 2: the L-infinity guarantees (D^2 = 0, "
+                     "the bracket routes) hold only away from "
+                     "characteristic 2")
+    return "; ".join(notes)
+
+
 def cohomology(s, window):
     """Exact windowed cohomology of the structure's coboundary D."""
-    single = len(s.parts) <= 1
-    note = "" if single else (
-        "mixed arities: the complex does not split by degree; coboundary "
-        "dimensions are truncated to sources in the window")
-    return _window_report(_PlainComplex(s), tuple(window), single, note)
+    note = _report_note(s, "mixed arities: the complex does not split by "
+                        "degree; coboundary dimensions are truncated to "
+                        "sources in the window")
+    return _window_report(_PlainComplex(s), tuple(window), len(s.parts) <= 1,
+                          note)
 
 
 # --- cyclicity --------------------------------------------------------------
@@ -307,8 +332,11 @@ def is_cyclic_scalar(f):
     """The rotation identity f(v_1..v_{n+1}) = (-1)^{n + |v_1|(|v_2|+..)}
     f(v_2..v_{n+1}, v_1) on every tuple (tensor-flavored scalar cochains)."""
     par = f.space.parities
+    # checking the support suffices: there the identity makes the rotation
+    # map the support into itself, hence onto it, so off the support both
+    # sides are zero
     return all(f.value(t) == _rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
-               for t in itertools.product(range(f.space.dim), repeat=f.arity))
+               for t in f.coeffs)
 
 
 def is_cyclic_scalar_blockwise(f):
@@ -352,14 +380,15 @@ def structure_is_cyclic(s, ip):
 def _rotation_sum(f, inner, extra_exp):
     """sum over rotations of (-1)^{(v_1+..+v_i)(v_{i+1}+..+v_{n+1}) + i n
     + extra} f(inner(u_1..u_l), u_{l+1}..) with u the rotated tuple; the
-    shared shape of the cyclic bracket and the cyclic coboundary."""
+    shared shape of the cyclic bracket and the cyclic coboundary.  f is
+    tensor-flavored, so its support is its coefficient keys."""
     space = f.space
     l = inner.degree
     k = f.arity - 1
     n = k + l - 1
     sign = -1 if extra_exp & 1 else 1
     out = {}
-    for t in itertools.product(range(space.dim), repeat=n + 1):
+    for t in reachable(f.coeffs, inner, rotations=True):
         acc = space.field(0)
         for i in range(n + 1):
             u = t[i:] + t[:i]
@@ -386,7 +415,7 @@ def _unshuffle_sum(f, inner, extra_exp):
     n = k + l - 1
     par = space.parities
     out = {}
-    for t in canonical_tuples(space, EXTERIOR, n + 1):
+    for t in reachable(f.coeffs, inner):
         letter_par = [par[x] for x in t]
         acc = space.field(0)
         for sigma in unshuffles(l, n + 1 - l):
@@ -509,11 +538,14 @@ def cyclic_cohomology(s, ip=None, window=(0, 3)):
         ok, witness = structure_is_cyclic(s, ip)
         if not ok:
             raise InvarianceError(*witness)
-    single = len(s.parts) <= 1
-    note = "" if single else (
-        "mixed arities: coboundary dimensions are truncated to sources in "
-        "the window")
-    return _window_report(_CyclicComplex(s), tuple(window), single, note)
+    p, arity = s.space.field.characteristic, window[1] + 1
+    small_p = ("characteristic %d <= %d, the largest arity in the window: "
+               "the lambda-complex need not compute cyclic cohomology"
+               % (p, arity)) if 0 < p <= arity else ""
+    note = _report_note(s, "mixed arities: coboundary dimensions are "
+                        "truncated to sources in the window", small_p)
+    return _window_report(_CyclicComplex(s), tuple(window), len(s.parts) <= 1,
+                          note)
 
 
 # --- deformation classification ---------------------------------------------

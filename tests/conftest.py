@@ -20,14 +20,15 @@ def make_cochain(space, flavor, degree, parity, entries):
 
 
 def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3):
-    """Parity-homogeneous random cochain with small integer entries."""
+    """Parity-homogeneous random cochain with small integer entries in the
+    space's field."""
     coeffs = {}
     for t in canonical_tuples(space, flavor, degree):
         tp = word_parity(space, t)
         vec = {}
         for j in range(space.dim):
             if (space.parities[j] ^ tp) == parity and rng.random() < density:
-                c = F(rng.randint(-span, span))
+                c = space.field(rng.randint(-span, span))
                 if c:
                     vec[j] = c
         if vec:

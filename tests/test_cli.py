@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -123,6 +124,24 @@ def test_q_and_large_prime_agree(fixture, tmp_path, capsys):
         assert outs[0] == outs[1], (command, outs)
 
 
+BENCH_INPUTS = os.path.join(HERE, os.pardir, "bench", "inputs")
+MIXED_NOTE = ("mixed arities: the complex does not split by degree; "
+              "coboundary dimensions are truncated to sources in the window")
+SMALL_P_NOTE = ("characteristic %d <= %d, the largest arity in the window: "
+                "the lambda-complex need not compute cyclic cohomology")
+CHAR2_NOTE = ("characteristic 2: the L-infinity guarantees (D^2 = 0, the "
+              "bracket routes) hold only away from characteristic 2")
+
+
+def load_over(path, field):
+    with open(path, encoding="utf-8") as fh:
+        return parse(over_field(fh.read(), field))
+
+
+def quotients(text, symbol):
+    return [int(m) for m in re.findall(r" %s=(\d+)$" % symbol, text, re.M)]
+
+
 def m2_text(field):
     """2x2 matrices with m(eij, ejk) = eik, the trace form and the
     deformation lam = m."""
@@ -144,8 +163,10 @@ def test_m2_cyclic_cohomology_over_f3_is_morita_invariant():
     # HC(M2) = HC(k) = 1,0,1,0 in the lambda-complex over F_3 as over Q
     text, status = run("cyclic", parse(m2_text("F 3")), window=(0, 3))
     assert status == 0
-    assert [line.rsplit("HC=", 1)[1] for line in text.splitlines()[1:]] == \
+    lines = text.splitlines()
+    assert [line.rsplit("HC=", 1)[1] for line in lines[1:5]] == \
         ["1", "0", "1", "0"]
+    assert lines[5:] == ["note: " + SMALL_P_NOTE % (3, 4)]
 
 
 @pytest.mark.parametrize("name", ["m2", "dual_numbers"])
@@ -201,3 +222,71 @@ class TestMainEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "validate: ok\n"
+
+
+class TestReportNotes:
+    """Caveats of small characteristic and mixed arities share one
+    ``note:`` line, joined by "; ", and every json-lines record."""
+
+    @pytest.mark.parametrize("field,window,note", [
+        ("F 3", (0, 3), SMALL_P_NOTE % (3, 4)),
+        ("F 3", (1, 2), SMALL_P_NOTE % (3, 3)),
+        ("F 3", (0, 1), ""),
+        ("F 5", (0, 3), ""),
+        ("F 5", (0, 4), SMALL_P_NOTE % (5, 5)),
+        ("F 32003", (0, 3), ""),
+    ])
+    def test_cyclic_over_small_prime(self, field, window, note):
+        af = load_over(os.path.join(FIXTURES, "dual_numbers.alg"), field)
+        text, status = run("cyclic", af, window=window)
+        assert status == 0
+        want = ["note: " + note] if note else []
+        assert text.splitlines()[window[1] - window[0] + 2:] == want
+        jsonl, _ = run("cyclic", af, window=window, fmt="json-lines")
+        records = [json.loads(line) for line in jsonl.splitlines()]
+        assert [r.get("note", "") for r in records] == [note] * len(records)
+
+    def test_exterior_over_f2(self):
+        af = load_over(os.path.join(BENCH_INPUTS, "gl2.alg"), "F 2")
+        text, status = run("cohomology", af, window=(0, 3))
+        assert (status, quotients(text, "H")) == (0, [1, 4, 6, 4])
+        assert text.splitlines()[-1] == "note: " + CHAR2_NOTE
+        text, status = run("cyclic", af, window=(0, 3))
+        assert status == 0
+        assert text.splitlines()[-1] == \
+            "note: %s; %s" % (SMALL_P_NOTE % (2, 4), CHAR2_NOTE)
+
+    @pytest.mark.parametrize("fixture,field", [
+        ("dual_numbers.alg", "F 2"), ("sl2.alg", "F 3"),
+    ])
+    def test_no_char2_note_for_tensor_or_odd_p(self, fixture, field):
+        text, status = run("cohomology",
+                           load_over(os.path.join(FIXTURES, fixture), field),
+                           window=(0, 3))
+        assert status == 0
+        assert "note:" not in text
+
+    def test_mixed_arity_note_in_json_lines(self):
+        text, status = run("cohomology", load("koszul_dga.alg"), window=(1, 2),
+                           fmt="json-lines")
+        assert status == 0
+        records = [json.loads(line) for line in text.splitlines()]
+        assert len(records) == 2
+        assert all(r["note"] == MIXED_NOTE for r in records)
+
+    def test_mixed_arity_and_char2_join(self):
+        af = load_over(os.path.join(FIXTURES, "koszul_dga.alg"), "F 2")
+        text, _ = run("cohomology", af, window=(1, 2))
+        # a tensor structure: only the mixed-arity caveat applies
+        assert text.splitlines()[-1] == "note: " + MIXED_NOTE
+
+
+class TestSizeFrontier:
+    """gl3 at window 0..3: H*(gl3) = L(x1, x3, x5) and HC^n = H^{n+1}."""
+
+    def test_gl3_cohomology_and_cyclic_over_f32003(self):
+        af = load_over(os.path.join(BENCH_INPUTS, "gl3.alg"), "F 32003")
+        text, status = run("cohomology", af, window=(0, 3))
+        assert (status, quotients(text, "H")) == (0, [1, 1, 0, 1])
+        text, status = run("cyclic", af, window=(0, 3))
+        assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 1])
