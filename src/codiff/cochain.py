@@ -66,10 +66,6 @@ def vec_scale(vec, factor):
     return {b: factor * c for b, c in vec.items() if factor * c}
 
 
-def vec_is_zero(vec):
-    return all(not c for c in vec.values())
-
-
 @dataclass
 class Cochain:
     """A homogeneous degree-k multilinear map V^k -> V.

@@ -76,7 +76,9 @@ def extend_letters(gen, letters, mode):
     letter_par = [par[x] for x in letters]
     if n < k:
         return out
-    for sigma in unshuffles(k, n - k):
+    # the empty word has one, empty, unshuffle: a degree-0 generator just
+    # puts its value there, as in the tensor branch
+    for sigma in unshuffles(k, n - k) if n else ((),):
         s = reorder_sign(gen.flavor, sigma, letter_par)
         head = tuple(letters[sigma[i] - 1] for i in range(k))
         rest = tuple(letters[sigma[i] - 1] for i in range(k, n))
@@ -225,22 +227,6 @@ def modified_bracket(a, b, convention=W_OF_V):
 #
 # An inhomogeneous cochain is a family {degree: Cochain}; brackets act
 # degree by degree via [a, b]_n = sum over k+l=n+1 of [a_k, b_l].
-
-def family_add(fam_a, fam_b):
-    from .cochain import add
-    out = dict(fam_a)
-    for k, c in fam_b.items():
-        if k in out:
-            out[k] = add(out[k], c)
-        else:
-            out[k] = c
-    return {k: c for k, c in out.items() if not c.is_zero()}
-
-
-def family_scale(s, fam):
-    from .cochain import scale
-    return {k: scale(s, c) for k, c in fam.items()}
-
 
 def family_bracket(fam_a, fam_b, form=None, convention=None):
     """Componentwise bracket of families; pass ``convention`` to use the

@@ -3,14 +3,18 @@ and cyclic cohomology, and classification of first-order deformations.
 
 Windowed cohomology, cyclic cohomology and the coboundary test all query one
 cochain complex: the cochains V^p -> V with D(phi) = {phi, m}, or the cyclic
-scalar cochains with the cyclic coboundary.  For a window a..b a row reports
-the cocycles Z^p = ker D on C^p and the coboundaries B^p = im D ∩ C^p, with D
-applied to the sources of degree >= a - spread, where the spread is the
-largest arity less one.  For a structure concentrated in one arity the
-complex splits by cochain degree and B^p is exact.  For mixed arities the
-image of a degree-p cochain spreads over degrees p..p+N-1, so B^p is a lower
-bound for the coboundary space and the report says so (membership tests
-remain reliable).
+scalar cochains with the cyclic coboundary.  The complex hands out D of each
+basis vector as sparse coordinates read straight from the cochain's
+coefficients, and every matrix passed to ``linalg`` is a list of sparse
+rows.  For a window a..b a row reports the cocycles Z^p = ker D on C^p and
+the coboundaries B^p = im D ∩ C^p, with D applied to the sources of degree
+>= a - spread, where the spread is the largest arity less one.  For a
+structure concentrated in one arity the complex splits by cochain degree:
+D_p maps C^p to C^{p+spread} alone, so Z^p = ker D_p and B^p = im
+D_{p-spread} exactly, and each block D_p is built once.  For mixed arities
+the image of a degree-p cochain spreads over degrees p..p+N-1, so B^p is a
+lower bound for the coboundary space and the report says so (membership
+tests remain reliable).
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ def coboundary_family(fam, s):
 class _Complex:
     """A cochain complex of a structure with a basis per degree, built once.
 
-    ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis,
-    ``image(p, i)`` is D of its i-th vector as {degree: coordinates},
+    ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis.  Vectors
+    are sparse {basis position: scalar} dicts of nonzeros: ``image(p, i)``
+    is D of the i-th basis vector as {degree: vector}, ``images(p)`` the
+    images of the whole degree-p basis (the block of D on C^p), built once,
     ``coords(p, c)`` reads a cochain in the basis and ``reconstruct(p, v)``
     builds the cochain with coordinates v.
     """
@@ -67,29 +73,43 @@ class _Complex:
         self.field = s.space.field
         self.spread = (max(s.parts) - 1) if s.parts else 0
         self._bases = {}
+        self._positions = {}
+        self._images = {}
 
     def _basis(self, p):
         if p not in self._bases:
             self._bases[p] = self._build_basis(p)
         return self._bases[p]
 
+    def _position(self, p):
+        """{basis key: position} for degree p, built once."""
+        if p not in self._positions:
+            self._positions[p] = {self._key(entry): i for i, entry
+                                  in enumerate(self._basis(p))}
+        return self._positions[p]
+
     def dim(self, p):
         return len(self._basis(p))
+
+    def images(self, p):
+        if p not in self._images:
+            self._images[p] = [self.image(p, i) for i in range(self.dim(p))]
+        return self._images[p]
 
 
 class _PlainComplex(_Complex):
     """Cochains V^p -> V on the delta basis of (canonical tuple, output
     letter) pairs, with D = coboundary."""
 
-    def __init__(self, s):
-        super().__init__(s)
-        self._index = {}  # degree -> {(tuple, letter): basis position}
-
     def _build_basis(self, p):
         par = self.s.space.parities
         return [(t, j, (par[j] + sum(par[i] for i in t)) & 1)
                 for t in canonical_tuples(self.s.space, self.s.flavor, p)
                 for j in range(self.s.space.dim)]
+
+    @staticmethod
+    def _key(entry):
+        return entry[:2]
 
     def parity(self, p, i):
         return self._basis(p)[i][2]
@@ -101,22 +121,15 @@ class _PlainComplex(_Complex):
                 for q, c in coboundary(delta, self.s).items()}
 
     def coords(self, p, c):
-        if p not in self._index:
-            self._index[p] = {(t, j): i for i, (t, j, _)
-                              in enumerate(self._basis(p))}
-        index = self._index[p]
-        out = [self.field(0)] * len(index)
-        for t, vec in c.coeffs.items():
-            for j, x in vec.items():
-                out[index[t, j]] = self.field(x)
-        return out
+        index, field = self._position(p), self.field
+        return {index[t, j]: v for t, vec in c.coeffs.items()
+                for j, x in vec.items() if (v := field(x))}
 
     def reconstruct(self, p, coords):
-        coeffs, parity = {}, 0
-        for (t, j, par), x in zip(self._basis(p), coords):
-            if x:
-                coeffs.setdefault(t, {})[j] = x
-                parity = par
+        basis, coeffs, parity = self._basis(p), {}, 0
+        for i in sorted(coords):
+            t, j, parity = basis[i]
+            coeffs.setdefault(t, {})[j] = coords[i]
         return Cochain(self.s.space, self.s.flavor, p, parity, coeffs)
 
 
@@ -127,6 +140,10 @@ class _CyclicComplex(_Complex):
     def _build_basis(self, p):
         return list(zip(*cyclic_scalar_basis(self.s.space, self.s.flavor, p)))
 
+    @staticmethod
+    def _key(entry):
+        return entry[1]
+
     def parity(self, p, i):
         return self._basis(p)[i][0].parity
 
@@ -136,41 +153,51 @@ class _CyclicComplex(_Complex):
 
     def coords(self, p, f):
         """Coordinates at the pivot tuples, with an exact membership check:
-        the basis combination must give back every stored coefficient."""
+        the basis combination must give back every stored coefficient.  It
+        is rebuilt from the orbits of f's support only."""
         if self.s.flavor == EXTERIOR:
             f = _exterior_form(f)
         if f is not None:
-            coords = [self.field(f.coeffs.get(t, 0))
-                      for _, t in self._basis(p)]
+            index, field = self._position(p), self.field
+            coords = {index[t]: v for t, x in f.coeffs.items()
+                      if t in index and (v := field(x))}
             if self.reconstruct(p, coords).coeffs == f.coeffs:
                 return coords
         raise RuntimeError("scalar cochain falls outside the cyclic space")
 
     def reconstruct(self, p, coords):
-        coeffs, parity = {}, 0
-        for (b, _), x in zip(self._basis(p), coords):
-            if x:
-                vec_add(coeffs, b.coeffs, x)
-                parity = b.parity
+        basis, coeffs, parity = self._basis(p), {}, 0
+        for i in sorted(coords):
+            b = basis[i][0]
+            vec_add(coeffs, b.coeffs, coords[i])
+            parity = b.parity
         return ScalarCochain(self.s.space, self.s.flavor, p + 1, parity,
                              coeffs)
 
 
-def _assemble(cx, sources, degrees):
-    """D of the (degree, index) sources as columns, stacking the target
-    degrees in order.  Returns (row offset per degree, row count, columns)."""
+def _transpose(vectors, n):
+    """The n sparse rows of the matrix whose columns are these vectors."""
+    rows = [{} for _ in range(n)]
+    for c, vec in enumerate(vectors):
+        for r, x in vec.items():
+            rows[r][c] = x
+    return rows
+
+
+def _stack(family, offset):
+    """A family {degree: vector} as one vector over the degrees stacked at
+    these row offsets; other degrees are dropped."""
+    return {offset[q] + r: x for q, vec in family.items() if q in offset
+            for r, x in vec.items()}
+
+
+def _offsets(cx, degrees):
+    """(row offset per degree, total rows) of the stacked degrees."""
     offset, total = {}, 0
     for q in degrees:
         offset[q] = total
         total += cx.dim(q)
-    cols = []
-    for p, i in sources:
-        col = [cx.field(0)] * total
-        for q, coords in cx.image(p, i).items():
-            if q in offset:
-                col[offset[q]:offset[q] + len(coords)] = coords
-        cols.append(col)
-    return offset, total, cols
+    return offset, total
 
 
 # --- windowed cohomology ----------------------------------------------------
@@ -193,62 +220,76 @@ class CohomologyReport:
 
 
 def _window_report(cx, window, graded_exact, note):
-    """Z^p, B^p and representatives of Z^p / B^p for p in the window, with
-    D applied to every basis vector of degree a - spread .. b."""
+    """Z^p, B^p and representatives of Z^p / B^p for p in the window."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
-    field = cx.field
-    src_low = max(0, a - cx.spread)
-    sources = [(p, i) for p in range(src_low, b + 1) for i in range(cx.dim(p))]
-    # sources and targets both start at src_low, so the columns of degree p
-    # start at the row offset of degree p
-    offset, total_rows, all_cols = _assemble(
-        cx, sources, range(src_low, b + cx.spread + 1))
+    spaces = (_truncated_spaces(cx, a, b) if len(cx.s.parts) > 1
+              else _block_spaces(cx))
     rows_out = []
     for p in range(a, b + 1):
-        dim_p = cx.dim(p)
-        if dim_p == 0:
-            rows_out.append(DegreeRow(p, 0, 0, 0, []))
-            continue
-        off_p = offset[p]
-        # cocycles: kernel of D restricted to degree-p sources (all rows)
-        own = all_cols[off_p:off_p + dim_p]
-        kern = linalg.kernel_basis(
-            [[col[r] for col in own] for r in range(total_rows)], field)
-        # coboundaries landing exactly in degree p, from windowed sources
-        off_rows = [r for r in range(total_rows)
-                    if not off_p <= r < off_p + dim_p]
-        if off_rows:
-            feasible = linalg.kernel_basis(
-                [[col[r] for col in all_cols] for r in off_rows], field)
-            # the nonzero degree-p entries of each column
-            block = [[(r, x) for r, x in enumerate(col[off_p:off_p + dim_p])
-                      if x] for col in all_cols]
-            images = []
-            for v in feasible:
-                img = [field(0)] * dim_p
-                for x, entries in zip(v, block):
-                    if x:
-                        for r, y in entries:
-                            img[r] = img[r] + x * y
-                images.append(img)
-        else:
-            images = [col[off_p:off_p + dim_p] for col in all_cols]
-        img_rows, img_pivots = linalg.rref(images, field) if images else ([], [])
-        b_basis = img_rows[:len(img_pivots)]
+        kern, b_basis = spaces(p) if cx.dim(p) else ([], [])
         # representatives: the kernel vectors among the pivot columns of
         # [B | Z], i.e. each one not in the span of B and the earlier ones
         reps = []
         if kern:
             span = b_basis + kern
-            _, pivots = linalg.echelon(
-                [[v[r] for v in span] for r in range(dim_p)], field)
+            _, pivots = linalg.echelon(_transpose(span, cx.dim(p)), cx.field)
             reps = [cx.reconstruct(p, span[c]) for c in pivots
                     if c >= len(b_basis)]
         rows_out.append(DegreeRow(p, len(kern), len(b_basis),
                                   len(kern) - len(b_basis), reps))
     return CohomologyReport(window, rows_out, graded_exact, note)
+
+
+def _block_spaces(cx):
+    """Single arity: D maps C^p into C^{p + spread} alone, so Z^p = ker D_p
+    and B^p = im D_{p - spread}.  Each block D_p is ``cx.images(p)``, built
+    once and shared by rows p and p + spread.  Returns p -> (basis of Z^p
+    in free-column form, RREF basis of B^p)."""
+    def spaces(p):
+        q, src = p + cx.spread, p - cx.spread
+        block = [img.get(q, {}) for img in cx.images(p)]
+        kern = linalg.kernel_basis(_transpose(block, cx.dim(q)), len(block),
+                                   cx.field)
+        if src < 0:
+            return kern, []
+        return kern, linalg.rref([img.get(p, {}) for img in cx.images(src)],
+                                 cx.field)[0]
+    return spaces
+
+
+def _truncated_spaces(cx, a, b):
+    """Mixed arities: Z^p = ker D on C^p, and B^p = im D ∩ C^p with D
+    applied to every basis vector of degree a - spread .. b, as one stack of
+    sparse columns over the target degrees.  Returns p -> (Z^p, B^p) like
+    ``_block_spaces``."""
+    src_low = max(0, a - cx.spread)
+    offset, total = _offsets(cx, range(src_low, b + cx.spread + 1))
+    cols = [_stack(img, offset) for p in range(src_low, b + 1)
+            for img in cx.images(p)]
+
+    def spaces(p):
+        # sources and targets both start at src_low, so the columns of
+        # degree p start at the row offset of degree p
+        lo, hi = offset[p], offset[p] + cx.dim(p)
+        kern = linalg.kernel_basis(_transpose(cols[lo:hi], total), hi - lo,
+                                   cx.field)
+        # the combinations of all columns that vanish off degree p, and
+        # their degree-p parts
+        own = [{r - lo: x for r, x in col.items() if lo <= r < hi}
+               for col in cols]
+        off = [{r: x for r, x in col.items() if not lo <= r < hi}
+               for col in cols]
+        images = []
+        for v in linalg.kernel_basis(_transpose(off, total), len(cols),
+                                     cx.field):
+            img = {}
+            for j, x in v.items():
+                vec_add(img, own[j], x)
+            images.append(img)
+        return kern, linalg.rref(images, cx.field)[0]
+    return spaces
 
 
 def _report_note(s, mixed, small_p=""):
@@ -598,12 +639,9 @@ def classify_deformation(s, parts, ip=None):
 def _is_coboundary(cx, lam_coords, param, max_deg):
     """Is lambda, given as {degree: coordinates}, D(beta) for a beta of
     degree <= max_deg whose parity matches a parameter of parity param?"""
-    sources = [(q, i) for q in range(max_deg + 1) for i in range(cx.dim(q))
-               if cx.parity(q, i) == (param + q + 1) & 1]
-    offset, total, cols = _assemble(cx, sources,
-                                    range(max_deg + cx.spread + 1))
-    rhs = [cx.field(0)] * total
-    for k, coords in lam_coords.items():
-        rhs[offset[k]:offset[k] + len(coords)] = coords
-    matrix = [[col[r] for col in cols] for r in range(total)]
-    return linalg.solve(matrix, rhs, cx.field) is not None
+    offset, total = _offsets(cx, range(max_deg + cx.spread + 1))
+    cols = [_stack(cx.image(q, i), offset) for q in range(max_deg + 1)
+            for i in range(cx.dim(q))
+            if cx.parity(q, i) == (param + q + 1) & 1]
+    return linalg.solve(_transpose(cols, total), _stack(lam_coords, offset),
+                        len(cols), cx.field) is not None

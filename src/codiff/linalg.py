@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices come in and go out as lists of row lists of field scalars.  Inside,
-one elimination core works on sparse rows ``{column: value}`` and touches
-only nonzeros: over F_p the values are plain ints in [0, p), turned back
-into ``FpElement``s on the way out; over Q they are ``Fraction``s.  No raw
-int leaks out, and no float is ever formed.
+Matrices come in as lists of sparse rows ``{column: scalar}`` and results go
+out the same way, holding only nonzeros, as field scalars: ``Fraction``s
+over Q, ``FpElement``s over F_p.  Only ``invert``, which the inner product
+uses, keeps a dense square matrix in and out.  Inside, one elimination core
+works on the same rows over plain ints in [0, p) for F_p and ``Fraction``s
+for Q; each stored entry is converted once on the way in and once on the
+way out, so no raw int leaks out, no float is ever formed, and no cost
+grows with the zero cells of a matrix.
 
 Row operations do not change which columns are independent of the earlier
 ones, so the pivot columns, the rank and the reduced row echelon form do not
@@ -15,7 +18,6 @@ sparsest rows first to keep fill-in down.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 
 from .fields import FpElement
 
@@ -24,28 +26,21 @@ def _rational(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _sparse(m, field):
-    """The nonzeros of each row of m as a {column: core value} dict."""
-    width = range(len(m[0]) if m else 0)
+def _core(rows, field):
+    """The rows over the core scalars, with zero entries dropped."""
     if field.characteristic:
-        return [{j: field(row[j]).value for j in compress(width, row)}
-                for row in m]
-    return [{j: _rational(row[j]) for j in compress(width, row)} for row in m]
+        def conv(x):
+            return field(x).value
+    else:
+        conv = _rational
+    return [{j: v for j, x in row.items() if (v := conv(x))} for row in rows]
 
 
-def _dense(rows, nrows, ncols, field):
-    """Sparse core rows as nrows dense rows of field scalars, padded with
-    zero rows."""
-    p = field.characteristic
-    zero = field(0)
-    out = []
-    for row in rows:
-        dense = [zero] * ncols
-        for j, v in row.items():
-            dense[j] = FpElement(v, p) if p else v
-        out.append(dense)
-    out.extend([zero] * ncols for _ in range(nrows - len(rows)))
-    return out
+def _scalars(rows, p):
+    """Core rows as rows of field scalars."""
+    if not p:
+        return rows
+    return [{j: FpElement(v, p) for j, v in row.items()} for row in rows]
 
 
 def _add_multiple(row, g, prow, p):
@@ -92,79 +87,67 @@ def _eliminate(rows, p, reduced):
     return [pivot_rows[c] for c in pivots], pivots
 
 
-def rank(m, field):
+def rank(rows, field):
     """Exact rank: the number of pivots of the echelon form."""
-    return len(echelon(m, field)[1])
+    return len(echelon(rows, field)[1])
 
 
-def echelon(m, field, reduced=False):
+def echelon(rows, field, reduced=False):
     """Row echelon form with leading ones, reduced when ``reduced``.
-    Returns (rows, pivot column list); the rows past the rank are zero."""
-    cols = len(m[0]) if m else 0
-    rows, pivots = _eliminate(_sparse(m, field), field.characteristic,
-                              reduced)
-    return _dense(rows, len(m), cols, field), pivots
+    Returns (pivot rows, pivot column list): one row per pivot, in column
+    order."""
+    p = field.characteristic
+    out, pivots = _eliminate(_core(rows, field), p, reduced)
+    return _scalars(out, p), pivots
 
 
-def rref(m, field):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
-    return echelon(m, field, reduced=True)
+def rref(rows, field):
+    """Reduced row echelon form.  Returns (pivot rows, pivot column list)."""
+    return echelon(rows, field, reduced=True)
 
 
-def kernel_basis(m, field):
-    """Basis of the right kernel from the reduced echelon form, one vector
-    per free column, in column order (the usual deterministic choice)."""
-    cols = len(m[0]) if m else 0
-    if cols == 0:
-        return []
-    a, pivots = echelon(m, field, reduced=True)
+def kernel_basis(rows, ncols, field):
+    """Basis of the right kernel of the matrix with these rows and ncols
+    columns, from the reduced echelon form: one vector per free column, in
+    column order (the usual deterministic choice)."""
+    a, pivots = echelon(rows, field, reduced=True)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    zero, one = field(0), field(1)
-    basis = []
-    for fc in free:
-        v = [zero] * cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            if a[r][fc]:
-                v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
+    one = field(1)
+    basis = {c: {c: one} for c in range(ncols) if c not in pivot_set}
+    for row, pc in zip(a, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return list(basis.values())
 
 
-def solve(m, b, field):
-    """One solution x of m x = b, or None when inconsistent."""
-    rows, cols = len(m), len(m[0]) if m else 0
-    if rows != len(b):
+def solve(rows, b, ncols, field):
+    """One solution x of m x = b as a sparse vector, or None when the system
+    is inconsistent; b is sparse over the row positions."""
+    if any(not 0 <= i < len(rows) for i in b):
         raise ValueError("shape mismatch")
-    if not rows:
-        return [field(0)] * cols
-    a, pivots = rref([m[i] + [b[i]] for i in range(rows)], field)
-    if cols in pivots:
+    aug = [{**row, ncols: b[i]} if i in b else row
+           for i, row in enumerate(rows)]
+    a, pivots = rref(aug, field)
+    if ncols in pivots:
         return None
-    x = [field(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][cols]
-    return x
+    return {pc: row[ncols] for row, pc in zip(a, pivots) if ncols in row}
 
 
 def invert(m, field):
-    """Inverse matrix, or None when singular."""
+    """Inverse of a dense square matrix, or None when singular."""
     n = len(m)
     if n == 0 or len(m[0]) != n:
         raise ValueError("inverse needs a square matrix")
-    zero, one = field(0), field(1)
-    aug = [m[i] + [one if j == i else zero for j in range(n)]
-           for i in range(n)]
+    aug = [{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+           for i, row in enumerate(m)]
     a, pivots = rref(aug, field)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in a]
+    zero = field(0)
+    return [[row.get(n + j, zero) for j in range(n)] for row in a]
 
 
 def in_span(basis, v, field):
-    """Is v in the span of the given row vectors?"""
-    if not basis:
-        return all(not x for x in v)
-    cols = [[basis[r][c] for r in range(len(basis))] for c in range(len(v))]
-    return solve(cols, v, field) is not None
+    """Is the sparse vector v in the span of the sparse rows of basis?"""
+    return rank(basis + [v], field) == rank(basis, field)

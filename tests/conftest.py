@@ -36,6 +36,17 @@ def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3):
     return Cochain(space, flavor, degree, parity, coeffs)
 
 
+def sparse_rows(m):
+    """A dense matrix as the sparse rows {column: scalar} that ``linalg``
+    takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def dense_vector(v, n, zero):
+    """A sparse vector {position: scalar} as a list of length n."""
+    return [v.get(j, zero) for j in range(n)]
+
+
 def random_family(s, rng, param, max_arity=3):
     fam = {}
     for k in range(1, max_arity + 1):

@@ -31,7 +31,7 @@ from codiff.reversion import (check_extension_conjugation,
                               check_reversion_sign_identity)
 from codiff.structures import (InfinityStructure, deform_check,
                                reversed_side_ok, validate)
-from conftest import random_cochain, random_family
+from conftest import random_cochain, random_family, sparse_rows
 from test_coderivation import coderivation_axiom_holds
 from test_homology import hochschild_dims_oracle, random_cyclic_scalar
 
@@ -338,8 +338,10 @@ def test_a09_cyclic_suite(dual_numbers, sl2):
                     row[ix[t]] += F(1)
                     row[ix[t[i:] + t[:i]]] -= F(-1) ** ((pa * pb + i * n) & 1)
                     rows_block.append(row)
-            kp = linalg.kernel_basis(rows_point, QQ)
-            kb = linalg.kernel_basis(rows_block, QQ)
+            kp = linalg.kernel_basis(sparse_rows(rows_point),
+                                     len(tuples), QQ)
+            kb = linalg.kernel_basis(sparse_rows(rows_block),
+                                     len(tuples), QQ)
             assert len(kp) == len(kb)
             assert all(linalg.in_span(kp, v, QQ) for v in kb)
     # bracket closure on randomized cyclic pairs

@@ -282,11 +282,43 @@ class TestReportNotes:
 
 
 class TestSizeFrontier:
-    """gl3 at window 0..3: H*(gl3) = L(x1, x3, x5) and HC^n = H^{n+1}."""
+    """gl3 and M2 at window 0..4: H*(gl3) = L(x1, x3, x5), HC^n = H^{n+1},
+    and M2 is separable, so its Hochschild cohomology is k in degree 0."""
 
     def test_gl3_cohomology_and_cyclic_over_f32003(self):
         af = load_over(os.path.join(BENCH_INPUTS, "gl3.alg"), "F 32003")
-        text, status = run("cohomology", af, window=(0, 3))
-        assert (status, quotients(text, "H")) == (0, [1, 1, 0, 1])
-        text, status = run("cyclic", af, window=(0, 3))
-        assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 1])
+        text, status = run("cohomology", af, window=(0, 4))
+        assert (status, quotients(text, "H")) == (0, [1, 1, 0, 1, 1])
+        text, status = run("cyclic", af, window=(0, 4))
+        assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 1, 1])
+
+    def test_m2_cohomology_over_q(self):
+        af = load_over(os.path.join(BENCH_INPUTS, "m2.alg"), "Q")
+        text, status = run("cohomology", af, window=(0, 4))
+        assert (status, quotients(text, "H")) == (0, [1, 0, 0, 0, 0])
+
+
+EXTERIOR_DIFFERENTIAL = """field Q
+flavor exterior
+space
+  basis a even
+  basis t odd
+map d 1
+  d(t) = a
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F 3", "F 32003"])
+def test_exterior_differential_from_degree_zero(field):
+    """An L-infinity structure with only d(t) = a, window from 0.  By hand:
+    (V, d) is contractible (h(a) = t gives dh + hd = 1), so every
+    Hom(Λ^p V, V) is exact.  C^0 = V with D = d has Z^0 = B^0 = <a>.
+    C^1 = Hom(V, V) and C^2 = Hom(<a∧t, t∧t>, V) (a∧a = 0 as a is even)
+    have dimension 4, so Z^p = B^p has dimension 2.  H^0..H^2 = 0."""
+    text, status = run("cohomology", parse(over_field(EXTERIOR_DIFFERENTIAL,
+                                                      field)),
+                       window=(0, 2))
+    assert status == 0
+    assert re.findall(r"cocycles=(\d+) coboundaries=(\d+) H=(\d+)$", text,
+                      re.M) == [("1", "1", "0"), ("2", "2", "0"),
+                                ("2", "2", "0")]

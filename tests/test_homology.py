@@ -22,7 +22,7 @@ from codiff import linalg, oracle
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
-from conftest import make_cochain, random_cochain
+from conftest import make_cochain, random_cochain, sparse_rows
 
 F = Fraction
 
@@ -326,8 +326,10 @@ class TestCyclicize:
                     row[ix[t]] += F(1)
                     row[ix[beta + alpha]] -= F(-1) ** ((pa * pb + i * n) & 1)
                     rows_block.append(row)
-            kp = linalg.kernel_basis(rows_point, QQ)
-            kb = linalg.kernel_basis(rows_block, QQ)
+            kp = linalg.kernel_basis(sparse_rows(rows_point),
+                                     len(tuples), QQ)
+            kb = linalg.kernel_basis(sparse_rows(rows_block),
+                                     len(tuples), QQ)
             assert len(kp) == len(kb)
             assert all(linalg.in_span(kp, v, QQ) for v in kb)
             assert all(linalg.in_span(kb, v, QQ) for v in kp)
@@ -359,9 +361,8 @@ def averaged_basis(space, arity):
         delta = ScalarCochain(space, TENSOR, arity, word_parity(space, t),
                               {t: space.field(1)})
         rows.append([cyclicize(delta).value(u) for u in tuples])
-    red, pivots = linalg.rref(rows, space.field)
-    return ([{u: x for u, x in zip(tuples, row) if x}
-             for row in red[:len(pivots)]],
+    red, pivots = linalg.rref(sparse_rows(rows), space.field)
+    return ([{tuples[j]: x for j, x in row.items()} for row in red],
             [tuples[c] for c in pivots])
 
 
@@ -454,6 +455,21 @@ class TestCyclicCoboundary:
         with pytest.raises(RuntimeError,
                            match="falls outside the cyclic space"):
             _CyclicComplex(s).coords(1, f)
+
+    def test_coords_read_the_pivots_sparsely(self, dual_numbers):
+        s, _ = dual_numbers
+        cx = _CyclicComplex(s)
+        basis, _ = cyclic_scalar_basis(s.space, TENSOR, 2)
+        for i, b in enumerate(basis):
+            assert cx.coords(2, b) == {i: 1}
+        last = len(basis) - 1
+        f = ScalarCochain(s.space, TENSOR, 3, 0, {
+            **scalar_scale(F(2), basis[0]).coeffs,
+            **scalar_scale(F(-3), basis[last]).coeffs})
+        coords = cx.coords(2, f)
+        assert coords == {0: F(2), last: F(-3)}
+        assert all(type(x) is Fraction for x in coords.values())
+        assert cx.reconstruct(2, coords).coeffs == f.coeffs
 
     def test_exterior_input_must_be_alternating(self):
         # over F_2 antisymmetry does not force f(a,a) = 0 for an even a, so

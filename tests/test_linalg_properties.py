@@ -1,6 +1,7 @@
 """Property tests of the sparse elimination core in ``codiff.linalg`` on
 small random matrices over Q, F_2, F_3 and F_32003, against the independent
-``oracle.dense_rank`` and a dense Gauss-Jordan reference kept here."""
+``oracle.dense_rank`` and a dense Gauss-Jordan reference kept here.  The
+matrices are drawn dense and handed to ``linalg`` as sparse rows."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from codiff import linalg, oracle  # noqa: E402
 from codiff.fields import QQ, FpElement, PrimeField  # noqa: E402
+from conftest import dense_vector, sparse_rows  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 ENTRY = st.integers(-3, 3)
@@ -60,6 +62,10 @@ def matvec(m, v, field):
     return [sum((x * y for x, y in zip(row, v)), field(0)) for row in m]
 
 
+def dense(rows, cols, field):
+    return [dense_vector(row, cols, field(0)) for row in rows]
+
+
 def transpose(m, cols):
     return [[row[j] for row in m] for j in range(cols)]
 
@@ -68,28 +74,34 @@ def transpose(m, cols):
 @given(matrices())
 def test_rank_matches_dense_oracle(fm):
     field, m = fm
-    assert linalg.rank(m, field) == oracle.dense_rank(m, field)
+    assert linalg.rank(sparse_rows(m), field) == oracle.dense_rank(m, field)
 
 
 @PROPERTY
 @given(matrices())
 def test_rref_matches_dense_reference(fm):
     field, m = fm
-    assert linalg.rref(m, field) == reference_rref(m, field)
+    rows, pivots = linalg.rref(sparse_rows(m), field)
+    ref_rows, ref_pivots = reference_rref(m, field)
+    cols = len(m[0]) if m else 0
+    assert (dense(rows, cols, field), pivots) == \
+        (ref_rows[:len(ref_pivots)], ref_pivots)
 
 
 @PROPERTY
 @given(matrices())
 def test_echelon_has_the_rref_pivots_and_row_space(fm):
     field, m = fm
-    rows, pivots = linalg.echelon(m, field)
+    cols = len(m[0]) if m else 0
+    rows, pivots = linalg.echelon(sparse_rows(m), field)
     ref_rows, ref_pivots = reference_rref(m, field)
     assert pivots == ref_pivots
-    assert len(rows) == len(m)
-    for r, c in enumerate(pivots):
-        assert all(not x for x in rows[r][:c]) and rows[r][c] == 1
-    assert all(not x for row in rows[len(pivots):] for x in row)
-    assert reference_rref(rows, field) == (ref_rows, ref_pivots)
+    assert len(rows) == len(pivots)
+    for row, c in zip(rows, pivots):
+        assert min(row) == c and row[c] == 1
+    assert all(x for row in rows for x in row.values())
+    assert reference_rref(dense(rows, cols, field), field) == \
+        (ref_rows[:len(ref_pivots)], ref_pivots)
 
 
 @PROPERTY
@@ -97,10 +109,10 @@ def test_echelon_has_the_rref_pivots_and_row_space(fm):
 def test_kernel_basis_spans_the_kernel(fm):
     field, m = fm
     cols = len(m[0]) if m else 0
-    basis = linalg.kernel_basis(m, field)
+    basis = dense(linalg.kernel_basis(sparse_rows(m), cols, field), cols,
+                  field)
     assert len(basis) == cols - oracle.dense_rank(m, field)
     for v in basis:
-        assert len(v) == cols
         assert all(not x for x in matvec(m, v, field))
     assert oracle.dense_rank(basis, field) == len(basis)
 
@@ -117,12 +129,12 @@ def test_solve_finds_a_solution_exactly_when_one_exists(fm, data):
         b = [field(data.draw(ENTRY)) for _ in m]
     aug = [row + [y] for row, y in zip(m, b)]
     consistent = oracle.dense_rank(aug, field) == oracle.dense_rank(m, field)
-    x = linalg.solve(m, b, field)
+    x = linalg.solve(sparse_rows(m), dict(enumerate(b)), cols, field)
     if not consistent:
         assert x is None
     else:
-        assert x is not None and len(x) == cols
-        assert matvec(m, x, field) == b
+        assert x is not None and all(0 <= j < cols for j in x)
+        assert matvec(m, dense_vector(x, cols, field(0)), field) == b
 
 
 @PROPERTY
@@ -142,6 +154,8 @@ def test_invert_gives_a_two_sided_inverse(field, n, data):
 
 def _entries(value):
     """Every scalar in a result of the linalg functions."""
+    if isinstance(value, dict):
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
         for x in value:
             yield from _entries(x)
@@ -165,12 +179,18 @@ def test_results_hold_field_scalars_only(fm, data):
     field, m = fm
     m = [[int(field.render(x)) if data.draw(st.booleans()) else x
           for x in row] for row in m]
-    rows, pivots = linalg.echelon(m, field)
+    cols = len(m[0]) if m else 0
+    rows, pivots = linalg.echelon(sparse_rows(m), field)
     _assert_field_scalars(rows, field)
     assert all(type(c) is int for c in pivots)
-    _assert_field_scalars(linalg.rref(m, field)[0], field)
-    _assert_field_scalars(linalg.kernel_basis(m, field), field)
-    _assert_field_scalars(linalg.solve(m, [field(1)] * len(m), field), field)
-    _assert_field_scalars(linalg.solve(m, [0] * len(m), field), field)
+    _assert_field_scalars(linalg.rref(sparse_rows(m), field)[0], field)
+    _assert_field_scalars(linalg.kernel_basis(sparse_rows(m), cols, field),
+                          field)
+    ones = dict.fromkeys(range(len(m)), field(1))
+    _assert_field_scalars(linalg.solve(sparse_rows(m), ones, cols, field),
+                          field)
+    _assert_field_scalars(linalg.solve(sparse_rows(m),
+                                       dict.fromkeys(range(len(m)), 0), cols,
+                                       field), field)
     if m and len(m) == len(m[0]):
         _assert_field_scalars(linalg.invert(m, field), field)

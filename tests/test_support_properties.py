@@ -1,8 +1,8 @@
 """Property tests of the support-driven coboundary loops: ``compose``,
 ``_rotation_sum`` and ``_unshuffle_sum`` visit only the tuples that
 ``coderivation.reachable`` returns, ``is_cyclic_scalar`` checks only the
-support, and ``_PlainComplex.coords`` fills a shared
-zero through an index map.  Each is compared, coefficients and key order,
+support, and ``_PlainComplex.coords`` reads the nonzero
+coordinates through an index map.  Each is compared, coefficients and key order,
 with the full-enumeration loop it replaced, kept here as the reference, on
 random sparse cochains over Q, F_2 and F_3 with odd and even letters."""
 
@@ -212,8 +212,10 @@ def test_plain_coords_match_list_comprehension(space, flavor, degree, parity,
     cx = _PlainComplex(InfinityStructure(kind, space, {}))
     c = random_cochain(space, flavor, degree, parity, random.Random(seed),
                        density)
-    want = [space.field(c.coeffs.get(t, {}).get(j, 0))
-            for t, j, _ in cx._basis(degree)]
+    dense = [space.field(c.coeffs.get(t, {}).get(j, 0))
+             for t, j, _ in cx._basis(degree)]
+    want = {i: x for i, x in enumerate(dense) if x}
     got = cx.coords(degree, c)
     assert got == want
-    assert [type(x) for x in got] == [type(x) for x in want]
+    assert {i: type(x) for i, x in got.items()} == \
+        {i: type(x) for i, x in want.items()}
