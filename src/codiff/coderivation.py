@@ -76,9 +76,7 @@ def extend_letters(gen, letters, mode):
     letter_par = [par[x] for x in letters]
     if n < k:
         return out
-    # the empty word has one, empty, unshuffle: a degree-0 generator just
-    # puts its value there, as in the tensor branch
-    for sigma in unshuffles(k, n - k) if n else ((),):
+    for sigma in unshuffles(k, n - k):
         s = reorder_sign(gen.flavor, sigma, letter_par)
         head = tuple(letters[sigma[i] - 1] for i in range(k))
         rest = tuple(letters[sigma[i] - 1] for i in range(k, n))

@@ -124,8 +124,8 @@ def koszul_sign(images, parities):
 def unshuffles(p, q):
     """All permutations of p+q that increase on 1..p and on p+1..p+q,
     as 1-indexed image tuples in lexicographic order; there are C(p+q, p)."""
-    if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need p, q >= 0 and p + q >= 1")
+    if p < 0 or q < 0:
+        raise ValueError("need p, q >= 0")
     n = p + q
     out = []
     for first in itertools.combinations(range(1, n + 1), p):

@@ -224,8 +224,7 @@ def _window_report(cx, window, graded_exact, note):
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
-    spaces = (_truncated_spaces(cx, a, b) if len(cx.s.parts) > 1
-              else _block_spaces(cx))
+    spaces = _block_spaces(cx) if graded_exact else _truncated_spaces(cx, a, b)
     rows_out = []
     for p in range(a, b + 1):
         kern, b_basis = spaces(p) if cx.dim(p) else ([], [])

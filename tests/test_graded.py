@@ -60,9 +60,10 @@ class TestUnshuffles:
     def test_counts(self):
         for p in range(0, 9):
             for q in range(0, 9 - p):
-                if p + q == 0:
-                    continue
                 assert len(unshuffles(p, q)) == math.comb(p + q, p)
+
+    def test_empty_word(self):
+        assert unshuffles(0, 0) == ((),)
 
     def test_empty_first_block(self):
         assert unshuffles(0, 3) == ((1, 2, 3),)

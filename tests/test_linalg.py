@@ -23,6 +23,7 @@ def test_kernel_basis():
     a = m([[1, 2, 3], [0, 0, 1]])
     basis = linalg.kernel_basis(sparse_rows(a), 3, QQ)
     assert len(basis) == 1
+    assert set(basis[0]) <= {0, 1, 2}
     v = dense_vector(basis[0], 3, F(0))
     assert v == [F(-2), F(1), F(0)]
     for row in a:

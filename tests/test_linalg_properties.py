@@ -109,8 +109,9 @@ def test_echelon_has_the_rref_pivots_and_row_space(fm):
 def test_kernel_basis_spans_the_kernel(fm):
     field, m = fm
     cols = len(m[0]) if m else 0
-    basis = dense(linalg.kernel_basis(sparse_rows(m), cols, field), cols,
-                  field)
+    sparse_basis = linalg.kernel_basis(sparse_rows(m), cols, field)
+    assert all(0 <= j < cols for v in sparse_basis for j in v)
+    basis = dense(sparse_basis, cols, field)
     assert len(basis) == cols - oracle.dense_rank(m, field)
     for v in basis:
         assert all(not x for x in matvec(m, v, field))
