@@ -22,7 +22,6 @@ residues.  Values are linear combinations like ``2*e + 1/2*f - h``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
 from .cochain import Cochain, InnerProduct
 from .fields import QQ, PrimeField
@@ -47,14 +46,16 @@ class ParseError(ValueError):
         super().__init__("line %d: %s [%s]" % (line, message, code))
 
 
-@dataclass
 class AlgebraFile:
-    space: GradedSpace
-    flavor: str
-    parts: dict = dc_field(default_factory=dict)           # arity -> Cochain
-    part_names: dict = dc_field(default_factory=dict)      # arity -> name
-    inner_product: object = None
-    deformations: dict = dc_field(default_factory=dict)    # name -> (parity, {arity: Cochain})
+    def __init__(self, space, flavor, parts=None, part_names=None,
+                 inner_product=None, deformations=None):
+        self.space = space
+        self.flavor = flavor
+        # arity -> Cochain, arity -> name, name -> (parity, {arity: Cochain})
+        self.parts = {} if parts is None else parts
+        self.part_names = {} if part_names is None else part_names
+        self.inner_product = inner_product
+        self.deformations = {} if deformations is None else deformations
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraFile):

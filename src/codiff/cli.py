@@ -14,7 +14,6 @@ non-invariant inner product, parity constraint), 2 on an input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algfile import AlgebraFile, ParseError, parse, render_vector, serialize
@@ -48,6 +47,7 @@ def build_structure(af, convention, max_arity):
 
 def _emit(records, lines, fmt):
     if fmt == "json-lines":
+        import json  # imported here, so text output never loads it
         return "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
     return "\n".join(lines) + "\n"
 
@@ -228,8 +228,7 @@ def _cmd_convert(af, fmt):
                       af.inner_product, defos)
     text = serialize(out)
     if fmt == "json-lines":
-        return json.dumps({"command": "convert", "text": text},
-                          sort_keys=True) + "\n", OK
+        return _emit([{"command": "convert", "text": text}], [], fmt), OK
     return text, OK
 
 

@@ -9,12 +9,11 @@ handled as families ``{arity: Cochain}`` by the coderivation layer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import linalg
-from .graded import (EXTERIOR, FLAVORS, SYMMETRIC, TENSOR, GradedSpace,
-                     canonical_word, word_parity)
+from .graded import (EXTERIOR, FLAVORS, SYMMETRIC, TENSOR, canonical_word,
+                     word_parity)
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +65,6 @@ def vec_scale(vec, factor):
     return {b: factor * c for b, c in vec.items() if factor * c}
 
 
-@dataclass
 class Cochain:
     """A homogeneous degree-k multilinear map V^k -> V.
 
@@ -75,13 +73,12 @@ class Cochain:
     |output| = parity + |inputs| mod 2.
     """
 
-    space: GradedSpace
-    flavor: str
-    degree: int
-    parity: int
-    coeffs: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, space, flavor, degree, parity, coeffs=None):
+        self.space = space
+        self.flavor = flavor
+        self.degree = degree
+        self.parity = parity
+        self.coeffs = {} if coeffs is None else coeffs
         if self.flavor not in FLAVORS:
             raise ValueError("unknown flavor %r" % self.flavor)
         if self.degree < 0:
@@ -109,6 +106,13 @@ class Cochain:
             if v:
                 clean[t] = v
         self.coeffs = clean
+
+    def __eq__(self, other):
+        if other.__class__ is not Cochain:
+            return NotImplemented
+        return (self.space == other.space and self.flavor == other.flavor
+                and self.degree == other.degree and self.parity == other.parity
+                and self.coeffs == other.coeffs)
 
     @property
     def bidegree(self):
@@ -189,7 +193,6 @@ def cochains_equal(a, b):
             and a.coeffs == b.coeffs)
 
 
-@dataclass
 class ScalarCochain:
     """A multilinear map V^arity -> k.
 
@@ -197,13 +200,12 @@ class ScalarCochain:
     canonical tuples only and is graded antisymmetric by construction.
     """
 
-    space: GradedSpace
-    flavor: str
-    arity: int
-    parity: int
-    coeffs: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, space, flavor, arity, parity, coeffs=None):
+        self.space = space
+        self.flavor = flavor
+        self.arity = arity
+        self.parity = parity
+        self.coeffs = {} if coeffs is None else coeffs
         if self.flavor not in (TENSOR, EXTERIOR):
             raise ValueError("scalar cochains are tensor or exterior flavored")
         if self.arity < 1:

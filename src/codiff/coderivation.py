@@ -11,8 +11,6 @@ require the parity grading, exterior extensions the bidegree grading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cochain import Cochain, canonical_tuples, vec_add, zero_cochain
 from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
                      SYMMETRIC, TENSOR, Word, canonical_word, grading_pair,
@@ -32,14 +30,12 @@ def natural_mode(flavor):
     return PRODUCT_FORM  # tensor default: the bidegree grading on the V side
 
 
-@dataclass
 class CoderivationGenerator:
     """A cochain together with the grading mode of its extension."""
 
-    base: Cochain
-    mode: str
-
-    def __post_init__(self):
+    def __init__(self, base, mode):
+        self.base = base
+        self.mode = mode
         if self.mode not in (PARITY_ONLY, PRODUCT_FORM):
             raise ValueError("extension mode must be parity_only or product_form")
         if self.base.flavor == SYMMETRIC and self.mode != PARITY_ONLY:
@@ -110,14 +106,14 @@ def extend(gen, word, mode=None):
             for t, c in sorted(terms.items())]
 
 
-@dataclass
 class Restriction:
     """The extended coderivation of a degree-k generator restricted to
     degree k+l-1 words, landing in degree-l words."""
 
-    k: int
-    l: int
-    matrix: dict  # input tuple -> {output tuple: coefficient}
+    def __init__(self, k, l, matrix):
+        self.k = k
+        self.l = l
+        self.matrix = matrix  # input tuple -> {output tuple: coefficient}
 
 
 def restrict(gen, l, mode=None):

@@ -11,18 +11,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly for
+# every n below PRIME_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_BOUND, where
+    the fixed bases prove nothing."""
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided only below %d, got %d"
+                         % (PRIME_BOUND, n))
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -9,7 +9,6 @@ plain ints (+1/-1) so they mix with scalars from any exact field.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import QQ, PrimeField, Rationals
@@ -25,25 +24,42 @@ SHIFTED_FORM = "shifted_form"
 GRADING_FORMS = (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM)
 
 
-@dataclass(frozen=True)
 class GradedSpace:
-    """A finite ordered homogeneous basis with Z2 parities over an exact field."""
+    """A finite ordered homogeneous basis with Z2 parities over an exact field.
 
-    names: tuple
-    parities: tuple
-    field: object = QQ
+    Immutable and hashable: spaces are compared on every compose and bracket
+    and key the ``canonical_tuples`` cache.
+    """
 
-    def __post_init__(self):
-        if len(self.names) == 0:
+    def __init__(self, names, parities, field=QQ):
+        if len(names) == 0:
             raise ValueError("a graded space needs dimension >= 1")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate basis names")
-        if len(self.parities) != len(self.names):
+        if len(parities) != len(names):
             raise ValueError("one parity per basis element required")
-        if any(p not in (0, 1) for p in self.parities):
+        if any(p not in (0, 1) for p in parities):
             raise ValueError("parities must be 0 or 1")
-        if not isinstance(self.field, (Rationals, PrimeField)):
+        if not isinstance(field, (Rationals, PrimeField)):
             raise ValueError("unsupported field")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "parities", parities)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedSpace is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GradedSpace is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedSpace:
+            return NotImplemented
+        return (self.names == other.names and self.parities == other.parities
+                and self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.names, self.parities, self.field))
 
     @property
     def dim(self):
@@ -152,7 +168,6 @@ def canonical_word(flavor, letters, parities):
     return _flavor_sign(flavor, letters, [parities[x] for x in letters]), seq
 
 
-@dataclass
 class Word:
     """A coefficient times a pure word in T(V), S(V) or /\\V.
 
@@ -160,24 +175,21 @@ class Word:
     with the reordering sign absorbed into the coefficient.
     """
 
-    space: GradedSpace
-    flavor: str
-    letters: tuple
-    coefficient: object = 1
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError("unknown flavor %r" % self.flavor)
-        if len(self.letters) == 0:
+    def __init__(self, space, flavor, letters, coefficient=1):
+        if flavor not in FLAVORS:
+            raise ValueError("unknown flavor %r" % flavor)
+        if len(letters) == 0:
             raise ValueError("words have degree >= 1")
-        cw = canonical_word(self.flavor, self.letters, self.space.parities)
+        self.space = space
+        self.flavor = flavor
+        cw = canonical_word(flavor, letters, space.parities)
         if cw is None:
-            self.letters = tuple(sorted(self.letters))
-            self.coefficient = 0 * self.coefficient
+            self.letters = tuple(sorted(letters))
+            self.coefficient = 0 * coefficient
         else:
             sign, canon = cw
             self.letters = canon
-            self.coefficient = sign * self.coefficient
+            self.coefficient = sign * coefficient
 
     @property
     def degree(self):

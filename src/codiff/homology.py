@@ -20,7 +20,6 @@ tests remain reliable).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
@@ -202,21 +201,23 @@ def _offsets(cx, degrees):
 
 # --- windowed cohomology ----------------------------------------------------
 
-@dataclass
 class DegreeRow:
-    degree: int
-    cocycles: int
-    coboundaries: int
-    quotient: int
-    representatives: list = dc_field(default_factory=list)
+    def __init__(self, degree, cocycles, coboundaries, quotient,
+                 representatives=None):
+        self.degree = degree
+        self.cocycles = cocycles
+        self.coboundaries = coboundaries
+        self.quotient = quotient
+        self.representatives = ([] if representatives is None
+                                else representatives)
 
 
-@dataclass
 class CohomologyReport:
-    window: tuple
-    rows: list
-    graded_exact: bool
-    note: str = ""
+    def __init__(self, window, rows, graded_exact, note=""):
+        self.window = window
+        self.rows = rows
+        self.graded_exact = graded_exact
+        self.note = note
 
 
 def _window_report(cx, window, graded_exact, note):
@@ -590,12 +591,12 @@ def cyclic_cohomology(s, ip=None, window=(0, 3)):
 
 # --- deformation classification ---------------------------------------------
 
-@dataclass
 class DeformationClass:
-    cocycle: bool
-    coboundary: object  # True / False / None when undetermined
-    preserves_ip: object = None
-    note: str = ""
+    def __init__(self, cocycle, coboundary, preserves_ip=None, note=""):
+        self.cocycle = cocycle
+        self.coboundary = coboundary  # True / False / None when undetermined
+        self.preserves_ip = preserves_ip
+        self.note = note
 
 
 def classify_deformation(s, parts, ip=None):

@@ -13,12 +13,10 @@ equivalently the vanishing of the modified self-bracket {m, m}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .cochain import canonical_tuples, zero_cochain
 from .coderivation import (CONVENTIONS, PARITY_ONLY, PRODUCT_FORM, W_OF_V,
                            compose, family_bracket, family_is_zero)
-from .graded import EXTERIOR, TENSOR, GradedSpace
+from .graded import EXTERIOR, TENSOR
 from .reversion import conjugate_family
 
 A_INFINITY = "a_infinity"
@@ -34,15 +32,14 @@ class StructureError(ValueError):
     """A structure violates a precondition (parity, arity, flavor)."""
 
 
-@dataclass
 class InfinityStructure:
-    kind: str
-    space: GradedSpace
-    parts: dict = dc_field(default_factory=dict)
-    convention: str = W_OF_V
-    max_arity: int = DEFAULT_MAX_ARITY
-
-    def __post_init__(self):
+    def __init__(self, kind, space, parts=None, convention=W_OF_V,
+                 max_arity=DEFAULT_MAX_ARITY):
+        self.kind = kind
+        self.space = space
+        self.parts = {} if parts is None else parts
+        self.convention = convention
+        self.max_arity = max_arity
         if self.kind not in KIND_FLAVOR:
             raise StructureError("kind must be a_infinity or l_infinity")
         if self.convention not in CONVENTIONS:
@@ -85,13 +82,13 @@ class InfinityStructure:
         return conjugate_family(self.parts, self.convention, to_reversed=True)
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    kind: str = "ok"           # ok | parity | relation
-    n: int = 0
-    letters: tuple = ()
-    residual: dict = dc_field(default_factory=dict)
+    def __init__(self, ok, kind="ok", n=0, letters=(), residual=None):
+        self.ok = ok
+        self.kind = kind           # ok | parity | relation
+        self.n = n
+        self.letters = letters
+        self.residual = {} if residual is None else residual
 
     def first_failure(self):
         return (self.n, self.letters, self.residual)
@@ -212,16 +209,14 @@ def validate_dga(d, m, convention=W_OF_V):
     return validate(s)
 
 
-@dataclass
 class Deformation:
     """A first-order direction: parts {k: Cochain} with parities tied to a
     single parameter parity by |lambda_k| = parameter_parity + k mod 2."""
 
-    base: InfinityStructure
-    parts: dict
-    parameter_parity: int
-
-    def __post_init__(self):
+    def __init__(self, base, parts, parameter_parity):
+        self.base = base
+        self.parts = parts
+        self.parameter_parity = parameter_parity
         for k, c in self.parts.items():
             if c.is_zero():
                 continue

@@ -8,6 +8,7 @@ import pytest
 
 from codiff.algfile import parse
 from codiff.cli import main, run
+from codiff.fields import PRIME_BOUND
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -215,6 +216,26 @@ class TestMainEntryPoint:
                      "--window", "3..1"]) == 2
         capsys.readouterr()
 
+    def test_field_above_the_primality_bound_is_refused(self, tmp_path,
+                                                        capsys):
+        with open(self.path("sl2.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        big = tmp_path / "big.alg"
+        big.write_text(over_field(text, "F %d" % (2 ** 61 - 1)),
+                       encoding="utf-8")
+        assert main(["validate", str(big)]) == 0
+        assert capsys.readouterr().out == "validate: ok\n"
+        huge = tmp_path / "huge.alg"
+        huge.write_text(over_field(text, "F %d" % PRIME_BOUND),
+                        encoding="utf-8")
+        for command in ("validate", "cohomology", "cyclic", "deform"):
+            assert main([command, str(huge)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: line 2: primality is decided only below %d, got %d "
+                "[E_FIELD]\n" % (PRIME_BOUND, PRIME_BOUND))
+
     def test_console_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "codiff.cli", "validate",
@@ -222,6 +243,18 @@ class TestMainEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "validate: ok\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_json():
+    # each command is a fresh process, so every module on the import path
+    # of codiff.cli is paid for at every start
+    src = os.path.join(HERE, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = ("import sys, codiff.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'json') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestReportNotes:
