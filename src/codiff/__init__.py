@@ -5,26 +5,21 @@ coalgebras of finite-dimensional Z2-graded spaces."""
 from .fields import QQ, FpElement, PrimeField, Rationals
 from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
                      SYMMETRIC, TENSOR, GradedSpace, Word, grading_pair,
-                     koszul_sign, permutation_sign, reduced_diagonal,
-                     unshuffles)
+                     koszul_sign, permutation_sign, unshuffles)
 from .cochain import (Cochain, InnerProduct, ScalarCochain, add,
-                      canonical_tuples, evaluate, scale, tilde, untilde,
-                      zero_cochain)
+                      canonical_tuples, scale, tilde, untilde, zero_cochain)
 from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, CoderivationGenerator,
-                           Restriction, bracket, compose, extend,
-                           family_bracket, modified_bracket, restrict)
-from .reversion import (check_extension_conjugation,
-                        check_reversion_sign_identity,
-                        conjugate_family, conjugate_part,
-                        convert_convention_parts, eta_inverse_word, eta_word)
-from .structures import (A_INFINITY, L_INFINITY, Deformation,
-                         InfinityStructure, StructureError, ValidationReport,
-                         deform_check, structure_residual, validate,
-                         validate_dga)
+                           bracket, compose, extend, family_bracket,
+                           modified_bracket)
+from .reversion import (conjugate_family, conjugate_part,
+                        convert_convention_parts)
+from .structures import (A_INFINITY, L_INFINITY, InfinityStructure,
+                         StructureError, ValidationReport, deform_check,
+                         structure_residual, validate)
 from .homology import (CohomologyReport, DeformationClass, InvarianceError,
                        classify_deformation, coboundary, cohomology,
                        cyclic_coboundary, cyclic_cohomology, cyclicize,
-                       is_cyclic, is_cyclic_scalar, is_cyclic_scalar_blockwise)
+                       is_cyclic, is_cyclic_scalar)
 from .algfile import AlgebraFile, ParseError, parse, serialize
 
 __version__ = "0.1.0"

@@ -16,7 +16,9 @@
 
 '#' starts a comment.  Scalars are integers, fractions a/b, or F_p
 residues.  Values are linear combinations like ``2*e + 1/2*f - h``
-(the ``*`` is optional).  Diagnostics carry a code and the line number.
+(the ``*`` is optional).  Exterior assignments list their letters in basis
+order, and a repeated even letter is refused.  Diagnostics carry a code and
+the line number.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 
 from .cochain import Cochain, InnerProduct
 from .fields import QQ, PrimeField
-from .graded import EXTERIOR, SYMMETRIC, TENSOR, GradedSpace
+from .graded import EXTERIOR, SYMMETRIC, TENSOR, GradedSpace, canonical_word
 
 E_DIRECTIVE = "E_DIRECTIVE"     # unknown or misplaced directive
 E_FIELD = "E_FIELD"             # bad field declaration (non-prime p, ...)
@@ -88,7 +90,7 @@ class _Parser:
         self.basis = []
         self.space = None
         self.maps = {}          # arity -> (name, {tuple: vec}, lineno)
-        self.defos = {}         # name -> [parity, {arity: entries}]
+        self.defos = {}         # name -> [parity, {arity: (entries, lineno)}]
         self.ip_entries = None  # {(i, j): scalar}
         self.ip_line = 0        # line of the inner_product header
         self.block = None
@@ -115,7 +117,7 @@ class _Parser:
         self.block = None
 
     def need_space(self, lineno):
-        if self.space is None:
+        if self.space is None or self.flavor is None:
             self.err(E_STRUCTURE, lineno,
                      "field, flavor and space must precede this block")
 
@@ -216,7 +218,7 @@ class _Parser:
                 self.err(E_DUPLICATE, lineno,
                          "second block for deformation %r arity %d"
                          % (tokens[1], arity))
-            slot[1][arity] = {}
+            slot[1][arity] = ({}, lineno)
             self.block = ("deformation", tokens[1], arity)
         elif self.block is not None and self.block[0] == "ip":
             self.parse_ip_line(line, lineno)
@@ -260,7 +262,7 @@ class _Parser:
             block_name, entries, _ = self.maps[arity]
         else:
             _, block_name, arity = self.block
-            entries = self.defos[block_name][1][arity]
+            entries = self.defos[block_name][1][arity][0]
         if name != block_name:
             self.err(E_DIRECTIVE, lineno,
                      "assignment to %r inside the block of %r"
@@ -273,6 +275,16 @@ class _Parser:
             t = tuple(self.space.index(a) for a in args)
         except KeyError as exc:
             self.err(E_NAME, lineno, "undeclared basis name %s" % exc.args[0])
+        if self.flavor == EXTERIOR:
+            cw = canonical_word(EXTERIOR, t, self.space.parities)
+            letters = "(%s)" % ",".join(args)
+            if cw is None:
+                self.err(E_ARITY, lineno, "exterior tuple %s repeats an even "
+                         "letter, so it is zero" % letters)
+            elif cw[1] != t:
+                self.err(E_ARITY, lineno, "exterior tuple %s is not in basis "
+                         "order, which is (%s)" % (letters, ",".join(
+                             self.space.names[i] for i in cw[1])))
         if t in entries:
             self.err(E_DUPLICATE, lineno,
                      "duplicate assignment for (%s)" % args_s)
@@ -403,11 +415,11 @@ class _Parser:
             parity, blocks = self.defos[name]
             fam = {}
             for arity in sorted(blocks):
-                want = (parity + arity) & 1
+                entries, lineno = blocks[arity]
                 fam[arity] = self.cochain_from_entries(
-                    arity, blocks[arity],
-                    "deformation %s of arity %d" % (name, arity), 0,
-                    declared_parity=want)
+                    arity, entries,
+                    "deformation %s of arity %d" % (name, arity), lineno,
+                    declared_parity=(parity + arity) & 1)
             deformations[name] = (parity, fam)
         return AlgebraFile(self.space, self.flavor, parts, part_names, ip,
                            deformations)

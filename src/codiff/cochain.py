@@ -140,31 +140,6 @@ def zero_cochain(space, flavor, degree, parity):
     return Cochain(space, flavor, degree, parity, {})
 
 
-def evaluate(c, args):
-    """Multilinear evaluation; each argument is a basis index, basis name,
-    or a sparse vector {index: scalar}."""
-    if len(args) != c.degree:
-        raise ValueError("expected %d arguments, got %d" % (c.degree, len(args)))
-    norm = []
-    for a in args:
-        if isinstance(a, dict):
-            norm.append(a)
-        elif isinstance(a, str):
-            norm.append({c.space.index(a): 1})
-        else:
-            norm.append({int(a): 1})
-    acc = {}
-    for combo in itertools.product(*[sorted(v.items()) for v in norm]):
-        letters = tuple(b for b, _ in combo)
-        factor = 1
-        for _, s in combo:
-            factor = factor * s
-        if not factor:
-            continue
-        vec_add(acc, c.value(letters), factor)
-    return acc
-
-
 def add(a, b):
     if (a.space, a.flavor, a.degree) != (b.space, b.flavor, b.degree):
         raise ValueError("cochain shape mismatch in add")
@@ -186,11 +161,6 @@ def add(a, b):
 def scale(s, a):
     return Cochain(a.space, a.flavor, a.degree, a.parity,
                    {t: vec_scale(vec, s) for t, vec in a.coeffs.items()})
-
-
-def cochains_equal(a, b):
-    return (a.space == b.space and a.flavor == b.flavor and a.degree == b.degree
-            and a.coeffs == b.coeffs)
 
 
 class ScalarCochain:
@@ -265,21 +235,6 @@ def scalar_add(a, b):
         else:
             coeffs.pop(t, None)
     return ScalarCochain(a.space, a.flavor, a.arity, a.parity, coeffs)
-
-
-def scalar_scale(s, a):
-    return ScalarCochain(a.space, a.flavor, a.arity, a.parity,
-                         {t: s * c for t, c in a.coeffs.items() if s * c})
-
-
-def scalar_cochains_match(a, b):
-    """Equality as multilinear functions (flavors may differ)."""
-    if a.space != b.space or a.arity != b.arity:
-        return False
-    for t in itertools.product(range(a.space.dim), repeat=a.arity):
-        if a.value(t) != b.value(t):
-            return False
-    return True
 
 
 class InnerProduct:

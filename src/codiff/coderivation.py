@@ -1,5 +1,5 @@
-"""Extension of cochains to coderivations of T(V), S(V), /\\V, restrictions,
-and the (modified) bracket of coderivations.
+"""Extension of cochains to coderivations of T(V), S(V), /\\V and the
+(modified) bracket of coderivations.
 
 A degree-k cochain extends to a coderivation whose value on a degree-n word
 is a signed sum over insertion positions (tensor) or unshuffles (symmetric,
@@ -11,10 +11,10 @@ require the parity grading, exterior extensions the bidegree grading.
 
 from __future__ import annotations
 
-from .cochain import Cochain, canonical_tuples, vec_add, zero_cochain
+from .cochain import Cochain, add, scale, vec_add, zero_cochain
 from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
                      SYMMETRIC, TENSOR, Word, canonical_word, grading_pair,
-                     reorder_sign, unshuffles, word_parity)
+                     reorder_sign, unshuffles)
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -106,32 +106,6 @@ def extend(gen, word, mode=None):
             for t, c in sorted(terms.items())]
 
 
-class Restriction:
-    """The extended coderivation of a degree-k generator restricted to
-    degree k+l-1 words, landing in degree-l words."""
-
-    def __init__(self, k, l, matrix):
-        self.k = k
-        self.l = l
-        self.matrix = matrix  # input tuple -> {output tuple: coefficient}
-
-
-def restrict(gen, l, mode=None):
-    if isinstance(gen, CoderivationGenerator):
-        gen, mode = gen.base, gen.mode
-    if mode is None:
-        mode = natural_mode(gen.flavor)
-    if l < 1:
-        raise ValueError("restriction lands in degree >= 1")
-    n = gen.degree + l - 1
-    matrix = {}
-    for t in canonical_tuples(gen.space, gen.flavor, n):
-        row = extend_letters(gen, t, mode)
-        if row:
-            matrix[t] = row
-    return Restriction(gen.degree, l, matrix)
-
-
 def reachable(support, inner, rotations=False):
     """The target tuples, in canonical order, whose extension by ``inner``
     can land on a tuple of ``support``: a support tuple with one letter b
@@ -195,7 +169,6 @@ def bracket(a, b, form=None):
     first = compose(a, b, mode)
     second = compose(b, a, mode)
     sign = -1 if grading_pair(form, a.bidegree, b.bidegree) else 1
-    from .cochain import add, scale
     return add(first, scale(-sign, second))
 
 
@@ -212,7 +185,6 @@ def modified_bracket(a, b, convention=W_OF_V):
     if convention == V_OF_W:
         e = (a.degree - 1) * (b.parity + b.degree - 1)
     if e & 1:
-        from .cochain import scale
         return scale(-1, base)
     return base
 
@@ -235,15 +207,8 @@ def family_bracket(fam_a, fam_b, form=None, convention=None):
             if term.is_zero():
                 continue
             n = k + l - 1
-            out[n] = add_into(out.get(n), term)
+            out[n] = add(out[n], term) if n in out else term
     return {n: c for n, c in out.items() if not c.is_zero()}
-
-
-def add_into(existing, term):
-    from .cochain import add
-    if existing is None:
-        return term
-    return add(existing, term)
 
 
 def family_is_zero(fam):

@@ -1,5 +1,5 @@
-"""Z2-graded basis bookkeeping, words in the three coalgebras, Koszul signs,
-unshuffles and the reduced diagonals.
+"""Z2-graded basis bookkeeping, words in the three coalgebras, Koszul signs
+and unshuffles.
 
 Permutations are 1-indexed tuples ``images`` with ``images[i-1] == sigma(i)``,
 matching the usual convention for unshuffles.  All sign computations return
@@ -218,52 +218,3 @@ def grading_pair(form, bid_a, bid_b):
     if form == SHIFTED_FORM:
         return ((pa + da) * (pb + db)) & 1
     raise ValueError("unknown grading form %r" % form)
-
-
-def reduced_diagonal(word):
-    """The reduced diagonal of a word as a list of (left, right) Word pairs.
-
-    Tensor words split at every position; symmetric splits run over
-    unshuffles weighted by epsilon(sigma); exterior splits carry the extra
-    (-1)^sigma.  Degree-1 words map to the empty sum (the kernel is V).
-    """
-    n = word.degree
-    if word.is_zero() or n == 1:
-        return []
-    par = word.space.parities
-    letter_par = [par[i] for i in word.letters]
-    out = []
-    if word.flavor == TENSOR:
-        for k in range(1, n):
-            left = Word(word.space, TENSOR, word.letters[:k], word.coefficient)
-            right = Word(word.space, TENSOR, word.letters[k:], 1)
-            out.append((left, right))
-        return out
-    for k in range(1, n):
-        for sigma in unshuffles(k, n - k):
-            s = reorder_sign(word.flavor, sigma, letter_par)
-            lhs = tuple(word.letters[sigma[i] - 1] for i in range(k))
-            rhs = tuple(word.letters[sigma[i] - 1] for i in range(k, n))
-            left = Word(word.space, word.flavor, lhs, s * word.coefficient)
-            right = Word(word.space, word.flavor, rhs, 1)
-            if not left.is_zero() and not right.is_zero():
-                out.append((left, right))
-    return out
-
-
-def pair_sum(pairs):
-    """Collect (left, right) word pairs into a canonical dict keyed by
-    (left letters, right letters); used to compare formal sums of splits."""
-    acc = {}
-    for left, right in pairs:
-        c = left.coefficient * right.coefficient
-        if not c:
-            continue
-        key = (left.letters, right.letters)
-        cur = acc.get(key, 0)
-        cur = cur + c
-        if cur:
-            acc[key] = cur
-        else:
-            acc.pop(key, None)
-    return acc

@@ -24,9 +24,8 @@ import itertools
 from . import linalg
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
                       tilde, vec_add)
-from .coderivation import family_bracket, reachable
-from .graded import (EXTERIOR, TENSOR, canonical_word, reorder_sign,
-                     unshuffles)
+from .coderivation import extend_letters, family_bracket, reachable
+from .graded import EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word
 from .structures import deformation_parameter_parity, deform_check
 
 
@@ -48,10 +47,6 @@ def coboundary(phi, s):
     if phi.flavor != s.flavor or phi.space != s.space:
         raise ValueError("cochain does not live in the structure's complex")
     return family_bracket({phi.degree: phi}, s.parts, convention=s.convention)
-
-
-def coboundary_family(fam, s):
-    return family_bracket(fam, s.parts, convention=s.convention)
 
 
 # --- the two cochain complexes -----------------------------------------------
@@ -355,11 +350,6 @@ def is_cyclic(phi, ip):
     return _cyclic_witness(phi, ip) is None
 
 
-def scalar_is_antisymmetric(f):
-    """Graded antisymmetry under adjacent swaps, checked on all tuples."""
-    return _antisymmetry_witness(f) is None
-
-
 def _rotation_sign(par, t, i):
     """(-1)^{|t[:i]||t[i:]| + i n} for a tuple t of arity n + 1: the sign of
     the rotation t -> t[i:] + t[:i], which is its exterior reordering sign
@@ -378,15 +368,6 @@ def is_cyclic_scalar(f):
     # sides are zero
     return all(f.value(t) == _rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
                for t in f.coeffs)
-
-
-def is_cyclic_scalar_blockwise(f):
-    """Block form of the same condition: f(a ox b) = (-1)^{|a||b| + i n}
-    f(b ox a) for every splitting after i letters."""
-    par = f.space.parities
-    return all(f.value(t) == _rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
-               for t in itertools.product(range(f.space.dim), repeat=f.arity)
-               for i in range(1, f.arity))
 
 
 def cyclicize(f):
@@ -448,34 +429,24 @@ def _rotation_sum(f, inner, extra_exp):
 
 
 def _unshuffle_sum(f, inner, extra_exp):
-    """Exterior counterpart: sum over (l, k) unshuffles with the permutation
-    and Koszul signs, producing an antisymmetric scalar cochain."""
+    """Exterior counterpart: f composed with the extension of ``inner``,
+    whose unshuffle sum carries the permutation and Koszul signs, giving an
+    antisymmetric scalar cochain.  The extension lands on canonical tuples,
+    which are f's coefficient keys."""
     space = f.space
-    l = inner.degree
-    k = f.arity - 1
-    n = k + l - 1
-    par = space.parities
+    sign = -1 if extra_exp & 1 else 1
     out = {}
     for t in reachable(f.coeffs, inner):
-        letter_par = [par[x] for x in t]
         acc = space.field(0)
-        for sigma in unshuffles(l, n + 1 - l):
-            s = reorder_sign(EXTERIOR, sigma, letter_par)
-            head = tuple(t[sigma[i] - 1] for i in range(l))
-            tail = tuple(t[sigma[i] - 1] for i in range(l, n + 1))
-            vec = inner.value(head)
-            if not vec:
-                continue
-            term = space.field(0)
-            for bidx, c in vec.items():
-                term = term + c * f.value((bidx,) + tail)
-            if (extra_exp & 1):
-                term = -term
-            acc = acc + s * term
+        for mid, c in extend_letters(inner, t, PRODUCT_FORM).items():
+            x = f.coeffs.get(mid)
+            if x:
+                acc = acc + c * x
         if acc:
-            out[t] = acc
+            out[t] = sign * acc
     parity = (f.parity + inner.parity) & 1
-    return ScalarCochain(space, EXTERIOR, n + 1, parity, out)
+    return ScalarCochain(space, EXTERIOR, f.arity + inner.degree - 1, parity,
+                         out)
 
 
 def _exterior_form(f):

@@ -304,11 +304,6 @@ def first_order_residuals(s, lam, param):
             e = a - 1
         return -1 if e & 1 else 1
 
-    def outer_value(coeffs, flavor, letters):
-        if flavor == TENSOR:
-            return coeffs.get(tuple(letters), {})
-        return _ext_value(coeffs, letters, par)
-
     residuals = {}
     for n in range(1, 2 * top):
         per_tuple = {}

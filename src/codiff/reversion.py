@@ -11,11 +11,9 @@ odd codifferentials computable there.
 
 from __future__ import annotations
 
-from .cochain import Cochain, canonical_tuples
-from .coderivation import CONVENTIONS, V_OF_W, W_OF_V, extend_letters
-from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SYMMETRIC, TENSOR,
-                     GradedSpace, Word, koszul_sign, permutation_sign,
-                     word_parity)
+from .cochain import Cochain, scale
+from .coderivation import CONVENTIONS, V_OF_W, W_OF_V
+from .graded import EXTERIOR, SYMMETRIC, TENSOR
 
 
 def reversed_flavor(flavor):
@@ -33,31 +31,6 @@ def eta_sign(parities):
     n = len(parities)
     e = sum((n - 1 - i) * parities[i] for i in range(n - 1))
     return -1 if e & 1 else 1
-
-
-def eta_word(word, w_space=None):
-    """Transport a word over V to the reversed side."""
-    if w_space is None:
-        w_space = word.space.reversed()
-    sign = eta_sign([word.space.parities[i] for i in word.letters])
-    return Word(w_space, reversed_flavor(word.flavor), word.letters,
-                sign * word.coefficient)
-
-
-def eta_inverse_word(word, v_space=None):
-    """Transport a word over W back to V; the sign is computed from the
-    V-side parities, i.e. the flipped ones."""
-    if v_space is None:
-        v_space = word.space.reversed()
-    sign = eta_sign([v_space.parities[i] for i in word.letters])
-    return Word(v_space, reversed_flavor(word.flavor), word.letters,
-                sign * word.coefficient)
-
-
-def _conjugation_exponent(parities):
-    """Exponent of the eta_k sign on a k-tuple: (k-1)p_1 + ... + p_{k-1}."""
-    k = len(parities)
-    return sum((k - 1 - i) * parities[i] for i in range(k - 1))
 
 
 def conjugate_part(part, convention=W_OF_V, to_reversed=True):
@@ -83,8 +56,7 @@ def conjugate_part(part, convention=W_OF_V, to_reversed=True):
         pars = [v_parities[i] for i in t]
         if convention == V_OF_W:
             pars = [1 - p for p in pars]
-        e = _conjugation_exponent(pars)
-        sign = -1 if e & 1 else 1
+        sign = eta_sign(pars)
         coeffs[t] = {b: sign * c for b, c in vec.items()}
     return Cochain(other, flavor, k, (part.parity + k - 1) & 1, coeffs)
 
@@ -100,60 +72,8 @@ def convert_convention_parts(parts):
     Round-tripping one convention's conjugation through the other multiplies
     the arity-k part by (-1)^{k(k-1)/2}; the map is an involution.
     """
-    from .cochain import scale
     out = {}
     for k, c in parts.items():
         e = (k * (k - 1) // 2) & 1
         out[k] = scale(-1, c) if e else c
     return out
-
-
-def check_extension_conjugation(mu, n):
-    """Compare the two extensions of a homogeneous cochain on degree-n words:
-    conjugating the parity-graded extension from the reversed side must equal
-    (-1)^{(n-k)|mu|} times the bidegree-graded extension on the V side."""
-    space = mu.space
-    k = mu.degree
-    if n < 1:
-        raise ValueError("need word degree >= 1")
-    delta = conjugate_part(mu, W_OF_V, to_reversed=True)
-    w_space = delta.space
-    rev_mode = PARITY_ONLY if delta.flavor in (TENSOR, SYMMETRIC) else PRODUCT_FORM
-    sign = -1 if ((n - k) * mu.parity) & 1 else 1
-    for t in canonical_tuples(space, mu.flavor, n):
-        word = Word(space, mu.flavor, t, 1)
-        if word.is_zero():
-            continue
-        # around: eta, extend on the reversed side, eta back
-        w_word = eta_word(word, w_space)
-        around = {}
-        for letters, c in extend_letters(delta, w_word.letters, rev_mode).items():
-            back = eta_inverse_word(Word(w_space, delta.flavor, letters,
-                                         c * w_word.coefficient), space)
-            if back.is_zero():
-                continue
-            cur = around.get(back.letters, 0) + back.coefficient
-            if cur:
-                around[back.letters] = cur
-            else:
-                around.pop(back.letters, None)
-        # direct: bidegree-graded extension on the V side, rescaled
-        direct = {}
-        for letters, c in extend_letters(mu, t, PRODUCT_FORM).items():
-            if sign * c:
-                direct[letters] = sign * c
-        if around != direct:
-            return False
-    return True
-
-
-def check_reversion_sign_identity(images, parities):
-    """The permutation identity tying the eta sign, the permutation sign and
-    the Koszul signs on both sides of the reversion:
-    eta(v) (-1)^sigma eps(sigma; v) == eta(v o sigma) eps(sigma; w)."""
-    n = len(images)
-    flipped = [1 - p for p in parities]
-    lhs = eta_sign(parities) * permutation_sign(images) * koszul_sign(images, parities)
-    permuted = [parities[images[i] - 1] for i in range(n)]
-    rhs = eta_sign(permuted) * koszul_sign(images, flipped)
-    return lhs == rhs

@@ -13,11 +13,10 @@ equivalently the vanishing of the modified self-bracket {m, m}.
 
 from __future__ import annotations
 
-from .cochain import canonical_tuples, zero_cochain
-from .coderivation import (CONVENTIONS, PARITY_ONLY, PRODUCT_FORM, W_OF_V,
-                           compose, family_bracket, family_is_zero)
+from .cochain import add, canonical_tuples, scale, zero_cochain
+from .coderivation import (CONVENTIONS, PRODUCT_FORM, W_OF_V, compose,
+                           family_bracket, family_is_zero)
 from .graded import EXTERIOR, TENSOR
-from .reversion import conjugate_family
 
 A_INFINITY = "a_infinity"
 L_INFINITY = "l_infinity"
@@ -73,14 +72,6 @@ class InfinityStructure:
     def top_arity(self):
         return max(self.parts) if self.parts else 0
 
-    def part_parity_ok(self):
-        return all(c.parity == (k & 1) for k, c in self.parts.items())
-
-    def reversed_parts(self):
-        """The family conjugated to the reversed side (where validity means
-        an odd codifferential for the plain parity grading)."""
-        return conjugate_family(self.parts, self.convention, to_reversed=True)
-
 
 class ValidationReport:
     def __init__(self, ok, kind="ok", n=0, letters=(), residual=None):
@@ -89,9 +80,6 @@ class ValidationReport:
         self.n = n
         self.letters = letters
         self.residual = {} if residual is None else residual
-
-    def first_failure(self):
-        return (self.n, self.letters, self.residual)
 
 
 def relation_sign(convention, outer, inner):
@@ -113,48 +101,14 @@ def structure_residual(s, n):
         term = compose(outer, inner, PRODUCT_FORM)
         sgn = relation_sign(s.convention, a, b)
         if sgn < 0:
-            from .cochain import scale
             term = scale(-1, term)
         if acc is None:
             acc = term
         else:
-            from .cochain import add
             acc = add(acc, term)
     if acc is None:
         return zero_cochain(s.space, flavor, n, parity)
     return acc
-
-
-def reversed_residual(parts_w, w_space, flavor_w, n):
-    """Degree-n component of delta ∘ delta on the reversed side: the sum of
-    delta_a ∘ delta_{b a} over a+b = n+1, parity grading, no extra signs."""
-    acc = None
-    from .cochain import add
-    for a, outer in parts_w.items():
-        b = n + 1 - a
-        inner = parts_w.get(b)
-        if inner is None:
-            continue
-        term = compose(outer, inner, PARITY_ONLY)
-        acc = term if acc is None else add(acc, term)
-    if acc is None:
-        return zero_cochain(w_space, flavor_w, n, 0)
-    return acc
-
-
-def reversed_side_ok(s):
-    """Third validation route: the conjugated family squares to zero on the
-    reversed side."""
-    parts_w = s.reversed_parts()
-    if not parts_w:
-        return True
-    w_space = s.space.reversed()
-    flavor_w = next(iter(parts_w.values())).flavor
-    top = max(parts_w)
-    for n in range(1, 2 * top):
-        if not reversed_residual(parts_w, w_space, flavor_w, n).is_zero():
-            return False
-    return True
 
 
 def validate(s):
@@ -194,40 +148,6 @@ def validate(s):
     n, t, vec = first_bad
     return ValidationReport(False, "relation", n,
                             tuple(s.space.names[i] for i in t), vec)
-
-
-def validate_dga(d, m, convention=W_OF_V):
-    """Check that a degree-1 and a degree-2 tensor cochain form a
-    differential graded associative algebra (the n = 1, 2, 3 relations)."""
-    parts = {}
-    if not d.is_zero():
-        parts[1] = d
-    if not m.is_zero():
-        parts[2] = m
-    space = d.space if not d.is_zero() else m.space
-    s = InfinityStructure(A_INFINITY, space, parts, convention)
-    return validate(s)
-
-
-class Deformation:
-    """A first-order direction: parts {k: Cochain} with parities tied to a
-    single parameter parity by |lambda_k| = parameter_parity + k mod 2."""
-
-    def __init__(self, base, parts, parameter_parity):
-        self.base = base
-        self.parts = parts
-        self.parameter_parity = parameter_parity
-        for k, c in self.parts.items():
-            if c.is_zero():
-                continue
-            want = (self.parameter_parity + k) & 1
-            if c.parity != want:
-                raise StructureError(
-                    "direction part of arity %d has parity %d, expected %d"
-                    % (k, c.parity, want))
-            if c.flavor != self.base.flavor or c.space != self.base.space:
-                raise StructureError("direction does not match the structure")
-        self.parts = {k: c for k, c in self.parts.items() if not c.is_zero()}
 
 
 def deformation_parameter_parity(parts):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,16 @@ import pytest
 
 from codiff import (EXTERIOR, TENSOR, A_INFINITY, L_INFINITY, GradedSpace,
                     InfinityStructure, InnerProduct)
-from codiff.cochain import Cochain, canonical_tuples
-from codiff.graded import word_parity
+from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
+                            vec_add, zero_cochain)
+from codiff.coderivation import (CoderivationGenerator, W_OF_V, compose,
+                                 extend_letters, natural_mode)
+from codiff.graded import (PARITY_ONLY, PRODUCT_FORM, SYMMETRIC, Word,
+                           koszul_sign, permutation_sign, reorder_sign,
+                           unshuffles, word_parity)
+from codiff.homology import _rotation_sign
+from codiff.reversion import (conjugate_family, conjugate_part, eta_sign,
+                              reversed_flavor)
 
 F = Fraction
 
@@ -55,6 +64,239 @@ def random_family(s, rng, param, max_arity=3):
             if not c.is_zero():
                 fam[k] = c
     return fam
+
+
+# --- verification routes: the tests are their only callers ----------------
+
+def evaluate(c, args):
+    """Multilinear evaluation; each argument is a basis index, basis name,
+    or a sparse vector {index: scalar}."""
+    if len(args) != c.degree:
+        raise ValueError("expected %d arguments, got %d" % (c.degree, len(args)))
+    norm = []
+    for a in args:
+        if isinstance(a, dict):
+            norm.append(a)
+        elif isinstance(a, str):
+            norm.append({c.space.index(a): 1})
+        else:
+            norm.append({int(a): 1})
+    acc = {}
+    for combo in itertools.product(*[sorted(v.items()) for v in norm]):
+        letters = tuple(b for b, _ in combo)
+        factor = 1
+        for _, s in combo:
+            factor = factor * s
+        if not factor:
+            continue
+        vec_add(acc, c.value(letters), factor)
+    return acc
+
+
+def scalar_scale(s, a):
+    return ScalarCochain(a.space, a.flavor, a.arity, a.parity,
+                         {t: s * c for t, c in a.coeffs.items() if s * c})
+
+
+def scalar_cochains_match(a, b):
+    """Equality as multilinear functions (flavors may differ)."""
+    if a.space != b.space or a.arity != b.arity:
+        return False
+    for t in itertools.product(range(a.space.dim), repeat=a.arity):
+        if a.value(t) != b.value(t):
+            return False
+    return True
+
+
+def is_cyclic_scalar_blockwise(f):
+    """Block form of the rotation identity: f(a ox b) = (-1)^{|a||b| + i n}
+    f(b ox a) for every splitting after i letters."""
+    par = f.space.parities
+    return all(f.value(t) == _rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
+               for t in itertools.product(range(f.space.dim), repeat=f.arity)
+               for i in range(1, f.arity))
+
+
+def reduced_diagonal(word):
+    """The reduced diagonal of a word as a list of (left, right) Word pairs.
+
+    Tensor words split at every position; symmetric splits run over
+    unshuffles weighted by epsilon(sigma); exterior splits carry the extra
+    (-1)^sigma.  Degree-1 words map to the empty sum (the kernel is V).
+    """
+    n = word.degree
+    if word.is_zero() or n == 1:
+        return []
+    par = word.space.parities
+    letter_par = [par[i] for i in word.letters]
+    out = []
+    if word.flavor == TENSOR:
+        for k in range(1, n):
+            left = Word(word.space, TENSOR, word.letters[:k], word.coefficient)
+            right = Word(word.space, TENSOR, word.letters[k:], 1)
+            out.append((left, right))
+        return out
+    for k in range(1, n):
+        for sigma in unshuffles(k, n - k):
+            s = reorder_sign(word.flavor, sigma, letter_par)
+            lhs = tuple(word.letters[sigma[i] - 1] for i in range(k))
+            rhs = tuple(word.letters[sigma[i] - 1] for i in range(k, n))
+            left = Word(word.space, word.flavor, lhs, s * word.coefficient)
+            right = Word(word.space, word.flavor, rhs, 1)
+            if not left.is_zero() and not right.is_zero():
+                out.append((left, right))
+    return out
+
+
+def pair_sum(pairs):
+    """Collect (left, right) word pairs into a canonical dict keyed by
+    (left letters, right letters); used to compare formal sums of splits."""
+    acc = {}
+    for left, right in pairs:
+        c = left.coefficient * right.coefficient
+        if not c:
+            continue
+        key = (left.letters, right.letters)
+        cur = acc.get(key, 0)
+        cur = cur + c
+        if cur:
+            acc[key] = cur
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+class Restriction:
+    """The extended coderivation of a degree-k generator restricted to
+    degree k+l-1 words, landing in degree-l words."""
+
+    def __init__(self, k, l, matrix):
+        self.k = k
+        self.l = l
+        self.matrix = matrix  # input tuple -> {output tuple: coefficient}
+
+
+def restrict(gen, l, mode=None):
+    if isinstance(gen, CoderivationGenerator):
+        gen, mode = gen.base, gen.mode
+    if mode is None:
+        mode = natural_mode(gen.flavor)
+    if l < 1:
+        raise ValueError("restriction lands in degree >= 1")
+    n = gen.degree + l - 1
+    matrix = {}
+    for t in canonical_tuples(gen.space, gen.flavor, n):
+        row = extend_letters(gen, t, mode)
+        if row:
+            matrix[t] = row
+    return Restriction(gen.degree, l, matrix)
+
+
+def eta_word(word, w_space=None):
+    """Transport a word over V to the reversed side."""
+    if w_space is None:
+        w_space = word.space.reversed()
+    sign = eta_sign([word.space.parities[i] for i in word.letters])
+    return Word(w_space, reversed_flavor(word.flavor), word.letters,
+                sign * word.coefficient)
+
+
+def eta_inverse_word(word, v_space=None):
+    """Transport a word over W back to V; the sign is computed from the
+    V-side parities, i.e. the flipped ones."""
+    if v_space is None:
+        v_space = word.space.reversed()
+    sign = eta_sign([v_space.parities[i] for i in word.letters])
+    return Word(v_space, reversed_flavor(word.flavor), word.letters,
+                sign * word.coefficient)
+
+
+def check_extension_conjugation(mu, n):
+    """Compare the two extensions of a homogeneous cochain on degree-n words:
+    conjugating the parity-graded extension from the reversed side must equal
+    (-1)^{(n-k)|mu|} times the bidegree-graded extension on the V side."""
+    space = mu.space
+    k = mu.degree
+    if n < 1:
+        raise ValueError("need word degree >= 1")
+    delta = conjugate_part(mu, W_OF_V, to_reversed=True)
+    w_space = delta.space
+    rev_mode = PARITY_ONLY if delta.flavor in (TENSOR, SYMMETRIC) else PRODUCT_FORM
+    sign = -1 if ((n - k) * mu.parity) & 1 else 1
+    for t in canonical_tuples(space, mu.flavor, n):
+        word = Word(space, mu.flavor, t, 1)
+        if word.is_zero():
+            continue
+        # around: eta, extend on the reversed side, eta back
+        w_word = eta_word(word, w_space)
+        around = {}
+        for letters, c in extend_letters(delta, w_word.letters, rev_mode).items():
+            back = eta_inverse_word(Word(w_space, delta.flavor, letters,
+                                         c * w_word.coefficient), space)
+            if back.is_zero():
+                continue
+            cur = around.get(back.letters, 0) + back.coefficient
+            if cur:
+                around[back.letters] = cur
+            else:
+                around.pop(back.letters, None)
+        # direct: bidegree-graded extension on the V side, rescaled
+        direct = {}
+        for letters, c in extend_letters(mu, t, PRODUCT_FORM).items():
+            if sign * c:
+                direct[letters] = sign * c
+        if around != direct:
+            return False
+    return True
+
+
+def check_reversion_sign_identity(images, parities):
+    """The permutation identity tying the eta sign, the permutation sign and
+    the Koszul signs on both sides of the reversion:
+    eta(v) (-1)^sigma eps(sigma; v) == eta(v o sigma) eps(sigma; w)."""
+    n = len(images)
+    flipped = [1 - p for p in parities]
+    lhs = eta_sign(parities) * permutation_sign(images) * koszul_sign(images, parities)
+    permuted = [parities[images[i] - 1] for i in range(n)]
+    rhs = eta_sign(permuted) * koszul_sign(images, flipped)
+    return lhs == rhs
+
+
+def reversed_parts(s):
+    """The family conjugated to the reversed side (where validity means
+    an odd codifferential for the plain parity grading)."""
+    return conjugate_family(s.parts, s.convention, to_reversed=True)
+
+
+def reversed_residual(parts_w, w_space, flavor_w, n):
+    """Degree-n component of delta ∘ delta on the reversed side: the sum of
+    delta_a ∘ delta_{b a} over a+b = n+1, parity grading, no extra signs."""
+    acc = None
+    for a, outer in parts_w.items():
+        b = n + 1 - a
+        inner = parts_w.get(b)
+        if inner is None:
+            continue
+        term = compose(outer, inner, PARITY_ONLY)
+        acc = term if acc is None else add(acc, term)
+    if acc is None:
+        return zero_cochain(w_space, flavor_w, n, 0)
+    return acc
+
+
+def reversed_side_ok(s):
+    """Third validation route: the conjugated family squares to zero on the
+    reversed side."""
+    parts_w = reversed_parts(s)
+    if not parts_w:
+        return True
+    w_space = s.space.reversed()
+    flavor_w = next(iter(parts_w.values())).flavor
+    top = max(parts_w)
+    for n in range(1, 2 * top):
+        if not reversed_residual(parts_w, w_space, flavor_w, n).is_zero():
+            return False
+    return True
 
 
 # --- structures used throughout the suite ----------------------------------

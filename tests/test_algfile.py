@@ -67,38 +67,54 @@ def test_explicit_zero_value():
     assert af.parts[1].is_zero()
 
 
+# (text, code, line of the error)
 DIAGNOSTICS = [
     ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 2\n  m(a,y) = a\n",
-     E_NAME),
-    ("field F 6\nflavor tensor\nspace\n  basis a even\n", E_FIELD),
-    ("field Q\nflavor symmetric\nspace\n  basis a even\n", E_FLAVOR),
-    ("field Q\nflavor sideways\nspace\n  basis a even\n", E_FLAVOR),
+     E_NAME, 6),
+    ("field F 6\nflavor tensor\nspace\n  basis a even\n", E_FIELD, 1),
+    ("field Q\nflavor symmetric\nspace\n  basis a even\n", E_FLAVOR, 2),
+    ("field Q\nflavor sideways\nspace\n  basis a even\n", E_FLAVOR, 2),
     ("field Q\nflavor tensor\nspace\n  basis a even\n"
-     "map m 2\n  m(a,a) = a\n  m(a,a) = a\n", E_DUPLICATE),
+     "map m 2\n  m(a,a) = a\n  m(a,a) = a\n", E_DUPLICATE, 7),
     ("field Q\nflavor tensor\nspace\n  basis a even\n  basis a odd\n",
-     E_DUPLICATE),
+     E_DUPLICATE, 5),
     ("field Q\nflavor tensor\nspace\n  basis a even\n  basis o odd\n"
-     "map m 2\n  m(a,a) = a\n  m(a,o) = a\n", E_PARITY),
+     "map m 2\n  m(a,a) = a\n  m(a,o) = a\n", E_PARITY, 6),
     ("field Q\nflavor tensor\nspace\n  basis a even\nbogus directive\n",
-     E_DIRECTIVE),
+     E_DIRECTIVE, 5),
     ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 2\n  m(a) = a\n",
-     E_ARITY),
-    ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 0\n", E_ARITY),
+     E_ARITY, 6),
+    ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 0\n", E_ARITY, 5),
     ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 1\n  m(a) = 1q#\n",
-     E_NAME),
-    ("field Q\nflavor tensor\nmap m 1\n", E_STRUCTURE),
-    ("flavor tensor\nspace\n  basis a even\n", E_STRUCTURE),
+     E_NAME, 6),
+    ("field Q\nflavor tensor\nmap m 1\n", E_STRUCTURE, 3),
+    ("flavor tensor\nspace\n  basis a even\n", E_STRUCTURE, 2),
+    ("field Q\nspace\n  basis a even\nmap m 1\n  m(a) = a\nflavor tensor\n",
+     E_STRUCTURE, 4),
     ("field Q\nflavor tensor\nspace\n  basis a even\n"
-     "deformation lam 2 odd_parameter\n  lam(a,a) = a\n", E_PARITY),
+     "deformation lam 2 odd_parameter\n  lam(a,a) = a\n", E_PARITY, 5),
+    ("field Q\nflavor exterior\nspace\n  basis e even\n  basis f even\n"
+     "map l 2\n  l(e,e) = f\n", E_ARITY, 7),
+    ("field Q\nflavor exterior\nspace\n  basis e even\n  basis f even\n"
+     "  basis h even\ndeformation lam 2 even_parameter\n  lam(e,h) = e\n"
+     "  lam(f,e) = h\n", E_ARITY, 9),
 ]
 
 
-@pytest.mark.parametrize("text,code", DIAGNOSTICS)
-def test_diagnostics(text, code):
+@pytest.mark.parametrize("text,code,line", DIAGNOSTICS,
+                         ids=["%s-%s" % case[:2] for case in DIAGNOSTICS])
+def test_diagnostics(text, code, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
-    assert exc.value.code == code
-    assert exc.value.line >= 0
+    assert (exc.value.code, exc.value.line) == (code, line)
+
+
+def test_exterior_assignment_names_its_letters():
+    text = ("field Q\nflavor exterior\nspace\n  basis e even\n"
+            "  basis f even\nmap l 2\n  l(f,e) = f\n")
+    with pytest.raises(ParseError, match=r"\(f,e\)") as exc:
+        parse(text)
+    assert (exc.value.code, exc.value.line) == (E_ARITY, 7)
 
 
 def test_diagnostic_carries_line_number():

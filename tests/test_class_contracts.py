@@ -8,14 +8,15 @@ import pytest
 
 from codiff.algfile import AlgebraFile
 from codiff.cochain import Cochain, ScalarCochain, canonical_tuples
-from codiff.coderivation import CoderivationGenerator, Restriction, W_OF_V
+from codiff.coderivation import CoderivationGenerator, W_OF_V
 from codiff.fields import QQ, PrimeField
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SYMMETRIC,
                            TENSOR, GradedSpace, Word)
 from codiff.homology import CohomologyReport, DegreeRow, DeformationClass
 from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY, L_INFINITY,
-                               Deformation, InfinityStructure, StructureError,
+                               InfinityStructure, StructureError,
                                ValidationReport)
+from conftest import Restriction
 
 F = Fraction
 
@@ -179,12 +180,6 @@ class TestConstructorChecks:
         (lambda sp: InfinityStructure(A_INFINITY, GradedSpace(("x",), (0,)),
                                       {2: product(sp)}),
          StructureError, "part lives on a different space"),
-        (lambda sp: Deformation(InfinityStructure(A_INFINITY, sp),
-                                {2: product(sp)}, 1),
-         StructureError, "direction part of arity 2 has parity 0, expected 1"),
-        (lambda sp: Deformation(InfinityStructure(L_INFINITY, sp),
-                                {2: product(sp)}, 0),
-         StructureError, "direction does not match the structure"),
     ])
     def test_same_error(self, make, error, message):
         with pytest.raises(error, match="^%s$" % message):
@@ -208,7 +203,6 @@ class TestConstructorChecks:
 def _constructions(sp):
     """(class, positional arguments, parameter names) for every record."""
     m = product(sp)
-    s = InfinityStructure(A_INFINITY, sp, {2: m})
     return [
         (GradedSpace, (("a", "b"), (0, 1), PrimeField(7)),
          ("names", "parities", "field")),
@@ -224,7 +218,6 @@ def _constructions(sp):
          ("kind", "space", "parts", "convention", "max_arity")),
         (ValidationReport, (False, "relation", 3, ("a",), {0: F(1)}),
          ("ok", "kind", "n", "letters", "residual")),
-        (Deformation, (s, {2: m}, 0), ("base", "parts", "parameter_parity")),
         (DegreeRow, (2, 3, 1, 2, [m]),
          ("degree", "cocycles", "coboundaries", "quotient",
           "representatives")),

@@ -46,6 +46,9 @@ GOLDEN_CASES = [
     ("cohomology_sl2.jsonl", "cohomology", "sl2.alg",
      {"window": (0, 3), "fmt": "json-lines"}, 0),
     ("deform_sl2.jsonl", "deform", "sl2.alg", {"fmt": "json-lines"}, 0),
+    ("cyclic_dga.txt", "cyclic", "koszul_dga.alg", {"window": (0, 3)}, 0),
+    ("cyclic_dga.jsonl", "cyclic", "koszul_dga.alg",
+     {"window": (0, 3), "fmt": "json-lines"}, 0),
 ]
 
 

@@ -6,11 +6,10 @@ from codiff import GradedSpace
 from codiff.cochain import add, canonical_tuples, scale, zero_cochain
 from codiff.coderivation import (CoderivationGenerator, V_OF_W, W_OF_V,
                                  bracket, compose, extend, extend_letters,
-                                 family_bracket, modified_bracket, restrict)
+                                 family_bracket, modified_bracket)
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
-                           SYMMETRIC, TENSOR, Word, grading_pair, pair_sum,
-                           reduced_diagonal, word_parity)
-from conftest import make_cochain, random_cochain
+                           SYMMETRIC, TENSOR, Word, grading_pair, word_parity)
+from conftest import make_cochain, random_cochain, reduced_diagonal, restrict
 
 F = Fraction
 

@@ -7,8 +7,9 @@ import pytest
 from codiff import GradedSpace
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SYMMETRIC,
                            TENSOR, Word, canonical_word, grading_pair,
-                           koszul_sign, pair_sum, permutation_sign,
-                           reduced_diagonal, unshuffles, word_parity)
+                           koszul_sign, permutation_sign, unshuffles,
+                           word_parity)
+from conftest import pair_sum, reduced_diagonal
 
 F = Fraction
 

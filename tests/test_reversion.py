@@ -2,15 +2,15 @@ import itertools
 from fractions import Fraction
 
 from codiff import GradedSpace
-from codiff.cochain import canonical_tuples, cochains_equal
+from codiff.cochain import canonical_tuples
 from codiff.coderivation import V_OF_W, W_OF_V
 from codiff.graded import EXTERIOR, SYMMETRIC, TENSOR, Word, word_parity
-from codiff.reversion import (check_extension_conjugation,
-                              check_reversion_sign_identity, conjugate_family,
-                              conjugate_part, convert_convention_parts,
-                              eta_inverse_word, eta_sign, eta_word)
+from codiff.reversion import (conjugate_family, conjugate_part,
+                              convert_convention_parts, eta_sign)
 from codiff.structures import InfinityStructure, validate
-from conftest import make_cochain, random_cochain
+from conftest import (check_extension_conjugation,
+                      check_reversion_sign_identity, eta_inverse_word,
+                      eta_word, make_cochain, random_cochain, reversed_parts)
 
 F = Fraction
 
@@ -76,11 +76,11 @@ class TestConjugation:
                 over = conjugate_family(fam, conv, to_reversed=True)
                 back = conjugate_family(over, conv, to_reversed=False)
                 for k in fam:
-                    assert cochains_equal(back[k], fam[k])
+                    assert back[k] == fam[k]
 
     def test_odd_codifferential_iff_structure(self, dual_numbers):
         s, _ = dual_numbers
-        rev = s.reversed_parts()
+        rev = reversed_parts(s)
         assert all(c.parity == 1 for c in rev.values())
 
 
@@ -120,7 +120,7 @@ class TestConvertConvention:
         fam = {k: random_cochain(space, TENSOR, k, k & 1, rng) for k in (1, 2, 3, 4)}
         twice = convert_convention_parts(convert_convention_parts(fam))
         for k in fam:
-            assert cochains_equal(twice[k], fam[k])
+            assert twice[k] == fam[k]
 
     def test_arity_signs(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
@@ -146,7 +146,7 @@ class TestConvertConvention:
         # back through either convention's eta yields a family satisfying
         # that convention's relation signs
         for s in (dual_numbers[0], sl2[0], koszul_dga):
-            delta = s.reversed_parts()
+            delta = reversed_parts(s)
             for conv in (W_OF_V, V_OF_W):
                 fam = conjugate_family(delta, conv, to_reversed=False)
                 back = InfinityStructure(s.kind, s.space, fam, conv)

@@ -7,11 +7,9 @@ from codiff import GradedSpace
 from codiff.cochain import add, zero_cochain
 from codiff.coderivation import V_OF_W, family_bracket, family_is_zero
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import (A_INFINITY, Deformation,
-                               InfinityStructure, StructureError,
-                               deform_check, reversed_side_ok,
-                               structure_residual, validate, validate_dga)
-from conftest import make_cochain, random_cochain
+from codiff.structures import (A_INFINITY, InfinityStructure, StructureError,
+                               deform_check, structure_residual, validate)
+from conftest import make_cochain, random_cochain, reversed_side_ok
 
 F = Fraction
 
@@ -81,10 +79,11 @@ class TestValidateDga:
     def test_zero_differential_reduces_to_associativity(self, dual_numbers):
         s, _ = dual_numbers
         d = zero_cochain(s.space, TENSOR, 1, 1)
-        assert validate_dga(d, s.parts[2]).ok
+        assert validate(InfinityStructure(A_INFINITY, s.space,
+                                          {1: d, 2: s.parts[2]})).ok
 
     def test_koszul_dga_ok(self, koszul_dga):
-        assert validate_dga(koszul_dga.parts[1], koszul_dga.parts[2]).ok
+        assert validate(koszul_dga).ok
 
     def test_leibniz_violation_fails_at_two(self, leibniz_violation):
         report = validate(leibniz_violation)
@@ -92,7 +91,8 @@ class TestValidateDga:
 
     def test_theta_algebra_with_zero_differential(self, theta_algebra):
         d = zero_cochain(theta_algebra.space, TENSOR, 1, 1)
-        assert validate_dga(d, theta_algebra.parts[2]).ok
+        assert validate(InfinityStructure(A_INFINITY, theta_algebra.space,
+                                          {1: d, 2: theta_algebra.parts[2]})).ok
 
 
 class TestThreeRoutes:
@@ -137,13 +137,9 @@ class TestDeformations:
         s, _ = sl2
         lam2 = random_cochain(s.space, s.flavor, 2, 0, rng, density=1.0)
         lam3 = random_cochain(s.space, s.flavor, 3, 0, rng, density=1.0)
-        # an even arity-2 direction needs an even parameter
-        with pytest.raises(StructureError):
-            Deformation(s, {2: lam2}, 1)
         # arities 2 and 3 with equal parities cannot share one parameter
         with pytest.raises(StructureError):
             deform_check(s, {2: lam2, 3: lam3})
-        Deformation(s, {2: lam2}, 0)  # consistent declaration passes
 
     def test_structure_brackets_itself(self, sl2):
         s, _ = sl2
