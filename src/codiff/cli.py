@@ -261,6 +261,10 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
+    except UnicodeDecodeError as exc:
+        sys.stderr.write("error: %s is not UTF-8 text: %s at byte %d\n"
+                         % (args.file, exc.reason, exc.start))
+        return INPUT_ERROR
     if args.names and args.command != "bracket":
         sys.stderr.write("error: extra arguments are only meaningful for "
                          "the bracket command\n")

@@ -44,51 +44,62 @@ class CoderivationGenerator:
             raise ValueError("exterior coderivations need the bidegree grading")
 
 
+# (sign for an even cochain, sign for an odd one), indexed by the sign
+# exponent's parity-free part and by the parity of the prefix
+_SIGN_PAIRS = (((1, 1), (1, -1)), ((-1, -1), (-1, 1)))
+
+
+def splits(flavor, letters, k, mode, par):
+    """The terms of the extension of a degree-k cochain on a pure word, as
+    (signs, head, prefix, suffix): the cochain reads ``head``, and a value
+    letter b lands on prefix + (b,) + suffix with the sign signs[parity of
+    the cochain].  Tensor terms insert at each position; symmetric and
+    exterior terms run over the unshuffles, have an empty prefix and still
+    have to be put in canonical order."""
+    n = len(letters)
+    if flavor == TENSOR:
+        pre_parity = 0
+        for i in range(n - k + 1):
+            e = i * (k - 1) if mode == PRODUCT_FORM else 0
+            yield (_SIGN_PAIRS[e & 1][pre_parity & 1], letters[i:i + k],
+                   letters[:i], letters[i + k:])
+            if i < n:
+                pre_parity += par[letters[i]]
+        return
+    if n < k:
+        return
+    letter_par = [par[x] for x in letters]
+    for sigma in unshuffles(k, n - k):
+        s = reorder_sign(flavor, sigma, letter_par)
+        yield ((s, s), tuple(letters[i - 1] for i in sigma[:k]), (),
+               tuple(letters[i - 1] for i in sigma[k:]))
+
+
 def extend_letters(gen, letters, mode):
     """Value of the extended coderivation of ``gen`` on a pure word, as a
     dict {output letters: coefficient}.  Zero when deg(word) < k."""
-    space = gen.space
-    par = space.parities
-    k = gen.degree
-    n = len(letters)
+    par = gen.space.parities
+    tensor = gen.flavor == TENSOR
     out = {}
-    if gen.flavor == TENSOR:
-        for i in range(n - k + 1):
-            e = sum(par[x] for x in letters[:i]) * gen.parity
-            if mode == PRODUCT_FORM:
-                e += i * (k - 1)
-            sign = -1 if e & 1 else 1
-            vec = gen.coeffs.get(tuple(letters[i:i + k]))
-            if not vec:
-                continue
-            for b, c in vec.items():
-                key = letters[:i] + (b,) + letters[i + k:]
-                cur = out.get(key, 0) + sign * c
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
-        return out
-    letter_par = [par[x] for x in letters]
-    if n < k:
-        return out
-    for sigma in unshuffles(k, n - k):
-        s = reorder_sign(gen.flavor, sigma, letter_par)
-        head = tuple(letters[sigma[i] - 1] for i in range(k))
-        rest = tuple(letters[sigma[i] - 1] for i in range(k, n))
-        vec = gen.value(head)
+    for signs, head, pre, post in splits(gen.flavor, letters, gen.degree,
+                                         mode, par):
+        vec = gen.coeffs.get(head) if tensor else gen.value(head)
         if not vec:
             continue
+        sign = signs[gen.parity]
         for b, c in vec.items():
-            cw = canonical_word(gen.flavor, (b,) + rest, par)
-            if cw is None:
-                continue
-            s2, canon = cw
-            cur = out.get(canon, 0) + s * s2 * c
+            key = pre + (b,) + post
+            if not tensor:
+                cw = canonical_word(gen.flavor, key, par)
+                if cw is None:
+                    continue
+                key = cw[1]
+                c = cw[0] * c
+            cur = out.get(key, 0) + sign * c
             if cur:
-                out[canon] = cur
+                out[key] = cur
             else:
-                out.pop(canon, None)
+                out.pop(key, None)
     return out
 
 
@@ -118,7 +129,13 @@ def reachable(support, inner, rotations=False):
     for h, vec in inner.coeffs.items():
         for b in vec:
             heads.setdefault(b, []).append(h)
-    par = inner.space.parities
+    return targets(support, heads, inner.flavor, inner.space.parities,
+                   rotations)
+
+
+def targets(support, heads, flavor, par, rotations=False):
+    """``reachable`` for the heads {letter b: the heads whose value has a
+    b component}."""
     out = set()
     for w in support:
         for i in range(1 if rotations else len(w)):
@@ -127,7 +144,7 @@ def reachable(support, inner, rotations=False):
                 if rotations:
                     out.update(t[j:] + t[:j] for j in range(len(t)))
                 else:
-                    cw = canonical_word(inner.flavor, t, par)
+                    cw = canonical_word(flavor, t, par)
                     if cw is not None:
                         out.add(cw[1])
     return sorted(out)
@@ -172,21 +189,34 @@ def bracket(a, b, form=None):
     return add(first, scale(-sign, second))
 
 
+def bracket_signs(k, a_parity, l, b_parity, convention):
+    """The signs of a∘b and of b∘a in the modified bracket {a_k, b_l} of
+    cochains of these degrees and parities: the plain bracket's
+    a∘b - (-1)^{<a,b>} b∘a under the product form, twisted by the
+    convention's sign."""
+    if convention not in CONVENTIONS:
+        raise ValueError("unknown convention %r" % convention)
+    e = (k - 1) * b_parity
+    if convention == V_OF_W:
+        e = (k - 1) * (b_parity + l - 1)
+    twist = -1 if e & 1 else 1
+    if grading_pair(PRODUCT_FORM, (a_parity, k - 1), (b_parity, l - 1)):
+        return twist, twist
+    return twist, -twist
+
+
 def modified_bracket(a, b, convention=W_OF_V):
     """{a_k, b_l}: the bracket conjugated through the parity reversion.
 
     w_of_v twists by (-1)^{(k-1)|b|}; v_of_w by (-1)^{(k-1)(|b|+l-1)}.
     Both are graded Lie for the shifted form on bidegrees.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError("unknown convention %r" % convention)
-    base = bracket(a, b, PRODUCT_FORM)
-    e = (a.degree - 1) * b.parity
-    if convention == V_OF_W:
-        e = (a.degree - 1) * (b.parity + b.degree - 1)
-    if e & 1:
-        return scale(-1, base)
-    return base
+    first, second = bracket_signs(a.degree, a.parity, b.degree, b.parity,
+                                  convention)
+    if a.space != b.space or a.flavor != b.flavor:
+        raise ValueError("cochain mismatch in bracket")
+    return add(scale(first, compose(a, b, PRODUCT_FORM)),
+               scale(second, compose(b, a, PRODUCT_FORM)))
 
 
 # --- families -------------------------------------------------------------

@@ -130,6 +130,15 @@ def reorder_sign(flavor, images, parities):
     return _flavor_sign(flavor, images, [parities[x - 1] for x in images])
 
 
+def rotation_sign(par, t, i):
+    """(-1)^{|t[:i]||t[i:]| + i n} for a tuple t of arity n + 1: the sign of
+    the rotation t -> t[i:] + t[:i], which is its exterior reordering sign
+    (Koszul sign times the sign of the cyclic permutation)."""
+    pa = sum(map(par.__getitem__, t[:i]))
+    pb = sum(map(par.__getitem__, t[i:]))
+    return -1 if (pa * pb + i * (len(t) - 1)) & 1 else 1
+
+
 def koszul_sign(images, parities):
     """The sign epsilon(sigma; v_1..v_n): one factor (-1)^{|a||b|} per
     adjacent swap that sorts the permuted word back into order."""

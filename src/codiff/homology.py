@@ -3,18 +3,18 @@ and cyclic cohomology, and classification of first-order deformations.
 
 Windowed cohomology, cyclic cohomology and the coboundary test all query one
 cochain complex: the cochains V^p -> V with D(phi) = {phi, m}, or the cyclic
-scalar cochains with the cyclic coboundary.  The complex hands out D of each
-basis vector as sparse coordinates read straight from the cochain's
-coefficients, and every matrix passed to ``linalg`` is a list of sparse
-rows.  For a window a..b a row reports the cocycles Z^p = ker D on C^p and
-the coboundaries B^p = im D ∩ C^p, with D applied to the sources of degree
->= a - spread, where the spread is the largest arity less one.  For a
-structure concentrated in one arity the complex splits by cochain degree:
-D_p maps C^p to C^{p+spread} alone, so Z^p = ker D_p and B^p = im
-D_{p-spread} exactly, and each block D_p is built once.  For mixed arities
-the image of a degree-p cochain spreads over degrees p..p+N-1, so B^p is a
-lower bound for the coboundary space and the report says so (membership
-tests remain reliable).
+scalar cochains with the cyclic coboundary.  The complex builds each block
+D_p, D of every degree-p basis vector as sparse coordinates, once and in
+one pass over the structure's entries (``codiff.blocks``); ``coboundary``
+and ``cyclic_coboundary`` remain the per-cochain routes.  Every matrix
+passed to ``linalg`` is a list of sparse rows.  For a window a..b a row
+reports Z^p = ker D on C^p and B^p = im D ∩ C^p, with D applied to the
+sources of degree >= a - spread, the spread being the largest arity less
+one.  For one arity D_p maps C^p to C^{p+spread} alone, so Z^p = ker D_p
+and B^p = im D_{p-spread} exactly.  For mixed arities the image of a
+degree-p cochain spreads over degrees p..p+N-1, so B^p is a lower bound for
+the coboundary space and the report says so (membership tests remain
+reliable).
 """
 
 from __future__ import annotations
@@ -22,11 +22,15 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
+from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
                       tilde, vec_add)
-from .coderivation import extend_letters, family_bracket, reachable
-from .graded import EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word
-from .structures import deformation_parameter_parity, deform_check
+from .coderivation import (extend_letters, family_bracket, family_is_zero,
+                           reachable)
+from .graded import (EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word,
+                     rotation_sign)
+# deform_check stays a module attribute: bench/tracer.py wraps it here
+from .structures import deformation_parameter_parity, deform_check  # noqa: F401
 
 
 class InvarianceError(ValueError):
@@ -55,11 +59,11 @@ class _Complex:
     """A cochain complex of a structure with a basis per degree, built once.
 
     ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis.  Vectors
-    are sparse {basis position: scalar} dicts of nonzeros: ``image(p, i)``
-    is D of the i-th basis vector as {degree: vector}, ``images(p)`` the
-    images of the whole degree-p basis (the block of D on C^p), built once,
-    ``coords(p, c)`` reads a cochain in the basis and ``reconstruct(p, v)``
-    builds the cochain with coordinates v.
+    are sparse {basis position: scalar} dicts of nonzeros: ``images(p)`` is
+    the block of D on C^p, D of each degree-p basis vector as {degree:
+    vector}, built once in one pass (``codiff.blocks``); ``coords(p, c)``
+    reads a cochain in the basis, ``reconstruct(p, v)`` builds the cochain
+    with coordinates v, and ``differential(c)`` is D of one cochain.
     """
 
     def __init__(self, s):
@@ -67,7 +71,7 @@ class _Complex:
         self.field = s.space.field
         self.spread = (max(s.parts) - 1) if s.parts else 0
         self._bases = {}
-        self._positions = {}
+        self._indexes = {}
         self._images = {}
 
     def _basis(self, p):
@@ -75,19 +79,18 @@ class _Complex:
             self._bases[p] = self._build_basis(p)
         return self._bases[p]
 
-    def _position(self, p):
-        """{basis key: position} for degree p, built once."""
-        if p not in self._positions:
-            self._positions[p] = {self._key(entry): i for i, entry
-                                  in enumerate(self._basis(p))}
-        return self._positions[p]
+    def _index(self, p):
+        """The degree-p map from basis keys to positions, built once."""
+        if p not in self._indexes:
+            self._indexes[p] = self._build_index(p)
+        return self._indexes[p]
 
     def dim(self, p):
         return len(self._basis(p))
 
     def images(self, p):
         if p not in self._images:
-            self._images[p] = [self.image(p, i) for i in range(self.dim(p))]
+            self._images[p] = self._block(p)
         return self._images[p]
 
 
@@ -101,21 +104,20 @@ class _PlainComplex(_Complex):
                 for t in canonical_tuples(self.s.space, self.s.flavor, p)
                 for j in range(self.s.space.dim)]
 
-    @staticmethod
-    def _key(entry):
-        return entry[:2]
+    def _build_index(self, p):
+        return {entry[:2]: i for i, entry in enumerate(self._basis(p))}
 
     def parity(self, p, i):
         return self._basis(p)[i][2]
 
-    def image(self, p, i):
-        t, j, parity = self._basis(p)[i]
-        delta = Cochain(self.s.space, self.s.flavor, p, parity, {t: {j: 1}})
-        return {q: self.coords(q, c)
-                for q, c in coboundary(delta, self.s).items()}
+    def _block(self, p):
+        return plain_block(self.s, p, self._index)
+
+    def differential(self, c):
+        return coboundary(c, self.s)
 
     def coords(self, p, c):
-        index, field = self._position(p), self.field
+        index, field = self._index(p), self.field
         return {index[t, j]: v for t, vec in c.coeffs.items()
                 for j, x in vec.items() if (v := field(x))}
 
@@ -134,30 +136,32 @@ class _CyclicComplex(_Complex):
     def _build_basis(self, p):
         return list(zip(*cyclic_scalar_basis(self.s.space, self.s.flavor, p)))
 
-    @staticmethod
-    def _key(entry):
-        return entry[1]
+    def _build_index(self, p):
+        """{tuple: (position, orbit sign, pivot)} over every basis orbit."""
+        return {t: (i, 1 if c == 1 else -1, pivot)
+                for i, (b, pivot) in enumerate(self._basis(p))
+                for t, c in b.coeffs.items()}
 
     def parity(self, p, i):
         return self._basis(p)[i][0].parity
 
-    def image(self, p, i):
-        fam = cyclic_coboundary(self._basis(p)[i][0], self.s)
-        return {q: self.coords(q, g) for q, g in fam.items()}
+    def _block(self, p):
+        return cyclic_block(self.s, p, self._index)
+
+    def differential(self, f):
+        return cyclic_coboundary(f, self.s)
 
     def coords(self, p, f):
-        """Coordinates at the pivot tuples, with an exact membership check:
-        the basis combination must give back every stored coefficient.  It
-        is rebuilt from the orbits of f's support only."""
+        """Coordinates at the pivots, read from f on the rotations of its
+        support with the membership check of ``orbit_coords``."""
         if self.s.flavor == EXTERIOR:
             f = _exterior_form(f)
-        if f is not None:
-            index, field = self._position(p), self.field
-            coords = {index[t]: v for t, x in f.coeffs.items()
-                      if t in index and (v := field(x))}
-            if self.reconstruct(p, coords).coeffs == f.coeffs:
-                return coords
-        raise RuntimeError("scalar cochain falls outside the cyclic space")
+            if f is None:
+                raise RuntimeError(OUTSIDE)
+        field = self.field
+        values = {u: field(f.coeffs.get(u, 0)) for t in f.coeffs
+                  for u in (t[i:] + t[:i] for i in range(len(t)))}
+        return orbit_coords(values, self._index(p))
 
     def reconstruct(self, p, coords):
         basis, coeffs, parity = self._basis(p), {}, 0
@@ -232,6 +236,9 @@ def _window_report(cx, window, graded_exact, note):
             _, pivots = linalg.echelon(_transpose(span, cx.dim(p)), cx.field)
             reps = [cx.reconstruct(p, span[c]) for c in pivots
                     if c >= len(b_basis)]
+        # the bracket route certifies each class the block picked
+        if any(cx.differential(rep) for rep in reps):
+            raise RuntimeError("a representative of H^%d is not a cocycle" % p)
         rows_out.append(DegreeRow(p, len(kern), len(b_basis),
                                   len(kern) - len(b_basis), reps))
     return CohomologyReport(window, rows_out, graded_exact, note)
@@ -350,15 +357,6 @@ def is_cyclic(phi, ip):
     return _cyclic_witness(phi, ip) is None
 
 
-def _rotation_sign(par, t, i):
-    """(-1)^{|t[:i]||t[i:]| + i n} for a tuple t of arity n + 1: the sign of
-    the rotation t -> t[i:] + t[:i], which is its exterior reordering sign
-    (Koszul sign times the sign of the cyclic permutation)."""
-    pa = sum(par[x] for x in t[:i])
-    pb = sum(par[x] for x in t[i:])
-    return -1 if (pa * pb + i * (len(t) - 1)) & 1 else 1
-
-
 def is_cyclic_scalar(f):
     """The rotation identity f(v_1..v_{n+1}) = (-1)^{n + |v_1|(|v_2|+..)}
     f(v_2..v_{n+1}, v_1) on every tuple (tensor-flavored scalar cochains)."""
@@ -366,7 +364,7 @@ def is_cyclic_scalar(f):
     # checking the support suffices: there the identity makes the rotation
     # map the support into itself, hence onto it, so off the support both
     # sides are zero
-    return all(f.value(t) == _rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
+    return all(f.value(t) == rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
                for t in f.coeffs)
 
 
@@ -381,7 +379,7 @@ def cyclicize(f):
         acc = space.field(0)
         for i in range(f.arity):
             rotated = f.value(t[i:] + t[:i])
-            acc = acc + _rotation_sign(space.parities, t, i) * rotated
+            acc = acc + rotation_sign(space.parities, t, i) * rotated
         if acc:
             out[t] = acc
     return ScalarCochain(space, TENSOR, f.arity, f.parity, out)
@@ -421,7 +419,7 @@ def _rotation_sum(f, inner, extra_exp):
             term = space.field(0)
             for bidx, c in vec.items():
                 term = term + c * f.value((bidx,) + tail)
-            acc = acc + sign * _rotation_sign(space.parities, t, i) * term
+            acc = acc + sign * rotation_sign(space.parities, t, i) * term
         if acc:
             out[t] = acc
     parity = (f.parity + inner.parity) & 1
@@ -533,7 +531,7 @@ def _rotation_orbit(t, par, field):
     coeffs = {}
     for i in range(len(t)):
         u = t[i:] + t[:i]
-        c = field(_rotation_sign(par, t, i))
+        c = field(rotation_sign(par, t, i))
         if u < t or coeffs.setdefault(u, c) != c:
             return None
     return coeffs
@@ -579,7 +577,9 @@ def classify_deformation(s, parts, ip=None):
     the classification of deformations that preserve the form.
     """
     param = deformation_parameter_parity(parts)
-    cocycle = deform_check(s, parts)
+    # D(lambda) = {lambda, m}: deform_check without its second parity check
+    cocycle = family_is_zero(family_bracket(parts, s.parts,
+                                            convention=s.convention))
     preserves = None
     if ip is not None:
         preserves = all(is_cyclic(c, ip) for c in parts.values())
@@ -611,8 +611,8 @@ def _is_coboundary(cx, lam_coords, param, max_deg):
     """Is lambda, given as {degree: coordinates}, D(beta) for a beta of
     degree <= max_deg whose parity matches a parameter of parity param?"""
     offset, total = _offsets(cx, range(max_deg + cx.spread + 1))
-    cols = [_stack(cx.image(q, i), offset) for q in range(max_deg + 1)
-            for i in range(cx.dim(q))
+    cols = [_stack(img, offset) for q in range(max_deg + 1)
+            for i, img in enumerate(cx.images(q))
             if cx.parity(q, i) == (param + q + 1) & 1]
     return linalg.solve(_transpose(cols, total), _stack(lam_coords, offset),
                         len(cols), cx.field) is not None

@@ -12,8 +12,7 @@ from codiff.coderivation import (CoderivationGenerator, W_OF_V, compose,
                                  extend_letters, natural_mode)
 from codiff.graded import (PARITY_ONLY, PRODUCT_FORM, SYMMETRIC, Word,
                            koszul_sign, permutation_sign, reorder_sign,
-                           unshuffles, word_parity)
-from codiff.homology import _rotation_sign
+                           rotation_sign, unshuffles, word_parity)
 from codiff.reversion import (conjugate_family, conjugate_part, eta_sign,
                               reversed_flavor)
 
@@ -112,7 +111,7 @@ def is_cyclic_scalar_blockwise(f):
     """Block form of the rotation identity: f(a ox b) = (-1)^{|a||b| + i n}
     f(b ox a) for every splitting after i letters."""
     par = f.space.parities
-    return all(f.value(t) == _rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
+    return all(f.value(t) == rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
                for t in itertools.product(range(f.space.dim), repeat=f.arity)
                for i in range(1, f.arity))
 

@@ -214,6 +214,16 @@ class TestMainEntryPoint:
         assert main(["validate", self.path("absent.alg")]) == 2
         capsys.readouterr()
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.alg"
+        path.write_bytes(b"field Q\n\xff\xfe bad\n")
+        for command in ("validate", "cohomology"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: %s is not UTF-8 text: invalid "
+                                    "start byte at byte 8\n" % path)
+
     def test_bad_window(self, capsys):
         assert main(["cohomology", self.path("sl2.alg"),
                      "--window", "3..1"]) == 2
@@ -332,6 +342,34 @@ class TestSizeFrontier:
         af = load_over(os.path.join(BENCH_INPUTS, "m2.alg"), "Q")
         text, status = run("cohomology", af, window=(0, 4))
         assert (status, quotients(text, "H")) == (0, [1, 0, 0, 0, 0])
+
+    def test_gl3_cohomology_over_q(self):
+        af = load_over(os.path.join(BENCH_INPUTS, "gl3.alg"), "Q")
+        text, status = run("cohomology", af, window=(0, 4))
+        assert (status, quotients(text, "H")) == (0, [1, 1, 0, 1, 1])
+
+    def test_m2_cyclic_over_q(self):
+        # Morita invariance: HC(M2) = HC(k), which is k in even degrees
+        af = load_over(os.path.join(BENCH_INPUTS, "m2.alg"), "Q")
+        text, status = run("cyclic", af, window=(0, 5))
+        assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 0, 1, 0])
+
+
+ALL_INPUTS = [os.path.join(FIXTURES, f) for f in FIXTURE_FILES] + sorted(
+    os.path.join(BENCH_INPUTS, f) for f in os.listdir(BENCH_INPUTS)
+    if f.endswith(".alg"))
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cyclic"])
+@pytest.mark.parametrize("path", ALL_INPUTS, ids=os.path.basename)
+def test_convention_does_not_change_the_answer(path, command, capsys):
+    """Both conventions give isomorphic complexes, so the same report."""
+    outputs = []
+    for convention in ("w-of-v", "v-of-w"):
+        status = main([command, path, "--window", "0..3",
+                       "--convention", convention])
+        outputs.append((status, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 EXTERIOR_DIFFERENTIAL = """field Q

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from codiff.homology import (InvarianceError, _CyclicComplex, _rotation_sum,
                              cyclic_cohomology, cyclic_scalar_basis, cyclicize,
                              is_cyclic, is_cyclic_scalar, structure_is_cyclic)
 from codiff import linalg, oracle
+from codiff.algfile import parse
+from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
@@ -23,6 +26,15 @@ from conftest import (make_cochain, random_cochain, scalar_cochains_match,
                       scalar_scale, sparse_rows)
 
 F = Fraction
+BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "inputs")
+
+
+def bench_structure(name):
+    """The structure of one of the benchmark's input files, over Q."""
+    with open(os.path.join(BENCH_INPUTS, name), encoding="utf-8") as fh:
+        af = parse(fh.read())
+    return build_structure(af, W_OF_V, 8)
 
 
 def random_cyclic_scalar(space, k, parity, rng, density=0.5):
@@ -134,6 +146,20 @@ class TestCohomology:
                for row in cohomology(s, (1, 3)).rows]
         assert got == [[make_cochain(s.space, TENSOR, k + 1, 0, w).coeffs]
                        for k, w in enumerate(want)]
+
+    def test_exterior_representatives_frozen(self):
+        # gl2, H = 1,1,0,1: the kernel vectors carry the signs of D, so a
+        # sign slip that keeps every rank changes these picks
+        s = bench_structure("gl2.alg")
+        want = [[{(): {"e11": 1, "e22": 1}}],
+                [{("e11",): {"e11": 1, "e22": 1},
+                  ("e22",): {"e11": 1, "e22": 1}}],
+                [],
+                [{("e11", "e12", "e21"): {"e11": 1}}]]
+        got = [[rep.coeffs for rep in row.representatives]
+               for row in cohomology(s, (0, 3)).rows]
+        assert got == [[make_cochain(s.space, EXTERIOR, p, 0, w).coeffs
+                        for w in reps] for p, reps in enumerate(want)]
 
     @pytest.mark.parametrize("name, window, want", [
         ("koszul_dga", (0, 4), [1, 1, 2, 3, 6]),
@@ -577,6 +603,20 @@ class TestCyclicCohomology:
         assert [(r.cocycles, r.coboundaries, r.quotient)
                 for r in with_ip.rows] == \
             [(r.cocycles, r.coboundaries, r.quotient) for r in without.rows]
+
+    def test_representatives_frozen(self):
+        # M2, HC = 1,0,1: each pick is one signed rotation orbit sum
+        s = bench_structure("m2.alg")
+        orbit3 = [("e11", "e11", "e11"), ("e11", "e12", "e21"),
+                  ("e12", "e21", "e11"), ("e12", "e22", "e21"),
+                  ("e21", "e11", "e12"), ("e21", "e12", "e22"),
+                  ("e22", "e21", "e12"), ("e22", "e22", "e22")]
+        want = [[{("e11",): 1, ("e22",): 1}], [], [dict.fromkeys(orbit3, 1)]]
+        got = [[rep.coeffs for rep in row.representatives]
+               for row in cyclic_cohomology(s, None, (0, 2)).rows]
+        assert got == [[{tuple(s.space.index(n) for n in t): c
+                         for t, c in w.items()} for w in reps]
+                       for reps in want]
 
 
 class TestClassifyDeformation:

@@ -20,11 +20,11 @@ from codiff.cochain import (  # noqa: E402
 from codiff.coderivation import compose, extend_letters  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM,  # noqa: E402
-                           SYMMETRIC, TENSOR, reorder_sign, unshuffles,
-                           word_parity)
-from codiff.homology import (_PlainComplex, _rotation_sign,  # noqa: E402
-                             _rotation_sum, _unshuffle_sum,
-                             cyclic_scalar_basis, is_cyclic_scalar)
+                           SYMMETRIC, TENSOR, reorder_sign, rotation_sign,
+                           unshuffles, word_parity)
+from codiff.homology import (_PlainComplex, _rotation_sum,  # noqa: E402
+                             _unshuffle_sum, cyclic_scalar_basis,
+                             is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
 from conftest import random_cochain  # noqa: E402
 
@@ -87,7 +87,7 @@ def rotation_sum_reference(f, inner, extra_exp):
             term = space.field(0)
             for b, c in vec.items():
                 term = term + c * f.value((b,) + u[l:])
-            acc = acc + sign * _rotation_sign(space.parities, t, i) * term
+            acc = acc + sign * rotation_sign(space.parities, t, i) * term
         if acc:
             out[t] = acc
     return ScalarCochain(space, TENSOR, n + 1, (f.parity + inner.parity) & 1,
@@ -121,7 +121,7 @@ def unshuffle_sum_reference(f, inner, extra_exp):
 
 def is_cyclic_scalar_reference(f):
     par = f.space.parities
-    return all(f.value(t) == _rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
+    return all(f.value(t) == rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
                for t in itertools.product(range(f.space.dim), repeat=f.arity))
 
 

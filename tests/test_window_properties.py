@@ -3,7 +3,8 @@ arity k, D_p maps C^p to C^{p+k-1} alone, so the report must give
 Z^p = dim C^p - rank D_p and B^p = rank D_{p-k+1}.  Each rank is taken here
 by ``oracle.dense_rank`` on the images of D evaluated on every tuple, with
 no coordinates, index maps or sparse blocks; random single-arity structures
-over Q, F_2 and F_3, in the plain and in the cyclic complex."""
+over Q, F_2 and F_3 under both conventions, in the plain and in the cyclic
+complex."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
 from codiff.cochain import Cochain, canonical_tuples  # noqa: E402
+from codiff.coderivation import CONVENTIONS  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import EXTERIOR, TENSOR, word_parity  # noqa: E402
 from codiff.homology import (coboundary, cohomology,  # noqa: E402
@@ -46,7 +48,8 @@ def single_arity(draw):
                           draw(st.sampled_from([0.3, 0.6, 1.0])))
     b = draw(st.integers(0, (4 if dim < 3 else 3) - (k - 1)))
     a = draw(st.integers(0, b))
-    return InfinityStructure(kind, space, {k: part}), k, (a, b)
+    convention = draw(st.sampled_from(CONVENTIONS))
+    return InfinityStructure(kind, space, {k: part}, convention), k, (a, b)
 
 
 def plain_images(s, p):
