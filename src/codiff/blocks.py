@@ -104,8 +104,9 @@ def cyclic_block(s, p, index):
                 for b, c in vec.items():
                     for w, g, e in first.get(b, ()):
                         u, x = h + w, (c if e > 0 else -c)
-                        # t reads u at its rotation r = len(u) - i with the
-                        # sign of the rotation from u to t
+                        # the sum at t = u[i:] + u[:i] reads u, the
+                        # rotation of t by len(u) - i, whose sign is that
+                        # of the rotation of u by i
                         for i in range(len(u)):
                             _add(g, u[i:] + u[:i],
                                  x if rotation_sign(par, u, i) > 0 else -x)

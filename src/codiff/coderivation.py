@@ -44,11 +44,6 @@ class CoderivationGenerator:
             raise ValueError("exterior coderivations need the bidegree grading")
 
 
-# (sign for an even cochain, sign for an odd one), indexed by the sign
-# exponent's parity-free part and by the parity of the prefix
-_SIGN_PAIRS = (((1, 1), (1, -1)), ((-1, -1), (-1, 1)))
-
-
 def splits(flavor, letters, k, mode, par):
     """The terms of the extension of a degree-k cochain on a pure word, as
     (signs, head, prefix, suffix): the cochain reads ``head``, and a value
@@ -60,9 +55,9 @@ def splits(flavor, letters, k, mode, par):
     if flavor == TENSOR:
         pre_parity = 0
         for i in range(n - k + 1):
-            e = i * (k - 1) if mode == PRODUCT_FORM else 0
-            yield (_SIGN_PAIRS[e & 1][pre_parity & 1], letters[i:i + k],
-                   letters[:i], letters[i + k:])
+            even = -1 if mode == PRODUCT_FORM and i * (k - 1) & 1 else 1
+            odd = -even if pre_parity & 1 else even
+            yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
             if i < n:
                 pre_parity += par[letters[i]]
         return

@@ -361,7 +361,8 @@ ALL_INPUTS = [os.path.join(FIXTURES, f) for f in FIXTURE_FILES] + sorted(
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cyclic"])
-@pytest.mark.parametrize("path", ALL_INPUTS, ids=os.path.basename)
+@pytest.mark.parametrize("path", ALL_INPUTS, ids=lambda path: os.path.relpath(
+    path, os.path.join(HERE, os.pardir)))
 def test_convention_does_not_change_the_answer(path, command, capsys):
     """Both conventions give isomorphic complexes, so the same report."""
     outputs = []

@@ -605,7 +605,7 @@ class TestCyclicCohomology:
             [(r.cocycles, r.coboundaries, r.quotient) for r in without.rows]
 
     def test_representatives_frozen(self):
-        # M2, HC = 1,0,1: each pick is one signed rotation orbit sum
+        # M2, HC = 1,0,1: the classes of tr(x) and of tr(xyz)
         s = bench_structure("m2.alg")
         orbit3 = [("e11", "e11", "e11"), ("e11", "e12", "e21"),
                   ("e12", "e21", "e11"), ("e12", "e22", "e21"),
