@@ -169,11 +169,16 @@ def _cmd_cyclic(s, af, window, fmt):
     try:
         report = cyclic_cohomology(s, af.inner_product, window)
     except InvarianceError as exc:
-        rec = [{"command": "cyclic", "error": str(exc),
-                "arity": exc.arity, "word": list(exc.letters)}]
-        return _emit(rec, ["cyclic: %s" % exc], fmt), MATH_FAIL
+        return _refuse_noninvariant("cyclic", exc, fmt)
     lines, records = _report_lines("cyclic", report, "HC")
     return _emit(records, lines, fmt), OK
+
+
+def _refuse_noninvariant(command, exc, fmt):
+    """(text, MATH_FAIL) for an inner product that is not invariant."""
+    return _emit([{"command": command, "error": str(exc), "arity": exc.arity,
+                   "word": list(exc.letters)}],
+                 ["%s: %s" % (command, exc)], fmt), MATH_FAIL
 
 
 def _refuse_invalid_base(s, command, fmt):
@@ -203,6 +208,8 @@ def _cmd_deform(s, af, fmt):
                            "error": str(exc)}],
                          ["deform %s: parity error: %s" % (name, exc)],
                          fmt), MATH_FAIL
+        except InvarianceError as exc:
+            return _refuse_noninvariant("deform", exc, fmt)
         def tri(x):
             return "undetermined" if x is None else ("yes" if x else "no")
         line = "deform %s: cocycle=%s coboundary=%s preserves_ip=%s" % (

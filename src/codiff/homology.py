@@ -385,6 +385,13 @@ def cyclicize(f):
     return ScalarCochain(space, TENSOR, f.arity, f.parity, out)
 
 
+def _require_invariant(s, ip):
+    """Raise InvarianceError unless the inner product is invariant."""
+    ok, witness = structure_is_cyclic(s, ip)
+    if not ok:
+        raise InvarianceError(*witness)
+
+
 def structure_is_cyclic(s, ip):
     """Invariance of the inner product: every part is cyclic.  Returns
     (True, None) or (False, (arity, witness letters))."""
@@ -528,11 +535,13 @@ def cyclic_scalar_basis(space, flavor, degree):
 def _rotation_orbit(t, par, field):
     """{rotation of t: its rotation sign}, or None when t is not least in
     its orbit or two rotations reach one tuple with different signs."""
+    rotations = [t[i:] + t[:i] for i in range(len(t))]
+    if min(rotations) < t:
+        return None
     coeffs = {}
-    for i in range(len(t)):
-        u = t[i:] + t[:i]
+    for i, u in enumerate(rotations):
         c = field(rotation_sign(par, t, i))
-        if u < t or coeffs.setdefault(u, c) != c:
+        if coeffs.setdefault(u, c) != c:
             return None
     return coeffs
 
@@ -545,9 +554,7 @@ def cyclic_cohomology(s, ip=None, window=(0, 3)):
     depend on it, which also covers structures with no invariant form.
     """
     if ip is not None:
-        ok, witness = structure_is_cyclic(s, ip)
-        if not ok:
-            raise InvarianceError(*witness)
+        _require_invariant(s, ip)
     p, arity = s.space.field.characteristic, window[1] + 1
     small_p = ("characteristic %d <= %d, the largest arity in the window: "
                "the lambda-complex need not compute cyclic cohomology"
@@ -574,8 +581,11 @@ def classify_deformation(s, parts, ip=None):
     cocycle: D(lambda) = 0.  coboundary: exact linear solve of
     D(beta) = lambda; without an inner product beta ranges over the full
     windowed complex, with one it ranges over the cyclic complex, matching
-    the classification of deformations that preserve the form.
+    the classification of deformations that preserve the form, so the form
+    must be invariant (InvarianceError otherwise, as in cyclic_cohomology).
     """
+    if ip is not None:
+        _require_invariant(s, ip)
     param = deformation_parameter_parity(parts)
     # D(lambda) = {lambda, m}: deform_check without its second parity check
     cocycle = family_is_zero(family_bracket(parts, s.parts,

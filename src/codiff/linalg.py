@@ -4,10 +4,12 @@ Matrices come in as lists of sparse rows ``{column: scalar}`` and results go
 out the same way, holding only nonzeros, as field scalars: ``Fraction``s
 over Q, ``FpElement``s over F_p.  Only ``invert``, which the inner product
 uses, keeps a dense square matrix in and out.  Inside, one elimination core
-works on the same rows over plain ints in [0, p) for F_p and ``Fraction``s
-for Q; each stored entry is converted once on the way in and once on the
-way out, so no raw int leaks out, no float is ever formed, and no cost
-grows with the zero cells of a matrix.
+works on the same rows over plain ints: residues in [0, p) for F_p, and
+primitive integer rows for Q, reduced fraction-free (after Bareiss, 1968,
+but dividing out each row's content), so no ``gcd`` runs per multiply-add.
+Each stored entry is converted once on the way in and once on the way out,
+where a Q row is divided by its lead; no raw int leaks out, no float is
+ever formed, and no cost grows with the zero cells of a matrix.
 
 Row operations do not change which columns are independent of the earlier
 ones, so the pivot columns, the rank and the reduced row echelon form do not
@@ -18,50 +20,84 @@ sparsest rows first to keep fill-in down.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import FpElement
 
 
-def _rational(x):
-    return x if type(x) is Fraction else Fraction(x)
+def _primitive(row):
+    """A Q row as the primitive integer row with the same support: the
+    denominators cleared by their lcm, then the content divided out."""
+    m = lcm(*[x.denominator for x in row.values()])
+    row = {j: v for j, x in row.items()
+           if (v := x.numerator * (m // x.denominator))}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
 def _core(rows, field):
-    """The rows over the core scalars, with zero entries dropped."""
-    if field.characteristic:
-        def conv(x):
-            return field(x).value
-    else:
-        conv = _rational
+    """The rows over the core scalars, with zero entries dropped: residues
+    in [0, p) over F_p, primitive integer rows over Q (empty rows, which
+    change nothing, dropped too)."""
+    if not field.characteristic:
+        return [_primitive(row) for row in rows if row]
+
+    def conv(x):
+        return field(x).value
     return [{j: v for j, x in row.items() if (v := conv(x))} for row in rows]
 
 
-def _scalars(rows, p):
-    """Core rows as rows of field scalars."""
-    if not p:
-        return rows
-    return [{j: FpElement(v, p) for j, v in row.items()} for row in rows]
+def _scalars(rows, pivots, p):
+    """Core pivot rows as rows of field scalars; a Q row is divided by its
+    leading entry."""
+    if p:
+        return [{j: FpElement(v, p) for j, v in row.items()} for row in rows]
+    return [{j: Fraction(v, row[c]) for j, v in row.items()}
+            for row, c in zip(rows, pivots)]
 
 
 def _add_multiple(row, g, prow, p):
-    """row += g * prow in place, keeping only nonzeros (mod p when p)."""
+    """row += g * prow in place mod p, keeping only nonzeros."""
     for j, y in prow.items():
-        v = row.get(j, 0) + g * y
-        if p:
-            v %= p
+        v = (row.get(j, 0) + g * y) % p
         if v:
             row[j] = v
         else:
             del row[j]
 
 
+def _cancel(row, c, prow):
+    """row <- (a/g) * row - (b/g) * prow with a = prow[c], b = row[c] and
+    g = gcd(a, b), made primitive: a nonzero multiple of the row that
+    elimination over ``Fraction``s holds, so it has the same support.
+    Returns the new row; the old one may have changed in place."""
+    a = prow[c]
+    b = row[c]
+    g = gcd(a, b)
+    if a < 0:
+        g = -g
+    a //= g
+    b //= g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, y in prow.items():
+        v = row.get(j, 0) - b * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 def _eliminate(rows, p, reduced):
     """Gaussian elimination of sparse rows over F_p (Q when p == 0).
 
     Each row is reduced against the pivot rows found so far until its
-    leading column is new; it is then scaled to a leading 1 and becomes the
-    pivot row of that column.  With ``reduced`` the pivot rows are then
-    cleared above every pivot, which gives the reduced row echelon form.
+    leading column is new; it then becomes the pivot row of that column,
+    scaled to a leading 1 over F_p and kept a primitive integer row over Q.
+    With ``reduced`` the pivot rows are then cleared above every pivot,
+    which gives the reduced row echelon form up to the scale of each row.
     Returns (pivot rows, pivot columns), both in column order.
     """
     pivot_rows = {}
@@ -71,19 +107,24 @@ def _eliminate(rows, p, reduced):
             prow = pivot_rows.get(c)
             if prow is None:
                 lead = row[c]
-                if lead != 1:
-                    inv = pow(lead, -1, p) if p else 1 / lead
-                    row = {j: v * inv % p if p else v * inv
-                           for j, v in row.items()}
+                if p and lead != 1:
+                    inv = pow(lead, -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
                 pivot_rows[c] = row
                 break
-            _add_multiple(row, -row[c], prow, p)
+            if p:
+                _add_multiple(row, -row[c], prow, p)
+            else:
+                row = _cancel(row, c, prow)
     pivots = sorted(pivot_rows)
     if reduced:
         for c in reversed(pivots):
             row = pivot_rows[c]
             for d in [j for j in row if j != c and j in pivot_rows]:
-                _add_multiple(row, -row[d], pivot_rows[d], p)
+                if p:
+                    _add_multiple(row, -row[d], pivot_rows[d], p)
+                else:
+                    row = pivot_rows[c] = _cancel(row, d, pivot_rows[d])
     return [pivot_rows[c] for c in pivots], pivots
 
 
@@ -98,7 +139,7 @@ def echelon(rows, field, reduced=False):
     order."""
     p = field.characteristic
     out, pivots = _eliminate(_core(rows, field), p, reduced)
-    return _scalars(out, p), pivots
+    return _scalars(out, pivots, p), pivots
 
 
 def rref(rows, field):

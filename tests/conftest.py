@@ -6,6 +6,7 @@ import pytest
 
 from codiff import (EXTERIOR, TENSOR, A_INFINITY, L_INFINITY, GradedSpace,
                     InfinityStructure, InnerProduct)
+from codiff.algfile import AlgebraFile
 from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
                             vec_add, zero_cochain)
 from codiff.coderivation import (CoderivationGenerator, W_OF_V, compose,
@@ -296,6 +297,60 @@ def reversed_side_ok(s):
         if not reversed_residual(parts_w, w_space, flavor_w, n).is_zero():
             return False
     return True
+
+
+# --- basis changes ----------------------------------------------------------
+
+def _transport(c, g, ginv):
+    """The cochain c in the basis f_i = sum_k g[k][i] e_k: its value on f_t
+    is ginv applied to c(g f_t1, ..., g f_tk)."""
+    n = c.space.dim
+    cols = [{k: g[k][i] for k in range(n) if g[k][i]} for i in range(n)]
+    coeffs = {}
+    for t in canonical_tuples(c.space, c.flavor, c.degree):
+        w = evaluate(c, [cols[i] for i in t])
+        vec = {}
+        for a in range(n):
+            x = sum((ginv[a][b] * y for b, y in w.items()), c.space.field(0))
+            if x:
+                vec[a] = x
+        if vec:
+            coeffs[t] = vec
+    return Cochain(c.space, c.flavor, c.degree, c.parity, coeffs)
+
+
+def shear(af, count, seed):
+    """A copy of the parsed file af in the basis f = e G, where G is the
+    product of ``count`` elementary integer shears f_i = e_i + c e_j drawn
+    from ``seed`` (i != j of one parity, c in +-1, +-2).  Every map, the
+    inner product and every deformation are carried along by G and its
+    exact inverse, so the copy is the same structure with denser entries,
+    and every invariant of it is the same."""
+    rng = random.Random(seed)
+    space = af.space
+    n = space.dim
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and space.parities[i] == space.parities[j]]
+    for _ in range(count if pairs else 0):
+        i, j = rng.choice(pairs)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in g:                   # G <- G (1 + c E_ji)
+            row[i] += c * row[j]
+        ginv[j] = [x - c * y for x, y in zip(ginv[j], ginv[i])]
+
+    def fam(parts):
+        return {k: _transport(c, g, ginv) for k, c in parts.items()}
+    ip = None
+    if af.inner_product is not None:
+        m = af.inner_product.matrix
+        ip = InnerProduct(space, [[sum(g[k][i] * m[k][l] * g[l][j]
+                                       for k in range(n) for l in range(n))
+                                   for j in range(n)] for i in range(n)])
+    return AlgebraFile(space, af.flavor, fam(af.parts), dict(af.part_names),
+                       ip, {name: (parity, fam(parts)) for name, (parity, parts)
+                            in af.deformations.items()})
 
 
 # --- structures used throughout the suite ----------------------------------

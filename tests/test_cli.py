@@ -9,6 +9,7 @@ import pytest
 from codiff.algfile import parse
 from codiff.cli import main, run
 from codiff.fields import PRIME_BOUND
+from conftest import shear
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -105,6 +106,26 @@ def test_invalid_structure_is_refused(command, fmt, want):
     text, status = run(command, load("nonassociative.alg"), window=(0, 3),
                        fmt=fmt)
     assert (text, status) == (want % command, 1)
+
+
+NONINVARIANT = ("inner product is not invariant: part of arity 2 fails the "
+                "cyclic identity at (e,h,e)")
+
+
+@pytest.mark.parametrize("fmt,want", [
+    ("text", "deform: %s\n" % NONINVARIANT),
+    ("json-lines", '{"arity": 2, "command": "deform", "error": "%s", '
+                   '"word": ["e", "h", "e"]}\n' % NONINVARIANT),
+], ids=["text", "json-lines"])
+def test_deform_refuses_a_noninvariant_form(fmt, want):
+    """As cyclic does: a form that is not invariant defines no cyclic
+    complex to classify the direction lam = l in."""
+    with open(os.path.join(FIXTURES, "noninvariant.alg"),
+              encoding="utf-8") as fh:
+        text = fh.read() + ("deformation lam 2 even_parameter\n"
+                            "  lam(e,f) = h\n  lam(e,h) = -2*e\n"
+                            "  lam(f,h) = 2*f\n")
+    assert run("deform", parse(text), fmt=fmt) == (want, 1)
 
 
 def over_field(text, field):
@@ -354,10 +375,42 @@ class TestSizeFrontier:
         text, status = run("cyclic", af, window=(0, 5))
         assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 0, 1, 0])
 
+    @pytest.mark.parametrize("field", ["Q", "F 32003"])
+    def test_sheared_m2(self, field):
+        # the same M2 in a basis where most products have four terms, with
+        # entries up to a few hundred: the same invariants
+        af = shear(load_over(os.path.join(BENCH_INPUTS, "m2.alg"), field),
+                   6, 1)
+        text, status = run("cohomology", af, window=(0, 3))
+        assert (status, quotients(text, "H")) == (0, [1, 0, 0, 0])
+        text, status = run("cyclic", af, window=(0, 2))
+        assert (status, quotients(text, "HC")) == (0, [1, 0, 1])
+
 
 ALL_INPUTS = [os.path.join(FIXTURES, f) for f in FIXTURE_FILES] + sorted(
     os.path.join(BENCH_INPUTS, f) for f in os.listdir(BENCH_INPUTS)
     if f.endswith(".alg"))
+
+
+@pytest.mark.parametrize("path", [p for p in ALL_INPUTS
+                                  if not p.endswith("bad_name.alg")],
+                         ids=lambda path: os.path.relpath(
+                             path, os.path.join(HERE, os.pardir)))
+def test_shear_is_a_change_of_basis(path):
+    """The sheared copy of a structure is the same structure: every report
+    agrees (a refusal's witness word is written in the basis, so only the
+    status of a refusal is compared)."""
+    with open(path, encoding="utf-8") as fh:
+        af = parse(fh.read())
+    sheared = shear(af, 4, 2)
+    if len(set(af.space.parities)) < af.space.dim:  # a shear is possible
+        assert sheared != af
+    for command in ("validate", "cohomology", "cyclic", "deform"):
+        ours, status = run(command, af, window=(0, 2))
+        theirs, sheared_status = run(command, sheared, window=(0, 2))
+        assert sheared_status == status
+        if status == 0:
+            assert theirs == ours
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cyclic"])

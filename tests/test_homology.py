@@ -291,6 +291,8 @@ class TestCyclicity:
         assert not ok and witness[0] == 2
         with pytest.raises(InvarianceError):
             cyclic_cohomology(s, bad, (0, 1))
+        with pytest.raises(InvarianceError):
+            classify_deformation(s, {2: s.parts[2]}, bad)
 
 
 class TestCyclicize:

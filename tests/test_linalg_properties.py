@@ -1,7 +1,8 @@
 """Property tests of the sparse elimination core in ``codiff.linalg`` on
 small random matrices over Q, F_2, F_3 and F_32003, against the independent
 ``oracle.dense_rank`` and a dense Gauss-Jordan reference kept here.  The
-matrices are drawn dense and handed to ``linalg`` as sparse rows."""
+matrices are drawn dense and handed to ``linalg`` as sparse rows; over Q
+some have fractional and 20-40 bit entries."""
 
 from fractions import Fraction
 
@@ -16,17 +17,25 @@ from conftest import dense_vector, sparse_rows  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 ENTRY = st.integers(-3, 3)
+# entries p/q with q in 1..6, some with numerators of 20 to 40 bits: the
+# core clears their denominators and divides out the content of each row
+RATIONAL = st.one_of(
+    ENTRY, st.builds(Fraction, ENTRY, st.integers(1, 6)),
+    st.builds(Fraction, st.integers(2 ** 20, 2 ** 40)
+              | st.integers(-2 ** 40, -2 ** 20), st.integers(1, 6)))
 PROPERTY = settings(max_examples=100, deadline=None)
 
 
 @st.composite
 def matrices(draw, max_rows=8, max_cols=10):
-    """(field, matrix): up to max_rows x max_cols entries in -3..3,
-    including empty, zero-row and zero-column matrices."""
+    """(field, matrix): up to max_rows x max_cols entries in -3..3, or over
+    Q also RATIONAL ones, including empty, zero-row and zero-column
+    matrices."""
     field = draw(st.sampled_from(FIELDS))
+    entry = draw(st.sampled_from([ENTRY, RATIONAL])) if field == QQ else ENTRY
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
-    m = draw(st.lists(st.lists(ENTRY, min_size=cols, max_size=cols),
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
     zero_row = draw(st.sampled_from([None] + list(range(rows))))
     zero_col = draw(st.sampled_from([None] + list(range(cols))))
@@ -178,8 +187,8 @@ def test_results_hold_field_scalars_only(fm, data):
     """No raw int (or float) leaks out of the core, even when the input
     mixes plain ints with field scalars."""
     field, m = fm
-    m = [[int(field.render(x)) if data.draw(st.booleans()) else x
-          for x in row] for row in m]
+    m = [[int(field.render(x)) if "/" not in field.render(x)
+          and data.draw(st.booleans()) else x for x in row] for row in m]
     cols = len(m[0]) if m else 0
     rows, pivots = linalg.echelon(sparse_rows(m), field)
     _assert_field_scalars(rows, field)
