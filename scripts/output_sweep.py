@@ -1,0 +1,91 @@
+"""Print a digest of every CLI answer, so two checkouts can be compared.
+
+    python scripts/output_sweep.py ROOT > sweep.txt
+
+Runs ``validate``, ``cohomology`` and ``cyclic`` at window 0..3, and
+``deform``, through ``codiff.cli.main`` of the checkout at ROOT (its
+``src`` goes first on the import path), on every ``tests/fixtures/*.alg``
+and ``bench/inputs/*.alg`` file of that checkout, over Q, F_32003, F_2, F_3
+and F_5 (the file's ``field Q`` line rewritten), in text and json-lines.
+``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep to minutes.
+Each run prints one line: the arguments, the exit status, and digests of
+stdout and stderr.  ``diff`` of the outputs of two checkouts lists every
+run whose answer changed.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import re
+import sys
+import tempfile
+
+FIELDS = ("Q", "F 32003", "F 2", "F 3", "F 5")
+FORMATS = ("text", "json-lines")
+SOURCES = ("tests/fixtures", "bench/inputs")
+
+
+def digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def commands(name):
+    """(command, extra arguments) for one input file."""
+    window = "0..2" if name == "gl3.alg" else "0..3"
+    return [("validate", []), ("cohomology", ["--window", window]),
+            ("cyclic", ["--window", "0..3"]), ("deform", [])]
+
+
+def call(main, argv):
+    """(status, stdout, stderr) of one in-process run; an escaping
+    exception is recorded as status ``raised:<type>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # noqa: BLE001 -- a crash is an answer too
+            status = "raised:%s" % type(exc).__name__
+    return status, out.getvalue(), err.getvalue()
+
+
+def sweep(root):
+    sys.path.insert(0, os.path.join(root, "src"))
+    from codiff.cli import main
+
+    inputs = [(src, name) for src in SOURCES
+              for name in sorted(os.listdir(os.path.join(root, src)))
+              if name.endswith(".alg")]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # relative paths keep any path in an error message the same in
+        # every checkout
+        os.chdir(tmp)
+        try:
+            for src, name in inputs:
+                with open(os.path.join(root, src, name),
+                          encoding="utf-8") as fh:
+                    text = fh.read()
+                for field in FIELDS:
+                    path = os.path.join(field.replace(" ", ""), src, name)
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(re.sub(r"^field Q$", "field " + field, text,
+                                        flags=re.M))
+                    for command, extra in commands(name):
+                        for fmt in FORMATS:
+                            argv = [command, path] + extra + ["--format", fmt]
+                            status, out, err = call(main, argv)
+                            print("%s status=%s out=%s err=%s"
+                                  % (" ".join(argv), status, digest(out),
+                                     digest(err)), flush=True)
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: output_sweep.py ROOT")
+    sweep(os.path.abspath(sys.argv[1]))

@@ -8,7 +8,8 @@
     codiff convert FILE
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
-non-invariant inner product, parity constraint), 2 on an input error.
+non-invariant inner product, parity constraint), 2 on an input error, 3 on
+an internal error or lack of memory (one stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .reversion import convert_convention_parts
 from .structures import (FLAVOR_KIND, InfinityStructure, StructureError,
                          validate)
 
-OK, MATH_FAIL, INPUT_ERROR = 0, 1, 2
+OK, MATH_FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 CONVENTION_FLAGS = {"w-of-v": W_OF_V, "v-of-w": V_OF_W}
 
@@ -281,10 +282,14 @@ def main(argv=None):
     except ParseError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
-    out, status = run(args.command, af,
-                      convention=CONVENTION_FLAGS[args.convention],
-                      window=window, max_arity=args.max_arity, fmt=args.fmt,
-                      names=tuple(args.names))
+    try:
+        out, status = run(args.command, af,
+                          convention=CONVENTION_FLAGS[args.convention],
+                          window=window, max_arity=args.max_arity,
+                          fmt=args.fmt, names=tuple(args.names))
+    except (RuntimeError, MemoryError) as exc:
+        sys.stderr.write("error: %s\n" % (str(exc) or type(exc).__name__))
+        return INTERNAL_ERROR
     sys.stdout.write(out)
     return status
 

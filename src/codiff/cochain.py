@@ -275,27 +275,27 @@ class InnerProduct:
 
 
 def tilde(c, ip):
-    """The scalar cochain <c(v_1..v_k), v_{k+1}> of arity k+1."""
+    """The scalar cochain <c(v_1..v_k), v_{k+1}> of arity k+1, on every
+    tuple where it is nonzero: a symmetric or exterior c is read on each
+    distinct ordering of its stored tuples, through the flavor sign, and
+    the result is sorted."""
     if ip.space != c.space:
         raise ValueError("inner product lives on a different space")
+    space = c.space
+    zero = space.field(0)
     out = {}
-    if c.flavor == TENSOR:
-        for t, vec in c.coeffs.items():
-            for b in range(c.space.dim):
-                val = c.space.field(0)
-                for j, x in vec.items():
-                    val = val + x * ip.matrix[j][b]
+    for t, vec in c.coeffs.items():
+        row = [sum((x * ip.matrix[j][b] for j, x in vec.items()), zero)
+               for b in range(space.dim)]
+        orders = ((1, t),) if c.flavor == TENSOR else (
+            (canonical_word(c.flavor, u, space.parities)[0], u)
+            for u in set(itertools.permutations(t)))
+        for sign, u in orders:
+            for b, val in enumerate(row):
                 if val:
-                    out[t + (b,)] = val
-    else:
-        # expand through the flavor sign so the tensor container is total
-        for t in itertools.product(range(c.space.dim), repeat=c.degree + 1):
-            v = c.value(t[:-1])
-            val = c.space.field(0)
-            for j, x in v.items():
-                val = val + x * ip.matrix[j][t[-1]]
-            if val:
-                out[t] = val
+                    out[u + (b,)] = sign * val
+    if c.flavor != TENSOR:
+        out = dict(sorted(out.items()))
     return ScalarCochain(c.space, TENSOR, c.degree + 1, c.parity & 1, out)
 
 

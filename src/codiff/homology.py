@@ -319,53 +319,57 @@ def cohomology(s, window):
 
 # --- cyclicity --------------------------------------------------------------
 
-def _cyclic_witness(phi, ip):
-    """The first tuple on which phi breaks the cyclic identity, or None."""
-    space = phi.space
-    if phi.flavor == EXTERIOR:
-        return _antisymmetry_witness(tilde(phi, ip))
-    k = phi.degree
-    for t in itertools.product(range(space.dim), repeat=k + 1):
-        lhs = ip.pair(phi.value(t[:k]), t[k])
-        e = k + space.parities[t[0]] * phi.parity
-        rhs = ip.pair({t[0]: 1}, phi.value(t[1:]))
-        if e & 1:
-            rhs = -rhs
-        if lhs != rhs:
+def _rotation_witness(f):
+    """The least tuple on which the tensor scalar cochain f breaks the
+    rotation identity f(t) = rotation sign * f(t rotated by one), or None.
+    Where both sides vanish the identity holds, so only the support and the
+    tuples that rotate into it are checked."""
+    par = f.space.parities
+    for t in sorted({*f.coeffs, *(u[-1:] + u[:-1] for u in f.coeffs)}):
+        if f.value(t) != rotation_sign(par, t, 1) * f.value(t[1:] + t[:1]):
             return t
     return None
 
 
 def _antisymmetry_witness(f):
-    """The first tuple whose adjacent swap breaks graded antisymmetry, as
-    swapped, or None."""
-    space = f.space
-    for t in itertools.product(range(space.dim), repeat=f.arity):
+    """The first tuple whose adjacent swap breaks graded antisymmetry of the
+    tensor scalar cochain f, as swapped, or None.  Only the tuples in the
+    support or swapping into it can fail; they are checked in order."""
+    par = f.space.parities
+    swaps = range(f.arity - 1)
+    for t in sorted({*f.coeffs, *(u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                                  for u in f.coeffs for i in swaps)}):
         base = f.value(t)
-        for i in range(f.arity - 1):
+        for i in swaps:
             swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
-            sign = -1 if not (space.parities[t[i]] & space.parities[t[i + 1]]) else 1
+            sign = 1 if par[t[i]] & par[t[i + 1]] else -1
             if f.value(swapped) != sign * base:
                 return swapped
     return None
 
 
+def _cyclic_witness(flavor, form):
+    """The first tuple on which a cochain of this flavor with scalar form
+    ``form`` (its ``tilde``) breaks the cyclic identity, or None: graded
+    antisymmetry for an exterior cochain, the rotation identity for a
+    tensor one."""
+    if flavor == EXTERIOR:
+        return _antisymmetry_witness(form)
+    return _rotation_witness(form)
+
+
 def is_cyclic(phi, ip):
     """A tensor cochain is cyclic when <phi(v_1..v_k), v_{k+1}> equals
-    (-1)^{k + |v_1||phi|} <v_1, phi(v_2..v_{k+1})> on every tuple; an
-    exterior cochain when its scalar form is graded antisymmetric."""
-    return _cyclic_witness(phi, ip) is None
+    (-1)^{k + |v_1||phi|} <v_1, phi(v_2..v_{k+1})> on every tuple (the
+    rotation identity of its scalar form); an exterior cochain when its
+    scalar form is graded antisymmetric."""
+    return _cyclic_witness(phi.flavor, tilde(phi, ip)) is None
 
 
 def is_cyclic_scalar(f):
     """The rotation identity f(v_1..v_{n+1}) = (-1)^{n + |v_1|(|v_2|+..)}
     f(v_2..v_{n+1}, v_1) on every tuple (tensor-flavored scalar cochains)."""
-    par = f.space.parities
-    # checking the support suffices: there the identity makes the rotation
-    # map the support into itself, hence onto it, so off the support both
-    # sides are zero
-    return all(f.value(t) == rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
-               for t in f.coeffs)
+    return _rotation_witness(f) is None
 
 
 def cyclicize(f):
@@ -396,7 +400,7 @@ def structure_is_cyclic(s, ip):
     """Invariance of the inner product: every part is cyclic.  Returns
     (True, None) or (False, (arity, witness letters))."""
     for k in sorted(s.parts):
-        t = _cyclic_witness(s.parts[k], ip)
+        t = _cyclic_witness(s.flavor, tilde(s.parts[k], ip))
         if t is not None:
             return False, (k, tuple(s.space.names[x] for x in t))
     return True, None
@@ -462,11 +466,10 @@ def _exterior_form(f):
     if f.flavor == EXTERIOR:
         return f
     par = f.space.parities
-    if (_antisymmetry_witness(f) is not None
-            or any(canonical_word(EXTERIOR, t, par) is None for t in f.coeffs)):
+    canon = [canonical_word(EXTERIOR, t, par) for t in f.coeffs]
+    if _antisymmetry_witness(f) is not None or None in canon:
         return None
-    coeffs = {t: f.value(t)
-              for t in canonical_tuples(f.space, EXTERIOR, f.arity)}
+    coeffs = {t: f.value(t) for t in sorted({cw[1] for cw in canon})}
     return ScalarCochain(f.space, EXTERIOR, f.arity, f.parity, coeffs)
 
 
@@ -592,7 +595,10 @@ def classify_deformation(s, parts, ip=None):
                                             convention=s.convention))
     preserves = None
     if ip is not None:
-        preserves = all(is_cyclic(c, ip) for c in parts.values())
+        # each part's scalar form, built once for the test and the coords
+        forms = {k: tilde(c, ip) for k, c in parts.items()}
+        preserves = all(_cyclic_witness(c.flavor, forms[k]) is None
+                        for k, c in parts.items())
     live = {k: c for k, c in parts.items() if not c.is_zero()}
     if not live:
         return DeformationClass(cocycle, True, preserves, "zero direction")
@@ -611,7 +617,7 @@ def classify_deformation(s, parts, ip=None):
                                 "direction is not cyclic, so it cannot be a "
                                 "coboundary in the cyclic complex")
     cx = _CyclicComplex(s)
-    lam = {k: cx.coords(k, tilde(c, ip)) for k, c in live.items()}
+    lam = {k: cx.coords(k, forms[k]) for k in live}
     note = "coboundary tested in the cyclic complex (inner product supplied)"
     return DeformationClass(cocycle, _is_coboundary(cx, lam, param, max_deg),
                             preserves, note)

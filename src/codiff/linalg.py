@@ -39,10 +39,14 @@ def _core(rows, field):
     """The rows over the core scalars, with zero entries dropped: residues
     in [0, p) over F_p, primitive integer rows over Q (empty rows, which
     change nothing, dropped too)."""
-    if not field.characteristic:
+    p = field.characteristic
+    if not p:
         return [_primitive(row) for row in rows if row]
 
     def conv(x):
+        # any entry but a residue of F_p goes through the field's checks
+        if x.__class__ is FpElement and x.p == p:
+            return x.value
         return field(x).value
     return [{j: v for j, x in row.items() if (v := conv(x))} for row in rows]
 

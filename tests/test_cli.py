@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+import codiff.cli
 from codiff.algfile import parse
+from codiff.blocks import OUTSIDE
 from codiff.cli import main, run
 from codiff.fields import PRIME_BOUND
 from conftest import shear
@@ -269,6 +271,24 @@ class TestMainEntryPoint:
             assert captured.err == (
                 "error: line 2: primality is decided only below %d, got %d "
                 "[E_FIELD]\n" % (PRIME_BOUND, PRIME_BOUND))
+
+    @pytest.mark.parametrize("exc,want", [
+        (RuntimeError(OUTSIDE), "error: %s\n" % OUTSIDE),
+        (RuntimeError("a representative of H^2 is not a cocycle"),
+         "error: a representative of H^2 is not a cocycle\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ], ids=["outside", "representative", "memory"])
+    def test_internal_error_is_one_line_and_exit_3(self, monkeypatch, capsys,
+                                                   exc, want):
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(codiff.cli, "cohomology", fail)
+        assert main(["cohomology", self.path("sl2.alg"),
+                     "--window", "0..2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == want
+        assert "Traceback" not in captured.err
 
     def test_console_script(self):
         proc = subprocess.run(

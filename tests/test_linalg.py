@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from codiff import linalg
 from codiff.fields import QQ, PrimeField
 from conftest import dense_vector, sparse_rows
@@ -66,3 +68,11 @@ def test_rank_invariant_under_row_permutation():
     for _ in range(5):
         rng.shuffle(rows)
         assert linalg.rank(rows, QQ) == r
+
+
+def test_fp_core_reads_residues_and_refuses_another_prime():
+    f5, f3 = PrimeField(5), PrimeField(3)
+    # plain ints and residues of F_5 mix in one matrix
+    assert linalg.rank([{0: f5(2), 1: 3}, {0: 4, 1: f5(6)}], f5) == 1
+    with pytest.raises(ValueError, match="F_3 used in F_5"):
+        linalg.rank([{0: f3(1)}], f5)

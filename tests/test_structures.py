@@ -1,17 +1,25 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 
+import codiff.structures
 from codiff import GradedSpace
+from codiff.algfile import parse
 from codiff.cochain import add, zero_cochain
-from codiff.coderivation import V_OF_W, family_bracket, family_is_zero
+from codiff.coderivation import (CONVENTIONS, V_OF_W, bracket_signs,
+                                 family_bracket, family_is_zero)
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import (A_INFINITY, InfinityStructure, StructureError,
-                               deform_check, structure_residual, validate)
+from codiff.structures import (A_INFINITY, FLAVOR_KIND, InfinityStructure,
+                               StructureError, deform_check, relation_sign,
+                               structure_residual, validate)
 from conftest import make_cochain, random_cochain, reversed_side_ok
 
 F = Fraction
+HERE = os.path.dirname(__file__)
+FIXTURE_DIR = os.path.join(HERE, "fixtures")
+BENCH_INPUTS = os.path.join(HERE, os.pardir, "bench", "inputs")
 
 
 class TestValidate:
@@ -130,6 +138,45 @@ class TestThreeRoutes:
             if not a:
                 failing += 1
         assert failing >= 30
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_self_bracket_coefficient_is_twice_the_relation_sign(convention):
+    # m_a ∘ m_b enters {m, m} from {m_a, m_b} and from {m_b, m_a}; with
+    # |m_k| = k mod 2 its coefficient is 2 S(a, b), so away from
+    # characteristic 2 {m, m} = 0 is exactly the relations validate checks
+    for a in range(1, 9):
+        for b in range(1, 9):
+            first = bracket_signs(a, a & 1, b, b & 1, convention)[0]
+            second = bracket_signs(b, b & 1, a, a & 1, convention)[1]
+            assert first + second == 2 * relation_sign(convention, a, b)
+
+
+ALG_FILES = [os.path.join(d, f) for d in (FIXTURE_DIR, BENCH_INPUTS)
+             for f in sorted(os.listdir(d))
+             if f.endswith(".alg") and f != "bad_name.alg"]
+
+
+def test_validate_needs_no_bracket(monkeypatch, dual_numbers, sl2,
+                                   koszul_dga, nonassociative,
+                                   leibniz_violation, truncated_poly,
+                                   triangular, abelian2):
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate reached family_bracket")
+    monkeypatch.setattr(codiff.structures, "family_bracket", refuse)
+    for s in (dual_numbers[0], sl2[0], koszul_dga, truncated_poly,
+              triangular, abelian2[0]):
+        assert validate(s).ok
+    bad = validate(nonassociative)
+    assert (bad.n, bad.letters, bad.residual) == (3, ("a", "a", "a"),
+                                                  {0: F(1)})
+    assert validate(leibniz_violation).n == 2
+    for path in ALG_FILES:
+        with open(path, encoding="utf-8") as fh:
+            af = parse(fh.read())
+        s = InfinityStructure(FLAVOR_KIND[af.flavor], af.space, af.parts)
+        assert validate(s).ok == (os.path.basename(path)
+                                  != "nonassociative.alg"), path
 
 
 class TestDeformations:

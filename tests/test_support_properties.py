@@ -1,10 +1,13 @@
-"""Property tests of the support-driven coboundary loops: ``compose``,
+"""Property tests of the support-driven loops: ``compose``,
 ``_rotation_sum`` and ``_unshuffle_sum`` visit only the tuples that
-``coderivation.reachable`` returns, ``is_cyclic_scalar`` checks only the
-support, and ``_PlainComplex.coords`` reads the nonzero
-coordinates through an index map.  Each is compared, coefficients and key order,
-with the full-enumeration loop it replaced, kept here as the reference, on
-random sparse cochains over Q, F_2 and F_3 with odd and even letters."""
+``coderivation.reachable`` returns; ``is_cyclic_scalar`` and the cyclicity
+witnesses (``_rotation_witness``, ``_antisymmetry_witness``,
+``_cyclic_witness``) check only the support and the tuples that rotate or
+swap into it; ``tilde`` reads each stored tuple once, and
+``_PlainComplex.coords`` reads the nonzero coordinates through an index
+map.  Each is compared, coefficients, witnesses and key order, with the
+full-enumeration loop it replaced, kept here as the reference, on random
+sparse cochains over Q, F_2 and F_3 with odd and even letters."""
 
 import itertools
 import random
@@ -16,15 +19,17 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
 from codiff.cochain import (  # noqa: E402
-    Cochain, ScalarCochain, canonical_tuples, vec_add)
+    Cochain, InnerProduct, ScalarCochain, canonical_tuples, tilde, untilde,
+    vec_add)
 from codiff.coderivation import compose, extend_letters  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM,  # noqa: E402
                            SYMMETRIC, TENSOR, reorder_sign, rotation_sign,
                            unshuffles, word_parity)
-from codiff.homology import (_PlainComplex, _rotation_sum,  # noqa: E402
-                             _unshuffle_sum, cyclic_scalar_basis,
-                             is_cyclic_scalar)
+from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
+                             _cyclic_witness, _rotation_sum,
+                             _rotation_witness, _unshuffle_sum,
+                             cyclic_scalar_basis, is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
 from conftest import random_cochain  # noqa: E402
 
@@ -119,10 +124,129 @@ def unshuffle_sum_reference(f, inner, extra_exp):
                          out)
 
 
-def is_cyclic_scalar_reference(f):
+def rotation_witness_reference(f):
     par = f.space.parities
-    return all(f.value(t) == rotation_sign(par, t, 1) * f.value(t[1:] + t[:1])
-               for t in itertools.product(range(f.space.dim), repeat=f.arity))
+    for t in itertools.product(range(f.space.dim), repeat=f.arity):
+        if f.value(t) != rotation_sign(par, t, 1) * f.value(t[1:] + t[:1]):
+            return t
+    return None
+
+
+def antisymmetry_witness_reference(f):
+    space = f.space
+    for t in itertools.product(range(space.dim), repeat=f.arity):
+        base = f.value(t)
+        for i in range(f.arity - 1):
+            swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
+            sign = -1 if not (space.parities[t[i]]
+                              & space.parities[t[i + 1]]) else 1
+            if f.value(swapped) != sign * base:
+                return swapped
+    return None
+
+
+def tilde_reference(c, ip):
+    out = {}
+    if c.flavor == TENSOR:
+        for t, vec in c.coeffs.items():
+            for b in range(c.space.dim):
+                val = c.space.field(0)
+                for j, x in vec.items():
+                    val = val + x * ip.matrix[j][b]
+                if val:
+                    out[t + (b,)] = val
+    else:
+        for t in itertools.product(range(c.space.dim), repeat=c.degree + 1):
+            v = c.value(t[:-1])
+            val = c.space.field(0)
+            for j, x in v.items():
+                val = val + x * ip.matrix[j][t[-1]]
+            if val:
+                out[t] = val
+    return ScalarCochain(c.space, TENSOR, c.degree + 1, c.parity & 1, out)
+
+
+def cyclic_witness_reference(phi, ip):
+    space = phi.space
+    if phi.flavor == EXTERIOR:
+        return antisymmetry_witness_reference(tilde_reference(phi, ip))
+    k = phi.degree
+    for t in itertools.product(range(space.dim), repeat=k + 1):
+        lhs = ip.pair(phi.value(t[:k]), t[k])
+        e = k + space.parities[t[0]] * phi.parity
+        rhs = ip.pair({t[0]: 1}, phi.value(t[1:]))
+        if e & 1:
+            rhs = -rhs
+        if lhs != rhs:
+            return t
+    return None
+
+
+# --- inputs -------------------------------------------------------------------
+
+def cyclic_scalar(space, arity, parity, rng, density):
+    """A random combination of cyclic basis vectors."""
+    coeffs = {}
+    for b in cyclic_scalar_basis(space, TENSOR, arity - 1)[0]:
+        if b.parity == parity and rng.random() < density:
+            vec_add(coeffs, b.coeffs, space.field(rng.randint(-3, 3)))
+    return ScalarCochain(space, TENSOR, arity, parity, coeffs)
+
+
+def alternating_scalar(space, arity, parity, rng, density):
+    """A random exterior scalar cochain, read on every tuple."""
+    e = random_scalar(space, EXTERIOR, arity, parity, rng, density)
+    return ScalarCochain(space, TENSOR, arity, parity, {
+        t: e.value(t)
+        for t in itertools.product(range(space.dim), repeat=arity)})
+
+
+def scalar_inputs(space, arity, parity, rng, density, special):
+    """An arbitrary tensor scalar cochain, a ``special`` one (cyclic or
+    alternating), and the special one with one coefficient changed."""
+    arbitrary = random_scalar(space, TENSOR, arity, parity, rng, density)
+    good = special(space, arity, parity, rng, density)
+    bumped = dict(good.coeffs)
+    t = rng.choice([t for t in itertools.product(range(space.dim),
+                                                 repeat=arity)
+                    if word_parity(space, t) == parity] or [None])
+    if t is not None:
+        bumped[t] = bumped.get(t, space.field(0)) + 1
+    bumped = ScalarCochain(space, TENSOR, arity, parity, bumped)
+    return arbitrary, good, bumped
+
+
+@st.composite
+def form_spaces(draw):
+    """(space, invariant-form candidate): a graded space of dimension 2 or
+    3 with an even number of odd letters, so that an even graded-symmetric
+    nondegenerate form exists, and a random such form."""
+    field = draw(st.sampled_from(FIELDS))
+    parities = draw(st.sampled_from([(0, 0), (1, 1), (0, 0, 0), (0, 1, 1),
+                                     (1, 0, 1), (1, 1, 0)]))
+    space = GradedSpace(tuple("abc"[:len(parities)]), parities, field)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = space.dim
+    for _ in range(50):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if parities[i] != parities[j] or (i == j and parities[i]):
+                    continue
+                m[i][j] = rng.randint(-2, 2)
+                m[j][i] = -m[i][j] if parities[i] else m[i][j]
+        try:
+            return space, InnerProduct(space, m)
+        except ValueError:
+            continue
+    assume(False)
+
+
+def shuffled(c, rng):
+    """The same cochain with its coefficients stored in another order."""
+    items = list(c.coeffs.items())
+    rng.shuffle(items)
+    return Cochain(c.space, c.flavor, c.degree, c.parity, dict(items))
 
 
 # --- properties --------------------------------------------------------------
@@ -179,25 +303,13 @@ def test_unshuffle_sum_matches_full_enumeration(space, arity, l, parities,
        density=DENSITY, seed=st.integers(0, 2 ** 32))
 def test_is_cyclic_scalar_matches_full_enumeration(space, arity, parity,
                                                    density, seed):
-    rng = random.Random(seed)
-    # an arbitrary cochain, a random combination of cyclic basis vectors,
-    # and that combination with one coefficient changed
-    arbitrary = random_scalar(space, TENSOR, arity, parity, rng, density)
-    coeffs = {}
-    for b in cyclic_scalar_basis(space, TENSOR, arity - 1)[0]:
-        if b.parity == parity and rng.random() < density:
-            vec_add(coeffs, b.coeffs, space.field(rng.randint(-3, 3)))
-    cyclic = ScalarCochain(space, TENSOR, arity, parity, coeffs)
-    bumped = dict(coeffs)
-    t = rng.choice([t for t in itertools.product(range(space.dim),
-                                                 repeat=arity)
-                    if word_parity(space, t) == parity] or [None])
-    if t is not None:
-        bumped[t] = bumped.get(t, space.field(0)) + 1
-    bumped = ScalarCochain(space, TENSOR, arity, parity, bumped)
+    arbitrary, cyclic, bumped = scalar_inputs(
+        space, arity, parity, random.Random(seed), density, cyclic_scalar)
     assert is_cyclic_scalar(cyclic)
     for f in (arbitrary, cyclic, bumped):
-        assert is_cyclic_scalar(f) == is_cyclic_scalar_reference(f)
+        witness = rotation_witness_reference(f)
+        assert _rotation_witness(f) == witness
+        assert is_cyclic_scalar(f) == (witness is None)
 
 
 @PROPERTY
@@ -217,3 +329,60 @@ def test_plain_coords_match_list_comprehension(space, flavor, degree, parity,
     assert got == want
     assert {i: type(x) for i, x in got.items()} == \
         {i: type(x) for i, x in want.items()}
+
+
+@PROPERTY
+@given(space=spaces(), arity=st.integers(1, 4), parity=st.integers(0, 1),
+       density=DENSITY, seed=st.integers(0, 2 ** 32))
+def test_antisymmetry_witness_matches_full_enumeration(space, arity, parity,
+                                                       density, seed):
+    inputs = scalar_inputs(space, arity, parity, random.Random(seed),
+                           density, alternating_scalar)
+    assert _antisymmetry_witness(inputs[1]) is None
+    for f in inputs:
+        assert _antisymmetry_witness(f) == antisymmetry_witness_reference(f)
+
+
+@PROPERTY
+@given(form=form_spaces(), flavor=st.sampled_from([TENSOR, EXTERIOR]),
+       degree=st.integers(0, 3), parity=st.integers(0, 1), density=DENSITY,
+       seed=st.integers(0, 2 ** 32))
+def test_cyclic_witness_matches_full_enumeration(form, flavor, degree, parity,
+                                                 density, seed):
+    space, ip = form
+    rng = random.Random(seed)
+    # an arbitrary cochain, a cyclic one (the cochain of a cyclic or an
+    # alternating scalar form), and the cyclic one with one entry changed
+    arbitrary = random_cochain(space, flavor, degree, parity, rng, density)
+    special = cyclic_scalar if flavor == TENSOR else alternating_scalar
+    cyclic = untilde(special(space, degree + 1, parity, rng, density), ip,
+                     flavor)
+    bumped = {t: dict(vec) for t, vec in cyclic.coeffs.items()}
+    slots = [(t, j) for t in canonical_tuples(space, flavor, degree)
+             for j in range(space.dim)
+             if space.parities[j] ^ word_parity(space, t) == parity]
+    if slots:
+        t, j = rng.choice(slots)
+        vec_add(bumped.setdefault(t, {}), {j: space.field(1)})
+    bumped = Cochain(space, flavor, degree, parity, bumped)
+    assert _cyclic_witness(flavor, tilde(cyclic, ip)) is None
+    for phi in (arbitrary, cyclic, bumped):
+        assert _cyclic_witness(flavor, tilde(phi, ip)) == \
+            cyclic_witness_reference(phi, ip)
+
+
+@PROPERTY
+@given(form=form_spaces(), flavor=st.sampled_from([TENSOR, SYMMETRIC,
+                                                   EXTERIOR]),
+       degree=st.integers(0, 3), parity=st.integers(0, 1), density=DENSITY,
+       seed=st.integers(0, 2 ** 32))
+def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
+                                        seed):
+    space, ip = form
+    rng = random.Random(seed)
+    c = shuffled(random_cochain(space, flavor, degree, parity, rng, density),
+                 rng)
+    new, ref = tilde(c, ip), tilde_reference(c, ip)
+    assert same(new, ref)
+    assert [type(x) for x in new.coeffs.values()] == \
+        [type(x) for x in ref.coeffs.values()]
