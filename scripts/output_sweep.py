@@ -7,10 +7,12 @@ Runs ``validate``, ``cohomology`` and ``cyclic`` at window 0..3, and
 ``src`` goes first on the import path), on every ``tests/fixtures/*.alg``
 and ``bench/inputs/*.alg`` file of that checkout, over Q, F_32003, F_2, F_3
 and F_5 (the file's ``field Q`` line rewritten), in text and json-lines.
-``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep to minutes.
+``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep short.
 Each run prints one line: the arguments, the exit status, and digests of
-stdout and stderr.  ``diff`` of the outputs of two checkouts lists every
-run whose answer changed.
+stdout and stderr.  The CLI prints dimensions only, so each ``cohomology``
+and ``cyclic`` run that exits 0 is followed by one line with a digest of
+the library's representatives for the same arguments.  ``diff`` of the
+outputs of two checkouts lists every run whose answer changed.
 """
 
 import contextlib
@@ -51,6 +53,30 @@ def call(main, argv):
     return status, out.getvalue(), err.getvalue()
 
 
+def representatives(command, text, window):
+    """A digest of the representatives that ``cohomology`` or
+    ``cyclic_cohomology`` returns for the file text at this window, row by
+    row; an escaping exception is recorded as ``raised:<type>``."""
+    from codiff.algfile import parse
+    from codiff.cli import build_structure
+    from codiff.coderivation import W_OF_V
+    from codiff.homology import cohomology, cyclic_cohomology
+
+    window = tuple(int(x) for x in window.split(".."))
+    try:
+        af = parse(text)
+        s = build_structure(af, W_OF_V, 8)
+        if command == "cohomology":
+            report = cohomology(s, window)
+        else:
+            report = cyclic_cohomology(s, af.inner_product, window)
+    except Exception as exc:  # noqa: BLE001 -- a crash is an answer too
+        return "raised:%s" % type(exc).__name__
+    return digest(repr([(row.degree, [sorted(rep.coeffs.items())
+                                      for rep in row.representatives])
+                        for row in report.rows]))
+
+
 def sweep(root):
     sys.path.insert(0, os.path.join(root, "src"))
     from codiff.cli import main
@@ -71,9 +97,10 @@ def sweep(root):
                 for field in FIELDS:
                     path = os.path.join(field.replace(" ", ""), src, name)
                     os.makedirs(os.path.dirname(path), exist_ok=True)
+                    local = re.sub(r"^field Q$", "field " + field, text,
+                                   flags=re.M)
                     with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(re.sub(r"^field Q$", "field " + field, text,
-                                        flags=re.M))
+                        fh.write(local)
                     for command, extra in commands(name):
                         for fmt in FORMATS:
                             argv = [command, path] + extra + ["--format", fmt]
@@ -81,6 +108,11 @@ def sweep(root):
                             print("%s status=%s out=%s err=%s"
                                   % (" ".join(argv), status, digest(out),
                                      digest(err)), flush=True)
+                        if command in ("cohomology", "cyclic") and status == 0:
+                            print("%s %s %s representatives=%s"
+                                  % (command, path, " ".join(extra),
+                                     representatives(command, local,
+                                                     extra[-1])), flush=True)
         finally:
             os.chdir(cwd)
 

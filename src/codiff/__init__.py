@@ -9,10 +9,8 @@ from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
 from .cochain import (Cochain, InnerProduct, ScalarCochain, add,
                       canonical_tuples, scale, tilde, untilde, zero_cochain)
 from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, CoderivationGenerator,
-                           bracket, compose, extend, family_bracket,
-                           modified_bracket)
-from .reversion import (conjugate_family, conjugate_part,
-                        convert_convention_parts)
+                           bracket, compose, convert_convention_parts, extend,
+                           family_bracket, modified_bracket)
 from .structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                          StructureError, ValidationReport, deform_check,
                          structure_residual, validate)

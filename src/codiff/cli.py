@@ -18,10 +18,10 @@ import argparse
 import sys
 
 from .algfile import AlgebraFile, ParseError, parse, render_vector, serialize
-from .coderivation import V_OF_W, W_OF_V, family_bracket
+from .coderivation import (V_OF_W, W_OF_V, convert_convention_parts,
+                           family_bracket)
 from .homology import (InvarianceError, classify_deformation, cohomology,
                        cyclic_cohomology)
-from .reversion import convert_convention_parts
 from .structures import (FLAVOR_KIND, InfinityStructure, StructureError,
                          validate)
 

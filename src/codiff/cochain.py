@@ -261,18 +261,6 @@ class InnerProduct:
         if self._inverse is None:
             raise ValueError("inner product is degenerate")
 
-    def pair(self, u, v):
-        """<u, v> for sparse vectors (or basis indices)."""
-        if not isinstance(u, dict):
-            u = {int(u): 1}
-        if not isinstance(v, dict):
-            v = {int(v): 1}
-        acc = self.space.field(0)
-        for i, a in u.items():
-            for j, b in v.items():
-                acc = acc + a * self.matrix[i][j] * b
-        return acc
-
 
 def tilde(c, ip):
     """The scalar cochain <c(v_1..v_k), v_{k+1}> of arity k+1, on every

@@ -21,6 +21,16 @@ V_OF_W = "v_of_w"
 CONVENTIONS = (W_OF_V, V_OF_W)
 
 
+def convert_convention_parts(parts):
+    """Re-express a family in the opposite sign convention.
+
+    Round-tripping one convention's conjugation through the other multiplies
+    the arity-k part by (-1)^{k(k-1)/2}; the map is an involution.
+    """
+    return {k: scale(-1, c) if (k * (k - 1) // 2) & 1 else c
+            for k, c in parts.items()}
+
+
 def natural_mode(flavor):
     """The grading a coderivation theory of this flavor needs."""
     if flavor == SYMMETRIC:

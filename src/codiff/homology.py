@@ -8,13 +8,13 @@ D_p, D of every degree-p basis vector as sparse coordinates, once and in
 one pass over the structure's entries (``codiff.blocks``); ``coboundary``
 and ``cyclic_coboundary`` remain the per-cochain routes.  Every matrix
 passed to ``linalg`` is a list of sparse rows.  For a window a..b a row
-reports Z^p = ker D on C^p and B^p = im D ∩ C^p, with D applied to the
-sources of degree >= a - spread, the spread being the largest arity less
-one.  For one arity D_p maps C^p to C^{p+spread} alone, so Z^p = ker D_p
-and B^p = im D_{p-spread} exactly.  For mixed arities the image of a
-degree-p cochain spreads over degrees p..p+N-1, so B^p is a lower bound for
-the coboundary space and the report says so (membership tests remain
-reliable).
+reports Z^p = ker D on C^p and B^p = im D ∩ C^p, both read from images
+stacked over the degrees they reach (``_window_report``).  With the spread
+the largest arity less one, D maps C^p into degrees p..p+spread.  For one
+arity it maps into C^{p+spread} alone, so B^p = im D_{p-spread} exactly.
+For mixed arities the sources are every degree a - spread .. b, so B^p is
+a lower bound for the coboundary space and the report says so (membership
+tests remain reliable).
 """
 
 from __future__ import annotations
@@ -182,20 +182,19 @@ def _transpose(vectors, n):
     return rows
 
 
-def _stack(family, offset):
-    """A family {degree: vector} as one vector over the degrees stacked at
-    these row offsets; other degrees are dropped."""
-    return {offset[q] + r: x for q, vec in family.items() if q in offset
-            for r, x in vec.items()}
-
-
-def _offsets(cx, degrees):
-    """(row offset per degree, total rows) of the stacked degrees."""
+def _stack(cx, families, last=None):
+    """Families {degree: vector} as vectors over the degrees they reach,
+    stacked in increasing order, with degree ``last`` after the others when
+    given.  Returns (vectors, total rows)."""
+    degrees = sorted({q for family in families for q in family} - {last})
+    if last is not None:
+        degrees.append(last)
     offset, total = {}, 0
     for q in degrees:
         offset[q] = total
         total += cx.dim(q)
-    return offset, total
+    return [{offset[q] + r: x for q, vec in family.items()
+             for r, x in vec.items()} for family in families], total
 
 
 # --- windowed cohomology ----------------------------------------------------
@@ -220,17 +219,35 @@ class CohomologyReport:
 
 
 def _window_report(cx, window, graded_exact, note):
-    """Z^p, B^p and representatives of Z^p / B^p for p in the window."""
+    """Z^p, B^p and representatives of Z^p / B^p for p in the window.
+
+    Z^p is the kernel of the images of the degree-p basis, in free-column
+    form.  B^p is read from the reduced echelon form of the images of the
+    source degrees, with degree p's coordinates stacked last: the rows whose
+    pivot falls in degree p vanish off it, and they are the reduced echelon
+    basis of im D ∩ C^p.  The sources are degree p - spread alone for one
+    arity (``graded_exact``), and every degree a - spread .. b otherwise."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
-    spaces = _block_spaces(cx) if graded_exact else _truncated_spaces(cx, a, b)
     rows_out = []
     for p in range(a, b + 1):
-        kern, b_basis = spaces(p) if cx.dim(p) else ([], [])
+        kern, b_basis, reps = [], [], []
+        if cx.dim(p):
+            cols, total = _stack(cx, cx.images(p))
+            kern = linalg.kernel_basis(_transpose(cols, total), len(cols),
+                                       cx.field)
+            degrees = ([p - cx.spread] if graded_exact
+                       else range(a - cx.spread, b + 1))
+            sources = [img for q in degrees if q >= 0
+                       for img in cx.images(q)]
+            vecs, total = _stack(cx, sources, last=p)
+            start = total - cx.dim(p)
+            b_basis = [{c - start: x for c, x in row.items()}
+                       for row, pivot in zip(*linalg.rref(vecs, cx.field))
+                       if pivot >= start]
         # representatives: the kernel vectors among the pivot columns of
         # [B | Z], i.e. each one not in the span of B and the earlier ones
-        reps = []
         if kern:
             span = b_basis + kern
             _, pivots = linalg.echelon(_transpose(span, cx.dim(p)), cx.field)
@@ -242,56 +259,6 @@ def _window_report(cx, window, graded_exact, note):
         rows_out.append(DegreeRow(p, len(kern), len(b_basis),
                                   len(kern) - len(b_basis), reps))
     return CohomologyReport(window, rows_out, graded_exact, note)
-
-
-def _block_spaces(cx):
-    """Single arity: D maps C^p into C^{p + spread} alone, so Z^p = ker D_p
-    and B^p = im D_{p - spread}.  Each block D_p is ``cx.images(p)``, built
-    once and shared by rows p and p + spread.  Returns p -> (basis of Z^p
-    in free-column form, RREF basis of B^p)."""
-    def spaces(p):
-        q, src = p + cx.spread, p - cx.spread
-        block = [img.get(q, {}) for img in cx.images(p)]
-        kern = linalg.kernel_basis(_transpose(block, cx.dim(q)), len(block),
-                                   cx.field)
-        if src < 0:
-            return kern, []
-        return kern, linalg.rref([img.get(p, {}) for img in cx.images(src)],
-                                 cx.field)[0]
-    return spaces
-
-
-def _truncated_spaces(cx, a, b):
-    """Mixed arities: Z^p = ker D on C^p, and B^p = im D ∩ C^p with D
-    applied to every basis vector of degree a - spread .. b, as one stack of
-    sparse columns over the target degrees.  Returns p -> (Z^p, B^p) like
-    ``_block_spaces``."""
-    src_low = max(0, a - cx.spread)
-    offset, total = _offsets(cx, range(src_low, b + cx.spread + 1))
-    cols = [_stack(img, offset) for p in range(src_low, b + 1)
-            for img in cx.images(p)]
-
-    def spaces(p):
-        # sources and targets both start at src_low, so the columns of
-        # degree p start at the row offset of degree p
-        lo, hi = offset[p], offset[p] + cx.dim(p)
-        kern = linalg.kernel_basis(_transpose(cols[lo:hi], total), hi - lo,
-                                   cx.field)
-        # the combinations of all columns that vanish off degree p, and
-        # their degree-p parts
-        own = [{r - lo: x for r, x in col.items() if lo <= r < hi}
-               for col in cols]
-        off = [{r: x for r, x in col.items() if not lo <= r < hi}
-               for col in cols]
-        images = []
-        for v in linalg.kernel_basis(_transpose(off, total), len(cols),
-                                     cx.field):
-            img = {}
-            for j, x in v.items():
-                vec_add(img, own[j], x)
-            images.append(img)
-        return kern, linalg.rref(images, cx.field)[0]
-    return spaces
 
 
 def _report_note(s, mixed, small_p=""):
@@ -626,9 +593,9 @@ def classify_deformation(s, parts, ip=None):
 def _is_coboundary(cx, lam_coords, param, max_deg):
     """Is lambda, given as {degree: coordinates}, D(beta) for a beta of
     degree <= max_deg whose parity matches a parameter of parity param?"""
-    offset, total = _offsets(cx, range(max_deg + cx.spread + 1))
-    cols = [_stack(img, offset) for q in range(max_deg + 1)
+    cols = [img for q in range(max_deg + 1)
             for i, img in enumerate(cx.images(q))
             if cx.parity(q, i) == (param + q + 1) & 1]
-    return linalg.solve(_transpose(cols, total), _stack(lam_coords, offset),
-                        len(cols), cx.field) is not None
+    vecs, total = _stack(cx, cols + [lam_coords])
+    return linalg.solve(_transpose(vecs[:-1], total), vecs[-1], len(cols),
+                        cx.field) is not None

@@ -14,10 +14,22 @@ from codiff.coderivation import (CoderivationGenerator, W_OF_V, compose,
 from codiff.graded import (PARITY_ONLY, PRODUCT_FORM, SYMMETRIC, Word,
                            koszul_sign, permutation_sign, reorder_sign,
                            rotation_sign, unshuffles, word_parity)
-from codiff.reversion import (conjugate_family, conjugate_part, eta_sign,
-                              reversed_flavor)
+from codiff.oracle import (conjugate_family, conjugate_part, eta_sign,
+                           reversed_flavor)
 
 F = Fraction
+
+
+def pair(ip, u, v):
+    """<u, v> under the inner product ip, for sparse vectors or basis
+    indices."""
+    u = u if isinstance(u, dict) else {u: 1}
+    v = v if isinstance(v, dict) else {v: 1}
+    acc = ip.space.field(0)
+    for i, a in u.items():
+        for j, b in v.items():
+            acc = acc + a * ip.matrix[i][j] * b
+    return acc
 
 
 def make_cochain(space, flavor, degree, parity, entries):

@@ -135,7 +135,7 @@ class TestInnerProduct:
     def test_odd_odd_block_antisymmetric(self):
         space = GradedSpace(("o1", "o2"), (1, 1))
         ip = InnerProduct(space, [[0, 1], [-1, 0]])
-        assert ip.pair(0, 1) == 1 and ip.pair(1, 0) == -1
+        assert ip.matrix[0][1] == 1 and ip.matrix[1][0] == -1
         with pytest.raises(ValueError):
             InnerProduct(space, [[0, 1], [1, 0]])
 

@@ -22,8 +22,8 @@ from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
-from conftest import (make_cochain, random_cochain, scalar_cochains_match,
-                      scalar_scale, sparse_rows)
+from conftest import (make_cochain, pair, random_cochain,
+                      scalar_cochains_match, scalar_scale, sparse_rows)
 
 F = Fraction
 BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -276,8 +276,8 @@ class TestCyclicity:
         s, killing = sl2
         l2 = s.parts[2]
         for x, y, z in itertools.product(range(3), repeat=3):
-            lhs = killing.pair(l2.value((x, y)), z)
-            rhs = killing.pair({x: F(1)}, l2.value((y, z)))
+            lhs = pair(killing, l2.value((x, y)), z)
+            rhs = pair(killing, {x: F(1)}, l2.value((y, z)))
             assert lhs == rhs
 
     def test_dual_numbers_cyclic(self, dual_numbers):
@@ -616,6 +616,23 @@ class TestCyclicCohomology:
         want = [[{("e11",): 1, ("e22",): 1}], [], [dict.fromkeys(orbit3, 1)]]
         got = [[rep.coeffs for rep in row.representatives]
                for row in cyclic_cohomology(s, None, (0, 2)).rows]
+        assert got == [[{tuple(s.space.index(n) for n in t): c
+                         for t, c in w.items()} for w in reps]
+                       for reps in want]
+
+    def test_mixed_arity_representatives_frozen(self, koszul_dga):
+        # the Koszul DGA (arities 1 and 2), HC = 0,0,1,2 over Q: the class
+        # of t^3, and in degree 3 those of a four-tuple orbit sum and of t^4
+        s = koszul_dga
+        report = cyclic_cohomology(s, None, (0, 3))
+        assert not report.graded_exact
+        assert [r.quotient for r in report.rows] == [0, 0, 1, 2]
+        want = [[], [], [{("t", "t", "t"): 1}],
+                [{("1", "1", "t", "t"): 1, ("1", "t", "t", "1"): -1,
+                  ("t", "1", "1", "t"): 1, ("t", "t", "1", "1"): 1},
+                 {("t", "t", "t", "t"): 1}]]
+        got = [[rep.coeffs for rep in row.representatives]
+               for row in report.rows]
         assert got == [[{tuple(s.space.index(n) for n in t): c
                          for t, c in w.items()} for w in reps]
                        for reps in want]

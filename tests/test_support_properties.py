@@ -31,7 +31,7 @@ from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _rotation_witness, _unshuffle_sum,
                              cyclic_scalar_basis, is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import random_cochain  # noqa: E402
+from conftest import pair, random_cochain  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -172,9 +172,9 @@ def cyclic_witness_reference(phi, ip):
         return antisymmetry_witness_reference(tilde_reference(phi, ip))
     k = phi.degree
     for t in itertools.product(range(space.dim), repeat=k + 1):
-        lhs = ip.pair(phi.value(t[:k]), t[k])
+        lhs = pair(ip, phi.value(t[:k]), t[k])
         e = k + space.parities[t[0]] * phi.parity
-        rhs = ip.pair({t[0]: 1}, phi.value(t[1:]))
+        rhs = pair(ip, {t[0]: 1}, phi.value(t[1:]))
         if e & 1:
             rhs = -rhs
         if lhs != rhs:

@@ -1,9 +1,12 @@
-"""Property test of the per-degree window report.  For a structure of one
-arity k, D_p maps C^p to C^{p+k-1} alone, so the report must give
-Z^p = dim C^p - rank D_p and B^p = rank D_{p-k+1}.  Each rank is taken here
-by ``oracle.dense_rank`` on the images of D evaluated on every tuple, with
-no coordinates, index maps or sparse blocks; random single-arity structures
-over Q, F_2 and F_3 under both conventions, in the plain and in the cyclic
+"""Property tests of the per-degree window report against dense ranks.
+For a structure of one arity k, D_p maps C^p to C^{p+k-1} alone, so the
+report must give Z^p = dim C^p - rank D_p and B^p = rank D_{p-k+1}.  For
+two arities the report must give Z^p = dim C^p - rank(D on C^p) and, with
+D applied to the sources of degree a - spread .. b, B^p = rank(D on the
+sources) - rank(the same with degree p's coordinates deleted).  Each rank is
+taken by ``oracle.dense_rank`` on the images of D evaluated on every tuple,
+with no coordinates, index maps or sparse blocks; random structures over Q,
+F_2 and F_3 under both conventions, in the plain and in the cyclic
 complex."""
 
 import itertools
@@ -12,7 +15,8 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, given, settings,  # noqa: E402
+                        strategies as st)
 
 from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
 from codiff.cochain import Cochain, canonical_tuples  # noqa: E402
@@ -31,30 +35,32 @@ PROPERTY = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def single_arity(draw):
-    """(structure with one part of arity k, window a..b), with the window
-    kept small enough for dense ranks: target degrees b + k - 1 <= 4, or
-    <= 3 in dimension 3."""
+def structures(draw, arity_sets, min_dim=1):
+    """(structure with one part of each arity in a drawn set, window a..b),
+    with the window kept small enough for dense ranks: target degrees
+    b + spread <= 4, or <= 3 in dimension 3, the spread being the largest
+    arity less one."""
     field = draw(st.sampled_from(FIELDS))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(min_dim, 3))
     parities = tuple(draw(st.lists(st.integers(0, 1), min_size=dim,
                                    max_size=dim)))
     space = GradedSpace(tuple("abc"[:dim]), parities, field)
     kind = draw(st.sampled_from([A_INFINITY, L_INFINITY]))
     flavor = TENSOR if kind == A_INFINITY else EXTERIOR
-    k = draw(st.integers(1, 3))
+    arities = draw(st.sampled_from(arity_sets))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    part = random_cochain(space, flavor, k, k & 1, rng,
-                          draw(st.sampled_from([0.3, 0.6, 1.0])))
-    b = draw(st.integers(0, (4 if dim < 3 else 3) - (k - 1)))
+    density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+    parts = {k: random_cochain(space, flavor, k, k & 1, rng, density)
+             for k in arities}
+    b = draw(st.integers(0, (4 if dim < 3 else 3) - (max(arities) - 1)))
     a = draw(st.integers(0, b))
     convention = draw(st.sampled_from(CONVENTIONS))
-    return InfinityStructure(kind, space, {k: part}, convention), k, (a, b)
+    return InfinityStructure(kind, space, parts, convention), (a, b)
 
 
-def plain_images(s, p):
-    """D of every delta cochain of degree p, as dense rows over all
-    (tuple, output letter) pairs of the target degree."""
+def plain_images(s, p, degrees):
+    """D of every delta cochain of degree p, as one dense row over all
+    (tuple, output letter) pairs of the target degrees, in order."""
     space, flavor = s.space, s.flavor
     par = space.parities
     rows = []
@@ -62,24 +68,27 @@ def plain_images(s, p):
         for j in range(space.dim):
             delta = Cochain(space, flavor, p, (par[j] + word_parity(space, t))
                             & 1, {t: {j: 1}})
-            for q, c in coboundary(delta, s).items():
-                rows.append([space.field(c.value(u).get(i, 0))
-                             for u in itertools.product(range(space.dim),
-                                                        repeat=q)
-                             for i in range(space.dim)])
+            image = coboundary(delta, s)
+            rows.append([space.field(image[q].value(u).get(i, 0)
+                                     if q in image else 0)
+                         for q in degrees
+                         for u in itertools.product(range(space.dim),
+                                                    repeat=q)
+                         for i in range(space.dim)])
     return rows
 
 
-def cyclic_images(s, p):
-    """D of every cyclic basis cochain of degree p, as dense rows over all
-    tuples of the target arity."""
+def cyclic_images(s, p, degrees):
+    """D of every cyclic basis cochain of degree p, as one dense row over
+    all tuples of the target degrees' arities, in order."""
     space = s.space
     rows = []
     for f in cyclic_scalar_basis(space, s.flavor, p)[0]:
-        for g in cyclic_coboundary(f, s).values():
-            rows.append([space.field(g.value(u))
-                         for u in itertools.product(range(space.dim),
-                                                    repeat=g.arity)])
+        image = cyclic_coboundary(f, s)
+        rows.append([space.field(image[q].value(u) if q in image else 0)
+                     for q in degrees
+                     for u in itertools.product(range(space.dim),
+                                                repeat=q + 1)])
     return rows
 
 
@@ -92,10 +101,10 @@ def cyclic_dim(s, p):
 
 
 @PROPERTY
-@given(single_arity(), st.booleans())
+@given(structures([(1,), (2,), (3,)]), st.booleans())
 def test_window_report_matches_dense_ranks(case, cyclic):
-    s, k, window = case
-    spread = k - 1 if s.parts else 0
+    s, window = case
+    spread = max(s.parts) - 1 if s.parts else 0
     if cyclic:
         report = cyclic_cohomology(s, None, window)
         images, dim = cyclic_images, cyclic_dim
@@ -105,9 +114,44 @@ def test_window_report_matches_dense_ranks(case, cyclic):
     assert report.graded_exact
     for row in report.rows:
         p = row.degree
-        rank_p = dense_rank(images(s, p), s.space.field)
-        rank_in = (dense_rank(images(s, p - spread), s.space.field)
+        rank_p = dense_rank(images(s, p, [p + spread]), s.space.field)
+        rank_in = (dense_rank(images(s, p - spread, [p]), s.space.field)
                    if p >= spread else 0)
         assert (row.cocycles, row.coboundaries) == (dim(s, p) - rank_p,
                                                     rank_in)
+        assert row.quotient == row.cocycles - row.coboundaries
+
+
+# one letter carries no odd part of arity 1 or 3, hence two letters or more
+@PROPERTY
+@given(structures([(1, 2), (1, 3), (2, 3)], min_dim=2), st.booleans())
+def test_mixed_window_report_matches_dense_ranks(case, cyclic):
+    s, (a, b) = case
+    # a random part can be zero, and the structure drops it
+    assume(len(s.parts) == 2)
+    spread = max(s.parts) - 1
+    if cyclic:
+        report = cyclic_cohomology(s, None, (a, b))
+        images, dim = cyclic_images, cyclic_dim
+    else:
+        report = cohomology(s, (a, b))
+        images, dim = plain_images, plain_dim
+    assert not report.graded_exact
+    field = s.space.field
+    low = max(0, a - spread)
+    targets = list(range(low, b + spread + 1))
+    sources = [row for q in range(low, b + 1)
+               for row in images(s, q, targets)]
+    rank_sources = dense_rank(sources, field)
+    for row in report.rows:
+        p = row.degree
+        # the dense columns of degree p, each target degree q taking
+        # dim^(q+1) of them in both complexes
+        n = s.space.dim
+        lo = sum(n ** (q + 1) for q in range(low, p))
+        hi = lo + n ** (p + 1)
+        off_p = [r[:lo] + r[hi:] for r in sources]
+        rank_p = dense_rank(images(s, p, range(p, p + spread + 1)), field)
+        assert row.cocycles == dim(s, p) - rank_p
+        assert row.coboundaries == rank_sources - dense_rank(off_p, field)
         assert row.quotient == row.cocycles - row.coboundaries
