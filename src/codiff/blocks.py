@@ -71,14 +71,13 @@ def plain_block(s, p, index):
             for split, head, pre, post in splits(flavor, t, p, PRODUCT_FORM,
                                                  par):
                 hits = lands.get((pre, post))
-                cw = canonical_word(flavor, head, par) if hits else None
-                if cw is None:
+                if not hits:
                     continue
-                head_parity = sum(par[x] for x in cw[1])
+                head_parity = sum(par[x] for x in head)
                 for j, (sign, vec) in hits.items():
                     parity = (par[j] + head_parity) & 1
-                    x = split[parity] * cw[0] * sign * signs[parity][1]
-                    col = out[cols[cw[1], j]]
+                    x = split[parity] * sign * signs[parity][1]
+                    col = out[cols[head, j]]
                     for o, c in vec.items():
                         _add(col, rows[t, o], c if x > 0 else -c)
     return [{q: v for q, vec in img.items()

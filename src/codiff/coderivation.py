@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .cochain import Cochain, add, scale, vec_add, zero_cochain
 from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
-                     SYMMETRIC, TENSOR, Word, canonical_word, grading_pair,
-                     reorder_sign, unshuffles)
+                     SYMMETRIC, TENSOR, Word, _flavor_sign, canonical_word,
+                     grading_pair, unshuffles)
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -55,12 +55,12 @@ class CoderivationGenerator:
 
 
 def splits(flavor, letters, k, mode, par):
-    """The terms of the extension of a degree-k cochain on a pure word, as
-    (signs, head, prefix, suffix): the cochain reads ``head``, and a value
+    """The terms of the extension of a degree-k cochain on a canonical word,
+    as (signs, head, prefix, suffix): the cochain reads ``head``, and a value
     letter b lands on prefix + (b,) + suffix with the sign signs[parity of
-    the cochain].  Tensor terms insert at each position; symmetric and
-    exterior terms run over the unshuffles, have an empty prefix and still
-    have to be put in canonical order."""
+    the cochain].  Heads and suffixes are canonical.  Tensor terms insert at
+    each position; symmetric and exterior terms run over the unshuffles,
+    have an empty prefix, and the landing word still has to be sorted."""
     n = len(letters)
     if flavor == TENSOR:
         pre_parity = 0
@@ -73,22 +73,21 @@ def splits(flavor, letters, k, mode, par):
         return
     if n < k:
         return
-    letter_par = [par[x] for x in letters]
     for sigma in unshuffles(k, n - k):
-        s = reorder_sign(flavor, sigma, letter_par)
-        yield ((s, s), tuple(letters[i - 1] for i in sigma[:k]), (),
-               tuple(letters[i - 1] for i in sigma[k:]))
+        moved = tuple(letters[i - 1] for i in sigma)
+        s = _flavor_sign(flavor, sigma, [par[x] for x in moved])
+        yield (s, s), moved[:k], (), moved[k:]
 
 
 def extend_letters(gen, letters, mode):
-    """Value of the extended coderivation of ``gen`` on a pure word, as a
-    dict {output letters: coefficient}.  Zero when deg(word) < k."""
+    """The extension of ``gen`` on a canonical word, read at each head by
+    key, as {canonical output letters: coefficient}; zero below degree k."""
     par = gen.space.parities
     tensor = gen.flavor == TENSOR
     out = {}
     for signs, head, pre, post in splits(gen.flavor, letters, gen.degree,
                                          mode, par):
-        vec = gen.coeffs.get(head) if tensor else gen.value(head)
+        vec = gen.coeffs.get(head)
         if not vec:
             continue
         sign = signs[gen.parity]
@@ -156,8 +155,8 @@ def targets(support, heads, flavor, par, rotations=False):
 
 
 def compose(outer, inner, mode=None):
-    """outer ∘ (extension of inner restricted to land in outer's degree):
-    a cochain of degree outer.degree + inner.degree - 1."""
+    """outer ∘ (extension of inner landing in outer's degree), of degree
+    outer.degree + inner.degree - 1; outer is read by key at each output."""
     if outer.space != inner.space or outer.flavor != inner.flavor:
         raise ValueError("cochain mismatch in composition")
     if mode is None:
@@ -170,7 +169,7 @@ def compose(outer, inner, mode=None):
     for t in reachable(outer.coeffs, inner):
         acc = {}
         for mid, c in extend_letters(inner, t, mode).items():
-            vec_add(acc, outer.value(mid), c)
+            vec_add(acc, outer.coeffs.get(mid, {}), c)
         if acc:
             coeffs[t] = acc
     return Cochain(outer.space, outer.flavor, n,

@@ -222,11 +222,10 @@ def _window_report(cx, window, graded_exact, note):
     """Z^p, B^p and representatives of Z^p / B^p for p in the window.
 
     Z^p is the kernel of the images of the degree-p basis, in free-column
-    form.  B^p is read from the reduced echelon form of the images of the
-    source degrees, with degree p's coordinates stacked last: the rows whose
-    pivot falls in degree p vanish off it, and they are the reduced echelon
-    basis of im D ∩ C^p.  The sources are degree p - spread alone for one
-    arity (``graded_exact``), and every degree a - spread .. b otherwise."""
+    form.  B^p is the rows of the echelon form of the source images, degree
+    p stacked last, whose pivots fall in degree p: they vanish off it and
+    span im D ∩ C^p.  The sources are degree p - spread alone for one arity
+    (``graded_exact``), and every degree a - spread .. b otherwise."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
@@ -244,7 +243,7 @@ def _window_report(cx, window, graded_exact, note):
             vecs, total = _stack(cx, sources, last=p)
             start = total - cx.dim(p)
             b_basis = [{c - start: x for c, x in row.items()}
-                       for row, pivot in zip(*linalg.rref(vecs, cx.field))
+                       for row, pivot in zip(*linalg.echelon(vecs, cx.field))
                        if pivot >= start]
         # representatives: the kernel vectors among the pivot columns of
         # [B | Z], i.e. each one not in the span of B and the earlier ones
@@ -378,8 +377,8 @@ def structure_is_cyclic(s, ip):
 def _rotation_sum(f, inner, extra_exp):
     """sum over rotations of (-1)^{(v_1+..+v_i)(v_{i+1}+..+v_{n+1}) + i n
     + extra} f(inner(u_1..u_l), u_{l+1}..) with u the rotated tuple; the
-    shared shape of the cyclic bracket and the cyclic coboundary.  f is
-    tensor-flavored, so its support is its coefficient keys."""
+    shared shape of the cyclic bracket and the cyclic coboundary.  f and
+    inner are tensor-flavored, so both are read by key."""
     space = f.space
     l = inner.degree
     k = f.arity - 1
@@ -391,12 +390,12 @@ def _rotation_sum(f, inner, extra_exp):
         for i in range(n + 1):
             u = t[i:] + t[:i]
             head, tail = u[:l], u[l:]
-            vec = inner.value(head)
+            vec = inner.coeffs.get(head)
             if not vec:
                 continue
             term = space.field(0)
             for bidx, c in vec.items():
-                term = term + c * f.value((bidx,) + tail)
+                term = term + c * f.coeffs.get((bidx,) + tail, 0)
             acc = acc + sign * rotation_sign(space.parities, t, i) * term
         if acc:
             out[t] = acc
@@ -577,7 +576,7 @@ def classify_deformation(s, parts, ip=None):
     if ip is None:
         cx = _PlainComplex(s)
         lam = {k: cx.coords(k, c) for k, c in live.items()}
-        return DeformationClass(cocycle, _is_coboundary(cx, lam, param, max_deg),
+        return DeformationClass(cocycle, _is_coboundary(cx, lam, param),
                                 preserves)
     if not preserves:
         return DeformationClass(cocycle, False, preserves,
@@ -586,14 +585,17 @@ def classify_deformation(s, parts, ip=None):
     cx = _CyclicComplex(s)
     lam = {k: cx.coords(k, forms[k]) for k in live}
     note = "coboundary tested in the cyclic complex (inner product supplied)"
-    return DeformationClass(cocycle, _is_coboundary(cx, lam, param, max_deg),
+    return DeformationClass(cocycle, _is_coboundary(cx, lam, param),
                             preserves, note)
 
 
-def _is_coboundary(cx, lam_coords, param, max_deg):
-    """Is lambda, given as {degree: coordinates}, D(beta) for a beta of
-    degree <= max_deg whose parity matches a parameter of parity param?"""
-    cols = [img for q in range(max_deg + 1)
+def _is_coboundary(cx, lam_coords, param):
+    """Is lambda ({degree: coordinates}) D(beta) for a beta matching a
+    parameter of parity param?  One arity maps degree q into q + spread
+    alone, so beta needs degrees k - spread for lambda's degrees k only."""
+    degrees = (range(max(lam_coords) + 1) if len(cx.s.parts) > 1 else
+               [k - cx.spread for k in sorted(lam_coords) if k >= cx.spread])
+    cols = [img for q in degrees
             for i, img in enumerate(cx.images(q))
             if cx.parity(q, i) == (param + q + 1) & 1]
     vecs, total = _stack(cx, cols + [lam_coords])
