@@ -2,28 +2,32 @@
 
     python scripts/output_sweep.py ROOT > sweep.txt
 
-Runs ``validate``, ``cohomology`` and ``cyclic`` at window 0..3, and
-``deform``, through ``codiff.cli.main`` of the checkout at ROOT (its
-``src`` goes first on the import path), on every ``tests/fixtures/*.alg``
-and ``bench/inputs/*.alg`` file of that checkout, over Q, F_32003, F_2, F_3
-and F_5 (the file's ``field Q`` line rewritten), in text and json-lines.
-``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep short.
-Each run prints one line: the arguments, the exit status, and digests of
-stdout and stderr.  The CLI prints dimensions only, so each ``cohomology``
-and ``cyclic`` run that exits 0 is followed by one line with a digest of
-the library's representatives for the same arguments.  ``diff`` of the
-outputs of two checkouts lists every run whose answer changed.
+Runs ``validate``, ``bracket`` (with no names, then with each deformation
+name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
+``deform`` and ``convert``, through ``codiff.cli.main`` of the checkout at
+ROOT (its ``src`` goes first on the import path), on every
+``tests/fixtures/*.alg`` and ``bench/inputs/*.alg`` file of that checkout,
+over Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
+under both conventions, in text and json-lines.  ``cohomology`` of gl3
+runs at 0..2 only, which keeps the sweep short.  Each run prints one line:
+the arguments, the exit status, and digests of stdout and stderr.  The CLI
+prints dimensions only, so each ``cohomology`` and ``cyclic`` run that
+exits 0 is followed by one line with a digest of the library's
+representatives for the same arguments.  ``diff`` of the outputs of two
+checkouts lists every run whose answer changed.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import re
 import sys
 import tempfile
 
 FIELDS = ("Q", "F 32003", "F 2", "F 3", "F 5")
+CONVENTIONS = ("w-of-v", "v-of-w")
 FORMATS = ("text", "json-lines")
 SOURCES = ("tests/fixtures", "bench/inputs")
 
@@ -32,11 +36,20 @@ def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def commands(name):
-    """(command, extra arguments) for one input file."""
+def commands(name, text):
+    """(command, extra arguments) for one input file with this text."""
+    from codiff.algfile import ParseError, parse
+
+    try:
+        directions = sorted(parse(text).deformations)
+    except ParseError:
+        directions = []
     window = "0..2" if name == "gl3.alg" else "0..3"
-    return [("validate", []), ("cohomology", ["--window", window]),
-            ("cyclic", ["--window", "0..3"]), ("deform", [])]
+    return ([("validate", []), ("bracket", [])]
+            + [("bracket", [d]) for d in directions]
+            + [("cohomology", ["--window", window]),
+               ("cyclic", ["--window", "0..3"]), ("deform", []),
+               ("convert", [])])
 
 
 def call(main, argv):
@@ -53,19 +66,19 @@ def call(main, argv):
     return status, out.getvalue(), err.getvalue()
 
 
-def representatives(command, text, window):
+def representatives(command, text, window, convention):
     """A digest of the representatives that ``cohomology`` or
-    ``cyclic_cohomology`` returns for the file text at this window, row by
-    row; an escaping exception is recorded as ``raised:<type>``."""
+    ``cyclic_cohomology`` returns for the file text at this window, under
+    this convention, row by row; an escaping exception is recorded as
+    ``raised:<type>``."""
     from codiff.algfile import parse
-    from codiff.cli import build_structure
-    from codiff.coderivation import W_OF_V
+    from codiff.cli import CONVENTION_FLAGS, build_structure
     from codiff.homology import cohomology, cyclic_cohomology
 
     window = tuple(int(x) for x in window.split(".."))
     try:
         af = parse(text)
-        s = build_structure(af, W_OF_V, 8)
+        s = build_structure(af, CONVENTION_FLAGS[convention], 8)
         if command == "cohomology":
             report = cohomology(s, window)
         else:
@@ -101,18 +114,23 @@ def sweep(root):
                                    flags=re.M)
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.write(local)
-                    for command, extra in commands(name):
+                    for (command, extra), convention in itertools.product(
+                            commands(name, local), CONVENTIONS):
                         for fmt in FORMATS:
-                            argv = [command, path] + extra + ["--format", fmt]
+                            argv = ([command, path] + extra
+                                    + ["--convention", convention,
+                                       "--format", fmt])
                             status, out, err = call(main, argv)
                             print("%s status=%s out=%s err=%s"
                                   % (" ".join(argv), status, digest(out),
                                      digest(err)), flush=True)
                         if command in ("cohomology", "cyclic") and status == 0:
-                            print("%s %s %s representatives=%s"
+                            print("%s %s %s --convention %s representatives=%s"
                                   % (command, path, " ".join(extra),
+                                     convention,
                                      representatives(command, local,
-                                                     extra[-1])), flush=True)
+                                                     extra[-1], convention)),
+                                  flush=True)
         finally:
             os.chdir(cwd)
 

@@ -8,7 +8,8 @@
     codiff convert FILE
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
-non-invariant inner product, parity constraint), 2 on an input error, 3 on
+non-invariant inner product, parity constraint), 2 on an input error (one
+stderr line for a window too large to build, ``homology.MAX_INDEX``), 3 on
 an internal error or lack of memory (one stderr line, no traceback).
 """
 
@@ -20,8 +21,8 @@ import sys
 from .algfile import AlgebraFile, ParseError, parse, render_vector, serialize
 from .coderivation import (V_OF_W, W_OF_V, convert_convention_parts,
                            family_bracket)
-from .homology import (InvarianceError, classify_deformation, cohomology,
-                       cyclic_cohomology)
+from .homology import (InvarianceError, WindowTooLarge, classify_deformation,
+                       cohomology, cyclic_cohomology)
 from .structures import (FLAVOR_KIND, InfinityStructure, StructureError,
                          validate)
 
@@ -287,6 +288,9 @@ def main(argv=None):
                           convention=CONVENTION_FLAGS[args.convention],
                           window=window, max_arity=args.max_arity,
                           fmt=args.fmt, names=tuple(args.names))
+    except WindowTooLarge as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return INPUT_ERROR
     except (RuntimeError, MemoryError) as exc:
         sys.stderr.write("error: %s\n" % (str(exc) or type(exc).__name__))
         return INTERNAL_ERROR

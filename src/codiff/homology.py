@@ -20,6 +20,7 @@ tests remain reliable).
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import linalg
 from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
@@ -31,6 +32,14 @@ from .graded import (EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word,
                      rotation_sign)
 # deform_check stays a module attribute: bench/tracer.py wraps it here
 from .structures import deformation_parameter_parity, deform_check  # noqa: F401
+
+
+MAX_INDEX = 10 ** 6
+
+
+class WindowTooLarge(ValueError):
+    """A window refused before any basis is built: its top index would scan
+    more than MAX_INDEX entries, or it has more rows than that."""
 
 
 class InvarianceError(ValueError):
@@ -229,6 +238,7 @@ def _window_report(cx, window, graded_exact, note):
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
+    _check_window(cx.s, a, b)
     rows_out = []
     for p in range(a, b + 1):
         kern, b_basis, reps = [], [], []
@@ -258,6 +268,30 @@ def _window_report(cx, window, graded_exact, note):
         rows_out.append(DegreeRow(p, len(kern), len(b_basis),
                                   len(kern) - len(b_basis), reps))
     return CohomologyReport(window, rows_out, graded_exact, note)
+
+
+def _check_window(s, a, b):
+    """Raise WindowTooLarge when the index of degree d = b + spread, the
+    largest the window builds, would scan more than MAX_INDEX entries, or
+    the window has more rows than that.  The plain index scans dim^(d+1)
+    tuples and letters (tensor), or dim * C(dim + d - 1, d) multisets and
+    letters, as ``canonical_tuples`` filters every multiset; that bounds
+    the cyclic scan, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
+    dim, d = s.space.dim, b + max(s.parts, default=1) - 1
+    if s.flavor == TENSOR:
+        # past dim^65 the size only has to compare above MAX_INDEX
+        form, size = "%d^%d" % (dim, d + 1), dim ** min(d + 1, 65)
+    else:
+        form = "%d*C(%d,%d)" % (dim, dim + d - 1, d)
+        size = dim * math.comb(dim + d - 1, d)
+    if size > MAX_INDEX:
+        raise WindowTooLarge(
+            "window %d..%d: its degree-%d index would scan %s entries, "
+            "more than %d" % (a, b, d, form if d >= 64 else
+                              "%s = %d" % (form, size), MAX_INDEX))
+    if b - a >= MAX_INDEX:
+        raise WindowTooLarge("window %d..%d has %d rows, more than %d"
+                             % (a, b, b - a + 1, MAX_INDEX))
 
 
 def _report_note(s, mixed, small_p=""):

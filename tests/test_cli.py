@@ -3,13 +3,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import codiff.cli
 from codiff.algfile import parse
 from codiff.blocks import OUTSIDE
-from codiff.cli import main, run
+from codiff.cli import build_structure, main, run
+from codiff.cochain import vec_add
+from codiff.coderivation import W_OF_V
+from codiff.homology import _CyclicComplex, _PlainComplex
+from codiff.structures import validate
 from codiff.fields import PRIME_BOUND
 from conftest import shear
 
@@ -252,6 +257,34 @@ class TestMainEntryPoint:
                      "--window", "3..1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_window_too_large_is_one_line_and_exit_2(self, fmt):
+        """Refused from the closed-form size of its top index, before any
+        basis is built: the command ends at once with nothing on stdout."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "codiff.cli", "cohomology",
+             os.path.join(BENCH_INPUTS, "m2.alg"),
+             "--window", "0..99999999999999999999999", "--format", fmt],
+            capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: window 0..99999999999999999999999: its "
+            "degree-100000000000000000000000 index would scan "
+            "4^100000000000000000000001 entries, more than 1000000\n")
+
+    def test_window_too_large_in_process(self, capsys):
+        # gl3 has no canonical tuple above degree 9, but canonical_tuples
+        # filters every multiset of nine letters
+        assert main(["cyclic", os.path.join(BENCH_INPUTS, "gl3.alg"),
+                     "--window", "0..40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: window 0..40: its degree-41 index "
+                                "would scan 9*C(49,41) = 4058802594 "
+                                "entries, more than 1000000\n")
+
     def test_field_above_the_primality_bound_is_refused(self, tmp_path,
                                                         capsys):
         with open(self.path("sl2.alg"), encoding="utf-8") as fh:
@@ -412,17 +445,41 @@ ALL_INPUTS = [os.path.join(FIXTURES, f) for f in FIXTURE_FILES] + sorted(
     if f.endswith(".alg"))
 
 
-@pytest.mark.parametrize("path", [p for p in ALL_INPUTS
-                                  if not p.endswith("bad_name.alg")],
-                         ids=lambda path: os.path.relpath(
-                             path, os.path.join(HERE, os.pardir)))
-def test_shear_is_a_change_of_basis(path):
+def shear_cases():
+    """Every parseable input under seeds 1-3, over Q and F_32003; seed 2
+    over Q keeps the input's own id."""
+    for path in ALL_INPUTS:
+        if path.endswith("bad_name.alg"):
+            continue
+        name = os.path.relpath(path, os.path.join(HERE, os.pardir))
+        for field, tag in (("Q", ""), ("F 32003", "-F32003")):
+            for seed in (2, 1, 3):
+                suffix = tag + ("" if seed == 2 else "-seed%d" % seed)
+                yield pytest.param(path, field, seed, id=name + suffix)
+
+
+def assert_blocks_compose_to_zero(cx, degrees):
+    """D∘D = 0 read from the blocks: D of the image of each basis vector of
+    these degrees, summed over the degrees the image reaches."""
+    for p in degrees:
+        for image in cx.images(p):
+            twice = {}
+            for q, vec in image.items():
+                for row, x in vec.items():
+                    for r, w in cx.images(q)[row].items():
+                        vec_add(twice.setdefault(r, {}), w, x)
+            assert not any(twice.values()), (p, image)
+
+
+@pytest.mark.parametrize("path,field,seed", shear_cases())
+def test_shear_is_a_change_of_basis(path, field, seed):
     """The sheared copy of a structure is the same structure: every report
     agrees (a refusal's witness word is written in the basis, so only the
-    status of a refusal is compared)."""
-    with open(path, encoding="utf-8") as fh:
-        af = parse(fh.read())
-    sheared = shear(af, 4, 2)
+    status of a refusal is compared), and the blocks of a sheared
+    structure that validates compose to zero (D_{p+spread} D_p = 0 for
+    p = 0, 1) in both complexes."""
+    af = load_over(path, field)
+    sheared = shear(af, 4, seed)
     if len(set(af.space.parities)) < af.space.dim:  # a shear is possible
         assert sheared != af
     for command in ("validate", "cohomology", "cyclic", "deform"):
@@ -431,6 +488,10 @@ def test_shear_is_a_change_of_basis(path):
         assert sheared_status == status
         if status == 0:
             assert theirs == ours
+    s = build_structure(sheared, W_OF_V, 8)
+    if validate(s).ok:
+        for cx in (_PlainComplex(s), _CyclicComplex(s)):
+            assert_blocks_compose_to_zero(cx, (0, 1))
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cyclic"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,15 +9,17 @@ import pytest
 from codiff import GradedSpace
 from codiff.cochain import (Cochain, InnerProduct, ScalarCochain, add,
                             canonical_tuples, tilde, untilde)
-from codiff.coderivation import W_OF_V, bracket, family_bracket, \
+from codiff.coderivation import V_OF_W, W_OF_V, bracket, family_bracket, \
     family_is_zero, modified_bracket
 from codiff.graded import EXTERIOR, PRODUCT_FORM, TENSOR, word_parity
-from codiff.homology import (InvarianceError, _CyclicComplex, _rotation_sum,
-                             _antisymmetry_witness, classify_deformation,
-                             coboundary, cohomology, cyclic_coboundary,
-                             cyclic_cohomology, cyclic_scalar_basis, cyclicize,
-                             is_cyclic, is_cyclic_scalar, structure_is_cyclic)
-from codiff import linalg, oracle
+from codiff.homology import (MAX_INDEX, InvarianceError, WindowTooLarge,
+                             _CyclicComplex, _PlainComplex, _check_window,
+                             _rotation_sum, _antisymmetry_witness,
+                             classify_deformation, coboundary, cohomology,
+                             cyclic_coboundary, cyclic_cohomology,
+                             cyclic_scalar_basis, cyclicize, is_cyclic,
+                             is_cyclic_scalar, structure_is_cyclic)
+from codiff import homology, linalg, oracle
 from codiff.algfile import parse
 from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
@@ -28,13 +31,28 @@ from conftest import (make_cochain, pair, random_cochain,
 F = Fraction
 BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                             "inputs")
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+INPUT_FILES = sorted(
+    [os.path.join(FIXTURES, f) for f in os.listdir(FIXTURES)] +
+    [os.path.join(BENCH_INPUTS, f) for f in os.listdir(BENCH_INPUTS)])
+
+
+def input_id(path):
+    return os.path.relpath(path, os.path.join(os.path.dirname(__file__),
+                                              os.pardir))
+
+
+def load_file(path, field="Q"):
+    """The parsed file with its ``field Q`` line rewritten to ``field``."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(re.sub(r"^field Q$", "field " + field, fh.read(),
+                            flags=re.M))
 
 
 def bench_structure(name):
     """The structure of one of the benchmark's input files, over Q."""
-    with open(os.path.join(BENCH_INPUTS, name), encoding="utf-8") as fh:
-        af = parse(fh.read())
-    return build_structure(af, W_OF_V, 8)
+    return build_structure(load_file(os.path.join(BENCH_INPUTS, name)),
+                           W_OF_V, 8)
 
 
 def random_cyclic_scalar(space, k, parity, rng, density=0.5):
@@ -638,7 +656,52 @@ class TestCyclicCohomology:
                        for reps in want]
 
 
+    @pytest.mark.parametrize("convention", [W_OF_V, V_OF_W])
+    @pytest.mark.parametrize("field", ["Q", "F 32003", "F 3"])
+    @pytest.mark.parametrize("path", [
+        os.path.join(BENCH_INPUTS, "m2.alg"),
+        os.path.join(BENCH_INPUTS, "dual_numbers.alg"),
+        os.path.join(FIXTURES, "sl2.alg"),
+        os.path.join(FIXTURES, "abelian2.alg"),
+        os.path.join(FIXTURES, "dual_numbers.alg")], ids=input_id)
+    def test_representatives_map_to_cocycles(self, path, field, convention):
+        """The comparison of the two complexes on cohomology: with an
+        invariant form, ``untilde`` carries cyclic cocycles to cocycles of
+        the plain complex, so it maps every representative of HC^p to a
+        cochain that D kills."""
+        af = load_file(path, field)
+        s = build_structure(af, convention, 8)
+        report = cyclic_cohomology(s, af.inner_product, (0, 3))
+        reps = [rep for row in report.rows for rep in row.representatives]
+        assert reps
+        for rep in reps:
+            phi = untilde(rep, af.inner_product)
+            assert not phi.is_zero()
+            assert family_is_zero(coboundary(phi, s))
+
+
 class TestClassifyDeformation:
+    def test_m2_builds_no_basis_above_the_direction(self, monkeypatch):
+        """For one arity D maps degree q into q + spread alone, so the
+        coboundary test of a degree-2 direction of M2 reads the block D_1
+        and the bases of degrees 1 and 2, in either complex."""
+        built = []
+        for cls in (_PlainComplex, _CyclicComplex):
+            def build(cx, p, build=cls._build_basis):
+                built.append(p)
+                return build(cx, p)
+            monkeypatch.setattr(cls, "_build_basis", build)
+        af = load_file(os.path.join(BENCH_INPUTS, "m2.alg"))
+        s = build_structure(af, W_OF_V, 8)
+        _, lam = af.deformations["lam"]
+        plain = classify_deformation(s, lam)
+        assert (plain.cocycle, plain.coboundary) == (True, True)
+        assert built and max(built) == 2
+        built.clear()
+        cyclic = classify_deformation(s, lam, af.inner_product)
+        assert (cyclic.cocycle, cyclic.coboundary) == (True, False)
+        assert built and max(built) == 2
+
     def test_coboundary_direction(self, sl2, rng):
         s, _ = sl2
         for trial in range(5):
@@ -693,3 +756,54 @@ class TestClassifyDeformation:
         assert lam is not None
         cls = classify_deformation(s, {2: lam}, killing)
         assert cls.preserves_ip is False and cls.coboundary is False
+
+
+class TestWindowBound:
+    def test_a_huge_window_is_refused(self):
+        s = bench_structure("m2.alg")
+        for report in (cohomology, lambda s, w: cyclic_cohomology(s, None, w)):
+            with pytest.raises(WindowTooLarge, match="degree-100000000000000000001"):
+                report(s, (0, 10 ** 20))
+
+    def test_rows_are_bounded_when_the_index_is_not(self):
+        # in dimension 1 every index has one entry
+        space = GradedSpace(("1",), (0,))
+        s = InfinityStructure(A_INFINITY, space, {2: make_cochain(
+            space, TENSOR, 2, 0, {("1", "1"): {"1": 1}})})
+        _check_window(s, 0, MAX_INDEX - 1)
+        with pytest.raises(WindowTooLarge, match="rows"):
+            cohomology(s, (0, MAX_INDEX))
+
+    def test_an_index_at_the_bound_is_built(self):
+        # ten even letters and arity 2 (spread 1): the degree-5 index scans
+        # 10^6 = MAX_INDEX entries, the degree-6 one ten times more
+        space = GradedSpace(tuple("x%d" % i for i in range(10)), (0,) * 10)
+        s = InfinityStructure(A_INFINITY, space, {2: make_cochain(
+            space, TENSOR, 2, 0, {("x0", "x0"): {"x0": 1}})})
+        assert MAX_INDEX == 10 ** 6
+        _check_window(s, 0, 4)
+        with pytest.raises(WindowTooLarge, match=r"10\^7 = 10000000 "):
+            _check_window(s, 0, 5)
+
+    @pytest.mark.parametrize("path", [p for p in INPUT_FILES
+                                      if not p.endswith("bad_name.alg")],
+                             ids=input_id)
+    def test_the_closed_form_is_the_enumerated_scan(self, monkeypatch, path):
+        """The size the bound reads is dim times the tuples (tensor) or
+        multisets (otherwise) ``canonical_tuples`` enumerates at the top
+        degree, and no index either complex builds is larger."""
+        s = build_structure(load_file(path), W_OF_V, 8)
+        spread = max(s.parts, default=1) - 1
+        monkeypatch.setattr(homology, "MAX_INDEX", 0)
+        for b in range(3):
+            d = b + spread
+            with pytest.raises(WindowTooLarge) as refusal:
+                _check_window(s, 0, b)
+            size = int(re.search(r" = (\d+) entries", str(refusal.value))[1])
+            letters = range(s.space.dim)
+            scan = (itertools.product(letters, repeat=d) if s.flavor == TENSOR
+                    else itertools.combinations_with_replacement(letters, d))
+            assert size == s.space.dim * sum(1 for _ in scan)
+            assert len(_PlainComplex(s)._index(d)) <= size
+            if s.flavor in (TENSOR, EXTERIOR):
+                assert len(_CyclicComplex(s)._index(d)) <= size

@@ -7,7 +7,10 @@ swap into it; ``tilde`` reads each stored tuple once, and
 ``_PlainComplex.coords`` reads the nonzero coordinates through an index
 map.  Each is compared, coefficients, witnesses and key order, with the
 full-enumeration loop it replaced, kept here as the reference, on random
-sparse cochains over Q, F_2 and F_3 with odd and even letters."""
+sparse cochains over Q, F_2 and F_3 with odd and even letters.  The
+extension and ``compose`` read a cochain by key at the canonical words
+``splits`` yields; they are compared with the reads through
+``Cochain.value`` that they replaced."""
 
 import itertools
 import random
@@ -21,11 +24,11 @@ from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
 from codiff.cochain import (  # noqa: E402
     Cochain, InnerProduct, ScalarCochain, canonical_tuples, tilde, untilde,
     vec_add)
-from codiff.coderivation import compose, extend_letters  # noqa: E402
+from codiff.coderivation import compose, extend_letters, splits  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM,  # noqa: E402
-                           SYMMETRIC, TENSOR, reorder_sign, rotation_sign,
-                           unshuffles, word_parity)
+                           SYMMETRIC, TENSOR, canonical_word, reorder_sign,
+                           rotation_sign, unshuffles, word_parity)
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _cyclic_witness, _rotation_sum,
                              _rotation_witness, _unshuffle_sum,
@@ -65,12 +68,59 @@ def same(new, ref):
 
 # --- the full-enumeration references ----------------------------------------
 
-def compose_reference(outer, inner, mode):
+def splits_reference(flavor, letters, k, mode, par):
+    """``splits`` with each unshuffle's sign from ``reorder_sign``."""
+    n = len(letters)
+    if flavor == TENSOR:
+        pre_parity = 0
+        for i in range(n - k + 1):
+            even = -1 if mode == PRODUCT_FORM and i * (k - 1) & 1 else 1
+            odd = -even if pre_parity & 1 else even
+            yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
+            if i < n:
+                pre_parity += par[letters[i]]
+        return
+    if n < k:
+        return
+    letter_par = [par[x] for x in letters]
+    for sigma in unshuffles(k, n - k):
+        s = reorder_sign(flavor, sigma, letter_par)
+        yield ((s, s), tuple(letters[i - 1] for i in sigma[:k]), (),
+               tuple(letters[i - 1] for i in sigma[k:]))
+
+
+def extend_letters_reference(gen, letters, mode):
+    """The extension with ``gen`` read through ``Cochain.value``, which
+    puts any head in canonical order first."""
+    par = gen.space.parities
+    out = {}
+    for signs, head, pre, post in splits_reference(gen.flavor, letters,
+                                                   gen.degree, mode, par):
+        vec = gen.value(head)
+        if not vec:
+            continue
+        sign = signs[gen.parity]
+        for b, c in vec.items():
+            key = pre + (b,) + post
+            if gen.flavor != TENSOR:
+                cw = canonical_word(gen.flavor, key, par)
+                if cw is None:
+                    continue
+                key, c = cw[1], cw[0] * c
+            cur = out.get(key, 0) + sign * c
+            if cur:
+                out[key] = cur
+            else:
+                out.pop(key, None)
+    return out
+
+
+def compose_reference(outer, inner, mode, extend=extend_letters):
     n = outer.degree + inner.degree - 1
     coeffs = {}
     for t in canonical_tuples(outer.space, outer.flavor, n):
         acc = {}
-        for mid, c in extend_letters(inner, t, mode).items():
+        for mid, c in extend(inner, t, mode).items():
             vec_add(acc, outer.value(mid), c)
         if acc:
             coeffs[t] = acc
@@ -386,3 +436,35 @@ def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
     assert same(new, ref)
     assert [type(x) for x in new.coeffs.values()] == \
         [type(x) for x in ref.coeffs.values()]
+
+
+@PROPERTY
+@given(space=spaces(),
+       flavor=st.sampled_from([TENSOR, SYMMETRIC, EXTERIOR]),
+       mode=st.sampled_from([PARITY_ONLY, PRODUCT_FORM]),
+       n=st.integers(1, 5), k=st.integers(0, 3),
+       parities=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+       density=DENSITY, seed=st.integers(0, 2 ** 32))
+def test_splits_of_canonical_words_are_read_by_key(space, flavor, mode, n, k,
+                                                   parities, density, seed):
+    """Every head and suffix ``splits`` yields on a canonical word (odd
+    letters repeat in the exterior algebra, even ones in the symmetric
+    algebra) is canonical, so the reads by key of ``extend_letters`` and
+    ``compose`` give what the reads through ``Cochain.value`` gave."""
+    words = canonical_tuples(space, flavor, n)
+    assume(k <= n and words)
+    rng = random.Random(seed)
+    par = space.parities
+    word = rng.choice(words)
+    for _, head, _, post in splits(flavor, word, k, mode, par):
+        for w in (head, post):
+            assert canonical_word(flavor, w, par) == (1, w)
+    gen = random_cochain(space, flavor, k, parities[0], rng, density)
+    got = extend_letters(gen, word, mode)
+    want = extend_letters_reference(gen, word, mode)
+    assert [(t, c, type(c)) for t, c in got.items()] == \
+        [(t, c, type(c)) for t, c in want.items()]
+    outer = random_cochain(space, flavor, n - k + 1, parities[1], rng,
+                           density)
+    assert same(compose(outer, gen, mode),
+                compose_reference(outer, gen, mode, extend_letters_reference))
