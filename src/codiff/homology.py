@@ -238,7 +238,7 @@ def _window_report(cx, window, graded_exact, note):
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
-    _check_window(cx.s, a, b)
+    _check_window(cx, a, b)
     rows_out = []
     for p in range(a, b + 1):
         kern, b_basis, reps = [], [], []
@@ -270,16 +270,17 @@ def _window_report(cx, window, graded_exact, note):
     return CohomologyReport(window, rows_out, graded_exact, note)
 
 
-def _check_window(s, a, b):
+def _check_window(cx, a, b):
     """Raise WindowTooLarge when the index of degree d = b + spread, the
     largest the window builds, would scan more than MAX_INDEX entries, or
     the window has more rows than that.  The plain index scans dim^(d+1)
     tuples and letters (tensor), or dim * C(dim + d - 1, d) multisets and
     letters, as ``canonical_tuples`` filters every multiset; that bounds
     the cyclic scan, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
-    dim, d = s.space.dim, b + max(s.parts, default=1) - 1
-    if s.flavor == TENSOR:
-        # past dim^65 the size only has to compare above MAX_INDEX
+    dim, d = cx.s.space.dim, b + cx.spread
+    if cx.s.flavor == TENSOR:
+        # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger power
+        # is expanded
         form, size = "%d^%d" % (dim, d + 1), dim ** min(d + 1, 65)
     else:
         form = "%d*C(%d,%d)" % (dim, dim + d - 1, d)
