@@ -13,9 +13,9 @@ from codiff.blocks import OUTSIDE
 from codiff.cli import build_structure, main, run
 from codiff.cochain import vec_add
 from codiff.coderivation import W_OF_V
+from codiff.fields import PRIME_BOUND
 from codiff.homology import _CyclicComplex, _PlainComplex
 from codiff.structures import validate
-from codiff.fields import PRIME_BOUND
 from conftest import shear
 
 HERE = os.path.dirname(__file__)
