@@ -4,17 +4,20 @@
 
 Runs ``validate``, ``bracket`` (with no names, then with each deformation
 name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
-``deform`` and ``convert``, through ``codiff.cli.main`` of the checkout at
-ROOT (its ``src`` goes first on the import path), on every
-``tests/fixtures/*.alg`` and ``bench/inputs/*.alg`` file of that checkout,
-over Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
-under both conventions, in text and json-lines.  ``cohomology`` of gl3
-runs at 0..2 only, which keeps the sweep short.  Each run prints one line:
-the arguments, the exit status, and digests of stdout and stderr.  The CLI
-prints dimensions only, so each ``cohomology`` and ``cyclic`` run that
-exits 0 is followed by one line with a digest of the library's
-representatives for the same arguments.  ``diff`` of the outputs of two
-checkouts lists every run whose answer changed.
+``deform``, ``deform --max-arity 1`` and ``convert``, through
+``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
+import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
+file of that checkout, over Q, F_32003, F_2, F_3 and F_5 (the file's
+``field Q`` line rewritten), under both conventions, in text and
+json-lines.  A file with an ``inner_product`` block also runs ``deform``
+with the block removed, which tests its directions in the plain complex.
+``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep short.
+Each run prints one line: the arguments, the exit status, and digests of
+stdout and stderr.  The CLI prints dimensions only, so each
+``cohomology`` and ``cyclic`` run that exits 0 is followed by one line
+with a digest of the library's representatives for the same arguments.
+``diff`` of the outputs of two checkouts lists every run whose answer
+changed.
 """
 
 import contextlib
@@ -30,6 +33,7 @@ FIELDS = ("Q", "F 32003", "F 2", "F 3", "F 5")
 CONVENTIONS = ("w-of-v", "v-of-w")
 FORMATS = ("text", "json-lines")
 SOURCES = ("tests/fixtures", "bench/inputs")
+INNER_PRODUCT = re.compile(r"^inner_product\n(?:[ \t].*\n)*", re.M)
 
 
 def digest(text):
@@ -49,7 +53,7 @@ def commands(name, text):
             + [("bracket", [d]) for d in directions]
             + [("cohomology", ["--window", window]),
                ("cyclic", ["--window", "0..3"]), ("deform", []),
-               ("convert", [])])
+               ("deform", ["--max-arity", "1"]), ("convert", [])])
 
 
 def call(main, argv):
@@ -90,6 +94,14 @@ def representatives(command, text, window, convention):
                         for row in report.rows]))
 
 
+def write(path, text):
+    """Write the text to the relative path; returns the path."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def sweep(root):
     sys.path.insert(0, os.path.join(root, "src"))
     from codiff.cli import main
@@ -109,13 +121,17 @@ def sweep(root):
                     text = fh.read()
                 for field in FIELDS:
                     path = os.path.join(field.replace(" ", ""), src, name)
-                    os.makedirs(os.path.dirname(path), exist_ok=True)
                     local = re.sub(r"^field Q$", "field " + field, text,
                                    flags=re.M)
-                    with open(path, "w", encoding="utf-8") as fh:
-                        fh.write(local)
-                    for (command, extra), convention in itertools.product(
-                            commands(name, local), CONVENTIONS):
+                    runs = [(path, command, extra)
+                            for command, extra in commands(name, local)]
+                    write(path, local)
+                    plain = INNER_PRODUCT.sub("", local)
+                    if plain != local:
+                        runs.append((write(os.path.join(
+                            "no_inner_product", path), plain), "deform", []))
+                    for (path, command, extra), convention in \
+                            itertools.product(runs, CONVENTIONS):
                         for fmt in FORMATS:
                             argv = ([command, path] + extra
                                     + ["--convention", convention,

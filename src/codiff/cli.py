@@ -9,8 +9,9 @@
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
 non-invariant inner product, parity constraint), 2 on an input error (one
-stderr line for a window too large to build, ``homology.MAX_INDEX``), 3 on
-an internal error or lack of memory (one stderr line, no traceback).
+stderr line for a window or a deformation direction too large to build,
+``homology.MAX_INDEX``), 3 on an internal error or lack of memory (one
+stderr line, no traceback).
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def _cmd_deform(s, af, fmt):
                          fmt), MATH_FAIL
         except InvarianceError as exc:
             return _refuse_noninvariant("deform", exc, fmt)
+        except WindowTooLarge as exc:
+            raise WindowTooLarge("deform %s: %s" % (name, exc)) from None
         def tri(x):
             return "undetermined" if x is None else ("yes" if x else "no")
         line = "deform %s: cocycle=%s coboundary=%s preserves_ip=%s" % (
@@ -277,6 +280,10 @@ def main(argv=None):
     if args.names and args.command != "bracket":
         sys.stderr.write("error: extra arguments are only meaningful for "
                          "the bracket command\n")
+        return INPUT_ERROR
+    if len(args.names) > 2:
+        sys.stderr.write("error: bracket takes at most two names, got %d\n"
+                         % len(args.names))
         return INPUT_ERROR
     try:
         af = parse(text)

@@ -14,7 +14,9 @@ the largest arity less one, D maps C^p into degrees p..p+spread.  For one
 arity it maps into C^{p+spread} alone, so B^p = im D_{p-spread} exactly.
 For mixed arities the sources are every degree a - spread .. b, so B^p is
 a lower bound for the coboundary space and the report says so (membership
-tests remain reliable).
+tests remain reliable).  ``_sources`` holds that rule, and every coboundary
+question (B^p, the representatives, ``deform``) is one ``_spanned``
+echelon form of the source images and the questioned vectors.
 """
 
 from __future__ import annotations
@@ -227,53 +229,67 @@ class CohomologyReport:
         self.note = note
 
 
-def _window_report(cx, window, graded_exact, note):
+def _window_report(cx, window, note):
     """Z^p, B^p and representatives of Z^p / B^p for p in the window.
 
-    Z^p is the kernel of the images of the degree-p basis, in free-column
-    form.  B^p is the rows of the echelon form of the source images, degree
-    p stacked last, whose pivots fall in degree p: they vanish off it and
-    span im D ∩ C^p.  The sources are degree p - spread alone for one arity
-    (``graded_exact``), and every degree a - spread .. b otherwise."""
+    Z^p is the free-column kernel of the degree-p images.  The cocycles
+    outside the span of the ``_sources`` images and the earlier cocycles
+    are the representatives; the pivots in degree p span B^p + Z^p, so B^p
+    counts them less the representatives (neither count assumes D^2 = 0)."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
     _check_window(cx, a, b)
     rows_out = []
     for p in range(a, b + 1):
-        kern, b_basis, reps = [], [], []
+        kern, reps, pivots = [], [], 0
         if cx.dim(p):
             cols, total = _stack(cx, cx.images(p))
             kern = linalg.kernel_basis(_transpose(cols, total), len(cols),
                                        cx.field)
-            degrees = ([p - cx.spread] if graded_exact
-                       else range(a - cx.spread, b + 1))
-            sources = [img for q in degrees if q >= 0
+            sources = [img for q in _sources(cx, window, p)
                        for img in cx.images(q)]
-            vecs, total = _stack(cx, sources, last=p)
-            start = total - cx.dim(p)
-            b_basis = [{c - start: x for c, x in row.items()}
-                       for row, pivot in zip(*linalg.echelon(vecs, cx.field))
-                       if pivot >= start]
-        # representatives: the kernel vectors among the pivot columns of
-        # [B | Z], i.e. each one not in the span of B and the earlier ones
-        if kern:
-            span = b_basis + kern
-            _, pivots = linalg.echelon(_transpose(span, cx.dim(p)), cx.field)
-            reps = [cx.reconstruct(p, span[c]) for c in pivots
-                    if c >= len(b_basis)]
+            spanned, pivots = _spanned(cx, sources, [{p: z} for z in kern],
+                                       last=p)
+            reps = [cx.reconstruct(p, z) for j, z in enumerate(kern)
+                    if j not in spanned]
         # the bracket route certifies each class the block picked
         if any(cx.differential(rep) for rep in reps):
             raise RuntimeError("a representative of H^%d is not a cocycle" % p)
-        rows_out.append(DegreeRow(p, len(kern), len(b_basis),
-                                  len(kern) - len(b_basis), reps))
-    return CohomologyReport(window, rows_out, graded_exact, note)
+        rows_out.append(DegreeRow(p, len(kern), pivots - len(reps),
+                                  len(kern) - pivots + len(reps), reps))
+    return CohomologyReport(window, rows_out, len(cx.s.parts) <= 1, note)
 
 
-def _check_window(cx, a, b):
+def _sources(cx, window, p):
+    """The degrees whose images B^p is read from, for the window a..b."""
+    if len(cx.s.parts) > 1:
+        return range(max(window[0] - cx.spread, 0), window[1] + 1)
+    return [p - cx.spread] if p >= cx.spread else []
+
+
+def _spanned(cx, sources, vectors, last=None):
+    """(The j whose vector lies in the span of the sources and
+    vectors[:j], the number of pivots in degree ``last``) from one echelon
+    form of the families {degree: vector} stacked by ``_stack``.  Vector j
+    carries a 1 in the j-th column from the right after every degree, a
+    pivot exactly when a vanishing combination of the sources and
+    vectors[:j + 1] has a nonzero coefficient on vector j."""
+    rows, total = _stack(cx, sources + vectors, last)
+    tag, one = total + len(vectors) - 1, cx.field(1)
+    for j, row in enumerate(rows[len(sources):]):
+        row[tag - j] = one
+    _, pivots = linalg.echelon(rows, cx.field)
+    start = total - (cx.dim(last) if last is not None else 0)
+    return ({tag - c for c in pivots if c >= total},
+            sum(start <= c < total for c in pivots))
+
+
+def _check_window(cx, a, b, what=None):
     """Raise WindowTooLarge when the index of degree d = b + spread, the
     largest the window builds, would scan more than MAX_INDEX entries, or
-    the window has more rows than that.  The plain index scans dim^(d+1)
+    the window has more rows than that; the message names what needs it,
+    ``what`` or else the window a..b.  The plain index scans dim^(d+1)
     tuples and letters (tensor), or dim * C(dim + d - 1, d) multisets and
     letters, as ``canonical_tuples`` filters every multiset; that bounds
     the cyclic scan, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
@@ -287,9 +303,9 @@ def _check_window(cx, a, b):
         size = dim * math.comb(dim + d - 1, d)
     if size > MAX_INDEX:
         raise WindowTooLarge(
-            "window %d..%d: its degree-%d index would scan %s entries, "
-            "more than %d" % (a, b, d, form if d >= 64 else
-                              "%s = %d" % (form, size), MAX_INDEX))
+            "%s: its degree-%d index would scan %s entries, more than %d"
+            % (what or "window %d..%d" % (a, b), d,
+               form if d >= 64 else "%s = %d" % (form, size), MAX_INDEX))
     if b - a >= MAX_INDEX:
         raise WindowTooLarge("window %d..%d has %d rows, more than %d"
                              % (a, b, b - a + 1, MAX_INDEX))
@@ -314,8 +330,7 @@ def cohomology(s, window):
     note = _report_note(s, "mixed arities: the complex does not split by "
                         "degree; coboundary dimensions are truncated to "
                         "sources in the window")
-    return _window_report(_PlainComplex(s), tuple(window), len(s.parts) <= 1,
-                          note)
+    return _window_report(_PlainComplex(s), tuple(window), note)
 
 
 # --- cyclicity --------------------------------------------------------------
@@ -565,8 +580,7 @@ def cyclic_cohomology(s, ip=None, window=(0, 3)):
                % (p, arity)) if 0 < p <= arity else ""
     note = _report_note(s, "mixed arities: coboundary dimensions are "
                         "truncated to sources in the window", small_p)
-    return _window_report(_CyclicComplex(s), tuple(window), len(s.parts) <= 1,
-                          note)
+    return _window_report(_CyclicComplex(s), tuple(window), note)
 
 
 # --- deformation classification ---------------------------------------------
@@ -582,11 +596,12 @@ class DeformationClass:
 def classify_deformation(s, parts, ip=None):
     """Classify a first-order direction.
 
-    cocycle: D(lambda) = 0.  coboundary: exact linear solve of
-    D(beta) = lambda; without an inner product beta ranges over the full
-    windowed complex, with one it ranges over the cyclic complex, matching
-    the classification of deformations that preserve the form, so the form
-    must be invariant (InvarianceError otherwise, as in cyclic_cohomology).
+    cocycle: D(lambda) = 0.  coboundary: lambda = D(beta), exactly, for a
+    beta of the parameter's parity on the ``_sources`` of lambda's degrees,
+    in the plain complex without an inner product and in the cyclic one
+    with it, matching the classification of deformations that preserve the
+    form, so the form must be invariant (InvarianceError otherwise, as in
+    cyclic_cohomology).  WindowTooLarge if its bases exceed the bound.
     """
     if ip is not None:
         _require_invariant(s, ip)
@@ -608,31 +623,19 @@ def classify_deformation(s, parts, ip=None):
         return DeformationClass(cocycle, None, preserves,
                                 "undetermined at this truncation: direction "
                                 "exceeds the max_arity cap")
-    if ip is None:
-        cx = _PlainComplex(s)
-        lam = {k: cx.coords(k, c) for k, c in live.items()}
-        return DeformationClass(cocycle, _is_coboundary(cx, lam, param),
-                                preserves)
-    if not preserves:
+    if ip is not None and not preserves:
         return DeformationClass(cocycle, False, preserves,
                                 "direction is not cyclic, so it cannot be a "
                                 "coboundary in the cyclic complex")
-    cx = _CyclicComplex(s)
-    lam = {k: cx.coords(k, forms[k]) for k in live}
-    note = "coboundary tested in the cyclic complex (inner product supplied)"
-    return DeformationClass(cocycle, _is_coboundary(cx, lam, param),
+    cx = _PlainComplex(s) if ip is None else _CyclicComplex(s)
+    degrees = sorted({q for k in live for q in _sources(cx, (0, max_deg), k)})
+    _check_window(cx, 0, max([max_deg - cx.spread] + degrees),
+                  "direction of degree %d" % max_deg)
+    sources = [img for q in degrees for i, img in enumerate(cx.images(q))
+               if cx.parity(q, i) == (param + q + 1) & 1]
+    lam = {k: cx.coords(k, c if ip is None else forms[k])
+           for k, c in live.items()}
+    note = "" if ip is None else ("coboundary tested in the cyclic complex "
+                                  "(inner product supplied)")
+    return DeformationClass(cocycle, bool(_spanned(cx, sources, [lam])[0]),
                             preserves, note)
-
-
-def _is_coboundary(cx, lam_coords, param):
-    """Is lambda ({degree: coordinates}) D(beta) for a beta matching a
-    parameter of parity param?  One arity maps degree q into q + spread
-    alone, so beta needs degrees k - spread for lambda's degrees k only."""
-    degrees = (range(max(lam_coords) + 1) if len(cx.s.parts) > 1 else
-               [k - cx.spread for k in sorted(lam_coords) if k >= cx.spread])
-    cols = [img for q in degrees
-            for i, img in enumerate(cx.images(q))
-            if cx.parity(q, i) == (param + q + 1) & 1]
-    vecs, total = _stack(cx, cols + [lam_coords])
-    return linalg.solve(_transpose(vecs[:-1], total), vecs[-1], len(cols),
-                        cx.field) is not None

@@ -365,6 +365,36 @@ def shear(af, count, seed):
                             in af.deformations.items()})
 
 
+def matrix_algebra_text(n, field="Q"):
+    """The input file of M_n: m(eij, ejk) = eik and the trace form
+    <eij, eji> = 1."""
+    r = range(1, n + 1)
+    return "\n".join(
+        ["field " + field, "flavor tensor", "space"]
+        + ["  basis e%d%d even" % (i, j) for i in r for j in r] + ["map m 2"]
+        + ["  m(e%d%d,e%d%d) = e%d%d" % (i, j, j, k, i, k)
+           for i in r for j in r for k in r]
+        + ["inner_product"]
+        + ["  <e%d%d,e%d%d> = 1" % (i, j, j, i) for i in r for j in r]) + "\n"
+
+
+def gl_text(n, field="Q"):
+    """The input file of gl_n: [eij, ekl] = d(j,k) eil - d(l,i) ekj on the
+    canonical pairs, as in the benchmark's gl2 and gl3."""
+    e = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    products = []
+    for a, (i, j) in enumerate(e):
+        for k, l in e[a + 1:]:
+            terms = (["e%d%d" % (i, l)] if j == k else []) + (
+                ["-e%d%d" % (k, j)] if l == i else [])
+            if terms:
+                products.append("  l(e%d%d,e%d%d) = %s" % (
+                    i, j, k, l, " ".join(terms).replace(" -", " - ")))
+    return "\n".join(["field " + field, "flavor exterior", "space"]
+                     + ["  basis e%d%d even" % ij for ij in e]
+                     + ["map l 2"] + products) + "\n"
+
+
 # --- structures used throughout the suite ----------------------------------
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from codiff.coderivation import W_OF_V
 from codiff.fields import PRIME_BOUND
 from codiff.homology import _CyclicComplex, _PlainComplex
 from codiff.structures import validate
-from conftest import shear
+from conftest import gl_text, matrix_algebra_text, shear
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -274,6 +274,38 @@ class TestMainEntryPoint:
             "degree-100000000000000000000000 index would scan "
             "4^100000000000000000000001 entries, more than 1000000\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_deform_too_large_is_one_line_and_exit_2(self, tmp_path, fmt):
+        """Ten even letters and a degree-6 direction: its coboundary test
+        would build the degree-6 index, 10^7 entries, so it is refused
+        before any basis is built."""
+        path = tmp_path / "ten.alg"
+        path.write_text("\n".join(
+            ["field Q", "flavor tensor", "space"]
+            + ["  basis x%d even" % i for i in range(10)]
+            + ["map m 2", "  m(x0,x0) = x0",
+               "deformation lam 6 even_parameter",
+               "  lam(x0,x0,x0,x0,x0,x0) = x1"]) + "\n", encoding="utf-8")
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "codiff.cli", "deform", str(path),
+             "--format", fmt], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: deform lam: direction of degree 6: its degree-6 index "
+            "would scan 10^7 = 10000000 entries, more than 1000000\n")
+
+    def test_bracket_takes_at_most_two_names(self, capsys):
+        assert main(["bracket", self.path("sl2.alg"), "lam", "lam"]) == 0
+        capsys.readouterr()
+        assert main(["bracket", self.path("sl2.alg"), "lam", "lam",
+                     "lam"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bracket takes at most two names, "
+                                "got 3\n")
+
     def test_window_too_large_in_process(self, capsys):
         # gl3 has no canonical tuple above degree 9, but canonical_tuples
         # filters every multiset of nine letters
@@ -402,8 +434,36 @@ class TestReportNotes:
 
 
 class TestSizeFrontier:
-    """gl3 and M2 at window 0..4: H*(gl3) = L(x1, x3, x5), HC^n = H^{n+1},
-    and M2 is separable, so its Hochschild cohomology is k in degree 0."""
+    """gl3 and M2 at window 0..4, gl4 and M3 at 0..3: H*(gl_n) is an
+    exterior algebra on generators of degrees 1, 3, .., 2n - 1, with
+    HC^n = H^{n+1}, and M_n is separable, so its Hochschild cohomology is k
+    in degree 0."""
+
+    def test_gl4_cohomology_and_cyclic_over_f32003(self):
+        af = parse(gl_text(4, "F 32003"))
+        text, status = run("cohomology", af, window=(0, 3))
+        assert (status, quotients(text, "H")) == (0, [1, 1, 0, 1])
+        text, status = run("cyclic", af, window=(0, 3))
+        assert (status, quotients(text, "HC")) == (0, [1, 0, 1, 1])
+
+    @pytest.mark.parametrize("n, b", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("field", ["Q", "F 32003"])
+    def test_matrix_algebras_obey_connes_periodicity(self, n, b, field):
+        """The trace form identifies HH*(A, A*) with HH*(A, A), so in
+        Connes' exact sequence .. -> HH^{k-1} -> HC^{k-2} -> HC^k -> HH^k
+        -> .. (Loday, Cyclic Homology, 2.2) HC^k = HC^{k-2} wherever
+        HH^{k-1} = HH^k = 0.  By Morita invariance HC(M_n) = HC(k)."""
+        af = parse(matrix_algebra_text(n, field))
+        text, status = run("cohomology", af, window=(0, b))
+        hh = quotients(text, "H")
+        text, cyclic_status = run("cyclic", af, window=(0, b))
+        hc = quotients(text, "HC")
+        assert (status, cyclic_status) == (0, 0)
+        periodic = [k for k in range(2, b + 1) if hh[k - 1] == hh[k] == 0]
+        assert periodic
+        assert [hc[k] for k in periodic] == [hc[k - 2] for k in periodic]
+        assert hh == [1] + [0] * b
+        assert hc == [1 - k % 2 for k in range(b + 1)]
 
     def test_gl3_cohomology_and_cyclic_over_f32003(self):
         af = load_over(os.path.join(BENCH_INPUTS, "gl3.alg"), "F 32003")

@@ -193,6 +193,31 @@ class TestCohomology:
         assert [r.coboundaries for r in cohomology(s, window).rows] == want
         assert window_coboundary_dims(s, window) == want
 
+    @pytest.mark.parametrize("name, complex_, report", [
+        ("gl2.alg", _PlainComplex, cohomology),
+        ("koszul_dga.alg", _PlainComplex, cohomology),
+        ("gl2.alg", _CyclicComplex,
+         lambda s, window: cyclic_cohomology(s, None, window)),
+        ("m2.alg", _CyclicComplex,
+         lambda s, window: cyclic_cohomology(s, None, window)),
+    ], ids=["gl2", "koszul_dga", "gl2-cyclic", "m2-cyclic"])
+    def test_two_echelon_forms_per_row(self, monkeypatch, name, complex_,
+                                       report):
+        """A row with a nonempty degree takes the kernel of its block and
+        one echelon form of its sources and cocycles, and an empty degree
+        none (gl2 has no basis above degree 4 in the plain complex, above
+        degree 3 in the cyclic one)."""
+        s, calls = bench_structure(name), []
+
+        def echelon(rows, field, reduced=False, echelon=linalg.echelon):
+            calls.append(reduced)
+            return echelon(rows, field, reduced)
+        monkeypatch.setattr(linalg, "echelon", echelon)
+        rows = report(s, (0, 5) if name == "gl2.alg" else (0, 3)).rows
+        cx = complex_(s)
+        assert calls == [True, False] * sum(1 for row in rows
+                                            if cx.dim(row.degree))
+
     def test_window_beyond_support_is_empty_not_error(self, abelian1):
         report = cohomology(abelian1, (5, 6))
         assert [(r.cocycles, r.coboundaries, r.quotient)
@@ -785,6 +810,22 @@ class TestWindowBound:
             _check_window(cx, 0, 4)
             with pytest.raises(WindowTooLarge, match=r"10\^7 = 10000000 "):
                 _check_window(cx, 0, 5)
+
+    def test_a_direction_too_large_is_refused(self, monkeypatch):
+        # the structure above with a degree-6 direction: its coboundary test
+        # reads the degree-5 sources, whose images reach the degree-6 index
+        built = []
+        monkeypatch.setattr(_PlainComplex, "_build_basis",
+                            lambda cx, p: built.append(p))
+        space = GradedSpace(tuple("x%d" % i for i in range(10)), (0,) * 10)
+        s = InfinityStructure(A_INFINITY, space, {2: make_cochain(
+            space, TENSOR, 2, 0, {("x0", "x0"): {"x0": 1}})})
+        lam = make_cochain(space, TENSOR, 6, 0, {("x0",) * 6: {"x1": 1}})
+        with pytest.raises(WindowTooLarge, match=(
+                r"^direction of degree 6: its degree-6 index would scan "
+                r"10\^7 = 10000000 entries, more than 1000000$")):
+            classify_deformation(s, {6: lam})
+        assert built == []
 
     @pytest.mark.parametrize("path", [p for p in INPUT_FILES
                                       if not p.endswith("bad_name.alg")],

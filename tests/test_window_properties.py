@@ -23,7 +23,7 @@ from codiff.cochain import Cochain, canonical_tuples  # noqa: E402
 from codiff.coderivation import CONVENTIONS  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import EXTERIOR, TENSOR, word_parity  # noqa: E402
-from codiff.homology import (coboundary, cohomology,  # noqa: E402
+from codiff.homology import (_spanned, coboundary, cohomology,  # noqa: E402
                              cyclic_coboundary, cyclic_cohomology,
                              cyclic_scalar_basis)
 from codiff.oracle import dense_rank  # noqa: E402
@@ -155,3 +155,90 @@ def test_mixed_window_report_matches_dense_ranks(case, cyclic):
         assert row.cocycles == dim(s, p) - rank_p
         assert row.coboundaries == rank_sources - dense_rank(off_p, field)
         assert row.quotient == row.cocycles - row.coboundaries
+
+
+class _Degrees:
+    """What ``_spanned`` reads of a complex: its field and the dimension
+    of each degree."""
+
+    def __init__(self, field, dims):
+        self.field = field
+        self.dim = dims.__getitem__
+
+
+@st.composite
+def span_cases(draw):
+    """(field, dimensions of degrees 0 and 1, source families, questioned
+    families, last) of families {degree: sparse vector}.  A source lies in
+    one degree or both.  A questioned family is random, zero, or a
+    combination of the sources and the earlier families; all of them lie
+    in degree ``last`` when so drawn (and combine only families that do),
+    else they spread over both degrees."""
+    field = draw(st.sampled_from(FIELDS))
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+    last = draw(st.sampled_from([None, 0, 1]))
+    on_last = last is not None and draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def add(acc, family, c):
+        for q, vec in family.items():
+            for r, x in vec.items():
+                y = acc.setdefault(q, {}).get(r, 0) + c * x
+                acc[q][r] = y
+                if not y:
+                    del acc[q][r]
+        return {q: vec for q, vec in acc.items() if vec}
+
+    def random_family(degrees):
+        out = {}
+        for q in degrees:
+            for r in range(dims[q]):
+                if rng.random() < 0.5:
+                    out = add(out, {q: {r: field(1)}}, rng.randint(-2, 2))
+        return out
+
+    sources = [random_family(draw(st.sampled_from([(0,), (1,), (0, 1)])))
+               for _ in range(draw(st.integers(0, 4)))]
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "span"]),
+                              max_size=5)):
+        family = {}
+        if kind == "random":
+            family = random_family((last,) if on_last else (0, 1))
+        elif kind == "span":
+            for other in sources + vectors:
+                if not on_last or set(other) <= {last}:
+                    family = add(family, other, rng.randint(-2, 2))
+        vectors.append(family)
+    return field, dims, sources, vectors, last
+
+
+@PROPERTY
+@given(span_cases())
+def test_spanned_marks_each_vector_in_the_span_of_the_earlier_ones(case):
+    """j is marked exactly when vector j adds nothing to the rank of the
+    sources and vectors[:j].  The pivots in degree ``last`` span the part
+    of the row space that vanishes off it, whose dimension is the rank of
+    the sources plus one for each vector, less the rank off degree last;
+    the marked vectors account for the dependences.  With every vector in
+    degree last, that leaves dense_rank(sources) - dense_rank(sources off
+    degree last) once the unmarked vectors are taken away."""
+    field, dims, sources, vectors, last = case
+    spanned, pivots = _spanned(_Degrees(field, dims), sources, vectors, last)
+
+    def rank(families, degrees=(0, 1)):
+        return dense_rank([[family.get(q, {}).get(r, field(0))
+                            for q in degrees for r in range(dims[q])]
+                           for family in families], field)
+    for j in range(len(vectors)):
+        assert (j in spanned) == (rank(sources + vectors[:j + 1])
+                                  == rank(sources + vectors[:j]))
+    if last is None:
+        assert pivots == 0
+    else:
+        off = (1 - last,)
+        assert pivots - (len(vectors) - len(spanned)) == (
+            rank(sources) - rank(sources + vectors, off))
+        if all(set(family) <= {last} for family in vectors):
+            assert pivots - (len(vectors) - len(spanned)) == (
+                rank(sources) - rank(sources, off))
