@@ -13,7 +13,8 @@ json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
 ``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep short.
 Each run prints one line: the arguments, the exit status, and digests of
-stdout and stderr.  The CLI prints dimensions only, so each
+stdout and stderr; a json-lines run adds ``json=ok``, or ``json=bad`` when
+a line of its stdout is not JSON.  The CLI prints dimensions only, so each
 ``cohomology`` and ``cyclic`` run that exits 0 is followed by one line
 with a digest of the library's representatives for the same arguments.
 ``diff`` of the outputs of two checkouts lists every run whose answer
@@ -24,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import re
 import sys
@@ -38,6 +40,16 @@ INNER_PRODUCT = re.compile(r"^inner_product\n(?:[ \t].*\n)*", re.M)
 
 def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def is_json_lines(text):
+    """Whether every line of the text is one JSON value."""
+    try:
+        for line in text.splitlines():
+            json.loads(line)
+    except ValueError:
+        return False
+    return True
 
 
 def commands(name, text):
@@ -78,11 +90,13 @@ def representatives(command, text, window, convention):
     from codiff.algfile import parse
     from codiff.cli import CONVENTION_FLAGS, build_structure
     from codiff.homology import cohomology, cyclic_cohomology
+    from codiff.structures import DEFAULT_MAX_ARITY
 
     window = tuple(int(x) for x in window.split(".."))
     try:
         af = parse(text)
-        s = build_structure(af, CONVENTION_FLAGS[convention], 8)
+        s = build_structure(af, CONVENTION_FLAGS[convention],
+                            DEFAULT_MAX_ARITY)
         if command == "cohomology":
             report = cohomology(s, window)
         else:
@@ -137,9 +151,13 @@ def sweep(root):
                                     + ["--convention", convention,
                                        "--format", fmt])
                             status, out, err = call(main, argv)
-                            print("%s status=%s out=%s err=%s"
-                                  % (" ".join(argv), status, digest(out),
-                                     digest(err)), flush=True)
+                            line = "%s status=%s out=%s err=%s" % (
+                                " ".join(argv), status, digest(out),
+                                digest(err))
+                            if fmt == "json-lines":
+                                line += " json=%s" % (
+                                    "ok" if is_json_lines(out) else "bad")
+                            print(line, flush=True)
                         if command in ("cohomology", "cyclic") and status == 0:
                             print("%s %s %s --convention %s representatives=%s"
                                   % (command, path, " ".join(extra),

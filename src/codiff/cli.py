@@ -8,10 +8,12 @@
     codiff convert FILE
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
-non-invariant inner product, parity constraint), 2 on an input error (one
-stderr line for a window or a deformation direction too large to build,
-``homology.MAX_INDEX``), 3 on an internal error or lack of memory (one
-stderr line, no traceback).
+non-invariant inner product, parity constraint), 2 on an input error (an
+unreadable or malformed file, a bad window, an unknown name, a part beyond
+``--max-arity``, a window or a deformation direction too large to build,
+``homology.MAX_INDEX``), 3 on an internal error or lack of memory.  Every
+refusal with exit 2 or 3 is one ``error:`` line on stderr, with nothing on
+stdout and no traceback.
 """
 
 from __future__ import annotations
@@ -24,21 +26,29 @@ from .coderivation import (V_OF_W, W_OF_V, convert_convention_parts,
                            family_bracket)
 from .homology import (InvarianceError, WindowTooLarge, classify_deformation,
                        cohomology, cyclic_cohomology)
-from .structures import (FLAVOR_KIND, InfinityStructure, StructureError,
-                         validate)
+from .structures import (DEFAULT_MAX_ARITY, FLAVOR_KIND, InfinityStructure,
+                         StructureError, validate)
 
 OK, MATH_FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 CONVENTION_FLAGS = {"w-of-v": W_OF_V, "v-of-w": V_OF_W}
 
 
+class UsageError(Exception):
+    """A command line the CLI refuses: a malformed window, names it cannot
+    take or does not know, an unknown command."""
+
+
 def _parse_window(text):
     parts = text.split("..")
     if len(parts) != 2:
-        raise ValueError("window must look like 'a..b'")
-    a, b = int(parts[0]), int(parts[1])
+        raise UsageError("window must look like 'a..b'")
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise UsageError(exc) from None
     if a < 0 or b < a:
-        raise ValueError("window needs 0 <= a <= b")
+        raise UsageError("window needs 0 <= a <= b")
     return (a, b)
 
 
@@ -55,13 +65,11 @@ def _emit(records, lines, fmt):
     return "\n".join(lines) + "\n"
 
 
-def run(command, af, convention=W_OF_V, window=(1, 4), max_arity=8,
-        fmt="text", names=()):
-    """Execute one command against a parsed file.  Returns (text, exit)."""
-    try:
-        s = build_structure(af, convention, max_arity)
-    except StructureError as exc:
-        return "error: %s\n" % exc, INPUT_ERROR
+def run(command, af, convention=W_OF_V, window=(1, 4),
+        max_arity=DEFAULT_MAX_ARITY, fmt="text", names=()):
+    """Execute one command against a parsed file.  Returns (text, exit);
+    an input error raises (StructureError, UsageError, WindowTooLarge)."""
+    s = build_structure(af, convention, max_arity)
     if command == "validate":
         return _cmd_validate(s, fmt)
     if command == "bracket":
@@ -78,7 +86,7 @@ def run(command, af, convention=W_OF_V, window=(1, 4), max_arity=8,
         return _cmd_deform(s, af, fmt)
     if command == "convert":
         return _cmd_convert(af, fmt)
-    return "error: unknown command %r\n" % command, INPUT_ERROR
+    raise UsageError("unknown command %r" % command)
 
 
 def _cmd_validate(s, fmt):
@@ -124,17 +132,16 @@ def _cmd_bracket(s, af, names, fmt):
     fams = {"m": s.parts}
     for name, (_, fam) in af.deformations.items():
         fams[name] = fam
-    chosen = list(names) if names else []
-    for n in chosen:
+    for n in names:
         if n not in fams:
-            return "error: unknown direction %r\n" % n, INPUT_ERROR
-    if not chosen:
+            raise UsageError("unknown direction %r" % n)
+    if not names:
         label, a, b = "{m,m}", s.parts, s.parts
-    elif len(chosen) == 1:
-        label, a, b = "{%s,m}" % chosen[0], fams[chosen[0]], s.parts
+    elif len(names) == 1:
+        label, a, b = "{%s,m}" % names[0], fams[names[0]], s.parts
     else:
-        label = "{%s,%s}" % (chosen[0], chosen[1])
-        a, b = fams[chosen[0]], fams[chosen[1]]
+        label = "{%s,%s}" % (names[0], names[1])
+        a, b = fams[names[0]], fams[names[1]]
     fam = family_bracket(a, b, convention=s.convention)
     lines, records = _family_lines(s, fam, label)
     return _emit(records, lines, fmt), OK
@@ -257,45 +264,32 @@ def main(argv=None):
                     help="deformation names for the bracket command")
     ap.add_argument("--convention", choices=sorted(CONVENTION_FLAGS),
                     default="w-of-v")
-    ap.add_argument("--window", default="1..4", help="degree window a..b")
-    ap.add_argument("--max-arity", type=int, default=8)
+    ap.add_argument("--window", help="degree window a..b")
+    ap.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY)
     ap.add_argument("--format", dest="fmt", choices=["text", "json-lines"],
                     default="text")
     args = ap.parse_args(argv)
     try:
-        window = _parse_window(args.window)
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return INPUT_ERROR
-    try:
+        kw = {} if args.window is None else {
+            "window": _parse_window(args.window)}
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return INPUT_ERROR
+        if args.names and args.command != "bracket":
+            raise UsageError("extra arguments are only meaningful for the "
+                             "bracket command")
+        if len(args.names) > 2:
+            raise UsageError("bracket takes at most two names, got %d"
+                             % len(args.names))
+        out, status = run(args.command, parse(text),
+                          convention=CONVENTION_FLAGS[args.convention],
+                          max_arity=args.max_arity, fmt=args.fmt,
+                          names=tuple(args.names), **kw)
     except UnicodeDecodeError as exc:
         sys.stderr.write("error: %s is not UTF-8 text: %s at byte %d\n"
                          % (args.file, exc.reason, exc.start))
         return INPUT_ERROR
-    if args.names and args.command != "bracket":
-        sys.stderr.write("error: extra arguments are only meaningful for "
-                         "the bracket command\n")
-        return INPUT_ERROR
-    if len(args.names) > 2:
-        sys.stderr.write("error: bracket takes at most two names, got %d\n"
-                         % len(args.names))
-        return INPUT_ERROR
-    try:
-        af = parse(text)
-    except ParseError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return INPUT_ERROR
-    try:
-        out, status = run(args.command, af,
-                          convention=CONVENTION_FLAGS[args.convention],
-                          window=window, max_arity=args.max_arity,
-                          fmt=args.fmt, names=tuple(args.names))
-    except WindowTooLarge as exc:
+    except (ParseError, StructureError, WindowTooLarge, OSError,
+            UsageError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
     except (RuntimeError, MemoryError) as exc:

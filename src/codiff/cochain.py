@@ -218,25 +218,6 @@ class ScalarCochain:
         return sign * c if c else 0
 
 
-def scalar_add(a, b):
-    if (a.space, a.flavor, a.arity) != (b.space, b.flavor, b.arity):
-        raise ValueError("scalar cochain shape mismatch")
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    if a.parity != b.parity:
-        raise ValueError("cannot add scalar cochains of different parity")
-    coeffs = dict(a.coeffs)
-    for t, c in b.coeffs.items():
-        cur = coeffs.get(t, 0) + c
-        if cur:
-            coeffs[t] = cur
-        else:
-            coeffs.pop(t, None)
-    return ScalarCochain(a.space, a.flavor, a.arity, a.parity, coeffs)
-
-
 class InnerProduct:
     """An even graded-symmetric nondegenerate bilinear form on V, as an
     exact matrix indexed by basis pairs."""

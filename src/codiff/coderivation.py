@@ -121,36 +121,29 @@ def extend(gen, word, mode=None):
             for t, c in sorted(terms.items())]
 
 
-def reachable(support, inner, rotations=False):
+def reachable(support, inner):
     """The target tuples, in canonical order, whose extension by ``inner``
     can land on a tuple of ``support``: a support tuple with one letter b
     replaced by a head h with b in inner(h), in the canonical form of
-    inner's flavor (dead symmetric and exterior words dropped).  With
-    ``rotations`` only the first letter is replaced and every rotation of
-    h + w[1:] is taken, the tuples a rotation sum reads.  Every other
-    target gives zero."""
+    inner's flavor (dead symmetric and exterior words dropped).  Every
+    other target gives zero."""
     heads = {}
     for h, vec in inner.coeffs.items():
         for b in vec:
             heads.setdefault(b, []).append(h)
-    return targets(support, heads, inner.flavor, inner.space.parities,
-                   rotations)
+    return targets(support, heads, inner.flavor, inner.space.parities)
 
 
-def targets(support, heads, flavor, par, rotations=False):
+def targets(support, heads, flavor, par):
     """``reachable`` for the heads {letter b: the heads whose value has a
     b component}."""
     out = set()
     for w in support:
-        for i in range(1 if rotations else len(w)):
+        for i in range(len(w)):
             for h in heads.get(w[i], ()):
-                t = w[:i] + h + w[i + 1:]
-                if rotations:
-                    out.update(t[j:] + t[:j] for j in range(len(t)))
-                else:
-                    cw = canonical_word(flavor, t, par)
-                    if cw is not None:
-                        out.add(cw[1])
+                cw = canonical_word(flavor, w[:i] + h + w[i + 1:], par)
+                if cw is not None:
+                    out.add(cw[1])
     return sorted(out)
 
 

@@ -26,8 +26,7 @@ import math
 
 from . import linalg
 from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
-from .cochain import (Cochain, ScalarCochain, canonical_tuples, scalar_add,
-                      tilde, vec_add)
+from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
 from .coderivation import (extend_letters, family_bracket, family_is_zero,
                            reachable)
 from .graded import (EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word,
@@ -428,14 +427,17 @@ def _rotation_sum(f, inner, extra_exp):
     """sum over rotations of (-1)^{(v_1+..+v_i)(v_{i+1}+..+v_{n+1}) + i n
     + extra} f(inner(u_1..u_l), u_{l+1}..) with u the rotated tuple; the
     shared shape of the cyclic bracket and the cyclic coboundary.  f and
-    inner are tensor-flavored, so both are read by key."""
+    inner are tensor-flavored, so both are read by key.  The sum is read on
+    the rotations of the reachable targets: a nonzero term needs a
+    rotation of some h + w[1:]."""
     space = f.space
     l = inner.degree
     k = f.arity - 1
     n = k + l - 1
     sign = -1 if extra_exp & 1 else 1
     out = {}
-    for t in reachable(f.coeffs, inner, rotations=True):
+    for t in sorted({u[i:] + u[:i] for u in reachable(f.coeffs, inner)
+                     for i in range(n + 1)}):
         acc = space.field(0)
         for i in range(n + 1):
             u = t[i:] + t[:i]
@@ -508,8 +510,8 @@ def cyclic_coboundary(f, s):
     for l, part in s.parts.items():
         term = term_of(f, part, (k - 1) * l)
         if not term.is_zero():
-            q = term.arity - 1
-            out[q] = scalar_add(out[q], term) if q in out else term
+            # part l lands in arity f.arity + l - 1: no two parts meet
+            out[term.arity - 1] = term
     return out
 
 

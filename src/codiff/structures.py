@@ -17,8 +17,8 @@ and the reversed-side route live in the tests).
 from __future__ import annotations
 
 from .cochain import add, scale, zero_cochain
-from .coderivation import (CONVENTIONS, PRODUCT_FORM, W_OF_V, compose,
-                           family_bracket, family_is_zero)
+from .coderivation import (CONVENTIONS, PRODUCT_FORM, W_OF_V, bracket_signs,
+                           compose, family_bracket, family_is_zero)
 from .graded import EXTERIOR, TENSOR
 
 A_INFINITY = "a_infinity"
@@ -86,9 +86,8 @@ class ValidationReport:
 
 
 def relation_sign(convention, outer, inner):
-    if convention == W_OF_V:
-        return -1 if ((outer - 1) * inner) & 1 else 1
-    return -1 if (outer - 1) & 1 else 1
+    """S(outer, inner), the sign of m_outer∘m_inner in {m_outer, m_inner}."""
+    return bracket_signs(outer, outer & 1, inner, inner & 1, convention)[0]
 
 
 def structure_residual(s, n):

@@ -3,8 +3,8 @@ import os
 import pytest
 
 from codiff.algfile import (E_ARITY, E_DIRECTIVE, E_DUPLICATE, E_FIELD,
-                            E_FLAVOR, E_NAME, E_PARITY, E_SCALAR, E_STRUCTURE,
-                            ParseError, parse, serialize)
+                            E_FLAVOR, E_NAME, E_PARITY, E_SCALAR, E_SPACE,
+                            E_STRUCTURE, ParseError, parse, serialize)
 from codiff.fields import PrimeField
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -67,6 +67,8 @@ def test_explicit_zero_value():
     assert af.parts[1].is_zero()
 
 
+ONE_EVEN = "field Q\nflavor tensor\nspace\n  basis a even\n"
+
 # (text, code, line of the error)
 DIAGNOSTICS = [
     ("field Q\nflavor tensor\nspace\n  basis a even\nmap m 2\n  m(a,y) = a\n",
@@ -98,6 +100,34 @@ DIAGNOSTICS = [
     ("field Q\nflavor exterior\nspace\n  basis e even\n  basis f even\n"
      "  basis h even\ndeformation lam 2 even_parameter\n  lam(e,h) = e\n"
      "  lam(f,e) = h\n", E_ARITY, 9),
+    ("field Q\nflavor tensor\nspace\nmap m 1\n", E_SPACE, 4),
+    ("flavor tensor\n", E_STRUCTURE, 0),
+    ("field Q\nspace\n  basis a even\n", E_STRUCTURE, 0),
+    ("field Q\nfield Q\n", E_DUPLICATE, 2),
+    ("field R\n", E_FIELD, 1),
+    ("field Q\nflavor tensor\nflavor tensor\n", E_DUPLICATE, 3),
+    ("field Q\nflavor tensor\nbasis a even\n", E_DIRECTIVE, 3),
+    ("field Q\nflavor tensor\nspace\n  basis a\n", E_SPACE, 4),
+    (ONE_EVEN + "space\n", E_DUPLICATE, 5),
+    (ONE_EVEN + "map m\n", E_DIRECTIVE, 5),
+    (ONE_EVEN + "map m two\n", E_ARITY, 5),
+    (ONE_EVEN + "map m 1\nmap n 1\n", E_DUPLICATE, 6),
+    (ONE_EVEN + "map m 1\n  m a = a\n", E_DIRECTIVE, 6),
+    (ONE_EVEN + "map m 1\n  n(a) = a\n", E_DIRECTIVE, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = 2 3 a\n", E_SCALAR, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = 2*\n", E_SCALAR, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = -\n", E_SCALAR, 6),
+    (ONE_EVEN + "inner_product\n  <a,a> = 1\ninner_product\n",
+     E_DUPLICATE, 7),
+    (ONE_EVEN + "inner_product\n  a a 1\n", E_DIRECTIVE, 6),
+    (ONE_EVEN + "inner_product\n  <a,z> = 1\n", E_NAME, 6),
+    (ONE_EVEN + "inner_product\n  <a,a> = 1\n  <a,a> = 1\n", E_DUPLICATE, 7),
+    (ONE_EVEN + "inner_product\n  <a,a> = x\n", E_SCALAR, 6),
+    (ONE_EVEN + "deformation lam 2\n", E_DIRECTIVE, 5),
+    (ONE_EVEN + "deformation lam 1 even_parameter\n"
+     "deformation lam 2 odd_parameter\n", E_PARITY, 6),
+    (ONE_EVEN + "deformation lam 1 even_parameter\n"
+     "deformation lam 1 even_parameter\n", E_DUPLICATE, 6),
 ]
 
 

@@ -93,14 +93,56 @@ def test_convert_output_validates_under_other_convention():
         assert status == 0, (fixture, text)
 
 
-def test_unknown_bracket_direction():
-    text, status = run("bracket", load("sl2.alg"), names=("nope",))
-    assert status == 2
+def assert_refused(capsys, argv, err):
+    """main refuses argv with exit 2 and the one stderr line err, and
+    prints nothing on stdout, in text and in json-lines alike."""
+    for fmt in ("text", "json-lines"):
+        assert main(argv + ["--format", fmt]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
-def test_max_arity_cap_is_input_error():
-    text, status = run("validate", load("sl2.alg"), max_arity=1)
-    assert status == 2
+def test_unknown_bracket_direction(capsys):
+    assert_refused(capsys, ["bracket", os.path.join(FIXTURES, "sl2.alg"),
+                            "nope"], "error: unknown direction 'nope'\n")
+
+
+def test_max_arity_cap_is_input_error(capsys):
+    assert_refused(capsys, ["validate", os.path.join(FIXTURES, "sl2.alg"),
+                            "--max-arity", "1"],
+                   "error: arity 2 beyond the max_arity cap 1\n")
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    name for name in os.listdir(FIXTURES) if name.endswith(".alg")))
+def test_json_lines_stdout_is_json(fixture, capsys):
+    """Every line a command prints on stdout under --format json-lines is
+    a JSON record, whether it answers or refuses."""
+    path = os.path.join(FIXTURES, fixture)
+    for argv in (["validate"], ["bracket"], ["bracket", "no-such-name"],
+                 ["cohomology"], ["cyclic"], ["deform"],
+                 ["deform", "--max-arity", "1"], ["convert"]):
+        main(argv[:1] + [path] + argv[1:] + ["--format", "json-lines"])
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line)
+
+
+ONE_LETTER = ("field Q\nflavor tensor\nspace\n  basis x even\nmap m 2\n"
+              "  m(x,x) = x\n%sdeformation lam 2 even_parameter\n"
+              "  lam(x,x) = 0\n")
+
+
+@pytest.mark.parametrize("form,fmt,want", [
+    ("", "text", "deform lam: cocycle=yes coboundary=yes "
+                 "preserves_ip=undetermined  # zero direction\n"),
+    ("inner_product\n  <x,x> = 1\n", "json-lines",
+     '{"coboundary": true, "cocycle": true, "command": "deform", '
+     '"direction": "lam", "note": "zero direction", "preserves_ip": true}\n'),
+], ids=["text", "json-lines-with-form"])
+def test_zero_direction(tmp_path, capsys, form, fmt, want):
+    path = tmp_path / "zero.alg"
+    path.write_text(ONE_LETTER % form, encoding="utf-8")
+    assert main(["deform", str(path), "--format", fmt]) == 0
+    assert capsys.readouterr() == (want, "")
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cyclic", "deform"])
