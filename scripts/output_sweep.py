@@ -11,7 +11,10 @@ file of that checkout, over Q, F_32003, F_2, F_3 and F_5 (the file's
 ``field Q`` line rewritten), under both conventions, in text and
 json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
-``cohomology`` of gl3 runs at 0..2 only, which keeps the sweep short.
+Over Q each file that parses also runs ``cohomology`` and ``cyclic`` after
+a fixed non-integral diagonal change of basis (``rescaled``), so that the
+structure has entries with denominators.  ``cohomology`` of gl3 runs at
+0..2 only, which keeps the sweep short.
 Each run prints one line: the arguments, the exit status, and digests of
 stdout and stderr; a json-lines run adds ``json=ok``, or ``json=bad`` when
 a line of its stdout is not JSON.  The CLI prints dimensions only, so each
@@ -30,12 +33,14 @@ import os
 import re
 import sys
 import tempfile
+from fractions import Fraction
 
 FIELDS = ("Q", "F 32003", "F 2", "F 3", "F 5")
 CONVENTIONS = ("w-of-v", "v-of-w")
 FORMATS = ("text", "json-lines")
 SOURCES = ("tests/fixtures", "bench/inputs")
 INNER_PRODUCT = re.compile(r"^inner_product\n(?:[ \t].*\n)*", re.M)
+RESCALE = (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2))
 
 
 def digest(text):
@@ -66,6 +71,44 @@ def commands(name, text):
             + [("cohomology", ["--window", window]),
                ("cyclic", ["--window", "0..3"]), ("deform", []),
                ("deform", ["--max-arity", "1"]), ("convert", [])])
+
+
+def rescaled(text):
+    """The file text in the basis f_i = d_i e_i, with d_i = RESCALE[i mod 3]
+    (1/2, 2/3, -3/2), carried through every map, the inner product and
+    every deformation: the same structure with non-integral entries.  None
+    when the text does not parse."""
+    from codiff.algfile import AlgebraFile, ParseError, parse, serialize
+    from codiff.cochain import Cochain, InnerProduct
+
+    try:
+        af = parse(text)
+    except ParseError:
+        return None
+    space = af.space
+    d = [space.field(RESCALE[i % len(RESCALE)]) for i in range(space.dim)]
+
+    def move(c):
+        # c(f_t) = prod d_t c(e_t), written in the basis f: a diagonal change
+        # keeps every canonical tuple canonical
+        coeffs = {}
+        for t, vec in c.coeffs.items():
+            w = space.field(1)
+            for x in t:
+                w = w * d[x]
+            coeffs[t] = {b: x * w / d[b] for b, x in vec.items()}
+        return Cochain(space, c.flavor, c.degree, c.parity, coeffs)
+
+    def family(parts):
+        return {k: move(c) for k, c in parts.items()}
+    ip = af.inner_product
+    if ip is not None:
+        ip = InnerProduct(space, [[x * d[i] * d[j] for j, x in enumerate(row)]
+                                  for i, row in enumerate(ip.matrix)])
+    return serialize(AlgebraFile(
+        space, af.flavor, family(af.parts), dict(af.part_names), ip,
+        {name: (parity, family(parts))
+         for name, (parity, parts) in af.deformations.items()}))
 
 
 def call(main, argv):
@@ -132,19 +175,27 @@ def sweep(root):
             for src, name in inputs:
                 with open(os.path.join(root, src, name),
                           encoding="utf-8") as fh:
-                    text = fh.read()
+                    source = fh.read()
                 for field in FIELDS:
                     path = os.path.join(field.replace(" ", ""), src, name)
-                    local = re.sub(r"^field Q$", "field " + field, text,
+                    local = re.sub(r"^field Q$", "field " + field, source,
                                    flags=re.M)
-                    runs = [(path, command, extra)
+                    runs = [(path, local, command, extra)
                             for command, extra in commands(name, local)]
                     write(path, local)
                     plain = INNER_PRODUCT.sub("", local)
                     if plain != local:
                         runs.append((write(os.path.join(
-                            "no_inner_product", path), plain), "deform", []))
-                    for (path, command, extra), convention in \
+                            "no_inner_product", path), plain), plain,
+                            "deform", []))
+                    moved = rescaled(local) if field == "Q" else None
+                    if moved is not None:
+                        moved_path = write(os.path.join("rescaled", path),
+                                           moved)
+                        runs += [(moved_path, moved, command, extra)
+                                 for command, extra in commands(name, moved)
+                                 if command in ("cohomology", "cyclic")]
+                    for (path, text, command, extra), convention in \
                             itertools.product(runs, CONVENTIONS):
                         for fmt in FORMATS:
                             argv = ([command, path] + extra
@@ -162,7 +213,7 @@ def sweep(root):
                             print("%s %s %s --convention %s representatives=%s"
                                   % (command, path, " ".join(extra),
                                      convention,
-                                     representatives(command, local,
+                                     representatives(command, text,
                                                      extra[-1], convention)),
                                   flush=True)
         finally:

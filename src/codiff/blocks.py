@@ -2,10 +2,15 @@
 structure's nonzero entries.
 
 D is linear in the cochain, so its block on C^p is read off from the
-entries of the parts m_l instead of one bracket per basis cochain.  Entry i
-of a block is D of the i-th basis vector of degree p as sparse coordinates
-{degree: {row: scalar}}, the same that ``coboundary`` or
-``cyclic_coboundary`` followed by the complex's ``coords`` give.
+entries of the parts m_l instead of one bracket per basis cochain.  D is
+linear in m too, so the blocks are built from the complex's core parts,
+whose entries are plain ints: N·m over Q, with N the lcm of the parts'
+denominators, and residues over F_p.  Entry i of a block is N·D of the
+i-th basis vector of degree p as sparse coordinates {degree: {row: int}},
+what ``coboundary`` or ``cyclic_coboundary`` followed by the complex's
+``coords`` give, scaled by N over Q and as residues in [0, p) over F_p.
+Every sum runs over plain ints; over F_p each entry is reduced once, when
+its block is finished.
 
 Plain complex, on the delta cochains (t, j): D(phi) = {phi, m} is a signed
 sum of phi∘m and m∘phi, with the signs of ``coderivation.bracket_signs``.
@@ -35,14 +40,23 @@ def _add(vec, key, x):
     vec[key] = x if cur is None else cur + x
 
 
-def plain_block(s, p, index):
-    """The block of D on C^p over the delta basis.  ``index(q)`` maps
-    (canonical tuple, output letter) to its basis position in degree q."""
+def _reduced(vec, modulus):
+    """The nonzero entries of a finished block vector, mod p over F_p
+    (``modulus`` p; 0 over Q)."""
+    if modulus:
+        return {r: v for r, x in vec.items() if (v := x % modulus)}
+    return {r: x for r, x in vec.items() if x}
+
+
+def plain_block(s, parts, modulus, p, index):
+    """The block of N·D on C^p over the delta basis, from the core parts
+    ``parts`` of the structure s.  ``index(q)`` maps (canonical tuple,
+    output letter) to its basis position in degree q."""
     space, flavor, par = s.space, s.flavor, s.space.parities
     cols = index(p)
     images = [{} for _ in cols]
     sources = canonical_tuples(space, flavor, p)
-    for l, m in s.parts.items():
+    for l, m in parts.items():
         q = p + l - 1
         rows = index(q)
         out = [img.setdefault(q, {}) for img in images]
@@ -80,17 +94,18 @@ def plain_block(s, p, index):
                     col = out[cols[head, j]]
                     for o, c in vec.items():
                         _add(col, rows[t, o], c if x > 0 else -c)
-    return [{q: v for q, vec in img.items()
-             if (v := {r: x for r, x in vec.items() if x})} for img in images]
+    return [{q: v for q, vec in img.items() if (v := _reduced(vec, modulus))}
+            for img in images]
 
 
-def cyclic_block(s, p, index):
-    """The block of D on the degree-p cyclic cochains.  ``index(q)`` maps
-    each tuple of a degree-q basis orbit to (position, orbit sign, pivot)."""
+def cyclic_block(s, parts, modulus, p, index):
+    """The block of N·D on the degree-p cyclic cochains, from the core
+    parts ``parts`` of the structure s.  ``index(q)`` maps each tuple of a
+    degree-q basis orbit to (position, orbit sign, pivot)."""
     par = s.space.parities
     sources = index(p)
     values = [{} for _ in {i for i, _, _ in sources.values()}]
-    for l, m in s.parts.items():
+    for l, m in parts.items():
         q = p + l - 1
         sign = -1 if (p - 1) * l & 1 else 1
         out = [v.setdefault(q, {}) for v in values]
@@ -115,25 +130,29 @@ def cyclic_block(s, p, index):
             for t in reachable(cols, m):
                 for mid, c in extend_letters(m, t, PRODUCT_FORM).items():
                     _add(cols[mid], t, c if sign > 0 else -c)
-    return [{q: v for q, g in img.items() if (v := orbit_coords(g, index(q)))}
-            for img in values]
+    return [{q: v for q, g in img.items()
+             if (v := orbit_coords(g, index(q), modulus))} for img in values]
 
 
-def orbit_coords(values, index):
+def orbit_coords(values, index, modulus=0):
     """Coordinates {position: value at the pivot} of a scalar cochain, given
     by its values on a set of tuples closed under rotation.  Each value must
     equal its pivot's value times its orbit sign, and a tuple in no
-    basis orbit must carry zero; otherwise the cochain is not cyclic."""
+    basis orbit must carry zero; otherwise the cochain is not cyclic.  With
+    ``modulus`` p the values are ints read in F_p: the check compares
+    residues, and the coordinates are residues in [0, p)."""
     coords = {}
     for t, x in values.items():
         hit = index.get(t)
         if hit is None:
-            if x:
-                raise RuntimeError(OUTSIDE)
-            continue
-        i, sign, pivot = hit
-        y = values.get(pivot, 0)
-        if x != (y if sign > 0 else -y):
+            i, y, gap = None, 0, x
+        else:
+            i, sign, pivot = hit
+            y = values.get(pivot, 0)
+            gap = x - y if sign > 0 else x + y
+        if modulus:
+            gap, y = gap % modulus, y % modulus
+        if gap:
             raise RuntimeError(OUTSIDE)
         if y:
             coords[i] = y

@@ -23,23 +23,33 @@ def canonical_tuples(space, flavor, degree):
     Tensor: all tuples.  Symmetric: nondecreasing, no repeated odd letter.
     Exterior: nondecreasing, no repeated even letter.  Degree 0 is the
     single empty tuple (used for constants; words proper start at degree 1).
+    Tuples come in lexicographic order; the symmetric and exterior ones are
+    grown letter by letter, and only from a prefix that some kept tuple
+    extends, so no dead multiset is visited.
     """
     if degree == 0:
         return ((),)
-    idx = range(space.dim)
+    n = space.dim
     if flavor == TENSOR:
-        return tuple(itertools.product(idx, repeat=degree))
+        return tuple(itertools.product(range(n), repeat=degree))
+    # a letter of this parity may repeat
+    free = 0 if flavor == SYMMETRIC else 1
+    # room[x]: how many letters a tuple may still take from x, x + 1, ...
+    room = [0] * (n + 1)
+    for x in reversed(range(n)):
+        room[x] = degree if space.parities[x] == free else room[x + 1] + 1
     out = []
-    for t in itertools.combinations_with_replacement(idx, degree):
-        ok = True
-        for a, b in zip(t, t[1:]):
-            if a == b:
-                p = space.parities[a]
-                if (flavor == SYMMETRIC and p == 1) or (flavor == EXTERIOR and p == 0):
-                    ok = False
-                    break
-        if ok:
-            out.append(t)
+
+    def grow(prefix, start, left):
+        for x in range(start, n):
+            if room[x] < left:
+                break
+            t = prefix + (x,)
+            if left == 1:
+                out.append(t)
+            else:
+                grow(t, x if space.parities[x] == free else x + 1, left - 1)
+    grow((), 0, degree)
     return tuple(out)
 
 

@@ -6,12 +6,16 @@ cochain complex: the cochains V^p -> V with D(phi) = {phi, m}, or the cyclic
 scalar cochains with the cyclic coboundary.  The complex builds each block
 D_p, D of every degree-p basis vector as sparse coordinates, once and in
 one pass over the structure's entries (``codiff.blocks``); ``coboundary``
-and ``cyclic_coboundary`` remain the per-cochain routes.  Every matrix
-passed to ``linalg`` is a list of sparse rows.  For a window a..b a row
-reports Z^p = ker D on C^p and B^p = im D ∩ C^p, both read from images
-stacked over the degrees they reach (``_window_report``).  With the spread
-the largest arity less one, D maps C^p into degrees p..p+spread.  For one
-arity it maps into C^{p+spread} alone, so B^p = im D_{p-spread} exactly.
+and ``cyclic_coboundary`` remain the per-cochain routes.  D is linear in
+m, so the blocks hold N·D over core ints: N·m, with N the lcm of the
+denominators of every part, over Q, and residues over F_p.  N·D has the
+kernels, images, ranks and reduced echelon forms of D, and field scalars
+appear only in what ``linalg`` returns.  Every matrix passed to ``linalg``
+is a list of sparse rows.  For a window a..b a row reports Z^p = ker D on
+C^p and B^p = im D ∩ C^p, both read from images stacked over the degrees
+they reach (``_window_report``).  With the spread the largest arity less
+one, D maps C^p into degrees p..p+spread.  For one arity it maps into
+C^{p+spread} alone, so B^p = im D_{p-spread} exactly.
 For mixed arities the sources are every degree a - spread .. b, so B^p is
 a lower bound for the coboundary space and the report says so (membership
 tests remain reliable).  ``_sources`` holds that rule, and every coboundary
@@ -70,16 +74,19 @@ class _Complex:
 
     ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis.  Vectors
     are sparse {basis position: scalar} dicts of nonzeros: ``images(p)`` is
-    the block of D on C^p, D of each degree-p basis vector as {degree:
-    vector}, built once in one pass (``codiff.blocks``); ``coords(p, c)``
-    reads a cochain in the basis, ``reconstruct(p, v)`` builds the cochain
-    with coordinates v, and ``differential(c)`` is D of one cochain.
+    the block of N·D on C^p, N·D of each degree-p basis vector as {degree:
+    vector} over core ints, built once in one pass (``codiff.blocks``) from
+    the core parts ``parts``; ``coords(p, c)`` reads a cochain in the basis
+    over field scalars, ``reconstruct(p, v)`` builds the cochain with
+    coordinates v, and ``differential(c)`` is D of one cochain.
     """
 
     def __init__(self, s):
         self.s = s
         self.field = s.space.field
         self.spread = (max(s.parts) - 1) if s.parts else 0
+        self.modulus = self.field.characteristic
+        self.parts = _core_parts(s.parts, self.field)
         self._bases = {}
         self._indexes = {}
         self._images = {}
@@ -104,6 +111,25 @@ class _Complex:
         return self._images[p]
 
 
+def _core_parts(parts, field):
+    """The parts as cochains over core ints, converted once: N·m over Q,
+    with N the lcm of the denominators of every part, and the residues
+    over F_p."""
+    if field.characteristic:
+        def core(c):
+            return field(c).value
+    else:
+        n = math.lcm(*[c.denominator for m in parts.values()
+                       for vec in m.coeffs.values() for c in vec.values()])
+
+        def core(c):
+            return c.numerator * (n // c.denominator)
+    return {l: Cochain(m.space, m.flavor, m.degree, m.parity,
+                       {t: {b: core(c) for b, c in vec.items()}
+                        for t, vec in m.coeffs.items()})
+            for l, m in parts.items()}
+
+
 class _PlainComplex(_Complex):
     """Cochains V^p -> V on the delta basis of (canonical tuple, output
     letter) pairs, with D = coboundary."""
@@ -121,7 +147,7 @@ class _PlainComplex(_Complex):
         return self._basis(p)[i][2]
 
     def _block(self, p):
-        return plain_block(self.s, p, self._index)
+        return plain_block(self.s, self.parts, self.modulus, p, self._index)
 
     def differential(self, c):
         return coboundary(c, self.s)
@@ -156,7 +182,7 @@ class _CyclicComplex(_Complex):
         return self._basis(p)[i][0].parity
 
     def _block(self, p):
-        return cyclic_block(self.s, p, self._index)
+        return cyclic_block(self.s, self.parts, self.modulus, p, self._index)
 
     def differential(self, f):
         return cyclic_coboundary(f, self.s)
@@ -288,10 +314,11 @@ def _check_window(cx, a, b, what=None):
     """Raise WindowTooLarge when the index of degree d = b + spread, the
     largest the window builds, would scan more than MAX_INDEX entries, or
     the window has more rows than that; the message names what needs it,
-    ``what`` or else the window a..b.  The plain index scans dim^(d+1)
-    tuples and letters (tensor), or dim * C(dim + d - 1, d) multisets and
-    letters, as ``canonical_tuples`` filters every multiset; that bounds
-    the cyclic scan, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
+    ``what`` or else the window a..b.  The size is a closed-form upper
+    bound on the plain index: dim^(d+1) tuples and letters (tensor), or
+    dim * C(dim + d - 1, d) multisets and letters, which counts every
+    multiset, also those ``canonical_tuples`` never visits; it bounds the
+    cyclic index too, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
     dim, d = cx.s.space.dim, b + cx.spread
     if cx.s.flavor == TENSOR:
         # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger power

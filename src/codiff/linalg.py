@@ -1,15 +1,18 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices come in as lists of sparse rows ``{column: scalar}`` and results go
-out the same way, holding only nonzeros, as field scalars: ``Fraction``s
-over Q, ``FpElement``s over F_p.  Only ``invert``, which the inner product
-uses, keeps a dense square matrix in and out.  Inside, one elimination core
-works on the same rows over plain ints: residues in [0, p) for F_p, and
-primitive integer rows for Q, reduced fraction-free (after Bareiss, 1968,
-but dividing out each row's content), so no ``gcd`` runs per multiply-add.
-Each stored entry is converted once on the way in and once on the way out,
-where a Q row is divided by its lead; no raw int leaks out, no float is
-ever formed, and no cost grows with the zero cells of a matrix.
+Matrices come in as lists of sparse rows ``{column: scalar}``, each scalar
+a field scalar or a plain int (an exact scalar of either field), and
+results go out the same way, holding only nonzeros, as field scalars:
+``Fraction``s over Q, ``FpElement``s over F_p.  Only ``invert``, which the
+inner product uses, keeps a dense square matrix in and out.  Inside, one
+elimination core works on the same rows over plain ints: residues in
+[0, p) for F_p, and primitive integer rows for Q, reduced fraction-free
+(after Bareiss, 1968, but dividing out each row's content), so no ``gcd``
+runs per multiply-add.  An int is taken as it is (mod p over F_p; an
+all-int Q row only has its content divided out), any other entry is
+converted once on the way in, and every entry once on the way out, where a
+Q row is divided by its lead; no raw int leaks out, no float is ever
+formed, and no cost grows with the zero cells of a matrix.
 
 Row operations do not change which columns are independent of the earlier
 ones, so the pivot columns, the rank and the reduced row echelon form do not
@@ -27,10 +30,14 @@ from .fields import FpElement
 
 def _primitive(row):
     """A Q row as the primitive integer row with the same support: the
-    denominators cleared by their lcm, then the content divided out."""
-    m = lcm(*[x.denominator for x in row.values()])
-    row = {j: v for j, x in row.items()
-           if (v := x.numerator * (m // x.denominator))}
+    denominators cleared by their lcm, unless every entry is an int, then
+    the content divided out."""
+    if all(x.__class__ is int for x in row.values()):
+        row = {j: x for j, x in row.items() if x}
+    else:
+        m = lcm(*[x.denominator for x in row.values()])
+        row = {j: v for j, x in row.items()
+               if (v := x.numerator * (m // x.denominator))}
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
@@ -44,7 +51,10 @@ def _core(rows, field):
         return [_primitive(row) for row in rows if row]
 
     def conv(x):
-        # any entry but a residue of F_p goes through the field's checks
+        # an int is a residue as it is; any other entry but a residue of
+        # F_p goes through the field's checks
+        if x.__class__ is int:
+            return x % p
         if x.__class__ is FpElement and x.p == p:
             return x.value
         return field(x).value

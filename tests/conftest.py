@@ -40,9 +40,10 @@ def make_cochain(space, flavor, degree, parity, entries):
     return Cochain(space, flavor, degree, parity, coeffs)
 
 
-def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3):
+def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3,
+                   denominators=None):
     """Parity-homogeneous random cochain with small integer entries in the
-    space's field."""
+    space's field, each divided by one of ``denominators`` when given."""
     coeffs = {}
     for t in canonical_tuples(space, flavor, degree):
         tp = word_parity(space, t)
@@ -50,6 +51,8 @@ def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3):
         for j in range(space.dim):
             if (space.parities[j] ^ tp) == parity and rng.random() < density:
                 c = space.field(rng.randint(-span, span))
+                if denominators:
+                    c = c / rng.choice(denominators)
                 if c:
                     vec[j] = c
         if vec:
@@ -351,6 +354,34 @@ def shear(af, count, seed):
         for row in g:                   # G <- G (1 + c E_ji)
             row[i] += c * row[j]
         ginv[j] = [x - c * y for x, y in zip(ginv[j], ginv[i])]
+    return _change_basis(af, g, ginv)
+
+
+RESCALE_FACTORS = (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2),
+                   Fraction(3), Fraction(-1, 3))
+
+
+def rescale(af, seed):
+    """A copy of the parsed file af in the basis f_i = d_i e_i, each d_i
+    drawn from ``seed`` among ``RESCALE_FACTORS`` (1/2, 2/3, -3/2, 3,
+    -1/3), carried through every map, the inner product and every
+    deformation as ``shear`` does: the same structure, with non-integral
+    entries."""
+    rng = random.Random(seed)
+    field, n = af.space.field, af.space.dim
+    d = [field(rng.choice(RESCALE_FACTORS)) for _ in range(n)]
+    g = [[d[i] if i == j else field(0) for j in range(n)] for i in range(n)]
+    ginv = [[1 / d[i] if i == j else field(0) for j in range(n)]
+            for i in range(n)]
+    return _change_basis(af, g, ginv)
+
+
+def _change_basis(af, g, ginv):
+    """The parsed file af in the basis f = e G, with G = g and its inverse
+    ginv carried through every map, the inner product and every
+    deformation."""
+    space = af.space
+    n = space.dim
 
     def fam(parts):
         return {k: _transport(c, g, ginv) for k, c in parts.items()}

@@ -1,12 +1,15 @@
 """Property test of the coboundary blocks: ``images(p)``, built in one pass
-over the structure's entries, equals D of each basis vector taken one at a
-time through the bracket route (``coboundary`` or ``cyclic_coboundary``)
-and read back with ``coords``, entry by entry and in scalar type.  Random
-tensor and exterior structures with one part or two parts of different
-arities, sources from degree 0, over Q, F_2 and F_3, under both
+over the structure's entries, equals N·D of each basis vector taken one at
+a time through the bracket route (``coboundary`` or ``cyclic_coboundary``)
+and read back with ``coords``, entry by entry: scaled by N, the lcm of the
+denominators of every part, over Q, and as residues over F_p.  Every entry
+is an int, in [0, p) over F_p.  Random tensor and exterior structures with
+one part or two parts of different arities, sources from degree 0, over Q
+(with integral and non-integral entries), F_2 and F_3, under both
 conventions."""
 
 import random
+from math import lcm
 
 import pytest
 
@@ -25,6 +28,7 @@ from conftest import random_cochain  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 ARITIES = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+DENOMINATORS = [None, (1, 2), (2, 3), (1, 2, 3, 4, 6)]
 PROPERTY = settings(max_examples=120, deadline=None)
 
 
@@ -42,15 +46,34 @@ def structures(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
     arities = draw(st.sampled_from(ARITIES))
+    # each part draws its own denominators, so N can exceed the lcm of
+    # any one part's
     parts = {k: random_cochain(space, flavor, k, draw(st.integers(0, 1)),
-                               rng, density) for k in arities}
+                               rng, density, denominators=draw(
+                                   st.sampled_from(DENOMINATORS))
+                               if field == QQ else None)
+             for k in arities}
     s = InfinityStructure(kind, space, parts, draw(st.sampled_from(CONVENTIONS)))
     p = draw(st.integers(0, (4 if dim < 3 else 3) - (max(arities) - 1)))
     return s, p
 
 
-def types(image):
-    return {q: {r: type(x) for r, x in vec.items()} for q, vec in image.items()}
+def as_block(s, image):
+    """A bracket-route image as a block holds it: times N over Q, the
+    residues over F_p."""
+    p = s.space.field.characteristic
+    n = p or lcm(*[c.denominator for m in s.parts.values()
+                   for vec in m.coeffs.values() for c in vec.values()])
+    return {q: {r: x.value if p else x * n for r, x in vec.items()}
+            for q, vec in image.items()}
+
+
+def assert_core_ints(s, image):
+    p = s.space.field.characteristic
+    for vec in image.values():
+        for x in vec.values():
+            assert type(x) is int
+            assert not p or 0 <= x < p
 
 
 @PROPERTY
@@ -63,8 +86,8 @@ def test_plain_block_matches_each_column(case):
     for image, (t, j, parity) in zip(block, cx._basis(p)):
         delta = Cochain(s.space, s.flavor, p, parity, {t: {j: s.space.field(1)}})
         want = {q: cx.coords(q, c) for q, c in coboundary(delta, s).items()}
-        assert image == want
-        assert types(image) == types(want)
+        assert image == as_block(s, want)
+        assert_core_ints(s, image)
 
 
 @PROPERTY
@@ -76,5 +99,5 @@ def test_cyclic_block_matches_each_column(case):
     assert len(block) == cx.dim(p)
     for image, (f, _) in zip(block, cx._basis(p)):
         want = {q: cx.coords(q, g) for q, g in cyclic_coboundary(f, s).items()}
-        assert image == want
-        assert types(image) == types(want)
+        assert image == as_block(s, want)
+        assert_core_ints(s, image)

@@ -16,7 +16,7 @@ from codiff.coderivation import W_OF_V
 from codiff.fields import PRIME_BOUND
 from codiff.homology import _CyclicComplex, _PlainComplex
 from codiff.structures import validate
-from conftest import gl_text, matrix_algebra_text, shear
+from conftest import gl_text, matrix_algebra_text, rescale, shear
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -562,38 +562,59 @@ def shear_cases():
 
 def assert_blocks_compose_to_zero(cx, degrees):
     """D∘D = 0 read from the blocks: D of the image of each basis vector of
-    these degrees, summed over the degrees the image reaches."""
-    for p in degrees:
-        for image in cx.images(p):
+    these degrees, summed over the degrees the image reaches, and reduced
+    mod p over F_p (the blocks hold ints: N·D over Q, residues over F_p)."""
+    p = cx.field.characteristic
+    for degree in degrees:
+        for image in cx.images(degree):
             twice = {}
             for q, vec in image.items():
                 for row, x in vec.items():
                     for r, w in cx.images(q)[row].items():
                         vec_add(twice.setdefault(r, {}), w, x)
-            assert not any(twice.values()), (p, image)
+            assert not any(x % p if p else x for vec in twice.values()
+                           for x in vec.values()), (degree, image)
+
+
+def assert_a_change_of_basis(af, moved):
+    """The copy ``moved`` of a structure in another basis is the same
+    structure: every report agrees (a refusal's witness word is written in
+    the basis, so only the status of a refusal is compared), and if it
+    validates its blocks compose to zero (D_{p+spread} D_p = 0 for
+    p = 0, 1) in both complexes."""
+    for command in ("validate", "cohomology", "cyclic", "deform"):
+        ours, status = run(command, af, window=(0, 2))
+        theirs, moved_status = run(command, moved, window=(0, 2))
+        assert moved_status == status
+        if status == 0:
+            assert theirs == ours
+    s = build_structure(moved, W_OF_V, 8)
+    if validate(s).ok:
+        for cx in (_PlainComplex(s), _CyclicComplex(s)):
+            assert_blocks_compose_to_zero(cx, (0, 1))
 
 
 @pytest.mark.parametrize("path,field,seed", shear_cases())
 def test_shear_is_a_change_of_basis(path, field, seed):
-    """The sheared copy of a structure is the same structure: every report
-    agrees (a refusal's witness word is written in the basis, so only the
-    status of a refusal is compared), and the blocks of a sheared
-    structure that validates compose to zero (D_{p+spread} D_p = 0 for
-    p = 0, 1) in both complexes."""
+    """A sheared copy of a structure is the same structure."""
     af = load_over(path, field)
     sheared = shear(af, 4, seed)
     if len(set(af.space.parities)) < af.space.dim:  # a shear is possible
         assert sheared != af
-    for command in ("validate", "cohomology", "cyclic", "deform"):
-        ours, status = run(command, af, window=(0, 2))
-        theirs, sheared_status = run(command, sheared, window=(0, 2))
-        assert sheared_status == status
-        if status == 0:
-            assert theirs == ours
-    s = build_structure(sheared, W_OF_V, 8)
-    if validate(s).ok:
-        for cx in (_PlainComplex(s), _CyclicComplex(s)):
-            assert_blocks_compose_to_zero(cx, (0, 1))
+    assert_a_change_of_basis(af, sheared)
+
+
+@pytest.mark.parametrize("path,field,seed", shear_cases())
+def test_rescaling_is_a_change_of_basis(path, field, seed):
+    """A diagonal rescaling by non-integral factors is a change of basis
+    too.  Over Q it gives entries with denominators, so the blocks hold
+    N·D with N > 1."""
+    af = load_over(path, field)
+    rescaled = rescale(af, seed)
+    if field == "Q" and af.parts:
+        assert any(c.denominator > 1 for m in rescaled.parts.values()
+                   for vec in m.coeffs.values() for c in vec.values())
+    assert_a_change_of_basis(af, rescaled)
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cyclic"])

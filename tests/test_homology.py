@@ -831,9 +831,10 @@ class TestWindowBound:
                                       if not p.endswith("bad_name.alg")],
                              ids=input_id)
     def test_the_closed_form_is_the_enumerated_scan(self, monkeypatch, path):
-        """The size the bound reads is dim times the tuples (tensor) or
-        multisets (otherwise) ``canonical_tuples`` enumerates at the top
-        degree, and no index either complex builds is larger."""
+        """The size the bound reads is dim times every tuple (tensor) or
+        multiset (otherwise) of the top degree, the scan the closed form
+        counts, and no index either complex builds is larger: an upper
+        bound, as ``canonical_tuples`` visits only the tuples it keeps."""
         s = build_structure(load_file(path), W_OF_V, 8)
         cx = _PlainComplex(s)
         monkeypatch.setattr(homology, "MAX_INDEX", 0)

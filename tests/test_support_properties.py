@@ -7,7 +7,9 @@ swap into it; ``tilde`` reads each stored tuple once, and
 ``_PlainComplex.coords`` reads the nonzero coordinates through an index
 map.  Each is compared, coefficients, witnesses and key order, with the
 full-enumeration loop it replaced, kept here as the reference, on random
-sparse cochains over Q, F_2 and F_3 with odd and even letters.  The
+sparse cochains over Q, F_2 and F_3 with odd and even letters.
+``canonical_tuples`` grows only the symmetric and exterior tuples it keeps;
+it is compared, tuples and order, with the filter of every multiset.  The
 extension and ``compose`` read a cochain by key at the canonical words
 ``splits`` yields; they are compared with the reads through
 ``Cochain.value`` that they replaced."""
@@ -48,6 +50,26 @@ def spaces(draw):
     field = draw(st.sampled_from(FIELDS))
     parities = draw(st.lists(st.integers(0, 1), min_size=2, max_size=3))
     return GradedSpace(tuple("abc"[:len(parities)]), tuple(parities), field)
+
+
+def filtered_tuples(space, flavor, degree):
+    """The reference: every multiset in lexicographic order, less those
+    that repeat a letter which may not repeat (odd for symmetric, even for
+    exterior)."""
+    dead = 1 if flavor == SYMMETRIC else 0
+    return tuple(t for t in itertools.combinations_with_replacement(
+        range(space.dim), degree) if not any(
+            a == b and space.parities[a] == dead for a, b in zip(t, t[1:])))
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6),
+       st.integers(0, 7), st.sampled_from([SYMMETRIC, EXTERIOR]))
+def test_canonical_tuples_are_the_filtered_multisets(parities, degree,
+                                                     flavor):
+    space = GradedSpace(tuple("abcdef"[:len(parities)]), tuple(parities), QQ)
+    assert (canonical_tuples(space, flavor, degree)
+            == filtered_tuples(space, flavor, degree))
 
 
 def random_scalar(space, flavor, arity, parity, rng, density):
