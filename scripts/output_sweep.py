@@ -13,8 +13,7 @@ json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
 Over Q each file that parses also runs ``cohomology`` and ``cyclic`` after
 a fixed non-integral diagonal change of basis (``rescaled``), so that the
-structure has entries with denominators.  ``cohomology`` of gl3 runs at
-0..2 only, which keeps the sweep short.
+structure has entries with denominators.
 Each run prints one line: the arguments, the exit status, and digests of
 stdout and stderr; a json-lines run adds ``json=ok``, or ``json=bad`` when
 a line of its stdout is not JSON.  The CLI prints dimensions only, so each
@@ -57,7 +56,7 @@ def is_json_lines(text):
     return True
 
 
-def commands(name, text):
+def commands(text):
     """(command, extra arguments) for one input file with this text."""
     from codiff.algfile import ParseError, parse
 
@@ -65,10 +64,9 @@ def commands(name, text):
         directions = sorted(parse(text).deformations)
     except ParseError:
         directions = []
-    window = "0..2" if name == "gl3.alg" else "0..3"
     return ([("validate", []), ("bracket", [])]
             + [("bracket", [d]) for d in directions]
-            + [("cohomology", ["--window", window]),
+            + [("cohomology", ["--window", "0..3"]),
                ("cyclic", ["--window", "0..3"]), ("deform", []),
                ("deform", ["--max-arity", "1"]), ("convert", [])])
 
@@ -181,7 +179,7 @@ def sweep(root):
                     local = re.sub(r"^field Q$", "field " + field, source,
                                    flags=re.M)
                     runs = [(path, local, command, extra)
-                            for command, extra in commands(name, local)]
+                            for command, extra in commands(local)]
                     write(path, local)
                     plain = INNER_PRODUCT.sub("", local)
                     if plain != local:
@@ -193,7 +191,7 @@ def sweep(root):
                         moved_path = write(os.path.join("rescaled", path),
                                            moved)
                         runs += [(moved_path, moved, command, extra)
-                                 for command, extra in commands(name, moved)
+                                 for command, extra in commands(moved)
                                  if command in ("cohomology", "cyclic")]
                     for (path, text, command, extra), convention in \
                             itertools.product(runs, CONVENTIONS):

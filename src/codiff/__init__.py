@@ -1,16 +1,14 @@
 """Exact computer algebra for homotopy associative and homotopy Lie
-structures presented as codifferentials on tensor, symmetric and exterior
-coalgebras of finite-dimensional Z2-graded spaces."""
+structures presented as codifferentials on tensor and exterior coalgebras
+of finite-dimensional Z2-graded spaces."""
 
 from .fields import QQ, FpElement, PrimeField, Rationals
-from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
-                     SYMMETRIC, TENSOR, GradedSpace, Word, grading_pair,
-                     koszul_sign, permutation_sign, unshuffles)
+from .graded import EXTERIOR, TENSOR, GradedSpace, unshuffles
 from .cochain import (Cochain, InnerProduct, ScalarCochain, add,
                       canonical_tuples, scale, tilde, untilde, zero_cochain)
-from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, CoderivationGenerator,
-                           bracket, compose, convert_convention_parts, extend,
-                           family_bracket, modified_bracket)
+from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, compose,
+                           convert_convention_parts, family_bracket,
+                           modified_bracket)
 from .structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                          StructureError, ValidationReport, deform_check,
                          structure_residual, validate)

@@ -27,7 +27,7 @@ import re
 
 from .cochain import Cochain, InnerProduct
 from .fields import QQ, PrimeField
-from .graded import EXTERIOR, SYMMETRIC, TENSOR, GradedSpace, canonical_word
+from .graded import EXTERIOR, TENSOR, GradedSpace, canonical_word
 
 E_DIRECTIVE = "E_DIRECTIVE"     # unknown or misplaced directive
 E_FIELD = "E_FIELD"             # bad field declaration (non-prime p, ...)
@@ -156,13 +156,13 @@ class _Parser:
             self.end_block(lineno)
             if self.flavor is not None:
                 self.err(E_DUPLICATE, lineno, "second flavor line")
-            if len(tokens) != 2 or tokens[1] not in (TENSOR, EXTERIOR, SYMMETRIC):
-                self.err(E_FLAVOR, lineno,
-                         "expected 'flavor tensor' or 'flavor exterior'")
-            if tokens[1] == SYMMETRIC:
+            if tokens[1:] == ["symmetric"]:
                 self.err(E_FLAVOR, lineno,
                          "the symmetric flavor is the internal reversed side; "
                          "author tensor or exterior structures")
+            if len(tokens) != 2 or tokens[1] not in (TENSOR, EXTERIOR):
+                self.err(E_FLAVOR, lineno,
+                         "expected 'flavor tensor' or 'flavor exterior'")
             self.flavor = tokens[1]
         elif head == "space":
             self.end_block(lineno)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .cochain import canonical_tuples
 from .coderivation import (bracket_signs, extend_letters, reachable, splits,
                            targets)
-from .graded import PRODUCT_FORM, TENSOR, canonical_word, rotation_sign
+from .graded import TENSOR, canonical_word, rotation_sign
 
 OUTSIDE = "scalar cochain falls outside the cyclic space"
 
@@ -65,7 +65,7 @@ def plain_block(s, parts, modulus, p, index):
         # phi∘m: the delta at (mid, j) reads the extension of m on t, and
         # its sign in the bracket does not depend on the delta's parity
         for t in reachable(sources, m):
-            for mid, c in extend_letters(m, t, PRODUCT_FORM).items():
+            for mid, c in extend_letters(m, t).items():
                 x = c if signs[0][0] > 0 else -c
                 for j in range(space.dim):
                     _add(out[cols[mid, j]], rows[t, j], x)
@@ -82,8 +82,7 @@ def plain_block(s, parts, modulus, p, index):
                 lands.setdefault((pre, post), {}).setdefault(w[i], (sign, vec))
         heads = dict.fromkeys(range(space.dim), sources)
         for t in targets(m.coeffs, heads, flavor, par):
-            for split, head, pre, post in splits(flavor, t, p, PRODUCT_FORM,
-                                                 par):
+            for split, head, pre, post in splits(flavor, t, p, par):
                 hits = lands.get((pre, post))
                 if not hits:
                     continue
@@ -128,7 +127,7 @@ def cyclic_block(s, parts, modulus, p, index):
             # every exterior orbit is its pivot alone
             cols = {t: out[i] for t, (i, _, _) in sources.items()}
             for t in reachable(cols, m):
-                for mid, c in extend_letters(m, t, PRODUCT_FORM).items():
+                for mid, c in extend_letters(m, t).items():
                     _add(cols[mid], t, c if sign > 0 else -c)
     return [{q: v for q, g in img.items()
              if (v := orbit_coords(g, index(q), modulus))} for img in values]

@@ -1,4 +1,4 @@
-"""Multilinear maps V^k -> V and V^k -> k in the three flavors.
+"""Multilinear maps V^k -> V and V^k -> k, tensor or exterior flavored.
 
 A ``Cochain`` is homogeneous (one parity, one arity) and stores exact
 coefficients sparsely on canonical argument tuples; evaluation on arbitrary
@@ -12,32 +12,29 @@ import itertools
 from functools import lru_cache
 
 from . import linalg
-from .graded import (EXTERIOR, FLAVORS, SYMMETRIC, TENSOR, canonical_word,
-                     word_parity)
+from .graded import EXTERIOR, TENSOR, canonical_word, word_parity
 
 
 @lru_cache(maxsize=None)
 def canonical_tuples(space, flavor, degree):
     """Ordered canonical basis tuples of the degree-k part of the coalgebra.
 
-    Tensor: all tuples.  Symmetric: nondecreasing, no repeated odd letter.
-    Exterior: nondecreasing, no repeated even letter.  Degree 0 is the
-    single empty tuple (used for constants; words proper start at degree 1).
-    Tuples come in lexicographic order; the symmetric and exterior ones are
-    grown letter by letter, and only from a prefix that some kept tuple
-    extends, so no dead multiset is visited.
+    Tensor: all tuples.  Exterior: nondecreasing, no repeated even letter.
+    Degree 0 is the single empty tuple (used for constants; words proper
+    start at degree 1).  Tuples come in lexicographic order; the exterior
+    ones are grown letter by letter, and only from a prefix that some kept
+    tuple extends, so no dead multiset is visited.
     """
     if degree == 0:
         return ((),)
     n = space.dim
     if flavor == TENSOR:
         return tuple(itertools.product(range(n), repeat=degree))
-    # a letter of this parity may repeat
-    free = 0 if flavor == SYMMETRIC else 1
-    # room[x]: how many letters a tuple may still take from x, x + 1, ...
+    # room[x]: how many letters a tuple may still take from x, x + 1, ...;
+    # an odd letter may repeat
     room = [0] * (n + 1)
     for x in reversed(range(n)):
-        room[x] = degree if space.parities[x] == free else room[x + 1] + 1
+        room[x] = degree if space.parities[x] else room[x + 1] + 1
     out = []
 
     def grow(prefix, start, left):
@@ -48,7 +45,7 @@ def canonical_tuples(space, flavor, degree):
             if left == 1:
                 out.append(t)
             else:
-                grow(t, x if space.parities[x] == free else x + 1, left - 1)
+                grow(t, x if space.parities[x] else x + 1, left - 1)
     grow((), 0, degree)
     return tuple(out)
 
@@ -89,7 +86,7 @@ class Cochain:
         self.degree = degree
         self.parity = parity
         self.coeffs = {} if coeffs is None else coeffs
-        if self.flavor not in FLAVORS:
+        if self.flavor not in (TENSOR, EXTERIOR):
             raise ValueError("unknown flavor %r" % self.flavor)
         if self.degree < 0:
             raise ValueError("cochain degree must be >= 0")
@@ -255,9 +252,9 @@ class InnerProduct:
 
 def tilde(c, ip):
     """The scalar cochain <c(v_1..v_k), v_{k+1}> of arity k+1, on every
-    tuple where it is nonzero: a symmetric or exterior c is read on each
-    distinct ordering of its stored tuples, through the flavor sign, and
-    the result is sorted."""
+    tuple where it is nonzero: an exterior c is read on each distinct
+    ordering of its stored tuples, through the exterior sign, and the
+    result is sorted."""
     if ip.space != c.space:
         raise ValueError("inner product lives on a different space")
     space = c.space

@@ -1,20 +1,17 @@
-"""Extension of cochains to coderivations of T(V), S(V), /\\V and the
-(modified) bracket of coderivations.
+"""Extension of cochains to coderivations of T(V) and /\\V, in the
+bidegree grading, and the modified bracket of coderivations.
 
 A degree-k cochain extends to a coderivation whose value on a degree-n word
-is a signed sum over insertion positions (tensor) or unshuffles (symmetric,
-exterior).  Tensor extensions come in two gradings: parity-only, where a
-prefix of parity p contributes (-1)^{p |d|}, and the bidegree grading which
-adds (-1)^{i(k-1)} for an insertion after i letters.  Symmetric extensions
-require the parity grading, exterior extensions the bidegree grading.
+is a signed sum over insertion positions (tensor) or unshuffles
+(exterior).  A tensor insertion after a prefix of parity p, i letters
+long, carries (-1)^{p |d| + i(k-1)}; an exterior unshuffle carries its
+exterior reordering sign.
 """
 
 from __future__ import annotations
 
 from .cochain import Cochain, add, scale, vec_add, zero_cochain
-from .graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM,
-                     SYMMETRIC, TENSOR, Word, _flavor_sign, canonical_word,
-                     grading_pair, unshuffles)
+from .graded import TENSOR, _exterior_sign, canonical_word, unshuffles
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -31,41 +28,18 @@ def convert_convention_parts(parts):
             for k, c in parts.items()}
 
 
-def natural_mode(flavor):
-    """The grading a coderivation theory of this flavor needs."""
-    if flavor == SYMMETRIC:
-        return PARITY_ONLY
-    if flavor == EXTERIOR:
-        return PRODUCT_FORM
-    return PRODUCT_FORM  # tensor default: the bidegree grading on the V side
-
-
-class CoderivationGenerator:
-    """A cochain together with the grading mode of its extension."""
-
-    def __init__(self, base, mode):
-        self.base = base
-        self.mode = mode
-        if self.mode not in (PARITY_ONLY, PRODUCT_FORM):
-            raise ValueError("extension mode must be parity_only or product_form")
-        if self.base.flavor == SYMMETRIC and self.mode != PARITY_ONLY:
-            raise ValueError("symmetric coderivations need the parity grading")
-        if self.base.flavor == EXTERIOR and self.mode != PRODUCT_FORM:
-            raise ValueError("exterior coderivations need the bidegree grading")
-
-
-def splits(flavor, letters, k, mode, par):
+def splits(flavor, letters, k, par):
     """The terms of the extension of a degree-k cochain on a canonical word,
     as (signs, head, prefix, suffix): the cochain reads ``head``, and a value
     letter b lands on prefix + (b,) + suffix with the sign signs[parity of
     the cochain].  Heads and suffixes are canonical.  Tensor terms insert at
-    each position; symmetric and exterior terms run over the unshuffles,
-    have an empty prefix, and the landing word still has to be sorted."""
+    each position; exterior terms run over the unshuffles, have an empty
+    prefix, and the landing word still has to be sorted."""
     n = len(letters)
     if flavor == TENSOR:
         pre_parity = 0
         for i in range(n - k + 1):
-            even = -1 if mode == PRODUCT_FORM and i * (k - 1) & 1 else 1
+            even = -1 if i * (k - 1) & 1 else 1
             odd = -even if pre_parity & 1 else even
             yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
             if i < n:
@@ -75,18 +49,18 @@ def splits(flavor, letters, k, mode, par):
         return
     for sigma in unshuffles(k, n - k):
         moved = tuple(letters[i - 1] for i in sigma)
-        s = _flavor_sign(flavor, sigma, [par[x] for x in moved])
+        s = _exterior_sign(sigma, [par[x] for x in moved])
         yield (s, s), moved[:k], (), moved[k:]
 
 
-def extend_letters(gen, letters, mode):
+def extend_letters(gen, letters):
     """The extension of ``gen`` on a canonical word, read at each head by
     key, as {canonical output letters: coefficient}; zero below degree k."""
     par = gen.space.parities
     tensor = gen.flavor == TENSOR
     out = {}
     for signs, head, pre, post in splits(gen.flavor, letters, gen.degree,
-                                         mode, par):
+                                         par):
         vec = gen.coeffs.get(head)
         if not vec:
             continue
@@ -107,26 +81,12 @@ def extend_letters(gen, letters, mode):
     return out
 
 
-def extend(gen, word, mode=None):
-    """The coderivation extension applied to a Word; a list of Words."""
-    if isinstance(gen, CoderivationGenerator):
-        gen, mode = gen.base, gen.mode
-    if mode is None:
-        mode = natural_mode(gen.flavor)
-    if word.flavor != gen.flavor:
-        raise ValueError("flavor mismatch: %s generator on %s word"
-                         % (gen.flavor, word.flavor))
-    terms = extend_letters(gen, word.letters, mode)
-    return [Word(word.space, word.flavor, t, word.coefficient * c)
-            for t, c in sorted(terms.items())]
-
-
 def reachable(support, inner):
     """The target tuples, in canonical order, whose extension by ``inner``
     can land on a tuple of ``support``: a support tuple with one letter b
     replaced by a head h with b in inner(h), in the canonical form of
-    inner's flavor (dead symmetric and exterior words dropped).  Every
-    other target gives zero."""
+    inner's flavor (dead exterior words dropped).  Every other target gives
+    zero."""
     heads = {}
     for h, vec in inner.coeffs.items():
         for b in vec:
@@ -147,13 +107,11 @@ def targets(support, heads, flavor, par):
     return sorted(out)
 
 
-def compose(outer, inner, mode=None):
+def compose(outer, inner):
     """outer ∘ (extension of inner landing in outer's degree), of degree
     outer.degree + inner.degree - 1; outer is read by key at each output."""
     if outer.space != inner.space or outer.flavor != inner.flavor:
         raise ValueError("cochain mismatch in composition")
-    if mode is None:
-        mode = natural_mode(outer.flavor)
     n = outer.degree + inner.degree - 1
     if n < 0:
         return zero_cochain(outer.space, outer.flavor, 0,
@@ -161,7 +119,7 @@ def compose(outer, inner, mode=None):
     coeffs = {}
     for t in reachable(outer.coeffs, inner):
         acc = {}
-        for mid, c in extend_letters(inner, t, mode).items():
+        for mid, c in extend_letters(inner, t).items():
             vec_add(acc, outer.coeffs.get(mid, {}), c)
         if acc:
             coeffs[t] = acc
@@ -169,35 +127,18 @@ def compose(outer, inner, mode=None):
                    (outer.parity + inner.parity) & 1, coeffs)
 
 
-def bracket(a, b, form=None):
-    """[a_k, b_l] = a ∘ b_{lk} - (-1)^{<a,b>} b ∘ a_{kl} under the grading
-    form (parity_only on a reversed side, product_form on the V side)."""
-    if a.space != b.space or a.flavor != b.flavor:
-        raise ValueError("cochain mismatch in bracket")
-    if form is None:
-        form = natural_mode(a.flavor)
-    if form == SHIFTED_FORM:
-        raise ValueError("the shifted form grades the modified bracket, "
-                         "not the plain one")
-    mode = form
-    first = compose(a, b, mode)
-    second = compose(b, a, mode)
-    sign = -1 if grading_pair(form, a.bidegree, b.bidegree) else 1
-    return add(first, scale(-sign, second))
-
-
 def bracket_signs(k, a_parity, l, b_parity, convention):
     """The signs of a∘b and of b∘a in the modified bracket {a_k, b_l} of
     cochains of these degrees and parities: the plain bracket's
-    a∘b - (-1)^{<a,b>} b∘a under the product form, twisted by the
-    convention's sign."""
+    a∘b - (-1)^{<a,b>} b∘a, with <a,b> = |a||b| + (k-1)(l-1) the pairing
+    of the bidegrees, twisted by the convention's sign."""
     if convention not in CONVENTIONS:
         raise ValueError("unknown convention %r" % convention)
     e = (k - 1) * b_parity
     if convention == V_OF_W:
         e = (k - 1) * (b_parity + l - 1)
     twist = -1 if e & 1 else 1
-    if grading_pair(PRODUCT_FORM, (a_parity, k - 1), (b_parity, l - 1)):
+    if (a_parity * b_parity + (k - 1) * (l - 1)) & 1:
         return twist, twist
     return twist, -twist
 
@@ -212,25 +153,20 @@ def modified_bracket(a, b, convention=W_OF_V):
                                   convention)
     if a.space != b.space or a.flavor != b.flavor:
         raise ValueError("cochain mismatch in bracket")
-    return add(scale(first, compose(a, b, PRODUCT_FORM)),
-               scale(second, compose(b, a, PRODUCT_FORM)))
+    return add(scale(first, compose(a, b)), scale(second, compose(b, a)))
 
 
 # --- families -------------------------------------------------------------
 #
 # An inhomogeneous cochain is a family {degree: Cochain}; brackets act
-# degree by degree via [a, b]_n = sum over k+l=n+1 of [a_k, b_l].
+# degree by degree via {a, b}_n = sum over k+l=n+1 of {a_k, b_l}.
 
-def family_bracket(fam_a, fam_b, form=None, convention=None):
-    """Componentwise bracket of families; pass ``convention`` to use the
-    modified bracket instead of the plain one."""
+def family_bracket(fam_a, fam_b, convention):
+    """Componentwise modified bracket of families under the convention."""
     out = {}
     for k, a in fam_a.items():
         for l, b in fam_b.items():
-            if convention is None:
-                term = bracket(a, b, form)
-            else:
-                term = modified_bracket(a, b, convention)
+            term = modified_bracket(a, b, convention)
             if term.is_zero():
                 continue
             n = k + l - 1

@@ -33,8 +33,7 @@ from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
 from .coderivation import (extend_letters, family_bracket, family_is_zero,
                            reachable)
-from .graded import (EXTERIOR, PRODUCT_FORM, TENSOR, canonical_word,
-                     rotation_sign)
+from .graded import EXTERIOR, TENSOR, canonical_word, rotation_sign
 # deform_check stays a module attribute: bench/tracer.py wraps it here
 from .structures import deformation_parameter_parity, deform_check  # noqa: F401
 
@@ -314,24 +313,28 @@ def _check_window(cx, a, b, what=None):
     """Raise WindowTooLarge when the index of degree d = b + spread, the
     largest the window builds, would scan more than MAX_INDEX entries, or
     the window has more rows than that; the message names what needs it,
-    ``what`` or else the window a..b.  The size is a closed-form upper
-    bound on the plain index: dim^(d+1) tuples and letters (tensor), or
-    dim * C(dim + d - 1, d) multisets and letters, which counts every
-    multiset, also those ``canonical_tuples`` never visits; it bounds the
-    cyclic index too, dim^(d+1) tuples or C(dim + d, d + 1) multisets."""
+    ``what`` or else the window a..b.  The size is exact: dim^(d+1) tuples
+    and letters (tensor), or dim * K(d), with K(d) the exterior tuples of
+    j distinct even letters and d - j odd ones for each j.  It bounds the
+    cyclic index too, as K(d + 1) <= dim * K(d)."""
     dim, d = cx.s.space.dim, b + cx.spread
     if cx.s.flavor == TENSOR:
         # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger power
         # is expanded
-        form, size = "%d^%d" % (dim, d + 1), dim ** min(d + 1, 65)
+        size = dim ** min(d + 1, 65)
+        form = "%d^%d" % (dim, d + 1) + ("" if d >= 64 else " = %d" % size)
     else:
-        form = "%d*C(%d,%d)" % (dim, dim + d - 1, d)
-        size = dim * math.comb(dim + d - 1, d)
+        odd = sum(cx.s.space.parities)
+        even = dim - odd
+        count = math.comb(even, d) if not odd else sum(
+            math.comb(even, j) * math.comb(odd + d - j - 1, d - j)
+            for j in range(min(even, d) + 1))
+        size = dim * count
+        form = "%d*%d = %d" % (dim, count, size)
     if size > MAX_INDEX:
         raise WindowTooLarge(
             "%s: its degree-%d index would scan %s entries, more than %d"
-            % (what or "window %d..%d" % (a, b), d,
-               form if d >= 64 else "%s = %d" % (form, size), MAX_INDEX))
+            % (what or "window %d..%d" % (a, b), d, form, MAX_INDEX))
     if b - a >= MAX_INDEX:
         raise WindowTooLarge("window %d..%d has %d rows, more than %d"
                              % (a, b, b - a + 1, MAX_INDEX))
@@ -492,7 +495,7 @@ def _unshuffle_sum(f, inner, extra_exp):
     out = {}
     for t in reachable(f.coeffs, inner):
         acc = space.field(0)
-        for mid, c in extend_letters(inner, t, PRODUCT_FORM).items():
+        for mid, c in extend_letters(inner, t).items():
             x = f.coeffs.get(mid)
             if x:
                 acc = acc + c * x

@@ -2,9 +2,13 @@
 
 Everything here deliberately avoids the sign machinery of the main modules:
 Koszul signs come from the closed-form product over inversions instead of
-transposition decomposition, exterior reordering is re-derived locally, and
-rank computation is a plain dense elimination.  Dense and unoptimized on
-purpose.
+transposition decomposition, words are sorted and cochains read locally
+(``sort_word``), the extension and composition are re-derived over every
+canonical word (``splits_reference``, ``extend_letters_reference``,
+``compose_reference``), and rank computation is a plain dense elimination.
+The reversed side W, with its symmetric coalgebra and its parity-only
+grading, lives here alone: the library computes on V.  Dense and
+unoptimized on purpose.
 """
 
 from __future__ import annotations
@@ -14,7 +18,10 @@ from dataclasses import dataclass
 
 from .cochain import Cochain, ScalarCochain, canonical_tuples
 from .coderivation import CONVENTIONS, V_OF_W, W_OF_V
-from .graded import EXTERIOR, SYMMETRIC, TENSOR
+from .graded import EXTERIOR, TENSOR
+
+# the flavor of the reversed side of an exterior structure
+SYMMETRIC = "symmetric"
 
 
 @dataclass
@@ -81,28 +88,57 @@ def dense_rank(matrix, field):
     return rank
 
 
-def _inversion_sort(letters, parities):
-    """Sort letters of an exterior word; returns (sign, sorted letters) or
-    None when a repeated even letter kills the word.  Local re-derivation:
-    (-1)^{#inversions} times the closed-form Koszul product."""
+def _reorder_sign(flavor, images, parities):
+    """The sign of v_sigma(1)..v_sigma(n) against v_1..v_n in the symmetric
+    algebra (the closed-form Koszul sign) or the exterior algebra (times
+    (-1)^sigma); parities[i - 1] is the parity of v_i."""
+    sign = koszul_sign_closed_form(images, parities)
+    n = len(images)
+    if flavor == EXTERIOR and sum(images[a] > images[b] for a in range(n)
+                                  for b in range(a + 1, n)) & 1:
+        sign = -sign
+    return sign
+
+
+def sort_word(flavor, letters, parities):
+    """Sort the letters of a word of T, S or /\\; returns (sign, sorted
+    letters), or None when a repeated odd letter kills a symmetric word or
+    a repeated even letter an exterior one.  Local re-derivation: a factor
+    (-1)^{|u||v|} per pair u > v out of order, and -1 more per pair in the
+    exterior algebra."""
+    if flavor == TENSOR:
+        return 1, tuple(letters)
     n = len(letters)
     sign = 1
     for a in range(n):
         for b in range(a + 1, n):
             if letters[a] > letters[b]:
-                sign = -sign
+                if flavor == EXTERIOR:
+                    sign = -sign
                 if parities[letters[a]] & parities[letters[b]]:
                     sign = -sign
     srt = tuple(sorted(letters))
+    dead = 1 if flavor == SYMMETRIC else 0
     for x, y in zip(srt, srt[1:]):
-        if x == y and parities[x] == 0:
+        if x == y and parities[x] == dead:
             return None
     return sign, srt
 
 
-def _ext_value(coeffs, letters, parities):
-    """Value of an exterior cochain on an arbitrary tuple, independent path."""
-    res = _inversion_sort(tuple(letters), parities)
+def word_tuples(space, flavor, degree):
+    """The canonical words of a degree in lexicographic order: every tuple
+    (tensor), or every multiset less those ``sort_word`` kills."""
+    letters = range(space.dim)
+    if flavor == TENSOR:
+        return tuple(itertools.product(letters, repeat=degree))
+    return tuple(t for t in itertools.combinations_with_replacement(
+        letters, degree) if sort_word(flavor, t, space.parities) is not None)
+
+
+def _value(coeffs, letters, parities, flavor=EXTERIOR):
+    """Value of a cochain with these coefficients and this flavor (exterior
+    by default) on an arbitrary tuple, through ``sort_word``."""
+    res = sort_word(flavor, tuple(letters), parities)
     if res is None:
         return {}
     sign, srt = res
@@ -110,6 +146,68 @@ def _ext_value(coeffs, letters, parities):
     if not vec:
         return {}
     return {b: sign * c for b, c in vec.items()}
+
+
+# --- extension and composition over every canonical word ------------------
+#
+# A degree-k cochain d extends to a coderivation; on a word it is a signed
+# sum over insertion positions (tensor) or unshuffles (symmetric,
+# exterior).  In the bidegree grading of V a tensor insertion after i
+# letters of parity p carries (-1)^{p|d| + i(k-1)}; in the parity grading
+# of the reversed side W it carries (-1)^{p|d|} alone.  Unshuffles carry
+# their reordering sign.
+
+def splits_reference(flavor, letters, k, par, bidegree=True):
+    """The terms of the extension of a degree-k cochain on a canonical word,
+    as (signs, head, prefix, suffix) in the order ``coderivation.splits``
+    yields them, with ``bidegree`` False for the parity grading of W."""
+    n = len(letters)
+    if flavor == TENSOR:
+        for i in range(n - k + 1):
+            even = -1 if bidegree and i * (k - 1) & 1 else 1
+            odd = -even if sum(par[x] for x in letters[:i]) & 1 else even
+            yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
+        return
+    letter_par = [par[x] for x in letters]
+    for head in itertools.combinations(range(n), k):
+        tail = tuple(i for i in range(n) if i not in head)
+        s = _reorder_sign(flavor, tuple(i + 1 for i in head + tail),
+                          letter_par)
+        yield ((s, s), tuple(letters[i] for i in head), (),
+               tuple(letters[i] for i in tail))
+
+
+def extend_letters_reference(gen, letters, bidegree=True):
+    """The extension of ``gen`` on a canonical word as {canonical output
+    letters: coefficient}, each head and landing word sorted by
+    ``sort_word``."""
+    par = gen.space.parities
+    out = {}
+    for signs, head, pre, post in splits_reference(gen.flavor, letters,
+                                                   gen.degree, par, bidegree):
+        sign = signs[gen.parity]
+        for b, c in _value(gen.coeffs, head, par, gen.flavor).items():
+            res = sort_word(gen.flavor, pre + (b,) + post, par)
+            if res is not None:
+                _acc(out, res[1], sign * res[0] * c)
+    return out
+
+
+def compose_reference(outer, inner, bidegree=True):
+    """outer ∘ (extension of inner), read on every canonical word of degree
+    outer.degree + inner.degree - 1; a cochain of outer's class."""
+    n = outer.degree + inner.degree - 1
+    par = outer.space.parities
+    coeffs = {}
+    for t in word_tuples(outer.space, outer.flavor, n):
+        acc = {}
+        for mid, c in extend_letters_reference(inner, t, bidegree).items():
+            for o, x in _value(outer.coeffs, mid, par, outer.flavor).items():
+                _acc(acc, o, c * x)
+        if acc:
+            coeffs[t] = acc
+    return type(outer)(outer.space, outer.flavor, n,
+                       (outer.parity + inner.parity) & 1, coeffs)
 
 
 def _mult(m2, i, j):
@@ -181,7 +279,7 @@ def chevalley_eilenberg_coboundary(l2, phi):
     p = phi.degree
 
     def bracket_vec(i, j):
-        return _ext_value(l2.coeffs, (i, j), par)
+        return _value(l2.coeffs, (i, j), par)
 
     out = {}
     for t in canonical_tuples(space, EXTERIOR, p + 1):
@@ -189,7 +287,7 @@ def chevalley_eilenberg_coboundary(l2, phi):
         for i in range(p + 1):
             rest = t[:i] + t[i + 1:]
             sgn = 1 if i % 2 == 0 else -1  # (-1)^{i+1} with 1-based i
-            for b, c in _ext_value(phi.coeffs, rest, par).items():
+            for b, c in _value(phi.coeffs, rest, par).items():
                 for bb, cc in bracket_vec(t[i], b).items():
                     cur = acc.get(bb, 0) + sgn * c * cc
                     if cur:
@@ -202,7 +300,7 @@ def chevalley_eilenberg_coboundary(l2, phi):
                 rest = tuple(t[r] for r in range(p + 1) if r != i and r != j)
                 for b, c in bracket_vec(t[i], t[j]).items():
                     args = (b,) + rest
-                    for bb, cc in _ext_value(phi.coeffs, args, par).items():
+                    for bb, cc in _value(phi.coeffs, args, par).items():
                         cur = acc.get(bb, 0) + sgn * c * cc
                         if cur:
                             acc[bb] = cur
@@ -223,7 +321,7 @@ def chevalley_eilenberg_trivial_coboundary(l2, f):
     arity = f.arity + 1
 
     def f_value(letters):
-        res = _inversion_sort(tuple(letters), par)
+        res = sort_word(EXTERIOR, tuple(letters), par)
         if res is None:
             return 0
         sign, srt = res
@@ -237,7 +335,7 @@ def chevalley_eilenberg_trivial_coboundary(l2, f):
             for j in range(i + 1, arity):
                 sgn = 1 if (i + j + 2) % 2 == 0 else -1
                 rest = tuple(t[r] for r in range(arity) if r != i and r != j)
-                for b, c in _ext_value(l2.coeffs, (t[i], t[j]), par).items():
+                for b, c in _value(l2.coeffs, (t[i], t[j]), par).items():
                     acc = acc + sgn * c * f_value((b,) + rest)
         if acc:
             out[t] = acc
@@ -342,26 +440,20 @@ def first_order_residuals(s, lam, param):
                         tail_pos = [x for x in idx if x not in head_pos]
                         images = tuple(x + 1 for x in head_pos) + tuple(
                             x + 1 for x in tail_pos)
-                        eps = koszul_sign_closed_form(
-                            images, [par[x] for x in t])
-                        inv = 0
-                        for x in range(n):
-                            for y in range(x + 1, n):
-                                if images[x] > images[y]:
-                                    inv += 1
-                        sgn = base * eps * (1 if inv % 2 == 0 else -1)
+                        sgn = base * _reorder_sign(EXTERIOR, images,
+                                                   [par[x] for x in t])
                         head = tuple(t[x] for x in head_pos)
                         tail = tuple(t[x] for x in tail_pos)
                         if l_a is not None and m_b is not None:
-                            for bb, c in _ext_value(m_b.coeffs, head, par).items():
-                                for o, cc in _ext_value(
+                            for bb, c in _value(m_b.coeffs, head, par).items():
+                                for o, cc in _value(
                                         l_a.coeffs, (bb,) + tail, par).items():
                                     _acc(acc, o, sgn * c * cc)
                         if m_a is not None and l_b is not None:
                             u_move = param * (a & 1)
                             sgn2 = -sgn if u_move & 1 else sgn
-                            for bb, c in _ext_value(l_b.coeffs, head, par).items():
-                                for o, cc in _ext_value(
+                            for bb, c in _value(l_b.coeffs, head, par).items():
+                                for o, cc in _value(
                                         m_a.coeffs, (bb,) + tail, par).items():
                                     _acc(acc, o, sgn2 * c * cc)
             if acc:
@@ -391,6 +483,37 @@ def _acc(acc, key, val):
 # grading on the V side for the plain parity grading on the W side, which is
 # how the tests check a structure on the reversed side.
 
+class WCochain:
+    """A homogeneous cochain on the reversed side W, tensor or symmetric,
+    stored like a ``Cochain`` on the canonical words of ``sort_word``.  The
+    extension and composition on W are ``extend_letters_reference`` and
+    ``compose_reference`` with ``bidegree`` False."""
+
+    def __init__(self, space, flavor, degree, parity, coeffs=None):
+        if flavor not in (TENSOR, SYMMETRIC):
+            raise ValueError("the reversed side is tensor or symmetric, "
+                             "not %r" % flavor)
+        self.space = space
+        self.flavor = flavor
+        self.degree = degree
+        self.parity = parity
+        self.coeffs = {}
+        for t, vec in (coeffs or {}).items():
+            if sort_word(flavor, t, space.parities) != (1, t):
+                raise ValueError("non-canonical word %r" % (t,))
+            vec = {b: c for b, c in vec.items() if c}
+            if vec:
+                self.coeffs[t] = vec
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def value(self, letters):
+        """Value on a pure tuple, reordered through ``sort_word``."""
+        return _value(self.coeffs, letters, self.space.parities,
+                          self.flavor)
+
+
 def reversed_flavor(flavor):
     if flavor == TENSOR:
         return TENSOR
@@ -409,7 +532,8 @@ def eta_sign(parities):
 
 
 def conjugate_part(part, convention=W_OF_V, to_reversed=True):
-    """Conjugate one cochain through eta.
+    """Conjugate one cochain through eta: a ``WCochain`` on W, or with
+    ``to_reversed`` False a part on W back to a ``Cochain`` on V.
 
     With delta = eta_1 ∘ m_k ∘ eta_k^{-1}, the value on a basis tuple picks
     up (-1)^e with e the eta_k exponent; w_of_v reads the exponent off the
@@ -433,7 +557,8 @@ def conjugate_part(part, convention=W_OF_V, to_reversed=True):
             pars = [1 - p for p in pars]
         sign = eta_sign(pars)
         coeffs[t] = {b: sign * c for b, c in vec.items()}
-    return Cochain(other, flavor, k, (part.parity + k - 1) & 1, coeffs)
+    cls = WCochain if to_reversed else Cochain
+    return cls(other, flavor, k, (part.parity + k - 1) & 1, coeffs)
 
 
 def conjugate_family(parts, convention=W_OF_V, to_reversed=True):

@@ -17,8 +17,8 @@ and the reversed-side route live in the tests).
 from __future__ import annotations
 
 from .cochain import add, scale, zero_cochain
-from .coderivation import (CONVENTIONS, PRODUCT_FORM, W_OF_V, bracket_signs,
-                           compose, family_bracket, family_is_zero)
+from .coderivation import (CONVENTIONS, W_OF_V, bracket_signs, compose,
+                           family_bracket, family_is_zero)
 from .graded import EXTERIOR, TENSOR
 
 A_INFINITY = "a_infinity"
@@ -97,7 +97,7 @@ def structure_residual(s, n):
     for a, outer in s.parts.items():
         b = n + 1 - a
         if b in s.parts:
-            term = compose(outer, s.parts[b], PRODUCT_FORM)
+            term = compose(outer, s.parts[b])
             if relation_sign(s.convention, a, b) < 0:
                 term = scale(-1, term)
             acc = add(acc, term)

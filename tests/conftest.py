@@ -8,16 +8,35 @@ from codiff import (EXTERIOR, TENSOR, A_INFINITY, L_INFINITY, GradedSpace,
                     InfinityStructure, InnerProduct)
 from codiff.algfile import AlgebraFile
 from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
-                            vec_add, zero_cochain)
-from codiff.coderivation import (CoderivationGenerator, W_OF_V, compose,
-                                 extend_letters, natural_mode)
-from codiff.graded import (PARITY_ONLY, PRODUCT_FORM, SYMMETRIC, Word,
-                           koszul_sign, permutation_sign, reorder_sign,
-                           rotation_sign, unshuffles, word_parity)
-from codiff.oracle import (conjugate_family, conjugate_part, eta_sign,
-                           reversed_flavor)
+                            scale, vec_add)
+from codiff.coderivation import W_OF_V, compose, extend_letters
+from codiff.graded import rotation_sign, unshuffles, word_parity
+from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
+                           conjugate_family, conjugate_part, eta_sign,
+                           extend_letters_reference, reversed_flavor,
+                           sort_word, word_tuples)
 
 F = Fraction
+
+# The gradings the tests pair bidegrees (parity, Z-degree) in: the parity
+# grading of the reversed side W, the bidegree grading of V (the library's
+# one), and the shifted grading of the modified bracket.
+PARITY_ONLY = "parity_only"
+PRODUCT_FORM = "product_form"
+SHIFTED_FORM = "shifted_form"
+
+
+def grading_pair(form, bid_a, bid_b):
+    """The Z2 pairing <a,b> of two bidegrees under the grading form."""
+    pa, da = bid_a
+    pb, db = bid_b
+    if form == PARITY_ONLY:
+        return (pa * pb) & 1
+    if form == PRODUCT_FORM:
+        return (pa * pb + da * db) & 1
+    if form == SHIFTED_FORM:
+        return ((pa + da) * (pb + db)) & 1
+    raise ValueError("unknown grading form %r" % form)
 
 
 def pair(ip, u, v):
@@ -43,9 +62,12 @@ def make_cochain(space, flavor, degree, parity, entries):
 def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3,
                    denominators=None):
     """Parity-homogeneous random cochain with small integer entries in the
-    space's field, each divided by one of ``denominators`` when given."""
+    space's field, each divided by one of ``denominators`` when given; a
+    symmetric one is the oracle's ``WCochain``."""
     coeffs = {}
-    for t in canonical_tuples(space, flavor, degree):
+    w_side = flavor == SYMMETRIC
+    for t in (word_tuples if w_side else canonical_tuples)(space, flavor,
+                                                           degree):
         tp = word_parity(space, t)
         vec = {}
         for j in range(space.dim):
@@ -57,7 +79,8 @@ def random_cochain(space, flavor, degree, parity, rng, density=0.6, span=3,
                     vec[j] = c
         if vec:
             coeffs[t] = vec
-    return Cochain(space, flavor, degree, parity, coeffs)
+    return (WCochain if w_side else Cochain)(space, flavor, degree, parity,
+                                             coeffs)
 
 
 def sparse_rows(m):
@@ -132,6 +155,112 @@ def is_cyclic_scalar_blockwise(f):
                for i in range(1, f.arity))
 
 
+# --- permutation signs, by adjacent swaps ------------------------------------
+
+def check_permutation(images):
+    n = len(images)
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..%d: %r" % (n, images))
+
+
+def _swap_signs(images, parities):
+    """(-1)^sigma and epsilon(sigma; v), read off the adjacent swaps that
+    bubble-sort the permuted word v_sigma(1)..v_sigma(n) back into order:
+    each swap gives -1, and (-1)^{|a||b|} for the two letters it moves."""
+    if len(images) != len(parities):
+        raise ValueError("permutation size %d != parity vector size %d"
+                         % (len(images), len(parities)))
+    check_permutation(images)
+    word = list(images)
+    sign = koszul = 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                a, b = word[i], word[i + 1]
+                word[i], word[i + 1] = b, a
+                sign = -sign
+                if parities[a - 1] & parities[b - 1]:
+                    koszul = -koszul
+    return sign, koszul
+
+
+def permutation_sign(images):
+    """Ordinary sign (-1)^sigma."""
+    return _swap_signs(images, (0,) * len(images))[0]
+
+
+def koszul_sign(images, parities):
+    """The sign epsilon(sigma; v_1..v_n): one factor (-1)^{|a||b|} per
+    adjacent swap that sorts the permuted word back into order."""
+    return _swap_signs(images, parities)[1]
+
+
+def reorder_sign(flavor, images, parities):
+    """The sign of v_sigma(1)..v_sigma(n) against v_1..v_n in the symmetric
+    (epsilon(sigma; v)) or exterior (epsilon(sigma; v) (-1)^sigma)
+    algebra."""
+    sign, koszul = _swap_signs(images, parities)
+    return koszul * sign if flavor == EXTERIOR else koszul
+
+
+# --- words, extensions and the plain bracket ----------------------------------
+
+class Word:
+    """A coefficient times a pure word in T(V), S(V) or /\\V.
+
+    Stored in canonical form: symmetric and exterior letters nondecreasing,
+    with the reordering sign (``oracle.sort_word``) absorbed into the
+    coefficient.
+    """
+
+    def __init__(self, space, flavor, letters, coefficient=1):
+        if flavor not in (TENSOR, SYMMETRIC, EXTERIOR):
+            raise ValueError("unknown flavor %r" % flavor)
+        if len(letters) == 0:
+            raise ValueError("words have degree >= 1")
+        self.space = space
+        self.flavor = flavor
+        cw = sort_word(flavor, letters, space.parities)
+        if cw is None:
+            self.letters = tuple(sorted(letters))
+            self.coefficient = 0 * coefficient
+        else:
+            sign, canon = cw
+            self.letters = canon
+            self.coefficient = sign * coefficient
+
+    @property
+    def degree(self):
+        return len(self.letters)
+
+    @property
+    def parity(self):
+        return word_parity(self.space, self.letters)
+
+    @property
+    def bidegree(self):
+        return (self.parity, self.degree)
+
+    def is_zero(self):
+        return not self.coefficient
+
+
+def extend_on(gen, letters, form):
+    """The extension of ``gen`` on a canonical word: the library's in the
+    bidegree grading (PRODUCT_FORM), the oracle's in the parity grading of
+    the reversed side (PARITY_ONLY)."""
+    if form == PRODUCT_FORM:
+        return extend_letters(gen, letters)
+    return extend_letters_reference(gen, letters, bidegree=False)
+
+
+def bracket(a, b):
+    """The plain bracket [a, b] = a∘b - (-1)^{<a,b>} b∘a of the bidegree
+    grading, <a,b> = |a||b| + (k-1)(l-1)."""
+    odd = grading_pair(PRODUCT_FORM, a.bidegree, b.bidegree)
+    return add(compose(a, b), scale(1 if odd else -1, compose(b, a)))
+
+
 def reduced_diagonal(word):
     """The reduced diagonal of a word as a list of (left, right) Word pairs.
 
@@ -191,17 +320,17 @@ class Restriction:
         self.matrix = matrix  # input tuple -> {output tuple: coefficient}
 
 
-def restrict(gen, l, mode=None):
-    if isinstance(gen, CoderivationGenerator):
-        gen, mode = gen.base, gen.mode
-    if mode is None:
-        mode = natural_mode(gen.flavor)
+def restrict(gen, l, form=PRODUCT_FORM):
+    """The restriction of ``gen``'s extension in the grading ``form``
+    (``extend_on``); a symmetric generator takes the parity grading."""
     if l < 1:
         raise ValueError("restriction lands in degree >= 1")
+    if gen.flavor == SYMMETRIC:
+        form = PARITY_ONLY
     n = gen.degree + l - 1
     matrix = {}
-    for t in canonical_tuples(gen.space, gen.flavor, n):
-        row = extend_letters(gen, t, mode)
+    for t in word_tuples(gen.space, gen.flavor, n):
+        row = extend_on(gen, t, form)
         if row:
             matrix[t] = row
     return Restriction(gen.degree, l, matrix)
@@ -228,15 +357,15 @@ def eta_inverse_word(word, v_space=None):
 
 def check_extension_conjugation(mu, n):
     """Compare the two extensions of a homogeneous cochain on degree-n words:
-    conjugating the parity-graded extension from the reversed side must equal
-    (-1)^{(n-k)|mu|} times the bidegree-graded extension on the V side."""
+    conjugating the oracle's parity-graded extension on the reversed side
+    must equal (-1)^{(n-k)|mu|} times the library's bidegree-graded
+    extension on the V side."""
     space = mu.space
     k = mu.degree
     if n < 1:
         raise ValueError("need word degree >= 1")
     delta = conjugate_part(mu, W_OF_V, to_reversed=True)
     w_space = delta.space
-    rev_mode = PARITY_ONLY if delta.flavor in (TENSOR, SYMMETRIC) else PRODUCT_FORM
     sign = -1 if ((n - k) * mu.parity) & 1 else 1
     for t in canonical_tuples(space, mu.flavor, n):
         word = Word(space, mu.flavor, t, 1)
@@ -245,7 +374,8 @@ def check_extension_conjugation(mu, n):
         # around: eta, extend on the reversed side, eta back
         w_word = eta_word(word, w_space)
         around = {}
-        for letters, c in extend_letters(delta, w_word.letters, rev_mode).items():
+        for letters, c in extend_letters_reference(
+                delta, w_word.letters, bidegree=False).items():
             back = eta_inverse_word(Word(w_space, delta.flavor, letters,
                                          c * w_word.coefficient), space)
             if back.is_zero():
@@ -257,7 +387,7 @@ def check_extension_conjugation(mu, n):
                 around.pop(back.letters, None)
         # direct: bidegree-graded extension on the V side, rescaled
         direct = {}
-        for letters, c in extend_letters(mu, t, PRODUCT_FORM).items():
+        for letters, c in extend_letters(mu, t).items():
             if sign * c:
                 direct[letters] = sign * c
         if around != direct:
@@ -283,19 +413,20 @@ def reversed_parts(s):
     return conjugate_family(s.parts, s.convention, to_reversed=True)
 
 
-def reversed_residual(parts_w, w_space, flavor_w, n):
-    """Degree-n component of delta ∘ delta on the reversed side: the sum of
-    delta_a ∘ delta_{b a} over a+b = n+1, parity grading, no extra signs."""
-    acc = None
+def reversed_residual(parts_w, n):
+    """The coefficients of the degree-n component of delta ∘ delta on the
+    reversed side: the sum of delta_a ∘ delta_{b a} over a+b = n+1, in the
+    oracle's parity grading, no extra signs."""
+    acc = {}
     for a, outer in parts_w.items():
-        b = n + 1 - a
-        inner = parts_w.get(b)
+        inner = parts_w.get(n + 1 - a)
         if inner is None:
             continue
-        term = compose(outer, inner, PARITY_ONLY)
-        acc = term if acc is None else add(acc, term)
-    if acc is None:
-        return zero_cochain(w_space, flavor_w, n, 0)
+        for t, vec in compose_reference(outer, inner,
+                                        bidegree=False).coeffs.items():
+            vec_add(acc.setdefault(t, {}), vec)
+            if not acc[t]:
+                del acc[t]
     return acc
 
 
@@ -303,15 +434,8 @@ def reversed_side_ok(s):
     """Third validation route: the conjugated family squares to zero on the
     reversed side."""
     parts_w = reversed_parts(s)
-    if not parts_w:
-        return True
-    w_space = s.space.reversed()
-    flavor_w = next(iter(parts_w.values())).flavor
-    top = max(parts_w)
-    for n in range(1, 2 * top):
-        if not reversed_residual(parts_w, w_space, flavor_w, n).is_zero():
-            return False
-    return True
+    top = max(parts_w, default=0)
+    return not any(reversed_residual(parts_w, n) for n in range(1, 2 * top))
 
 
 # --- basis changes ----------------------------------------------------------

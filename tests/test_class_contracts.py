@@ -8,15 +8,15 @@ import pytest
 
 from codiff.algfile import AlgebraFile
 from codiff.cochain import Cochain, ScalarCochain, canonical_tuples
-from codiff.coderivation import CoderivationGenerator, W_OF_V
+from codiff.coderivation import W_OF_V
 from codiff.fields import QQ, PrimeField
-from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM, SYMMETRIC,
-                           TENSOR, GradedSpace, Word)
+from codiff.graded import EXTERIOR, TENSOR, GradedSpace
 from codiff.homology import CohomologyReport, DegreeRow, DeformationClass
+from codiff.oracle import SYMMETRIC
 from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY, L_INFINITY,
                                InfinityStructure, StructureError,
                                ValidationReport)
-from conftest import Restriction
+from conftest import Restriction, Word
 
 F = Fraction
 
@@ -138,6 +138,8 @@ class TestConstructorChecks:
     @pytest.mark.parametrize("make,error,message", [
         (lambda sp: Cochain(sp, "free", 1, 0), ValueError,
          "unknown flavor 'free'"),
+        (lambda sp: Cochain(sp, SYMMETRIC, 1, 0), ValueError,
+         "unknown flavor 'symmetric'"),
         (lambda sp: Cochain(sp, TENSOR, -1, 0), ValueError,
          "cochain degree must be >= 0"),
         (lambda sp: Cochain(sp, TENSOR, 1, 2), ValueError,
@@ -158,14 +160,6 @@ class TestConstructorChecks:
          "unknown flavor 'free'"),
         (lambda sp: Word(sp, TENSOR, ()), ValueError,
          "words have degree >= 1"),
-        (lambda sp: CoderivationGenerator(product(sp), "other"), ValueError,
-         "extension mode must be parity_only or product_form"),
-        (lambda sp: CoderivationGenerator(Cochain(sp, SYMMETRIC, 1, 0),
-                                          PRODUCT_FORM), ValueError,
-         "symmetric coderivations need the parity grading"),
-        (lambda sp: CoderivationGenerator(Cochain(sp, EXTERIOR, 1, 0),
-                                          PARITY_ONLY), ValueError,
-         "exterior coderivations need the bidegree grading"),
         (lambda sp: InfinityStructure("other", sp), StructureError,
          "kind must be a_infinity or l_infinity"),
         (lambda sp: InfinityStructure(A_INFINITY, sp, {}, "other"),
@@ -212,7 +206,6 @@ def _constructions(sp):
          ("space", "flavor", "degree", "parity", "coeffs")),
         (ScalarCochain, (sp, TENSOR, 2, 0, {(0, 0): F(1)}),
          ("space", "flavor", "arity", "parity", "coeffs")),
-        (CoderivationGenerator, (m, PRODUCT_FORM), ("base", "mode")),
         (Restriction, (2, 1, {}), ("k", "l", "matrix")),
         (InfinityStructure, (A_INFINITY, sp, {2: m}, W_OF_V, 4),
          ("kind", "space", "parts", "convention", "max_arity")),

@@ -348,16 +348,31 @@ class TestMainEntryPoint:
         assert captured.err == ("error: bracket takes at most two names, "
                                 "got 3\n")
 
-    def test_window_too_large_in_process(self, capsys):
-        # gl3 has no canonical tuple above degree 9, but canonical_tuples
-        # filters every multiset of nine letters
-        assert main(["cyclic", os.path.join(BENCH_INPUTS, "gl3.alg"),
-                     "--window", "0..40"]) == 2
+    def test_window_too_large_in_process(self, tmp_path, capsys):
+        # two even and two odd letters: the degree-d exterior tuples number
+        # K(d) = (d + 1) + 2d + (d - 1) = 4d, as odd letters repeat
+        path = tmp_path / "odd.alg"
+        path.write_text("\n".join(
+            ["field Q", "flavor exterior", "space", "  basis a even",
+             "  basis b even", "  basis u odd", "  basis v odd", "map l 2",
+             "  l(a,b) = a"]) + "\n", encoding="utf-8")
+        assert main(["cyclic", str(path), "--window", "0..62500"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: window 0..40: its degree-41 index "
-                                "would scan 9*C(49,41) = 4058802594 "
+        assert captured.err == ("error: window 0..62500: its degree-62501 "
+                                "index would scan 4*250004 = 1000016 "
                                 "entries, more than 1000000\n")
+
+    def test_exterior_bound_counts_the_kept_tuples(self, capsys):
+        """gl3 has no exterior tuple above degree 9, so a window past it is
+        built, and H*(gl3) = /\\(x1, x3, x5), of Poincare polynomial
+        (1 + t)(1 + t^3)(1 + t^5), ends in zeros."""
+        assert main(["cohomology", os.path.join(BENCH_INPUTS, "gl3.alg"),
+                     "--window", "0..12"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "cohomology window 0..12 graded_exact=yes"
+        assert [line.rsplit("H=", 1)[1] for line in out[1:]] == \
+            ["1", "1", "0", "1", "1", "1", "1", "0", "1", "1", "0", "0", "0"]
 
     def test_field_above_the_primality_bound_is_refused(self, tmp_path,
                                                         capsys):
@@ -408,11 +423,13 @@ class TestMainEntryPoint:
 
 def test_cli_import_leaves_out_dataclasses_and_json():
     # each command is a fresh process, so every module on the import path
-    # of codiff.cli is paid for at every start
+    # of codiff.cli is paid for at every start; the oracle, the reversed
+    # side included, is the tests' alone
     src = os.path.join(HERE, os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     code = ("import sys, codiff.cli; print(sorted(m for m in "
-            "('dataclasses', 'inspect', 'json') if m in sys.modules))")
+            "('dataclasses', 'inspect', 'json', 'codiff.oracle') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

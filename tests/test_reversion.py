@@ -4,10 +4,10 @@ from fractions import Fraction
 from codiff import GradedSpace
 from codiff.cochain import canonical_tuples
 from codiff.coderivation import V_OF_W, W_OF_V, convert_convention_parts
-from codiff.graded import EXTERIOR, SYMMETRIC, TENSOR, Word, word_parity
-from codiff.oracle import conjugate_family, conjugate_part, eta_sign
+from codiff.graded import EXTERIOR, TENSOR, word_parity
+from codiff.oracle import SYMMETRIC, conjugate_family, conjugate_part, eta_sign
 from codiff.structures import InfinityStructure, validate
-from conftest import (check_extension_conjugation,
+from conftest import (Word, check_extension_conjugation,
                       check_reversion_sign_identity, eta_inverse_word,
                       eta_word, make_cochain, random_cochain, reversed_parts)
 

@@ -8,11 +8,12 @@ swap into it; ``tilde`` reads each stored tuple once, and
 map.  Each is compared, coefficients, witnesses and key order, with the
 full-enumeration loop it replaced, kept here as the reference, on random
 sparse cochains over Q, F_2 and F_3 with odd and even letters.
-``canonical_tuples`` grows only the symmetric and exterior tuples it keeps;
-it is compared, tuples and order, with the filter of every multiset.  The
-extension and ``compose`` read a cochain by key at the canonical words
-``splits`` yields; they are compared with the reads through
-``Cochain.value`` that they replaced."""
+``canonical_tuples`` grows only the exterior tuples it keeps; it is
+compared, tuples and order, with the filter of every multiset
+(``oracle.word_tuples``).  The extension and ``compose`` read a cochain by
+key at the canonical words ``splits`` yields; they are compared with the
+oracle's ``extend_letters_reference`` and ``compose_reference``, which
+read every canonical word through the oracle's own sort."""
 
 import itertools
 import random
@@ -28,15 +29,16 @@ from codiff.cochain import (  # noqa: E402
     vec_add)
 from codiff.coderivation import compose, extend_letters, splits  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
-from codiff.graded import (EXTERIOR, PARITY_ONLY, PRODUCT_FORM,  # noqa: E402
-                           SYMMETRIC, TENSOR, canonical_word, reorder_sign,
+from codiff.graded import (EXTERIOR, TENSOR, canonical_word,  # noqa: E402
                            rotation_sign, unshuffles, word_parity)
+from codiff.oracle import (compose_reference,  # noqa: E402
+                           extend_letters_reference, word_tuples)
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _cyclic_witness, _rotation_sum,
                              _rotation_witness, _unshuffle_sum,
                              cyclic_scalar_basis, is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import pair, random_cochain  # noqa: E402
+from conftest import pair, random_cochain, reorder_sign  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -52,24 +54,13 @@ def spaces(draw):
     return GradedSpace(tuple("abc"[:len(parities)]), tuple(parities), field)
 
 
-def filtered_tuples(space, flavor, degree):
-    """The reference: every multiset in lexicographic order, less those
-    that repeat a letter which may not repeat (odd for symmetric, even for
-    exterior)."""
-    dead = 1 if flavor == SYMMETRIC else 0
-    return tuple(t for t in itertools.combinations_with_replacement(
-        range(space.dim), degree) if not any(
-            a == b and space.parities[a] == dead for a, b in zip(t, t[1:])))
-
-
 @PROPERTY
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=6),
-       st.integers(0, 7), st.sampled_from([SYMMETRIC, EXTERIOR]))
-def test_canonical_tuples_are_the_filtered_multisets(parities, degree,
-                                                     flavor):
+       st.integers(0, 7))
+def test_canonical_tuples_are_the_filtered_multisets(parities, degree):
     space = GradedSpace(tuple("abcdef"[:len(parities)]), tuple(parities), QQ)
-    assert (canonical_tuples(space, flavor, degree)
-            == filtered_tuples(space, flavor, degree))
+    assert (canonical_tuples(space, EXTERIOR, degree)
+            == word_tuples(space, EXTERIOR, degree))
 
 
 def random_scalar(space, flavor, arity, parity, rng, density):
@@ -89,66 +80,6 @@ def same(new, ref):
 
 
 # --- the full-enumeration references ----------------------------------------
-
-def splits_reference(flavor, letters, k, mode, par):
-    """``splits`` with each unshuffle's sign from ``reorder_sign``."""
-    n = len(letters)
-    if flavor == TENSOR:
-        pre_parity = 0
-        for i in range(n - k + 1):
-            even = -1 if mode == PRODUCT_FORM and i * (k - 1) & 1 else 1
-            odd = -even if pre_parity & 1 else even
-            yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
-            if i < n:
-                pre_parity += par[letters[i]]
-        return
-    if n < k:
-        return
-    letter_par = [par[x] for x in letters]
-    for sigma in unshuffles(k, n - k):
-        s = reorder_sign(flavor, sigma, letter_par)
-        yield ((s, s), tuple(letters[i - 1] for i in sigma[:k]), (),
-               tuple(letters[i - 1] for i in sigma[k:]))
-
-
-def extend_letters_reference(gen, letters, mode):
-    """The extension with ``gen`` read through ``Cochain.value``, which
-    puts any head in canonical order first."""
-    par = gen.space.parities
-    out = {}
-    for signs, head, pre, post in splits_reference(gen.flavor, letters,
-                                                   gen.degree, mode, par):
-        vec = gen.value(head)
-        if not vec:
-            continue
-        sign = signs[gen.parity]
-        for b, c in vec.items():
-            key = pre + (b,) + post
-            if gen.flavor != TENSOR:
-                cw = canonical_word(gen.flavor, key, par)
-                if cw is None:
-                    continue
-                key, c = cw[1], cw[0] * c
-            cur = out.get(key, 0) + sign * c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-    return out
-
-
-def compose_reference(outer, inner, mode, extend=extend_letters):
-    n = outer.degree + inner.degree - 1
-    coeffs = {}
-    for t in canonical_tuples(outer.space, outer.flavor, n):
-        acc = {}
-        for mid, c in extend(inner, t, mode).items():
-            vec_add(acc, outer.value(mid), c)
-        if acc:
-            coeffs[t] = acc
-    return Cochain(outer.space, outer.flavor, n,
-                   (outer.parity + inner.parity) & 1, coeffs)
-
 
 def rotation_sum_reference(f, inner, extra_exp):
     space = f.space
@@ -324,22 +255,19 @@ def shuffled(c, rng):
 # --- properties --------------------------------------------------------------
 
 @PROPERTY
-@given(space=spaces(),
-       flavor=st.sampled_from([TENSOR, SYMMETRIC, EXTERIOR]),
-       mode=st.sampled_from([PARITY_ONLY, PRODUCT_FORM]),
+@given(space=spaces(), flavor=st.sampled_from([TENSOR, EXTERIOR]),
        degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        parities=st.tuples(st.integers(0, 1), st.integers(0, 1)),
        density=DENSITY, seed=st.integers(0, 2 ** 32))
-def test_compose_matches_full_enumeration(space, flavor, mode, degrees,
-                                          parities, density, seed):
+def test_compose_matches_full_enumeration(space, flavor, degrees, parities,
+                                          density, seed):
     m, k = degrees
     n = m + k - 1
     assume(0 <= n <= 4)
     rng = random.Random(seed)
     outer = random_cochain(space, flavor, m, parities[0], rng, density)
     inner = random_cochain(space, flavor, k, parities[1], rng, density)
-    assert same(compose(outer, inner, mode),
-                compose_reference(outer, inner, mode))
+    assert same(compose(outer, inner), compose_reference(outer, inner))
 
 
 @PROPERTY
@@ -444,8 +372,7 @@ def test_cyclic_witness_matches_full_enumeration(form, flavor, degree, parity,
 
 
 @PROPERTY
-@given(form=form_spaces(), flavor=st.sampled_from([TENSOR, SYMMETRIC,
-                                                   EXTERIOR]),
+@given(form=form_spaces(), flavor=st.sampled_from([TENSOR, EXTERIOR]),
        degree=st.integers(0, 3), parity=st.integers(0, 1), density=DENSITY,
        seed=st.integers(0, 2 ** 32))
 def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
@@ -461,32 +388,29 @@ def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
 
 
 @PROPERTY
-@given(space=spaces(),
-       flavor=st.sampled_from([TENSOR, SYMMETRIC, EXTERIOR]),
-       mode=st.sampled_from([PARITY_ONLY, PRODUCT_FORM]),
+@given(space=spaces(), flavor=st.sampled_from([TENSOR, EXTERIOR]),
        n=st.integers(1, 5), k=st.integers(0, 3),
        parities=st.tuples(st.integers(0, 1), st.integers(0, 1)),
        density=DENSITY, seed=st.integers(0, 2 ** 32))
-def test_splits_of_canonical_words_are_read_by_key(space, flavor, mode, n, k,
+def test_splits_of_canonical_words_are_read_by_key(space, flavor, n, k,
                                                    parities, density, seed):
     """Every head and suffix ``splits`` yields on a canonical word (odd
-    letters repeat in the exterior algebra, even ones in the symmetric
-    algebra) is canonical, so the reads by key of ``extend_letters`` and
-    ``compose`` give what the reads through ``Cochain.value`` gave."""
+    letters repeat in the exterior algebra) is canonical, so the reads by
+    key of ``extend_letters`` and ``compose`` give what the oracle's reads
+    through its own sort give."""
     words = canonical_tuples(space, flavor, n)
     assume(k <= n and words)
     rng = random.Random(seed)
     par = space.parities
     word = rng.choice(words)
-    for _, head, _, post in splits(flavor, word, k, mode, par):
+    for _, head, _, post in splits(flavor, word, k, par):
         for w in (head, post):
             assert canonical_word(flavor, w, par) == (1, w)
     gen = random_cochain(space, flavor, k, parities[0], rng, density)
-    got = extend_letters(gen, word, mode)
-    want = extend_letters_reference(gen, word, mode)
+    got = extend_letters(gen, word)
+    want = extend_letters_reference(gen, word)
     assert [(t, c, type(c)) for t, c in got.items()] == \
         [(t, c, type(c)) for t, c in want.items()]
     outer = random_cochain(space, flavor, n - k + 1, parities[1], rng,
                            density)
-    assert same(compose(outer, gen, mode),
-                compose_reference(outer, gen, mode, extend_letters_reference))
+    assert same(compose(outer, gen), compose_reference(outer, gen))
