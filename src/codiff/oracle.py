@@ -490,6 +490,8 @@ class WCochain:
     ``compose_reference`` with ``bidegree`` False."""
 
     def __init__(self, space, flavor, degree, parity, coeffs=None):
+        if flavor == EXTERIOR:
+            raise ValueError("exterior coderivations need the bidegree grading")
         if flavor not in (TENSOR, SYMMETRIC):
             raise ValueError("the reversed side is tensor or symmetric, "
                              "not %r" % flavor)

@@ -12,7 +12,7 @@ from codiff.coderivation import W_OF_V
 from codiff.fields import QQ, PrimeField
 from codiff.graded import EXTERIOR, TENSOR, GradedSpace
 from codiff.homology import CohomologyReport, DegreeRow, DeformationClass
-from codiff.oracle import SYMMETRIC
+from codiff.oracle import SYMMETRIC, WCochain
 from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY, L_INFINITY,
                                InfinityStructure, StructureError,
                                ValidationReport)
@@ -160,6 +160,10 @@ class TestConstructorChecks:
          "unknown flavor 'free'"),
         (lambda sp: Word(sp, TENSOR, ()), ValueError,
          "words have degree >= 1"),
+        (lambda sp: WCochain(sp, EXTERIOR, 1, 0), ValueError,
+         "exterior coderivations need the bidegree grading"),
+        (lambda sp: WCochain(sp, SYMMETRIC, 2, 0, {(1, 0): {0: 1}}),
+         ValueError, r"non-canonical word \(1, 0\)"),
         (lambda sp: InfinityStructure("other", sp), StructureError,
          "kind must be a_infinity or l_infinity"),
         (lambda sp: InfinityStructure(A_INFINITY, sp, {}, "other"),
@@ -206,6 +210,8 @@ def _constructions(sp):
          ("space", "flavor", "degree", "parity", "coeffs")),
         (ScalarCochain, (sp, TENSOR, 2, 0, {(0, 0): F(1)}),
          ("space", "flavor", "arity", "parity", "coeffs")),
+        (WCochain, (sp, SYMMETRIC, 2, 0, {(0, 0): {0: F(1)}}),
+         ("space", "flavor", "degree", "parity", "coeffs")),
         (Restriction, (2, 1, {}), ("k", "l", "matrix")),
         (InfinityStructure, (A_INFINITY, sp, {2: m}, W_OF_V, 4),
          ("kind", "space", "parts", "convention", "max_arity")),

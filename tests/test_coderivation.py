@@ -7,7 +7,8 @@ from codiff.cochain import add, scale, vec_add, zero_cochain
 from codiff.coderivation import (V_OF_W, W_OF_V, compose, extend_letters,
                                  family_bracket, modified_bracket)
 from codiff.graded import EXTERIOR, TENSOR, word_parity
-from codiff.oracle import SYMMETRIC, compose_reference, word_tuples
+from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
+                           word_tuples)
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word, bracket,
                       extend_on, grading_pair, make_cochain, random_cochain,
                       reduced_diagonal, restrict)
@@ -41,6 +42,17 @@ class TestExtension:
         space = GradedSpace(("a", "b"), (0, 0))
         m2 = make_cochain(space, TENSOR, 2, 0, {("a", "a"): {"b": 1}})
         assert extend_letters(m2, (0,)) == {}
+
+    def test_generator_mode_constraints(self):
+        # a symmetric generator takes the parity grading, so it lives on the
+        # reversed side; an exterior one takes the bidegree grading, on V
+        space = GradedSpace(("a",), (0,))
+        with pytest.raises(ValueError):
+            zero_cochain(space, SYMMETRIC, 2, 0)
+        with pytest.raises(ValueError):
+            WCochain(space, EXTERIOR, 2, 0)
+        WCochain(space, SYMMETRIC, 2, 0)
+        zero_cochain(space, EXTERIOR, 2, 0)
 
     def test_coderivation_axiom_randomized(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
