@@ -4,7 +4,9 @@
 
 Runs ``validate``, ``bracket`` (with no names, then with each deformation
 name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
-``deform``, ``deform --max-arity 1`` and ``convert``, through
+``deform``, ``deform --max-arity 1`` and ``convert``, and on the
+2-dimensional tensor inputs also ``cyclic`` at window 0..5, whose arity 6
+is the first with rotation orbits of period 3, through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
 file of that checkout, over Q, F_32003, F_2, F_3 and F_5 (the file's
@@ -61,14 +63,18 @@ def commands(text):
     from codiff.algfile import ParseError, parse
 
     try:
-        directions = sorted(parse(text).deformations)
+        af = parse(text)
     except ParseError:
-        directions = []
+        af = None
+    directions = sorted(af.deformations) if af else []
+    wide = ([("cyclic", ["--window", "0..5"])]
+            if af and af.flavor == "tensor" and af.space.dim == 2 else [])
     return ([("validate", []), ("bracket", [])]
             + [("bracket", [d]) for d in directions]
             + [("cohomology", ["--window", "0..3"]),
-               ("cyclic", ["--window", "0..3"]), ("deform", []),
-               ("deform", ["--max-arity", "1"]), ("convert", [])])
+               ("cyclic", ["--window", "0..3"])] + wide
+            + [("deform", []), ("deform", ["--max-arity", "1"]),
+               ("convert", [])])
 
 
 def rescaled(text):

@@ -31,7 +31,7 @@ from .graded import EXTERIOR, TENSOR, GradedSpace, canonical_word
 
 E_DIRECTIVE = "E_DIRECTIVE"     # unknown or misplaced directive
 E_FIELD = "E_FIELD"             # bad field declaration (non-prime p, ...)
-E_FLAVOR = "E_FLAVOR"           # unknown flavor, or user-authored symmetric
+E_FLAVOR = "E_FLAVOR"           # unknown flavor, symmetric included
 E_SPACE = "E_SPACE"             # bad space block
 E_NAME = "E_NAME"               # undeclared basis name
 E_SCALAR = "E_SCALAR"           # unparsable coefficient
@@ -158,8 +158,8 @@ class _Parser:
                 self.err(E_DUPLICATE, lineno, "second flavor line")
             if tokens[1:] == ["symmetric"]:
                 self.err(E_FLAVOR, lineno,
-                         "the symmetric flavor is the internal reversed side; "
-                         "author tensor or exterior structures")
+                         "no symmetric flavor: the library computes on "
+                         "tensor and exterior structures only")
             if len(tokens) != 2 or tokens[1] not in (TENSOR, EXTERIOR):
                 self.err(E_FLAVOR, lineno,
                          "expected 'flavor tensor' or 'flavor exterior'")

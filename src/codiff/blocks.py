@@ -30,7 +30,7 @@ from __future__ import annotations
 from .cochain import canonical_tuples
 from .coderivation import (bracket_signs, extend_letters, reachable, splits,
                            targets)
-from .graded import TENSOR, canonical_word, rotation_sign
+from .graded import TENSOR, canonical_word, rotation_signs
 
 OUTSIDE = "scalar cochain falls outside the cyclic space"
 
@@ -120,9 +120,8 @@ def cyclic_block(s, parts, modulus, p, index):
                         # the sum at t = u[i:] + u[:i] reads u, the
                         # rotation of t by len(u) - i, whose sign is that
                         # of the rotation of u by i
-                        for i in range(len(u)):
-                            _add(g, u[i:] + u[:i],
-                                 x if rotation_sign(par, u, i) > 0 else -x)
+                        for i, e in enumerate(rotation_signs(par, u)):
+                            _add(g, u[i:] + u[:i], x if e > 0 else -x)
         else:
             # every exterior orbit is its pivot alone
             cols = {t: out[i] for t, (i, _, _) in sources.items()}

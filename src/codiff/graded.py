@@ -99,6 +99,18 @@ def rotation_sign(par, t, i):
     return -1 if (pa * pb + i * (len(t) - 1)) & 1 else 1
 
 
+def rotation_signs(par, t):
+    """[rotation_sign(par, t, i) for i in range(len(t))], from one running
+    prefix parity pre: (-1)^{pre (tot - pre) + i n}."""
+    n = len(t) - 1
+    tot = sum(map(par.__getitem__, t))
+    signs, pre = [1], 0
+    for i, x in enumerate(t[:n], 1):
+        pre += par[x]
+        signs.append(-1 if (pre * (tot - pre) + i * n) & 1 else 1)
+    return signs
+
+
 @lru_cache(maxsize=None)
 def unshuffles(p, q):
     """All permutations of p+q that increase on 1..p and on p+1..p+q,

@@ -33,7 +33,8 @@ from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
 from .coderivation import (extend_letters, family_bracket, family_is_zero,
                            reachable)
-from .graded import EXTERIOR, TENSOR, canonical_word, rotation_sign
+from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_sign,
+                     rotation_signs)
 # deform_check stays a module attribute: bench/tracer.py wraps it here
 from .structures import deformation_parameter_parity, deform_check  # noqa: F401
 
@@ -469,7 +470,7 @@ def _rotation_sum(f, inner, extra_exp):
     for t in sorted({u[i:] + u[:i] for u in reachable(f.coeffs, inner)
                      for i in range(n + 1)}):
         acc = space.field(0)
-        for i in range(n + 1):
+        for i, e in enumerate(rotation_signs(space.parities, t)):
             u = t[i:] + t[:i]
             head, tail = u[:l], u[l:]
             vec = inner.coeffs.get(head)
@@ -478,7 +479,7 @@ def _rotation_sum(f, inner, extra_exp):
             term = space.field(0)
             for bidx, c in vec.items():
                 term = term + c * f.coeffs.get((bidx,) + tail, 0)
-            acc = acc + sign * rotation_sign(space.parities, t, i) * term
+            acc = acc + sign * e * term
         if acc:
             out[t] = acc
     parity = (f.parity + inner.parity) & 1
@@ -555,13 +556,15 @@ def cyclic_scalar_basis(space, flavor, degree):
 
     There is one basis vector per orbit whose signed stabilizer acts
     trivially, with coefficient 1 at the orbit's least tuple (its pivot).
-    Tensor orbits are rotation orbits: each rotation of the least tuple
-    carries its rotation sign, and an orbit where two rotations reach one
-    tuple with different signs carries no cyclic cochain.  Exterior orbits
-    are S_{n+1} orbits, and the canonical tuples are exactly those with a
-    trivial signed stabilizer, so each gets its delta cochain.  (In
-    characteristic 2 every signed stabilizer is trivial, but exterior
-    cochains are alternating, so a repeated even letter still drops out.)
+    Tensor orbits are rotation orbits, enumerated as necklaces in
+    lexicographic order (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang
+    1992).  The rotation by the period generates the stabilizer, so an
+    orbit is kept iff its sign is 1 in the field; its first `period`
+    rotations carry their rotation signs.  Exterior orbits are S_{n+1}
+    orbits, and the canonical tuples are exactly those with a trivial
+    signed stabilizer, so each gets its delta cochain.  (In characteristic
+    2 every signed stabilizer is trivial, but exterior cochains are
+    alternating, so a repeated even letter still drops out.)
 
     Returns (list of ScalarCochain, list of pivot tuples).
     """
@@ -572,29 +575,43 @@ def cyclic_scalar_basis(space, flavor, degree):
         orbits = ((t, {t: field(1)})
                   for t in canonical_tuples(space, EXTERIOR, arity))
     else:
-        orbits = ((t, _rotation_orbit(t, par, field))
-                  for t in itertools.product(range(space.dim), repeat=arity))
+        orbits = _signed_orbits(par, space.dim, arity, field(1), field(-1))
     basis, pivots = [], []
     for t, coeffs in orbits:
-        if coeffs is not None:
-            basis.append(ScalarCochain(space, flavor, arity,
-                                       sum(par[x] for x in t) & 1, coeffs))
-            pivots.append(t)
+        basis.append(ScalarCochain(space, flavor, arity,
+                                   sum(par[x] for x in t) & 1, coeffs))
+        pivots.append(t)
     return basis, pivots
 
 
-def _rotation_orbit(t, par, field):
-    """{rotation of t: its rotation sign}, or None when t is not least in
-    its orbit or two rotations reach one tuple with different signs."""
-    rotations = [t[i:] + t[:i] for i in range(len(t))]
-    if min(rotations) < t:
-        return None
-    coeffs = {}
-    for i, u in enumerate(rotations):
-        c = field(rotation_sign(par, t, i))
-        if coeffs.setdefault(u, c) != c:
-            return None
-    return coeffs
+def _signed_orbits(par, dim, arity, plus, minus):
+    """(least tuple, {rotation: its sign}) of every kept tensor orbit."""
+    for t, period in _necklaces(dim, arity):
+        signs = rotation_signs(par, t)
+        # the rotation by the period generates the stabilizer; by the
+        # arity it is the identity
+        if period == arity or signs[period] > 0 or plus == minus:
+            yield t, {t[i:] + t[:i]: plus if signs[i] > 0 else minus
+                      for i in range(period)}
+
+
+def _necklaces(k, n):
+    """(word, period) for each length-n word over range(k) least among its
+    rotations, in lexicographic order: iterative FKM, which keeps the
+    prenecklaces whose Lyndon prefix length divides n."""
+    a = [0] * n
+    yield tuple(a), 1
+    while True:
+        i = n - 1
+        while i >= 0 and a[i] == k - 1:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        for j in range(i + 1, n):
+            a[j] = a[j - i - 1]
+        if n % (i + 1) == 0:
+            yield tuple(a), i + 1
 
 
 def cyclic_cohomology(s, ip=None, window=(0, 3)):

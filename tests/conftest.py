@@ -155,6 +155,36 @@ def is_cyclic_scalar_blockwise(f):
                for i in range(1, f.arity))
 
 
+def cyclic_scalar_basis_reference(space, degree):
+    """The tensor cyclic basis by a scan of every tuple: a tuple least among
+    its rotations gives the orbit {rotation: its rotation sign}, dropped
+    when two rotations reach one tuple with different signs in the field.
+    Returns (list of ScalarCochain, list of pivot tuples)."""
+    arity = degree + 1
+    basis, pivots = [], []
+    for t in itertools.product(range(space.dim), repeat=arity):
+        coeffs = _rotation_orbit(t, space.parities, space.field)
+        if coeffs is not None:
+            basis.append(ScalarCochain(space, TENSOR, arity,
+                                       word_parity(space, t), coeffs))
+            pivots.append(t)
+    return basis, pivots
+
+
+def _rotation_orbit(t, par, field):
+    """{rotation of t: its rotation sign}, or None when t is not least in
+    its orbit or two rotations reach one tuple with different signs."""
+    rotations = [t[i:] + t[:i] for i in range(len(t))]
+    if min(rotations) < t:
+        return None
+    coeffs = {}
+    for i, u in enumerate(rotations):
+        c = field(rotation_sign(par, t, i))
+        if coeffs.setdefault(u, c) != c:
+            return None
+    return coeffs
+
+
 # --- permutation signs, by adjacent swaps ------------------------------------
 
 def check_permutation(images):

@@ -139,6 +139,14 @@ def test_diagnostics(text, code, line):
     assert (exc.value.code, exc.value.line) == (code, line)
 
 
+def test_symmetric_flavor_refusal_names_the_flavors():
+    with pytest.raises(ParseError) as exc:
+        parse("field Q\nflavor symmetric\nspace\n  basis a even\n")
+    assert str(exc.value) == (
+        "line 2: no symmetric flavor: the library computes on tensor and "
+        "exterior structures only [E_FLAVOR]")
+
+
 def test_exterior_assignment_names_its_letters():
     text = ("field Q\nflavor exterior\nspace\n  basis e even\n"
             "  basis f even\nmap l 2\n  l(f,e) = f\n")

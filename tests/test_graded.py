@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from codiff import GradedSpace
-from codiff.graded import (EXTERIOR, TENSOR, canonical_word, unshuffles,
-                           word_parity)
+from codiff.graded import (EXTERIOR, TENSOR, canonical_word, rotation_sign,
+                           rotation_signs, unshuffles, word_parity)
 from codiff.oracle import SYMMETRIC, sort_word
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word,
                       grading_pair, koszul_sign, pair_sum, permutation_sign,
@@ -42,6 +42,16 @@ class TestKoszulSign:
                         permuted = [par[tau[i] - 1] for i in range(n)]
                         assert koszul_sign(comp, par) == \
                             koszul_sign(sig, permuted) * koszul_sign(tau, par)
+
+
+class TestRotationSigns:
+    def test_prefix_parities_match_rotation_sign(self, rng):
+        for trial in range(200):
+            dim = rng.randint(1, 4)
+            par = tuple(rng.randint(0, 1) for _ in range(dim))
+            t = tuple(rng.randrange(dim) for _ in range(rng.randint(1, 8)))
+            assert rotation_signs(par, t) == \
+                [rotation_sign(par, t, i) for i in range(len(t))]
 
 
 class TestPermutationSign:

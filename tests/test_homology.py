@@ -25,8 +25,9 @@ from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
-from conftest import (bracket, make_cochain, pair, random_cochain,
-                      scalar_cochains_match, scalar_scale, sparse_rows)
+from conftest import (bracket, cyclic_scalar_basis_reference, make_cochain,
+                      pair, random_cochain, scalar_cochains_match,
+                      scalar_scale, sparse_rows)
 
 F = Fraction
 BENCH_INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -482,6 +483,26 @@ class TestCyclicSpaceAtSmallPrimes:
         basis, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
         assert ([b.coeffs for b in basis], pivots) == \
             averaged_basis(space, arity)
+
+
+class TestNecklaceBasis:
+    """The necklace enumeration gives the basis of the scan over every
+    tuple: the same pivots in the same order, and the same coefficient
+    dicts in the same insertion order, for every parity pattern."""
+
+    @pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
+    @pytest.mark.parametrize("dim, top", [(1, 5), (2, 5), (3, 5), (4, 3)])
+    def test_equals_the_scan(self, field, dim, top):
+        for parities in itertools.product((0, 1), repeat=dim):
+            space = GradedSpace(tuple("abcd"[:dim]), parities, field)
+            for degree in range(top + 1):
+                basis, pivots = cyclic_scalar_basis(space, TENSOR, degree)
+                want, want_pivots = cyclic_scalar_basis_reference(space,
+                                                                  degree)
+                assert pivots == want_pivots
+                assert [list(b.coeffs.items()) for b in basis] == \
+                    [list(b.coeffs.items()) for b in want]
+                assert [b.parity for b in basis] == [b.parity for b in want]
 
 
 class TestCyclicBracketClosure:
