@@ -9,7 +9,9 @@ name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
 is the first with rotation orbits of period 3, through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
-file of that checkout, over Q, F_32003, F_2, F_3 and F_5 (the file's
+file of that checkout, and on the exterior inputs with odd letters of
+``INLINE``, which are written to the temporary directory and so run on an
+older checkout too, over Q, F_32003, F_2, F_3 and F_5 (the file's
 ``field Q`` line rewritten), under both conventions, in text and
 json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
@@ -42,6 +44,25 @@ FORMATS = ("text", "json-lines")
 SOURCES = ("tests/fixtures", "bench/inputs")
 INNER_PRODUCT = re.compile(r"^inner_product\n(?:[ \t].*\n)*", re.M)
 RESCALE = (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2))
+
+# exterior structures with odd letters, whose brackets and coboundaries
+# carry the odd-odd reordering signs: the first validates (over Q its
+# cohomology at 0..3 is 0, 1, 1, 1), the second fails at n = 3 on (u,u,v)
+# with residual 2*u
+ODD_LETTERS = """field Q
+flavor exterior
+space
+  basis a even
+  basis u odd
+  basis v odd
+map l 2
+  l(a,u) = u
+  l(a,v) = -v
+%sdeformation lam 2 even_parameter
+  lam(a,u) = u
+"""
+INLINE = (("odd_letters.alg", ODD_LETTERS % ""),
+          ("odd_letters_bracket.alg", ODD_LETTERS % "  l(u,v) = a\n"))
 
 
 def digest(text):
@@ -167,19 +188,21 @@ def sweep(root):
     sys.path.insert(0, os.path.join(root, "src"))
     from codiff.cli import main
 
-    inputs = [(src, name) for src in SOURCES
-              for name in sorted(os.listdir(os.path.join(root, src)))
-              if name.endswith(".alg")]
+    inputs = []
+    for src in SOURCES:
+        for name in sorted(os.listdir(os.path.join(root, src))):
+            if name.endswith(".alg"):
+                with open(os.path.join(root, src, name),
+                          encoding="utf-8") as fh:
+                    inputs.append((src, name, fh.read()))
+    inputs += [("inline", name, text) for name, text in INLINE]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths keep any path in an error message the same in
         # every checkout
         os.chdir(tmp)
         try:
-            for src, name in inputs:
-                with open(os.path.join(root, src, name),
-                          encoding="utf-8") as fh:
-                    source = fh.read()
+            for src, name, source in inputs:
                 for field in FIELDS:
                     path = os.path.join(field.replace(" ", ""), src, name)
                     local = re.sub(r"^field Q$", "field " + field, source,

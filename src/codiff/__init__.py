@@ -3,7 +3,7 @@ structures presented as codifferentials on tensor and exterior coalgebras
 of finite-dimensional Z2-graded spaces."""
 
 from .fields import QQ, FpElement, PrimeField, Rationals
-from .graded import EXTERIOR, TENSOR, GradedSpace, unshuffles
+from .graded import EXTERIOR, TENSOR, GradedSpace
 from .cochain import (Cochain, InnerProduct, ScalarCochain, add,
                       canonical_tuples, scale, tilde, untilde, zero_cochain)
 from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, compose,

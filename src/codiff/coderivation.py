@@ -4,14 +4,17 @@ bidegree grading, and the modified bracket of coderivations.
 A degree-k cochain extends to a coderivation whose value on a degree-n word
 is a signed sum over insertion positions (tensor) or unshuffles
 (exterior).  A tensor insertion after a prefix of parity p, i letters
-long, carries (-1)^{p |d| + i(k-1)}; an exterior unshuffle carries its
-exterior reordering sign.
+long, carries (-1)^{p |d| + i(k-1)}; an exterior unshuffle, the head's
+positions chosen in lexicographic order and the rest following, carries
+the sign ``canonical_word`` gives its head + rest.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .cochain import Cochain, add, scale, vec_add, zero_cochain
-from .graded import TENSOR, _exterior_sign, canonical_word, unshuffles
+from .graded import EXTERIOR, TENSOR, canonical_word
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -45,12 +48,11 @@ def splits(flavor, letters, k, par):
             if i < n:
                 pre_parity += par[letters[i]]
         return
-    if n < k:
-        return
-    for sigma in unshuffles(k, n - k):
-        moved = tuple(letters[i - 1] for i in sigma)
-        s = _exterior_sign(sigma, [par[x] for x in moved])
-        yield (s, s), moved[:k], (), moved[k:]
+    for pos in itertools.combinations(range(n), k):
+        head = tuple(letters[i] for i in pos)
+        rest = tuple(x for i, x in enumerate(letters) if i not in pos)
+        s = canonical_word(EXTERIOR, head + rest, par)[0]
+        yield (s, s), head, (), rest
 
 
 def extend_letters(gen, letters):
@@ -143,7 +145,7 @@ def bracket_signs(k, a_parity, l, b_parity, convention):
     return twist, -twist
 
 
-def modified_bracket(a, b, convention=W_OF_V):
+def modified_bracket(a, b, convention):
     """{a_k, b_l}: the bracket conjugated through the parity reversion.
 
     w_of_v twists by (-1)^{(k-1)|b|}; v_of_w by (-1)^{(k-1)(|b|+l-1)}.

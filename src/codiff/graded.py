@@ -1,15 +1,15 @@
 """Z2-graded basis bookkeeping, canonical words of the tensor and exterior
-coalgebras, their reordering and rotation signs, and unshuffles.
+coalgebras, and their reordering and rotation signs.
 
-Permutations are 1-indexed tuples ``images`` with ``images[i-1] == sigma(i)``,
-matching the usual convention for unshuffles.  All sign computations return
-plain ints (+1/-1) so they mix with scalars from any exact field.
+``canonical_word`` is the one routine that counts exterior reordering
+signs; the extension's unshuffles are signed through it.  All sign
+computations return plain ints (+1/-1) so they mix with scalars from any
+exact field.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache
+from bisect import bisect_left
 
 from .fields import QQ, PrimeField, Rationals
 
@@ -64,44 +64,17 @@ class GradedSpace:
         except ValueError:
             raise KeyError("unknown basis name %r" % name)
 
-    def parity(self, i):
-        return self.parities[i]
-
-    def reversed(self):
-        """The same basis with all parities flipped."""
-        return GradedSpace(self.names, tuple(1 - p for p in self.parities), self.field)
-
 
 def word_parity(space, letters):
     return sum(space.parities[i] for i in letters) & 1
 
 
-def _exterior_sign(keys, pars):
-    """The sign of sorting the word in the exterior algebra: (-1)^(inv +
-    odd), inv the pairs i < j with keys[i] > keys[j] and odd those of them
-    joining two odd letters (pars[i] is the parity of keys[i]), the
-    adjacent swaps that sort the word."""
-    e = 0
-    for j in range(1, len(keys)):
-        kj, pj = keys[j], pars[j]
-        for i in range(j):
-            if keys[i] > kj:
-                e += 1 + (pars[i] & pj)
-    return -1 if e & 1 else 1
-
-
-def rotation_sign(par, t, i):
-    """(-1)^{|t[:i]||t[i:]| + i n} for a tuple t of arity n + 1: the sign of
-    the rotation t -> t[i:] + t[:i], which is its exterior reordering sign
-    (Koszul sign times the sign of the cyclic permutation)."""
-    pa = sum(map(par.__getitem__, t[:i]))
-    pb = sum(map(par.__getitem__, t[i:]))
-    return -1 if (pa * pb + i * (len(t) - 1)) & 1 else 1
-
-
 def rotation_signs(par, t):
-    """[rotation_sign(par, t, i) for i in range(len(t))], from one running
-    prefix parity pre: (-1)^{pre (tot - pre) + i n}."""
+    """The signs of the rotations t -> t[i:] + t[:i] of a tuple t of arity
+    n + 1, for i in range(len(t)): each is the rotation's exterior
+    reordering sign (Koszul sign times the sign of the cyclic permutation),
+    (-1)^{pre (tot - pre) + i n} with pre the parity of t[:i], read from
+    one running prefix parity."""
     n = len(t) - 1
     tot = sum(map(par.__getitem__, t))
     signs, pre = [1], 0
@@ -111,20 +84,6 @@ def rotation_signs(par, t):
     return signs
 
 
-@lru_cache(maxsize=None)
-def unshuffles(p, q):
-    """All permutations of p+q that increase on 1..p and on p+1..p+q,
-    as 1-indexed image tuples in lexicographic order; there are C(p+q, p)."""
-    if p < 0 or q < 0:
-        raise ValueError("need p, q >= 0")
-    n = p + q
-    out = []
-    for first in itertools.combinations(range(1, n + 1), p):
-        rest = tuple(i for i in range(1, n + 1) if i not in first)
-        out.append(first + rest)
-    return tuple(out)
-
-
 def canonical_word(flavor, letters, parities):
     """Sort a word's letters into canonical nondecreasing order.
 
@@ -132,11 +91,24 @@ def canonical_word(flavor, letters, parities):
     repeated even letter kills an exterior word.  (An odd letter may repeat
     in the exterior algebra: u^v = -(-1)^{|u||v|} v^u forces only even
     squares to vanish.)  Tensor words are canonical as they stand.
+
+    The exterior sort inserts the letters from the last one on with
+    ``bisect``.  A letter x that passes the i smaller letters before its
+    place carries (-1)^{i + |x| (their parity)}, one factor per adjacent
+    swap; the word's sign is the product of these factors.
     """
     if flavor == TENSOR:
         return 1, tuple(letters)
-    seq = tuple(sorted(letters))
-    for a, b in zip(seq, seq[1:]):
-        if a == b and not parities[a]:
+    seq, odd, e = [], [], 0
+    for x in reversed(letters):
+        i = bisect_left(seq, x)
+        if parities[x]:
+            j = bisect_left(odd, x)
+            odd.insert(j, x)
+            e += i + j
+        elif i < len(seq) and seq[i] == x:
             return None
-    return _exterior_sign(letters, [parities[x] for x in letters]), seq
+        else:
+            e += i
+        seq.insert(i, x)
+    return -1 if e & 1 else 1, tuple(seq)

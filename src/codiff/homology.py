@@ -33,8 +33,7 @@ from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
 from .coderivation import (extend_letters, family_bracket, family_is_zero,
                            reachable)
-from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_sign,
-                     rotation_signs)
+from .graded import EXTERIOR, TENSOR, canonical_word, rotation_signs
 # deform_check stays a module attribute: bench/tracer.py wraps it here
 from .structures import deformation_parameter_parity, deform_check  # noqa: F401
 
@@ -369,10 +368,13 @@ def _rotation_witness(f):
     """The least tuple on which the tensor scalar cochain f breaks the
     rotation identity f(t) = rotation sign * f(t rotated by one), or None.
     Where both sides vanish the identity holds, so only the support and the
-    tuples that rotate into it are checked."""
+    tuples that rotate into it are checked.  Arity 1 has one rotation, the
+    identity."""
+    if f.arity == 1:
+        return None
     par = f.space.parities
     for t in sorted({*f.coeffs, *(u[-1:] + u[:-1] for u in f.coeffs)}):
-        if f.value(t) != rotation_sign(par, t, 1) * f.value(t[1:] + t[:1]):
+        if f.value(t) != rotation_signs(par, t)[1] * f.value(t[1:] + t[:1]):
             return t
     return None
 
@@ -427,9 +429,8 @@ def cyclicize(f):
     out = {}
     for t in itertools.product(range(space.dim), repeat=f.arity):
         acc = space.field(0)
-        for i in range(f.arity):
-            rotated = f.value(t[i:] + t[:i])
-            acc = acc + rotation_sign(space.parities, t, i) * rotated
+        for i, e in enumerate(rotation_signs(space.parities, t)):
+            acc = acc + e * f.value(t[i:] + t[:i])
         if acc:
             out[t] = acc
     return ScalarCochain(space, TENSOR, f.arity, f.parity, out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cochain import Cochain, ScalarCochain, canonical_tuples
 from .coderivation import CONVENTIONS, V_OF_W, W_OF_V
-from .graded import EXTERIOR, TENSOR
+from .graded import EXTERIOR, TENSOR, GradedSpace
 
 # the flavor of the reversed side of an exterior structure
 SYMMETRIC = "symmetric"
@@ -516,6 +516,12 @@ class WCochain:
                           self.flavor)
 
 
+def reversed_space(space):
+    """The same basis with all parities flipped."""
+    return GradedSpace(space.names, tuple(1 - p for p in space.parities),
+                       space.field)
+
+
 def reversed_flavor(flavor):
     if flavor == TENSOR:
         return TENSOR
@@ -545,7 +551,7 @@ def conjugate_part(part, convention=W_OF_V, to_reversed=True):
     if convention not in CONVENTIONS:
         raise ValueError("unknown convention %r" % convention)
     space = part.space
-    other = space.reversed()
+    other = reversed_space(space)
     flavor = reversed_flavor(part.flavor)
     k = part.degree
     if to_reversed:

@@ -10,11 +10,11 @@ from codiff.algfile import AlgebraFile
 from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
                             scale, vec_add)
 from codiff.coderivation import W_OF_V, compose, extend_letters
-from codiff.graded import rotation_sign, unshuffles, word_parity
+from codiff.graded import word_parity
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
                            conjugate_family, conjugate_part, eta_sign,
                            extend_letters_reference, reversed_flavor,
-                           sort_word, word_tuples)
+                           reversed_space, sort_word, word_tuples)
 
 F = Fraction
 
@@ -150,7 +150,8 @@ def is_cyclic_scalar_blockwise(f):
     """Block form of the rotation identity: f(a ox b) = (-1)^{|a||b| + i n}
     f(b ox a) for every splitting after i letters."""
     par = f.space.parities
-    return all(f.value(t) == rotation_sign(par, t, i) * f.value(t[i:] + t[:i])
+    return all(f.value(t)
+               == rotation_reorder_sign(par, t, i) * f.value(t[i:] + t[:i])
                for t in itertools.product(range(f.space.dim), repeat=f.arity)
                for i in range(1, f.arity))
 
@@ -179,7 +180,7 @@ def _rotation_orbit(t, par, field):
         return None
     coeffs = {}
     for i, u in enumerate(rotations):
-        c = field(rotation_sign(par, t, i))
+        c = field(rotation_reorder_sign(par, t, i))
         if coeffs.setdefault(u, c) != c:
             return None
     return coeffs
@@ -231,6 +232,13 @@ def reorder_sign(flavor, images, parities):
     algebra."""
     sign, koszul = _swap_signs(images, parities)
     return koszul * sign if flavor == EXTERIOR else koszul
+
+
+def rotation_reorder_sign(par, t, i):
+    """The sign of the rotation t -> t[i:] + t[:i]: its exterior
+    reordering sign, by adjacent swaps."""
+    images = tuple(range(i + 1, len(t) + 1)) + tuple(range(1, i + 1))
+    return reorder_sign(EXTERIOR, images, [par[x] for x in t])
 
 
 # --- words, extensions and the plain bracket ----------------------------------
@@ -311,10 +319,12 @@ def reduced_diagonal(word):
             out.append((left, right))
         return out
     for k in range(1, n):
-        for sigma in unshuffles(k, n - k):
-            s = reorder_sign(word.flavor, sigma, letter_par)
-            lhs = tuple(word.letters[sigma[i] - 1] for i in range(k))
-            rhs = tuple(word.letters[sigma[i] - 1] for i in range(k, n))
+        for head in itertools.combinations(range(n), k):
+            sigma = head + tuple(i for i in range(n) if i not in head)
+            s = reorder_sign(word.flavor, tuple(i + 1 for i in sigma),
+                             letter_par)
+            lhs = tuple(word.letters[i] for i in sigma[:k])
+            rhs = tuple(word.letters[i] for i in sigma[k:])
             left = Word(word.space, word.flavor, lhs, s * word.coefficient)
             right = Word(word.space, word.flavor, rhs, 1)
             if not left.is_zero() and not right.is_zero():
@@ -369,7 +379,7 @@ def restrict(gen, l, form=PRODUCT_FORM):
 def eta_word(word, w_space=None):
     """Transport a word over V to the reversed side."""
     if w_space is None:
-        w_space = word.space.reversed()
+        w_space = reversed_space(word.space)
     sign = eta_sign([word.space.parities[i] for i in word.letters])
     return Word(w_space, reversed_flavor(word.flavor), word.letters,
                 sign * word.coefficient)
@@ -379,7 +389,7 @@ def eta_inverse_word(word, v_space=None):
     """Transport a word over W back to V; the sign is computed from the
     V-side parities, i.e. the flipped ones."""
     if v_space is None:
-        v_space = word.space.reversed()
+        v_space = reversed_space(word.space)
     sign = eta_sign([v_space.parities[i] for i in word.letters])
     return Word(v_space, reversed_flavor(word.flavor), word.letters,
                 sign * word.coefficient)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -671,3 +672,31 @@ def test_exterior_differential_from_degree_zero(field):
     assert re.findall(r"cocycles=(\d+) coboundaries=(\d+) H=(\d+)$", text,
                       re.M) == [("1", "1", "0"), ("2", "2", "0"),
                                 ("2", "2", "0")]
+
+
+def sweep_inputs():
+    """{name: text} of the output sweep's inline exterior inputs with odd
+    letters."""
+    path = os.path.join(HERE, os.pardir, "scripts", "output_sweep.py")
+    spec = importlib.util.spec_from_file_location("output_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.INLINE)
+
+
+@pytest.mark.parametrize("convention,residual", [("w-of-v", "2*u"),
+                                                 ("v-of-w", "-2*u")])
+def test_sweep_odd_letter_inputs(convention, residual):
+    """The odd-letter inputs answer as the sweep says: the first validates,
+    with cohomology 0, 1, 1, 1 at 0..3 over Q; the second fails at n = 3
+    on (u,u,v), where the odd-odd reordering signs add up (v_of_w signs
+    the arity-3 relation the other way)."""
+    texts = sweep_inputs()
+    af = parse(texts["odd_letters.alg"])
+    conv = codiff.cli.CONVENTION_FLAGS[convention]
+    assert run("validate", af, convention=conv) == ("validate: ok\n", 0)
+    text, status = run("cohomology", af, window=(0, 3), convention=conv)
+    assert (status, quotients(text, "H")) == (0, [0, 1, 1, 1])
+    assert run("validate", parse(texts["odd_letters_bracket.alg"]),
+               convention=conv) == \
+        ("validate: FAIL n=3 word=(u,u,v) residual=%s\n" % residual, 1)

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
+import itertools
+
 import pytest
 
 from codiff import GradedSpace
 from codiff.cochain import add, scale, vec_add, zero_cochain
 from codiff.coderivation import (V_OF_W, W_OF_V, compose, extend_letters,
-                                 family_bracket, modified_bracket)
+                                 family_bracket, modified_bracket, splits)
 from codiff.graded import EXTERIOR, TENSOR, word_parity
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
-                           word_tuples)
+                           splits_reference, word_tuples)
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word, bracket,
                       extend_on, grading_pair, make_cochain, random_cochain,
                       reduced_diagonal, restrict)
@@ -42,6 +44,18 @@ class TestExtension:
         space = GradedSpace(("a", "b"), (0, 0))
         m2 = make_cochain(space, TENSOR, 2, 0, {("a", "a"): {"b": 1}})
         assert extend_letters(m2, (0,)) == {}
+
+    def test_exterior_splits_match_the_oracle(self):
+        # every canonical word up to degree 5 under every parity pattern of
+        # a 3-letter space, odd letters repeating: the same terms in the
+        # same order as the oracle's unshuffles
+        for par in itertools.product((0, 1), repeat=3):
+            space = GradedSpace(("a", "b", "c"), par)
+            for n in range(6):
+                for word in word_tuples(space, EXTERIOR, n):
+                    for k in range(n + 2):
+                        assert list(splits(EXTERIOR, word, k, par)) == \
+                            list(splits_reference(EXTERIOR, word, k, par))
 
     def test_generator_mode_constraints(self):
         # a symmetric generator takes the parity grading, so it lives on the
@@ -160,6 +174,16 @@ class TestBracket:
 
 
 class TestModifiedBracket:
+    def test_convention_is_required(self):
+        # the conventions sign the bracket differently, so neither is
+        # taken silently
+        space = GradedSpace(("a",), (0,))
+        a = zero_cochain(space, EXTERIOR, 2, 0)
+        with pytest.raises(TypeError):
+            modified_bracket(a, a)
+        with pytest.raises(ValueError):
+            modified_bracket(a, a, "neither")
+
     def test_even_second_argument_reduces_to_plain(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
         a = random_cochain(space, TENSOR, 3, 1, rng)

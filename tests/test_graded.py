@@ -1,13 +1,12 @@
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
 from codiff import GradedSpace
-from codiff.graded import (EXTERIOR, TENSOR, canonical_word, rotation_sign,
-                           rotation_signs, unshuffles, word_parity)
-from codiff.oracle import SYMMETRIC, sort_word
+from codiff.graded import (EXTERIOR, TENSOR, canonical_word, rotation_signs,
+                           word_parity)
+from codiff.oracle import SYMMETRIC, _reorder_sign, sort_word
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word,
                       grading_pair, koszul_sign, pair_sum, permutation_sign,
                       reduced_diagonal)
@@ -50,8 +49,12 @@ class TestRotationSigns:
             dim = rng.randint(1, 4)
             par = tuple(rng.randint(0, 1) for _ in range(dim))
             t = tuple(rng.randrange(dim) for _ in range(rng.randint(1, 8)))
-            assert rotation_signs(par, t) == \
-                [rotation_sign(par, t, i) for i in range(len(t))]
+            n = len(t)
+            letter_par = [par[x] for x in t]
+            assert rotation_signs(par, t) == [
+                _reorder_sign(EXTERIOR, tuple(range(i + 1, n + 1))
+                              + tuple(range(1, i + 1)), letter_par)
+                for i in range(n)]
 
 
 class TestPermutationSign:
@@ -63,29 +66,6 @@ class TestPermutationSign:
 
     def test_three_cycle_even(self):
         assert permutation_sign((2, 3, 1)) == 1
-
-
-class TestUnshuffles:
-    def test_one_one(self):
-        assert unshuffles(1, 1) == ((1, 2), (2, 1))
-
-    def test_counts(self):
-        for p in range(0, 9):
-            for q in range(0, 9 - p):
-                assert len(unshuffles(p, q)) == math.comb(p + q, p)
-
-    def test_empty_word(self):
-        assert unshuffles(0, 0) == ((),)
-
-    def test_empty_first_block(self):
-        assert unshuffles(0, 3) == ((1, 2, 3),)
-
-    def test_two_two(self):
-        ush = unshuffles(2, 2)
-        assert len(ush) == 6
-        for sigma in ush:
-            assert sigma[0] < sigma[1] and sigma[2] < sigma[3]
-        assert list(ush) == sorted(ush)  # lexicographic
 
 
 class TestCanonicalWord:
@@ -110,6 +90,23 @@ class TestCanonicalWord:
     def test_symmetric_swap_sign(self):
         assert sort_word(SYMMETRIC, (1, 0), (0, 0)) == (1, (0, 1))
         assert sort_word(SYMMETRIC, (1, 0), (1, 1)) == (-1, (0, 1))
+
+    def test_exterior_matches_the_oracle_sort(self, rng):
+        # random words of length 0..7 under every parity pattern of a
+        # 4-letter space: repeated odd letters survive, repeated even ones
+        # kill the word
+        repeated_odd = dead = 0
+        for parities in itertools.product((0, 1), repeat=4):
+            for trial in range(100):
+                word = tuple(rng.randrange(4)
+                             for _ in range(rng.randint(0, 7)))
+                got = canonical_word(EXTERIOR, word, parities)
+                assert got == sort_word(EXTERIOR, word, parities)
+                if got is None:
+                    dead += 1
+                elif any(parities[x] and word.count(x) > 1 for x in word):
+                    repeated_odd += 1
+        assert repeated_odd and dead
 
     def test_reordering_consistency(self):
         # any route to canonical form gives the same sign: compare the
@@ -226,6 +223,3 @@ def test_space_validation():
         GradedSpace((), ())
     with pytest.raises(ValueError):
         GradedSpace(("a",), (2,))
-    space = GradedSpace(("a", "b"), (0, 1))
-    assert space.reversed().parities == (1, 0)
-    assert space.reversed().names == space.names

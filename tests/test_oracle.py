@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+from codiff import GradedSpace
 from codiff.cochain import Cochain, canonical_tuples
 from codiff.fields import QQ
 from codiff.graded import EXTERIOR, TENSOR
@@ -30,6 +31,14 @@ def test_compare_cochains_report(dual_numbers, rng):
     rep = oracle.compare_cochains("flip", a, scale(-1, a))
     assert not rep.agreement and rep.first_discrepancy is not None
     assert oracle.compare_cochains("flip", a, scale(-1, a), sign=-1).agreement
+
+
+def test_reversed_space_flips_parities():
+    space = GradedSpace(("a", "b"), (0, 1))
+    other = oracle.reversed_space(space)
+    assert other.parities == (1, 0)
+    assert other.names == space.names and other.field == space.field
+    assert oracle.reversed_space(other) == space
 
 
 def test_closed_form_koszul_matches_decomposition():

@@ -30,15 +30,17 @@ from codiff.cochain import (  # noqa: E402
 from codiff.coderivation import compose, extend_letters, splits  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import (EXTERIOR, TENSOR, canonical_word,  # noqa: E402
-                           rotation_sign, unshuffles, word_parity)
+                           word_parity)
 from codiff.oracle import (compose_reference,  # noqa: E402
-                           extend_letters_reference, word_tuples)
+                           extend_letters_reference, splits_reference,
+                           word_tuples)
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _cyclic_witness, _rotation_sum,
                              _rotation_witness, _unshuffle_sum,
                              cyclic_scalar_basis, is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import pair, random_cochain, reorder_sign  # noqa: E402
+from conftest import (pair, random_cochain, reorder_sign,  # noqa: E402
+                      rotation_reorder_sign)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -95,7 +97,8 @@ def rotation_sum_reference(f, inner, extra_exp):
             term = space.field(0)
             for b, c in vec.items():
                 term = term + c * f.value((b,) + u[l:])
-            acc = acc + sign * rotation_sign(space.parities, t, i) * term
+            acc = acc + (sign * rotation_reorder_sign(space.parities, t, i)
+                         * term)
         if acc:
             out[t] = acc
     return ScalarCochain(space, TENSOR, n + 1, (f.parity + inner.parity) & 1,
@@ -111,10 +114,12 @@ def unshuffle_sum_reference(f, inner, extra_exp):
     for t in canonical_tuples(space, EXTERIOR, n + 1):
         letter_par = [par[x] for x in t]
         acc = space.field(0)
-        for sigma in unshuffles(l, n + 1 - l):
-            s = reorder_sign(EXTERIOR, sigma, letter_par)
-            head = tuple(t[sigma[i] - 1] for i in range(l))
-            tail = tuple(t[sigma[i] - 1] for i in range(l, n + 1))
+        for pos in itertools.combinations(range(n + 1), l):
+            sigma = pos + tuple(i for i in range(n + 1) if i not in pos)
+            s = reorder_sign(EXTERIOR, tuple(i + 1 for i in sigma),
+                             letter_par)
+            head = tuple(t[i] for i in sigma[:l])
+            tail = tuple(t[i] for i in sigma[l:])
             term = space.field(0)
             for b, c in inner.value(head).items():
                 term = term + c * f.value((b,) + tail)
@@ -130,7 +135,8 @@ def unshuffle_sum_reference(f, inner, extra_exp):
 def rotation_witness_reference(f):
     par = f.space.parities
     for t in itertools.product(range(f.space.dim), repeat=f.arity):
-        if f.value(t) != rotation_sign(par, t, 1) * f.value(t[1:] + t[:1]):
+        if f.value(t) != (rotation_reorder_sign(par, t, 1)
+                          * f.value(t[1:] + t[:1])):
             return t
     return None
 
@@ -394,8 +400,9 @@ def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
        density=DENSITY, seed=st.integers(0, 2 ** 32))
 def test_splits_of_canonical_words_are_read_by_key(space, flavor, n, k,
                                                    parities, density, seed):
-    """Every head and suffix ``splits`` yields on a canonical word (odd
-    letters repeat in the exterior algebra) is canonical, so the reads by
+    """``splits`` yields the terms of the oracle's ``splits_reference``, in
+    order, on a canonical word (odd letters repeat in the exterior
+    algebra).  Every head and suffix it yields is canonical, so the reads by
     key of ``extend_letters`` and ``compose`` give what the oracle's reads
     through its own sort give."""
     words = canonical_tuples(space, flavor, n)
@@ -403,6 +410,8 @@ def test_splits_of_canonical_words_are_read_by_key(space, flavor, n, k,
     rng = random.Random(seed)
     par = space.parities
     word = rng.choice(words)
+    assert list(splits(flavor, word, k, par)) == \
+        list(splits_reference(flavor, word, k, par))
     for _, head, _, post in splits(flavor, word, k, par):
         for w in (head, post):
             assert canonical_word(flavor, w, par) == (1, w)
