@@ -27,7 +27,8 @@ import re
 
 from .cochain import Cochain, InnerProduct
 from .fields import QQ, PrimeField
-from .graded import EXTERIOR, TENSOR, GradedSpace, canonical_word
+from .graded import (EXTERIOR, TENSOR, GradedSpace, canonical_word,
+                     word_parity)
 
 E_DIRECTIVE = "E_DIRECTIVE"     # unknown or misplaced directive
 E_FIELD = "E_FIELD"             # bad field declaration (non-prime p, ...)
@@ -176,6 +177,9 @@ class _Parser:
                 self.err(E_DIRECTIVE, lineno, "basis line outside a space block")
             if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
                 self.err(E_SPACE, lineno, "expected 'basis <name> even|odd'")
+            if tokens[1] == "0" or set(tokens[1]) & set("+-*,)<>"):
+                self.err(E_SPACE, lineno, "basis name %r: a name is not 0 and "
+                         "holds none of + - * , ) < >" % tokens[1])
             if any(n == tokens[1] for n, _ in self.basis):
                 self.err(E_DUPLICATE, lineno,
                          "duplicate basis name %r" % tokens[1])
@@ -367,9 +371,8 @@ class _Parser:
         space = self.space
         parity = None
         for t, vec in entries.items():
-            tp = sum(space.parities[i] for i in t) & 1
             for b in vec:
-                p = (space.parities[b] + tp) & 1
+                p = word_parity(space, t + (b,))
                 if parity is None:
                     parity = p
                 elif parity != p:

@@ -27,10 +27,9 @@ membership check of ``orbit_coords``.
 
 from __future__ import annotations
 
-from .cochain import canonical_tuples
 from .coderivation import (bracket_signs, extend_letters, reachable, splits,
                            targets)
-from .graded import TENSOR, canonical_word, rotation_signs
+from .graded import TENSOR, canonical_word, rotation_signs, word_parity
 
 OUTSIDE = "scalar cochain falls outside the cyclic space"
 
@@ -50,12 +49,12 @@ def _reduced(vec, modulus):
 
 def plain_block(s, parts, modulus, p, index):
     """The block of N·D on C^p over the delta basis, from the core parts
-    ``parts`` of the structure s.  ``index(q)`` maps (canonical tuple,
-    output letter) to its basis position in degree q."""
+    ``parts`` of the structure s.  ``index(q)`` maps each canonical tuple t
+    of degree q to the position of the delta at (t, 0); the delta at (t,
+    j) sits j places after it."""
     space, flavor, par = s.space, s.flavor, s.space.parities
     cols = index(p)
-    images = [{} for _ in cols]
-    sources = canonical_tuples(space, flavor, p)
+    images = [{} for _ in range(space.dim * len(cols))]
     for l, m in parts.items():
         q = p + l - 1
         rows = index(q)
@@ -64,11 +63,11 @@ def plain_block(s, parts, modulus, p, index):
                  for parity in (0, 1)]
         # phi∘m: the delta at (mid, j) reads the extension of m on t, and
         # its sign in the bracket does not depend on the delta's parity
-        for t in reachable(sources, m):
+        for t in reachable(cols, m):
             for mid, c in extend_letters(m, t).items():
                 x = c if signs[0][0] > 0 else -c
                 for j in range(space.dim):
-                    _add(out[cols[mid, j]], rows[t, j], x)
+                    _add(out[cols[mid] + j], rows[t] + j, x)
         # m∘phi: the source words of m with letter j at a split, keyed by
         # the split's (prefix, suffix), with the sign that puts j back
         lands = {}
@@ -80,19 +79,19 @@ def plain_block(s, parts, modulus, p, index):
                     pre, post = (), pre + post
                     sign = canonical_word(flavor, (w[i],) + post, par)[0]
                 lands.setdefault((pre, post), {}).setdefault(w[i], (sign, vec))
-        heads = dict.fromkeys(range(space.dim), sources)
+        heads = dict.fromkeys(range(space.dim), cols)
         for t in targets(m.coeffs, heads, flavor, par):
             for split, head, pre, post in splits(flavor, t, p, par):
                 hits = lands.get((pre, post))
                 if not hits:
                     continue
-                head_parity = sum(par[x] for x in head)
+                head_parity = word_parity(space, head)
                 for j, (sign, vec) in hits.items():
                     parity = (par[j] + head_parity) & 1
                     x = split[parity] * sign * signs[parity][1]
-                    col = out[cols[head, j]]
+                    col, row = out[cols[head] + j], rows[t]
                     for o, c in vec.items():
-                        _add(col, rows[t, o], c if x > 0 else -c)
+                        _add(col, row + o, c if x > 0 else -c)
     return [{q: v for q, vec in img.items() if (v := _reduced(vec, modulus))}
             for img in images]
 

@@ -25,6 +25,7 @@ echelon form of the source images and the questioned vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -33,7 +34,8 @@ from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
 from .coderivation import (extend_letters, family_bracket, family_is_zero,
                            reachable)
-from .graded import EXTERIOR, TENSOR, canonical_word, rotation_signs
+from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_signs,
+                     word_parity)
 # deform_check stays a module attribute: bench/tracer.py wraps it here
 from .structures import deformation_parameter_parity, deform_check  # noqa: F401
 
@@ -71,13 +73,16 @@ def coboundary(phi, s):
 class _Complex:
     """A cochain complex of a structure with a basis per degree, built once.
 
-    ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis.  Vectors
-    are sparse {basis position: scalar} dicts of nonzeros: ``images(p)`` is
-    the block of N·D on C^p, N·D of each degree-p basis vector as {degree:
-    vector} over core ints, built once in one pass (``codiff.blocks``) from
-    the core parts ``parts``; ``coords(p, c)`` reads a cochain in the basis
-    over field scalars, ``reconstruct(p, v)`` builds the cochain with
-    coordinates v, and ``differential(c)`` is D of one cochain.
+    ``dim(p)`` and ``parity(p, i)`` describe the degree-p basis, kept as
+    the keys it is enumerated by (``_basis(p)``), with ``_index(p)`` the map
+    from those keys to positions.  Vectors are sparse {basis position:
+    scalar} dicts of nonzeros: ``images(p)`` is the block of N·D on C^p,
+    N·D of each degree-p basis vector as {degree: vector} over core ints,
+    built in one pass (``codiff.blocks``) from the core parts ``parts``;
+    ``coords(p, c)`` reads a cochain in the basis over field scalars,
+    ``reconstruct(p, v)`` builds the cochain with coordinates v, and
+    ``differential(c)`` is D of one cochain.  Each of ``_basis``, ``_index``
+    and ``images`` is built once per degree.
     """
 
     def __init__(self, s):
@@ -86,28 +91,9 @@ class _Complex:
         self.spread = (max(s.parts) - 1) if s.parts else 0
         self.modulus = self.field.characteristic
         self.parts = _core_parts(s.parts, self.field)
-        self._bases = {}
-        self._indexes = {}
-        self._images = {}
-
-    def _basis(self, p):
-        if p not in self._bases:
-            self._bases[p] = self._build_basis(p)
-        return self._bases[p]
-
-    def _index(self, p):
-        """The degree-p map from basis keys to positions, built once."""
-        if p not in self._indexes:
-            self._indexes[p] = self._build_index(p)
-        return self._indexes[p]
-
-    def dim(self, p):
-        return len(self._basis(p))
-
-    def images(self, p):
-        if p not in self._images:
-            self._images[p] = self._block(p)
-        return self._images[p]
+        self._basis = functools.cache(self._build_basis)
+        self._index = functools.cache(self._build_index)
+        self.images = functools.cache(self._block)
 
 
 def _core_parts(parts, field):
@@ -130,20 +116,23 @@ def _core_parts(parts, field):
 
 
 class _PlainComplex(_Complex):
-    """Cochains V^p -> V on the delta basis of (canonical tuple, output
-    letter) pairs, with D = coboundary."""
+    """Cochains V^p -> V on the delta basis, with D = coboundary.  The
+    degree-p basis is ``canonical_tuples``: with t the k-th tuple, the delta
+    at (t, j) sits at position dim·k + j, and the index maps t to dim·k."""
 
     def _build_basis(self, p):
-        par = self.s.space.parities
-        return [(t, j, (par[j] + sum(par[i] for i in t)) & 1)
-                for t in canonical_tuples(self.s.space, self.s.flavor, p)
-                for j in range(self.s.space.dim)]
+        return canonical_tuples(self.s.space, self.s.flavor, p)
 
     def _build_index(self, p):
-        return {entry[:2]: i for i, entry in enumerate(self._basis(p))}
+        dim = self.s.space.dim
+        return {t: dim * k for k, t in enumerate(self._basis(p))}
+
+    def dim(self, p):
+        return self.s.space.dim * len(self._basis(p))
 
     def parity(self, p, i):
-        return self._basis(p)[i][2]
+        k, j = divmod(i, self.s.space.dim)
+        return word_parity(self.s.space, self._basis(p)[k] + (j,))
 
     def _block(self, p):
         return plain_block(self.s, self.parts, self.modulus, p, self._index)
@@ -153,32 +142,37 @@ class _PlainComplex(_Complex):
 
     def coords(self, p, c):
         index, field = self._index(p), self.field
-        return {index[t, j]: v for t, vec in c.coeffs.items()
+        return {index[t] + j: v for t, vec in c.coeffs.items()
                 for j, x in vec.items() if (v := field(x))}
 
     def reconstruct(self, p, coords):
-        basis, coeffs, parity = self._basis(p), {}, 0
+        basis, coeffs = self._basis(p), {}
         for i in sorted(coords):
-            t, j, parity = basis[i]
-            coeffs.setdefault(t, {})[j] = coords[i]
+            k, j = divmod(i, self.s.space.dim)
+            coeffs.setdefault(basis[k], {})[j] = coords[i]
+        parity = self.parity(p, max(coords)) if coords else 0
         return Cochain(self.s.space, self.s.flavor, p, parity, coeffs)
 
 
 class _CyclicComplex(_Complex):
-    """Cyclic scalar cochains of arity p + 1 in degree p, on
-    ``cyclic_scalar_basis``, with D = cyclic_coboundary."""
+    """Cyclic scalar cochains of arity p + 1 in degree p, with D =
+    cyclic_coboundary, on the signed orbits and pivots of
+    ``cyclic_scalar_basis``: position i is the i-th orbit."""
 
     def _build_basis(self, p):
-        return list(zip(*cyclic_scalar_basis(self.s.space, self.s.flavor, p)))
+        return cyclic_scalar_basis(self.s.space, self.s.flavor, p)
 
     def _build_index(self, p):
         """{tuple: (position, orbit sign, pivot)} over every basis orbit."""
-        return {t: (i, 1 if c == 1 else -1, pivot)
-                for i, (b, pivot) in enumerate(self._basis(p))
-                for t, c in b.coeffs.items()}
+        return {t: (i, sign, pivot)
+                for i, (orbit, pivot) in enumerate(zip(*self._basis(p)))
+                for t, sign in orbit.items()}
+
+    def dim(self, p):
+        return len(self._basis(p)[1])
 
     def parity(self, p, i):
-        return self._basis(p)[i][0].parity
+        return word_parity(self.s.space, self._basis(p)[1][i])
 
     def _block(self, p):
         return cyclic_block(self.s, self.parts, self.modulus, p, self._index)
@@ -199,11 +193,10 @@ class _CyclicComplex(_Complex):
         return orbit_coords(values, self._index(p))
 
     def reconstruct(self, p, coords):
-        basis, coeffs, parity = self._basis(p), {}, 0
+        orbits, coeffs = self._basis(p)[0], {}
         for i in sorted(coords):
-            b = basis[i][0]
-            vec_add(coeffs, b.coeffs, coords[i])
-            parity = b.parity
+            vec_add(coeffs, orbits[i], coords[i])
+        parity = self.parity(p, max(coords)) if coords else 0
         return ScalarCochain(self.s.space, self.s.flavor, p + 1, parity,
                              coeffs)
 
@@ -310,13 +303,14 @@ def _spanned(cx, sources, vectors, last=None):
 
 
 def _check_window(cx, a, b, what=None):
-    """Raise WindowTooLarge when the index of degree d = b + spread, the
-    largest the window builds, would scan more than MAX_INDEX entries, or
-    the window has more rows than that; the message names what needs it,
-    ``what`` or else the window a..b.  The size is exact: dim^(d+1) tuples
-    and letters (tensor), or dim * K(d), with K(d) the exterior tuples of
-    j distinct even letters and d - j odd ones for each j.  It bounds the
-    cyclic index too, as K(d + 1) <= dim * K(d)."""
+    """Raise WindowTooLarge when the plain basis of degree d = b + spread,
+    the largest the window builds, would have more than MAX_INDEX
+    positions, or the window has more rows than that; the message names
+    what needs it, ``what`` or else the window a..b.  The size is exact:
+    dim^(d+1) tuples and letters (tensor), or dim * K(d), with K(d) the
+    exterior tuples of j distinct even letters and d - j odd ones for each
+    j.  It bounds the cyclic index too, as K(d + 1) <= dim * K(d).  It
+    bounds the size of the bases, not the work of a block."""
     dim, d = cx.s.space.dim, b + cx.spread
     if cx.s.flavor == TENSOR:
         # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger power
@@ -567,33 +561,26 @@ def cyclic_scalar_basis(space, flavor, degree):
     2 every signed stabilizer is trivial, but exterior cochains are
     alternating, so a repeated even letter still drops out.)
 
-    Returns (list of ScalarCochain, list of pivot tuples).
+    Returns (list of orbits {tuple: its int sign}, list of pivot tuples).
     """
     arity = degree + 1
-    field = space.field
-    par = space.parities
     if flavor == EXTERIOR:
-        orbits = ((t, {t: field(1)})
-                  for t in canonical_tuples(space, EXTERIOR, arity))
+        orbits = {t: {t: 1} for t in canonical_tuples(space, EXTERIOR, arity)}
     else:
-        orbits = _signed_orbits(par, space.dim, arity, field(1), field(-1))
-    basis, pivots = [], []
-    for t, coeffs in orbits:
-        basis.append(ScalarCochain(space, flavor, arity,
-                                   sum(par[x] for x in t) & 1, coeffs))
-        pivots.append(t)
-    return basis, pivots
+        orbits = dict(_signed_orbits(space.parities, space.dim, arity,
+                                     space.field.characteristic == 2))
+    return list(orbits.values()), list(orbits)
 
 
-def _signed_orbits(par, dim, arity, plus, minus):
-    """(least tuple, {rotation: its sign}) of every kept tensor orbit."""
+def _signed_orbits(par, dim, arity, char2):
+    """(least tuple, {rotation: its sign}) of every kept tensor orbit; in
+    characteristic 2 (``char2``) every orbit is kept."""
     for t, period in _necklaces(dim, arity):
         signs = rotation_signs(par, t)
         # the rotation by the period generates the stabilizer; by the
         # arity it is the identity
-        if period == arity or signs[period] > 0 or plus == minus:
-            yield t, {t[i:] + t[:i]: plus if signs[i] > 0 else minus
-                      for i in range(period)}
+        if period == arity or signs[period] > 0 or char2:
+            yield t, {t[i:] + t[:i]: signs[i] for i in range(period)}
 
 
 def _necklaces(k, n):
@@ -615,7 +602,7 @@ def _necklaces(k, n):
             yield tuple(a), i + 1
 
 
-def cyclic_cohomology(s, ip=None, window=(0, 3)):
+def cyclic_cohomology(s, ip, window):
     """Exact windowed cyclic cohomology.
 
     When an inner product is supplied it must be invariant (every part

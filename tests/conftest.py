@@ -11,6 +11,7 @@ from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
                             scale, vec_add)
 from codiff.coderivation import W_OF_V, compose, extend_letters
 from codiff.graded import word_parity
+from codiff.homology import cyclic_scalar_basis
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
                            conjugate_family, conjugate_part, eta_sign,
                            extend_letters_reference, reversed_flavor,
@@ -154,6 +155,16 @@ def is_cyclic_scalar_blockwise(f):
                == rotation_reorder_sign(par, t, i) * f.value(t[i:] + t[:i])
                for t in itertools.product(range(f.space.dim), repeat=f.arity)
                for i in range(1, f.arity))
+
+
+def cyclic_basis_cochains(space, flavor, degree):
+    """The vectors of ``cyclic_scalar_basis`` as ScalarCochains, each
+    orbit's int signs read in the space's field (over F_2 an int -1 would
+    break the rotation identity, which compares field scalars)."""
+    orbits, pivots = cyclic_scalar_basis(space, flavor, degree)
+    return [ScalarCochain(space, flavor, degree + 1, word_parity(space, t),
+                          {u: space.field(e) for u, e in orbit.items()})
+            for orbit, t in zip(orbits, pivots)]
 
 
 def cyclic_scalar_basis_reference(space, degree):

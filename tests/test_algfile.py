@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,19 @@ def all_fixture_names():
 @pytest.mark.parametrize("name", all_fixture_names())
 def test_round_trip(name):
     af = parse(read_fixture(name))
+    text = serialize(af)
+    again = parse(text)
+    assert again == af
+    assert serialize(again) == text
+
+
+def test_round_trip_of_unusual_names():
+    # names the value syntax still reads: numeric, primed, a fraction, '='
+    af = parse("field Q\nflavor tensor\nspace\n  basis 1 even\n"
+               "  basis x' even\n  basis 1/2 odd\n  basis a=b odd\n"
+               "map m 2\n  m(1,1) = 1\n  m(1,x') = 2*x'\n"
+               "  m(x',1/2) = -1/2*1/2 + 3*a=b\n  m(1/2,a=b) = -1\n")
+    assert af.parts[2].coeffs[(1, 2)] == {2: Fraction(-1, 2), 3: 3}
     text = serialize(af)
     again = parse(text)
     assert again == af
@@ -108,6 +122,15 @@ DIAGNOSTICS = [
     ("field Q\nflavor tensor\nflavor tensor\n", E_DUPLICATE, 3),
     ("field Q\nflavor tensor\nbasis a even\n", E_DIRECTIVE, 3),
     ("field Q\nflavor tensor\nspace\n  basis a\n", E_SPACE, 4),
+    # names the value syntax cannot read back
+    (ONE_EVEN + "  basis a*b even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis x-y even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis x+y odd\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis 0 even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis a,b even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis a) even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis <a even\n", E_SPACE, 5),
+    (ONE_EVEN + "  basis a> even\n", E_SPACE, 5),
     (ONE_EVEN + "space\n", E_DUPLICATE, 5),
     (ONE_EVEN + "map m\n", E_DIRECTIVE, 5),
     (ONE_EVEN + "map m two\n", E_ARITY, 5),

@@ -17,7 +17,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
-from codiff.cochain import Cochain  # noqa: E402
 from codiff.coderivation import CONVENTIONS  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import EXTERIOR, TENSOR  # noqa: E402
@@ -83,8 +82,8 @@ def test_plain_block_matches_each_column(case):
     cx = _PlainComplex(s)
     block = cx.images(p)
     assert len(block) == cx.dim(p)
-    for image, (t, j, parity) in zip(block, cx._basis(p)):
-        delta = Cochain(s.space, s.flavor, p, parity, {t: {j: s.space.field(1)}})
+    for i, image in enumerate(block):
+        delta = cx.reconstruct(p, {i: s.space.field(1)})
         want = {q: cx.coords(q, c) for q, c in coboundary(delta, s).items()}
         assert image == as_block(s, want)
         assert_core_ints(s, image)
@@ -97,7 +96,22 @@ def test_cyclic_block_matches_each_column(case):
     cx = _CyclicComplex(s)
     block = cx.images(p)
     assert len(block) == cx.dim(p)
-    for image, (f, _) in zip(block, cx._basis(p)):
+    for i, image in enumerate(block):
+        f = cx.reconstruct(p, {i: s.space.field(1)})
         want = {q: cx.coords(q, g) for q, g in cyclic_coboundary(f, s).items()}
         assert image == as_block(s, want)
         assert_core_ints(s, image)
+
+
+@PROPERTY
+@given(structures(), st.booleans())
+def test_coords_read_back_each_basis_vector(case, cyclic):
+    """Basis vector i, built by ``reconstruct``, has coordinates {i: 1} and
+    the parity ``parity`` gives position i, in either complex."""
+    s, p = case
+    cx = (_CyclicComplex if cyclic else _PlainComplex)(s)
+    one = s.space.field(1)
+    for i in range(cx.dim(p)):
+        c = cx.reconstruct(p, {i: one})
+        assert cx.coords(p, c) == {i: one}
+        assert c.parity == cx.parity(p, i)

@@ -25,7 +25,8 @@ from codiff.cli import build_structure
 from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
-from conftest import (bracket, cyclic_scalar_basis_reference, make_cochain,
+from conftest import (bracket, cyclic_basis_cochains,
+                      cyclic_scalar_basis_reference, make_cochain,
                       pair, random_cochain, scalar_cochains_match,
                       scalar_scale, sparse_rows)
 
@@ -452,10 +453,11 @@ class TestCyclicSpaceAtSmallPrimes:
     ])
     def test_basis_spans_rotation_kernel(self, field, parities, arity):
         space = GradedSpace(tuple("abcd"[:len(parities)]), parities, field)
-        basis, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
-        assert len(basis) == rotation_kernel_dim(space, arity)
-        assert all(is_cyclic_scalar(b) for b in basis)
-        assert all(b.coeffs[t] == 1 for b, t in zip(basis, pivots))
+        orbits, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
+        assert len(orbits) == rotation_kernel_dim(space, arity)
+        assert all(is_cyclic_scalar(b) for b in
+                   cyclic_basis_cochains(space, TENSOR, arity - 1))
+        assert all(orbit[t] == 1 for orbit, t in zip(orbits, pivots))
 
     def test_m2_space_dimensions(self):
         # the 4-dimensional even space of M2: 24 cyclic cochains of arity 3
@@ -480,15 +482,15 @@ class TestCyclicSpaceAtSmallPrimes:
     ])
     def test_equals_averaged_basis_over_q(self, parities, arity):
         space = GradedSpace(tuple("abcd"[:len(parities)]), parities)
-        basis, pivots = cyclic_scalar_basis(space, TENSOR, arity - 1)
-        assert ([b.coeffs for b in basis], pivots) == \
+        assert cyclic_scalar_basis(space, TENSOR, arity - 1) == \
             averaged_basis(space, arity)
 
 
 class TestNecklaceBasis:
     """The necklace enumeration gives the basis of the scan over every
     tuple: the same pivots in the same order, and the same coefficient
-    dicts in the same insertion order, for every parity pattern."""
+    dicts in the same insertion order, for every parity pattern.  The
+    orbits carry int signs, read in the field for the comparison."""
 
     @pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
     @pytest.mark.parametrize("dim, top", [(1, 5), (2, 5), (3, 5), (4, 3)])
@@ -496,10 +498,12 @@ class TestNecklaceBasis:
         for parities in itertools.product((0, 1), repeat=dim):
             space = GradedSpace(tuple("abcd"[:dim]), parities, field)
             for degree in range(top + 1):
-                basis, pivots = cyclic_scalar_basis(space, TENSOR, degree)
+                orbits, pivots = cyclic_scalar_basis(space, TENSOR, degree)
                 want, want_pivots = cyclic_scalar_basis_reference(space,
                                                                   degree)
                 assert pivots == want_pivots
+                assert {e for o in orbits for e in o.values()} <= {1, -1}
+                basis = cyclic_basis_cochains(space, TENSOR, degree)
                 assert [list(b.coeffs.items()) for b in basis] == \
                     [list(b.coeffs.items()) for b in want]
                 assert [b.parity for b in basis] == [b.parity for b in want]
@@ -549,7 +553,7 @@ class TestCyclicCoboundary:
     def test_coords_read_the_pivots_sparsely(self, dual_numbers):
         s, _ = dual_numbers
         cx = _CyclicComplex(s)
-        basis, _ = cyclic_scalar_basis(s.space, TENSOR, 2)
+        basis = cyclic_basis_cochains(s.space, TENSOR, 2)
         for i, b in enumerate(basis):
             assert cx.coords(2, b) == {i: 1}
         last = len(basis) - 1
@@ -865,10 +869,10 @@ class TestWindowBound:
                              ids=input_id)
     def test_the_closed_form_is_the_enumerated_scan(self, monkeypatch, path):
         """The size the bound reads is dim times every tuple (tensor) or
-        every canonical exterior tuple of the top degree, the plain index
-        exactly, and the cyclic index is no larger.  A window whose size is
-        0 passes the index bound even at MAX_INDEX = 0, and only its rows
-        refuse it there."""
+        every canonical exterior tuple of the top degree, the plain basis
+        positions exactly, and the cyclic index is no larger.  A window
+        whose size is 0 passes the index bound even at MAX_INDEX = 0, and
+        only its rows refuse it there."""
         s = build_structure(load_file(path), W_OF_V, 8)
         cx = _PlainComplex(s)
         monkeypatch.setattr(homology, "MAX_INDEX", 0)
@@ -886,5 +890,5 @@ class TestWindowBound:
                     "window 0..%d has %d rows, more than 0" % (b, b + 1))
                 continue
             size = int(re.search(r" = (\d+) entries", str(refusal.value))[1])
-            assert size == dim * scan == len(cx._index(d))
+            assert size == dim * scan == cx.dim(d)
             assert len(_CyclicComplex(s)._index(d)) <= size

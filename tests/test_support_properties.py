@@ -37,9 +37,10 @@ from codiff.oracle import (compose_reference,  # noqa: E402
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _cyclic_witness, _rotation_sum,
                              _rotation_witness, _unshuffle_sum,
-                             cyclic_scalar_basis, is_cyclic_scalar)
+                             is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import (pair, random_cochain, reorder_sign,  # noqa: E402
+from conftest import (cyclic_basis_cochains, pair,  # noqa: E402
+                      random_cochain, reorder_sign,
                       rotation_reorder_sign)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
@@ -196,7 +197,7 @@ def cyclic_witness_reference(phi, ip):
 def cyclic_scalar(space, arity, parity, rng, density):
     """A random combination of cyclic basis vectors."""
     coeffs = {}
-    for b in cyclic_scalar_basis(space, TENSOR, arity - 1)[0]:
+    for b in cyclic_basis_cochains(space, TENSOR, arity - 1):
         if b.parity == parity and rng.random() < density:
             vec_add(coeffs, b.coeffs, space.field(rng.randint(-3, 3)))
     return ScalarCochain(space, TENSOR, arity, parity, coeffs)
@@ -329,7 +330,8 @@ def test_plain_coords_match_list_comprehension(space, flavor, degree, parity,
     c = random_cochain(space, flavor, degree, parity, random.Random(seed),
                        density)
     dense = [space.field(c.coeffs.get(t, {}).get(j, 0))
-             for t, j, _ in cx._basis(degree)]
+             for t in canonical_tuples(space, flavor, degree)
+             for j in range(space.dim)]
     want = {i: x for i, x in enumerate(dense) if x}
     got = cx.coords(degree, c)
     assert got == want

@@ -28,7 +28,7 @@ from codiff.homology import (_spanned, coboundary, cohomology,  # noqa: E402
                              cyclic_scalar_basis)
 from codiff.oracle import dense_rank  # noqa: E402
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import random_cochain  # noqa: E402
+from conftest import cyclic_basis_cochains, random_cochain  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -83,7 +83,7 @@ def cyclic_images(s, p, degrees):
     all tuples of the target degrees' arities, in order."""
     space = s.space
     rows = []
-    for f in cyclic_scalar_basis(space, s.flavor, p)[0]:
+    for f in cyclic_basis_cochains(space, s.flavor, p):
         image = cyclic_coboundary(f, s)
         rows.append([space.field(image[q].value(u) if q in image else 0)
                      for q in degrees
