@@ -11,9 +11,10 @@ is the first with rotation orbits of period 3, through
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
 file of that checkout, and on the exterior inputs with odd letters of
 ``INLINE``, which are written to the temporary directory and so run on an
-older checkout too, over Q, F_32003, F_2, F_3 and F_5 (the file's
-``field Q`` line rewritten), under both conventions, in text and
-json-lines.  A file with an ``inner_product`` block also runs ``deform``
+older checkout too (they also run ``cohomology`` and ``cyclic`` at window
+0..12, whose tuples repeat an odd letter up to 13 times and more), over
+Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
+under both conventions, in text and json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
 Over Q each file that parses also runs ``cohomology`` and ``cyclic`` after
 a fixed non-integral diagonal change of basis (``rescaled``), so that the
@@ -209,6 +210,9 @@ def sweep(root):
                                    flags=re.M)
                     runs = [(path, local, command, extra)
                             for command, extra in commands(local)]
+                    if src == "inline":
+                        runs += [(path, local, command, ["--window", "0..12"])
+                                 for command in ("cohomology", "cyclic")]
                     write(path, local)
                     plain = INNER_PRODUCT.sub("", local)
                     if plain != local:

@@ -14,22 +14,21 @@ its block is finished.
 
 Plain complex, on the delta cochains (t, j): D(phi) = {phi, m} is a signed
 sum of phi∘m and m∘phi, with the signs of ``coderivation.bracket_signs``.
-phi∘m is read from one extension of m per reachable target; m∘phi from the
-splits of each target in which the delta's value lands on a source word of
-m, with the extension signs of ``coderivation.splits``.
+Both read the extension terms of ``coderivation.terms``: phi∘m those of m
+landing on the source tuples, m∘phi those of the deltas, whose heads are
+every source tuple, landing on the source words of m.
 
 Cyclic complex: the tensor rotation sum pairs each entry of m with the basis
 tuples that start with its output letter and spreads the product over every
-rotation; the exterior unshuffle sum reads one extension of m per reachable
-canonical target.  Each column is then read at the pivots, with the
+rotation; the exterior unshuffle sum reads the extension terms of m landing
+on the basis tuples.  Each column is then read at the pivots, with the
 membership check of ``orbit_coords``.
 """
 
 from __future__ import annotations
 
-from .coderivation import (bracket_signs, extend_letters, reachable, splits,
-                           targets)
-from .graded import TENSOR, canonical_word, rotation_signs, word_parity
+from .coderivation import bracket_signs, heads_of, terms
+from .graded import TENSOR, rotation_signs, word_parity
 
 OUTSIDE = "scalar cochain falls outside the cyclic space"
 
@@ -55,43 +54,31 @@ def plain_block(s, parts, modulus, p, index):
     space, flavor, par = s.space, s.flavor, s.space.parities
     cols = index(p)
     images = [{} for _ in range(space.dim * len(cols))]
+    # the deltas as cochains to extend: the delta at (h, j) reads the head
+    # h and has the value letter j
+    every = dict.fromkeys(range(space.dim), cols)
+    head_parity = {h: word_parity(space, h) for h in cols}
     for l, m in parts.items():
         q = p + l - 1
         rows = index(q)
         out = [img.setdefault(q, {}) for img in images]
         signs = [bracket_signs(p, parity, l, m.parity, s.convention)
                  for parity in (0, 1)]
-        # phi∘m: the delta at (mid, j) reads the extension of m on t, and
+        # phi∘m: the delta at (w, j) reads the extension of m on t, and
         # its sign in the bracket does not depend on the delta's parity
-        for t in reachable(cols, m):
-            for mid, c in extend_letters(m, t).items():
-                x = c if signs[0][0] > 0 else -c
-                for j in range(space.dim):
-                    _add(out[cols[mid] + j], rows[t] + j, x)
-        # m∘phi: the source words of m with letter j at a split, keyed by
-        # the split's (prefix, suffix), with the sign that puts j back
-        lands = {}
-        for w, vec in m.coeffs.items():
-            for i in range(l):
-                pre, post = w[:i], w[i + 1:]
-                sign = 1
-                if flavor != TENSOR:
-                    pre, post = (), pre + post
-                    sign = canonical_word(flavor, (w[i],) + post, par)[0]
-                lands.setdefault((pre, post), {}).setdefault(w[i], (sign, vec))
-        heads = dict.fromkeys(range(space.dim), cols)
-        for t in targets(m.coeffs, heads, flavor, par):
-            for split, head, pre, post in splits(flavor, t, p, par):
-                hits = lands.get((pre, post))
-                if not hits:
-                    continue
-                head_parity = word_parity(space, head)
-                for j, (sign, vec) in hits.items():
-                    parity = (par[j] + head_parity) & 1
-                    x = split[parity] * sign * signs[parity][1]
-                    col, row = out[cols[head] + j], rows[t]
-                    for o, c in vec.items():
-                        _add(col, row + o, c if x > 0 else -c)
+        for t, w, b, h, split in terms(cols, heads_of(m), flavor, par):
+            x = split[m.parity] * signs[0][0] * m.coeffs[h][b]
+            col, row = cols[w], rows[t]
+            for j in range(space.dim):
+                _add(out[col + j], row + j, x)
+        # m∘phi: the delta at (h, b), extended on t, lands on the source
+        # word w of m
+        for t, w, b, h, split in terms(m.coeffs, every, flavor, par):
+            parity = (par[b] + head_parity[h]) & 1
+            x = split[parity] * signs[parity][1]
+            col, row = out[cols[h] + b], rows[t]
+            for o, c in m.coeffs[w].items():
+                _add(col, row + o, x * c)
     return [{q: v for q, vec in img.items() if (v := _reduced(vec, modulus))}
             for img in images]
 
@@ -124,9 +111,8 @@ def cyclic_block(s, parts, modulus, p, index):
         else:
             # every exterior orbit is its pivot alone
             cols = {t: out[i] for t, (i, _, _) in sources.items()}
-            for t in reachable(cols, m):
-                for mid, c in extend_letters(m, t).items():
-                    _add(cols[mid], t, c if sign > 0 else -c)
+            for t, w, b, h, split in terms(cols, heads_of(m), s.flavor, par):
+                _add(cols[w], t, split[m.parity] * sign * m.coeffs[h][b])
     return [{q: v for q, g in img.items()
              if (v := orbit_coords(g, index(q), modulus))} for img in values]
 

@@ -3,18 +3,18 @@ bidegree grading, and the modified bracket of coderivations.
 
 A degree-k cochain extends to a coderivation whose value on a degree-n word
 is a signed sum over insertion positions (tensor) or unshuffles
-(exterior).  A tensor insertion after a prefix of parity p, i letters
-long, carries (-1)^{p |d| + i(k-1)}; an exterior unshuffle, the head's
-positions chosen in lexicographic order and the rest following, carries
-the sign ``canonical_word`` gives its head + rest.
+(exterior).  ``terms`` enumerates that sum from the words it lands on:
+each (word, letter, head) triple gives one term, whose target is the word
+with the letter replaced by the head, and no target's unshuffles are
+enumerated to find its heads again.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 from .cochain import Cochain, add, scale, vec_add, zero_cochain
-from .graded import EXTERIOR, TENSOR, canonical_word
+from .graded import TENSOR, canonical_word
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -31,82 +31,70 @@ def convert_convention_parts(parts):
             for k, c in parts.items()}
 
 
-def splits(flavor, letters, k, par):
-    """The terms of the extension of a degree-k cochain on a canonical word,
-    as (signs, head, prefix, suffix): the cochain reads ``head``, and a value
-    letter b lands on prefix + (b,) + suffix with the sign signs[parity of
-    the cochain].  Heads and suffixes are canonical.  Tensor terms insert at
-    each position; exterior terms run over the unshuffles, have an empty
-    prefix, and the landing word still has to be sorted."""
-    n = len(letters)
-    if flavor == TENSOR:
-        pre_parity = 0
-        for i in range(n - k + 1):
-            even = -1 if i * (k - 1) & 1 else 1
-            odd = -even if pre_parity & 1 else even
-            yield (even, odd), letters[i:i + k], letters[:i], letters[i + k:]
-            if i < n:
-                pre_parity += par[letters[i]]
-        return
-    for pos in itertools.combinations(range(n), k):
-        head = tuple(letters[i] for i in pos)
-        rest = tuple(x for i, x in enumerate(letters) if i not in pos)
-        s = canonical_word(EXTERIOR, head + rest, par)[0]
-        yield (s, s), head, (), rest
-
-
-def extend_letters(gen, letters):
-    """The extension of ``gen`` on a canonical word, read at each head by
-    key, as {canonical output letters: coefficient}; zero below degree k."""
-    par = gen.space.parities
-    tensor = gen.flavor == TENSOR
-    out = {}
-    for signs, head, pre, post in splits(gen.flavor, letters, gen.degree,
-                                         par):
-        vec = gen.coeffs.get(head)
-        if not vec:
-            continue
-        sign = signs[gen.parity]
-        for b, c in vec.items():
-            key = pre + (b,) + post
-            if not tensor:
-                cw = canonical_word(gen.flavor, key, par)
-                if cw is None:
-                    continue
-                key = cw[1]
-                c = cw[0] * c
-            cur = out.get(key, 0) + sign * c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
-    return out
-
-
-def reachable(support, inner):
-    """The target tuples, in canonical order, whose extension by ``inner``
-    can land on a tuple of ``support``: a support tuple with one letter b
-    replaced by a head h with b in inner(h), in the canonical form of
-    inner's flavor (dead exterior words dropped).  Every other target gives
-    zero."""
+def heads_of(inner):
+    """{letter b: the heads h whose value inner(h) has a b component}."""
     heads = {}
     for h, vec in inner.coeffs.items():
         for b in vec:
             heads.setdefault(b, []).append(h)
-    return targets(support, heads, inner.flavor, inner.space.parities)
+    return heads
 
 
-def targets(support, heads, flavor, par):
-    """``reachable`` for the heads {letter b: the heads whose value has a
-    b component}."""
-    out = set()
+def terms(support, heads, flavor, par):
+    """Each term of the extension of a cochain that lands on a word of
+    ``support``, once, as (target, w, b, h, signs): the cochain reads the
+    head h in the canonical target, and its value letter b lands on the
+    word w with the sign signs[parity of the cochain].  One term per word
+    w, letter b of w (each position, tensor; each distinct letter,
+    exterior) and head h in ``heads[b]``; the target is w with b replaced
+    by h, made canonical, and a dead exterior target gives no term.
+
+    A tensor insertion after i letters of parity q carries (-1)^{q|d| +
+    i(k-1)}.  An exterior term, with r the rest of w after one b, carries
+    the sign ``canonical_word`` gives h + r times the one it gives b + r,
+    times the number of unshuffles of the target with head h:
+    Π C(count_T(x), count_h(x)), which is 1 unless an odd letter of r
+    recurs in h (equal odd letters commute, so those unshuffles share one
+    sign)."""
+    if flavor == TENSOR:
+        for w in support:
+            pre = 0
+            for i, b in enumerate(w):
+                for h in heads.get(b, ()):
+                    even = -1 if i * (len(h) - 1) & 1 else 1
+                    yield (w[:i] + h + w[i + 1:], w, b, h,
+                           (even, -even if pre & 1 else even))
+                pre += par[b]
+        return
+    odd = {}
     for w in support:
-        for i in range(len(w)):
-            for h in heads.get(w[i], ()):
-                cw = canonical_word(flavor, w[:i] + h + w[i + 1:], par)
-                if cw is not None:
-                    out.add(cw[1])
-    return sorted(out)
+        for i, b in enumerate(w):
+            hs = heads.get(b)
+            # equal letters sit together in a canonical word: skip repeats
+            if not hs or w[i - 1:i] == (b,):
+                continue
+            r = w[:i] + w[i + 1:]
+            sign = canonical_word(flavor, (b,) + r, par)[0]
+            for h in hs:
+                cw = canonical_word(flavor, h + r, par)
+                if cw is None:
+                    continue
+                x = sign * cw[0]
+                if h not in odd:
+                    odd[h] = [(y, h.count(y)) for y in set(h) if par[y]]
+                for y, a in odd[h]:
+                    c = r.count(y)
+                    if c:
+                        x *= math.comb(a + c, a)
+                yield cw[1], w, b, h, (x, x)
+
+
+def reachable(support, inner):
+    """The target tuples, in canonical order, whose extension by ``inner``
+    can land on a tuple of ``support``, those of ``terms``; every other
+    target gives zero."""
+    return sorted({t for t, *_ in terms(support, heads_of(inner),
+                                        inner.flavor, inner.space.parities)})
 
 
 def compose(outer, inner):
@@ -115,18 +103,16 @@ def compose(outer, inner):
     if outer.space != inner.space or outer.flavor != inner.flavor:
         raise ValueError("cochain mismatch in composition")
     n = outer.degree + inner.degree - 1
+    parity = (outer.parity + inner.parity) & 1
     if n < 0:
-        return zero_cochain(outer.space, outer.flavor, 0,
-                            (outer.parity + inner.parity) & 1)
-    coeffs = {}
-    for t in reachable(outer.coeffs, inner):
-        acc = {}
-        for mid, c in extend_letters(inner, t).items():
-            vec_add(acc, outer.coeffs.get(mid, {}), c)
-        if acc:
-            coeffs[t] = acc
-    return Cochain(outer.space, outer.flavor, n,
-                   (outer.parity + inner.parity) & 1, coeffs)
+        return zero_cochain(outer.space, outer.flavor, 0, parity)
+    acc = {}
+    for t, w, b, h, signs in terms(outer.coeffs, heads_of(inner),
+                                   inner.flavor, inner.space.parities):
+        vec_add(acc.setdefault(t, {}), outer.coeffs[w],
+                signs[inner.parity] * inner.coeffs[h][b])
+    return Cochain(outer.space, outer.flavor, n, parity,
+                   {t: acc[t] for t in sorted(acc)})
 
 
 def bracket_signs(k, a_parity, l, b_parity, convention):

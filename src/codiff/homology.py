@@ -32,8 +32,8 @@ import math
 from . import linalg
 from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
-from .coderivation import (extend_letters, family_bracket, family_is_zero,
-                           reachable)
+from .coderivation import (family_bracket, family_is_zero, heads_of,
+                           reachable, terms)
 from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_signs,
                      word_parity)
 # deform_check stays a module attribute: bench/tracer.py wraps it here
@@ -44,8 +44,9 @@ MAX_INDEX = 10 ** 6
 
 
 class WindowTooLarge(ValueError):
-    """A window refused before any basis is built: its top index would scan
-    more than MAX_INDEX entries, or it has more rows than that."""
+    """A window refused before any basis is built: its top plain basis
+    would have more than MAX_INDEX positions, or it has more rows than
+    that."""
 
 
 class InvarianceError(ValueError):
@@ -327,7 +328,7 @@ def _check_window(cx, a, b, what=None):
         form = "%d*%d = %d" % (dim, count, size)
     if size > MAX_INDEX:
         raise WindowTooLarge(
-            "%s: its degree-%d index would scan %s entries, more than %d"
+            "%s: its degree-%d basis would have %s positions, more than %d"
             % (what or "window %d..%d" % (a, b), d, form, MAX_INDEX))
     if b - a >= MAX_INDEX:
         raise WindowTooLarge("window %d..%d has %d rows, more than %d"
@@ -392,11 +393,15 @@ def _antisymmetry_witness(f):
 
 def _cyclic_witness(flavor, form):
     """The first tuple on which a cochain of this flavor with scalar form
-    ``form`` (its ``tilde``) breaks the cyclic identity, or None: graded
-    antisymmetry for an exterior cochain, the rotation identity for a
-    tensor one."""
+    ``form`` (its ``tilde``) breaks the cyclic identity, or None: for an
+    exterior cochain graded antisymmetry, and then the least tuple of the
+    support with a repeated even letter (which only characteristic 2 lets
+    antisymmetry miss); the rotation identity for a tensor one."""
     if flavor == EXTERIOR:
-        return _antisymmetry_witness(form)
+        par = form.space.parities
+        return _antisymmetry_witness(form) or min(
+            (t for t in form.coeffs
+             if canonical_word(EXTERIOR, t, par) is None), default=None)
     return _rotation_witness(form)
 
 
@@ -484,36 +489,30 @@ def _rotation_sum(f, inner, extra_exp):
 def _unshuffle_sum(f, inner, extra_exp):
     """Exterior counterpart: f composed with the extension of ``inner``,
     whose unshuffle sum carries the permutation and Koszul signs, giving an
-    antisymmetric scalar cochain.  The extension lands on canonical tuples,
-    which are f's coefficient keys."""
+    antisymmetric scalar cochain.  The extension terms land on f's
+    support, whose canonical tuples are its coefficient keys."""
     space = f.space
     sign = -1 if extra_exp & 1 else 1
     out = {}
-    for t in reachable(f.coeffs, inner):
-        acc = space.field(0)
-        for mid, c in extend_letters(inner, t).items():
-            x = f.coeffs.get(mid)
-            if x:
-                acc = acc + c * x
-        if acc:
-            out[t] = sign * acc
+    for t, w, b, h, signs in terms(f.coeffs, heads_of(inner), EXTERIOR,
+                                   space.parities):
+        out[t] = out.get(t, 0) + signs[inner.parity] * inner.coeffs[h][b] \
+            * f.coeffs[w]
     parity = (f.parity + inner.parity) & 1
     return ScalarCochain(space, EXTERIOR, f.arity + inner.degree - 1, parity,
-                         out)
+                         {t: sign * out[t] for t in sorted(out)})
 
 
 def _exterior_form(f):
     """The exterior scalar cochain equal to f as a function, or None when f
-    is not graded alternating: antisymmetric under adjacent swaps, and zero
-    on tuples with a repeated even letter (which only characteristic 2 lets
-    antisymmetry miss)."""
+    is not graded alternating, the exterior test of ``_cyclic_witness``."""
     if f.flavor == EXTERIOR:
         return f
-    par = f.space.parities
-    canon = [canonical_word(EXTERIOR, t, par) for t in f.coeffs]
-    if _antisymmetry_witness(f) is not None or None in canon:
+    if _cyclic_witness(EXTERIOR, f) is not None:
         return None
-    coeffs = {t: f.value(t) for t in sorted({cw[1] for cw in canon})}
+    par = f.space.parities
+    coeffs = {t: f.value(t) for t in
+              sorted({canonical_word(EXTERIOR, t, par)[1] for t in f.coeffs})}
     return ScalarCochain(f.space, EXTERIOR, f.arity, f.parity, coeffs)
 
 

@@ -159,8 +159,9 @@ def _value(coeffs, letters, parities, flavor=EXTERIOR):
 
 def splits_reference(flavor, letters, k, par, bidegree=True):
     """The terms of the extension of a degree-k cochain on a canonical word,
-    as (signs, head, prefix, suffix) in the order ``coderivation.splits``
-    yields them, with ``bidegree`` False for the parity grading of W."""
+    as (signs, head, prefix, suffix): tensor insertions by position, and
+    every unshuffle of the positions, each counted on its own, with
+    ``bidegree`` False for the parity grading of W."""
     n = len(letters)
     if flavor == TENSOR:
         for i in range(n - k + 1):

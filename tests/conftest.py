@@ -9,7 +9,7 @@ from codiff import (EXTERIOR, TENSOR, A_INFINITY, L_INFINITY, GradedSpace,
 from codiff.algfile import AlgebraFile
 from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
                             scale, vec_add)
-from codiff.coderivation import W_OF_V, compose, extend_letters
+from codiff.coderivation import W_OF_V, compose, heads_of, terms
 from codiff.graded import word_parity
 from codiff.homology import cyclic_scalar_basis
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
@@ -294,12 +294,27 @@ class Word:
         return not self.coefficient
 
 
+def extensions(gen, n):
+    """The library's extension of ``gen`` on the canonical words of degree
+    n, as {word: {canonical output letters: coefficient}}: the terms that
+    ``coderivation.terms`` yields on every canonical word of the degree it
+    lands in, summed per target."""
+    out = {}
+    if n >= gen.degree - 1:
+        words = canonical_tuples(gen.space, gen.flavor, n - gen.degree + 1)
+        for t, w, b, h, signs in terms(words, heads_of(gen), gen.flavor,
+                                       gen.space.parities):
+            vec_add(out.setdefault(t, {}),
+                    {w: signs[gen.parity] * gen.coeffs[h][b]})
+    return {t: vec for t, vec in out.items() if vec}
+
+
 def extend_on(gen, letters, form):
     """The extension of ``gen`` on a canonical word: the library's in the
     bidegree grading (PRODUCT_FORM), the oracle's in the parity grading of
     the reversed side (PARITY_ONLY)."""
     if form == PRODUCT_FORM:
-        return extend_letters(gen, letters)
+        return extensions(gen, len(letters)).get(tuple(letters), {})
     return extend_letters_reference(gen, letters, bidegree=False)
 
 
@@ -418,6 +433,7 @@ def check_extension_conjugation(mu, n):
     delta = conjugate_part(mu, W_OF_V, to_reversed=True)
     w_space = delta.space
     sign = -1 if ((n - k) * mu.parity) & 1 else 1
+    table = extensions(mu, n)
     for t in canonical_tuples(space, mu.flavor, n):
         word = Word(space, mu.flavor, t, 1)
         if word.is_zero():
@@ -438,7 +454,7 @@ def check_extension_conjugation(mu, n):
                 around.pop(back.letters, None)
         # direct: bidegree-graded extension on the V side, rescaled
         direct = {}
-        for letters, c in extend_letters(mu, t).items():
+        for letters, c in table.get(t, {}).items():
             if sign * c:
                 direct[letters] = sign * c
         if around != direct:

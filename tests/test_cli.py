@@ -178,6 +178,33 @@ def test_deform_refuses_a_noninvariant_form(fmt, want):
     assert run("deform", parse(text), fmt=fmt) == (want, 1)
 
 
+REPEATED_EVEN = """field F %d
+flavor exterior
+space
+  basis c even
+inner_product
+  <c,c> = 1
+deformation lam 1 odd_parameter
+  lam(c) = c
+"""
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_deform_refuses_a_form_on_a_repeated_even_letter(tmp_path, capsys,
+                                                         p):
+    """The direction's scalar form is 1 at (c,c), so it is not alternating.
+    Over F_2, where 1 = -1, antisymmetry cannot see that, and the exterior
+    cyclicity test names the repeated even letter itself: deform answers
+    as over F_3, where it never reaches the cyclic complex."""
+    path = tmp_path / "c.alg"
+    path.write_text(REPEATED_EVEN % p, encoding="utf-8")
+    assert main(["deform", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "deform lam: cocycle=yes coboundary=no preserves_ip=no  # direction "
+        "is not cyclic, so it cannot be a coboundary in the cyclic "
+        "complex\n", "")
+
+
 def over_field(text, field):
     return re.sub(r"^field Q$", "field " + field, text, flags=re.M)
 
@@ -314,8 +341,8 @@ class TestMainEntryPoint:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
             "error: window 0..99999999999999999999999: its "
-            "degree-100000000000000000000000 index would scan "
-            "4^100000000000000000000001 entries, more than 1000000\n")
+            "degree-100000000000000000000000 basis would have "
+            "4^100000000000000000000001 positions, more than 1000000\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
     def test_deform_too_large_is_one_line_and_exit_2(self, tmp_path, fmt):
@@ -336,8 +363,8 @@ class TestMainEntryPoint:
         assert time.perf_counter() - start < 2
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: deform lam: direction of degree 6: its degree-6 index "
-            "would scan 10^7 = 10000000 entries, more than 1000000\n")
+            "error: deform lam: direction of degree 6: its degree-6 basis "
+            "would have 10^7 = 10000000 positions, more than 1000000\n")
 
     def test_bracket_takes_at_most_two_names(self, capsys):
         assert main(["bracket", self.path("sl2.alg"), "lam", "lam"]) == 0
@@ -361,8 +388,8 @@ class TestMainEntryPoint:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: window 0..62500: its degree-62501 "
-                                "index would scan 4*250004 = 1000016 "
-                                "entries, more than 1000000\n")
+                                "basis would have 4*250004 = 1000016 "
+                                "positions, more than 1000000\n")
 
     def test_exterior_bound_counts_the_kept_tuples(self, capsys):
         """gl3 has no exterior tuple above degree 9, so a window past it is
@@ -524,6 +551,22 @@ class TestSizeFrontier:
         assert [hc[k] for k in periodic] == [hc[k - 2] for k in periodic]
         assert hh == [1] + [0] * b
         assert hc == [1 - k % 2 for k in range(b + 1)]
+
+    def test_an_inner_weight_makes_the_odd_line_acyclic(self):
+        """a even, u odd, l(a,u) = u at window 0..80, whose terms repeat u
+        up to 81 times.  The weight w(a) = 0, w(u) = 1 acts on cochains as
+        ad a, up to sign D(a), which is zero on cohomology, so every
+        cochain of nonzero weight lies in an acyclic subcomplex over Q.  A
+        weight-0 cochain takes at most one u and one a, so it stops at
+        degree 2, and H = 0 in every degree."""
+        af = parse("field Q\nflavor exterior\nspace\n  basis a even\n"
+                   "  basis u odd\nmap l 2\n  l(a,u) = u\n")
+        text, status = run("cohomology", af, window=(0, 80))
+        rows = re.findall(r"^degree (\d+): cocycles=(\d+) coboundaries=(\d+)"
+                          r" H=(\d+)$", text, re.M)
+        assert status == 0
+        assert [tuple(map(int, r)) for r in rows] == \
+            [(0, 0, 0, 0)] + [(d, 2, 2, 0) for d in range(1, 81)]
 
     def test_gl3_cohomology_and_cyclic_over_f32003(self):
         af = load_over(os.path.join(BENCH_INPUTS, "gl3.alg"), "F 32003")

@@ -5,15 +5,17 @@ import itertools
 import pytest
 
 from codiff import GradedSpace
-from codiff.cochain import add, scale, vec_add, zero_cochain
-from codiff.coderivation import (V_OF_W, W_OF_V, compose, extend_letters,
-                                 family_bracket, modified_bracket, splits)
+from codiff.cochain import (Cochain, add, canonical_tuples, scale, vec_add,
+                            zero_cochain)
+from codiff.coderivation import (V_OF_W, W_OF_V, compose, family_bracket,
+                                 heads_of, modified_bracket, terms)
+from codiff.fields import QQ, PrimeField
 from codiff.graded import EXTERIOR, TENSOR, word_parity
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
-                           splits_reference, word_tuples)
+                           extend_letters_reference, word_tuples)
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word, bracket,
-                      extend_on, grading_pair, make_cochain, random_cochain,
-                      reduced_diagonal, restrict)
+                      extend_on, extensions, grading_pair, make_cochain,
+                      random_cochain, reduced_diagonal, restrict)
 
 F = Fraction
 
@@ -32,30 +34,45 @@ class TestExtension:
         # m(v1,v2)(x)v3 - v1(x)m(v2,v3)
         space = GradedSpace(("a",), (0,))
         m2 = make_cochain(space, TENSOR, 2, 0, {("a", "a"): {"a": 1}})
-        out = extend_letters(m2, (0, 0, 0))
+        out = extend_on(m2, (0, 0, 0), PRODUCT_FORM)
         assert out == {(0, 0): 0} or out == {}
         # with two generators the two insertions stay separate
         space = GradedSpace(("a", "b"), (0, 0))
         m2 = make_cochain(space, TENSOR, 2, 0, {("a", "a"): {"b": 1}})
-        out = extend_letters(m2, (0, 0, 0))
+        out = extend_on(m2, (0, 0, 0), PRODUCT_FORM)
         assert out == {(1, 0): 1, (0, 1): -1}
 
     def test_short_word_vanishes(self):
         space = GradedSpace(("a", "b"), (0, 0))
         m2 = make_cochain(space, TENSOR, 2, 0, {("a", "a"): {"b": 1}})
-        assert extend_letters(m2, (0,)) == {}
+        assert extend_on(m2, (0,), PRODUCT_FORM) == {}
 
-    def test_exterior_splits_match_the_oracle(self):
-        # every canonical word up to degree 5 under every parity pattern of
-        # a 3-letter space, odd letters repeating: the same terms in the
-        # same order as the oracle's unshuffles
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                             ids=str)
+    @pytest.mark.parametrize("flavor", [TENSOR, EXTERIOR])
+    def test_terms_sum_to_the_oracle_extension(self, flavor, field):
+        # every canonical word up to degree 5 (tensor 4) under every parity
+        # pattern of a 3-letter space, for a cochain of each degree 0..3 and
+        # parity with distinct coefficients at every head: the terms summed
+        # per target are the oracle's extension, which sums the unshuffles
+        # of the target one by one.  Odd exterior letters repeat, so some
+        # terms stand for several unshuffles.
+        several = 0
         for par in itertools.product((0, 1), repeat=3):
-            space = GradedSpace(("a", "b", "c"), par)
-            for n in range(6):
-                for word in word_tuples(space, EXTERIOR, n):
-                    for k in range(n + 2):
-                        assert list(splits(EXTERIOR, word, k, par)) == \
-                            list(splits_reference(EXTERIOR, word, k, par))
+            space = GradedSpace(("a", "b", "c"), par, field)
+            for k, parity in itertools.product(range(4), (0, 1)):
+                gen = dense_cochain(space, flavor, k, parity)
+                for n in range(6 if flavor == EXTERIOR else 5):
+                    table = extensions(gen, n)
+                    for word in word_tuples(space, flavor, n):
+                        assert table.get(word, {}) == \
+                            extend_letters_reference(gen, word)
+                    if n >= k - 1:
+                        several += sum(
+                            abs(signs[0]) > 1 for *_, signs in terms(
+                                canonical_tuples(space, flavor, n - k + 1),
+                                heads_of(gen), flavor, par))
+        assert (several > 0) == (flavor == EXTERIOR)
 
     def test_generator_mode_constraints(self):
         # a symmetric generator takes the parity grading, so it lives on the
@@ -86,6 +103,17 @@ class TestExtension:
                     assert coderivation_axiom_holds(gen, form, w)
                     cases += 1
         assert cases > 150
+
+
+def dense_cochain(space, flavor, degree, parity):
+    """The cochain with a distinct coefficient, 1, 2, 3, .., at every head
+    and output letter its parity allows."""
+    coeffs, count = {}, itertools.count(1)
+    for t in canonical_tuples(space, flavor, degree):
+        tp = word_parity(space, t)
+        coeffs[t] = {b: space.field(next(count)) for b in range(space.dim)
+                     if space.parities[b] ^ tp == parity}
+    return Cochain(space, flavor, degree, parity, coeffs)
 
 
 def coderivation_axiom_holds(gen, form, word):

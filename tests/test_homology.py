@@ -859,8 +859,8 @@ class TestWindowBound:
             space, TENSOR, 2, 0, {("x0", "x0"): {"x0": 1}})})
         lam = make_cochain(space, TENSOR, 6, 0, {("x0",) * 6: {"x1": 1}})
         with pytest.raises(WindowTooLarge, match=(
-                r"^direction of degree 6: its degree-6 index would scan "
-                r"10\^7 = 10000000 entries, more than 1000000$")):
+                r"^direction of degree 6: its degree-6 basis would have "
+                r"10\^7 = 10000000 positions, more than 1000000$")):
             classify_deformation(s, {6: lam})
         assert built == []
 
@@ -889,6 +889,6 @@ class TestWindowBound:
                 assert str(refusal.value) == (
                     "window 0..%d has %d rows, more than 0" % (b, b + 1))
                 continue
-            size = int(re.search(r" = (\d+) entries", str(refusal.value))[1])
+            size = int(re.search(r" = (\d+) positions", str(refusal.value))[1])
             assert size == dim * scan == cx.dim(d)
             assert len(_CyclicComplex(s)._index(d)) <= size

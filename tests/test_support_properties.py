@@ -10,10 +10,11 @@ full-enumeration loop it replaced, kept here as the reference, on random
 sparse cochains over Q, F_2 and F_3 with odd and even letters.
 ``canonical_tuples`` grows only the exterior tuples it keeps; it is
 compared, tuples and order, with the filter of every multiset
-(``oracle.word_tuples``).  The extension and ``compose`` read a cochain by
-key at the canonical words ``splits`` yields; they are compared with the
-oracle's ``extend_letters_reference`` and ``compose_reference``, which
-read every canonical word through the oracle's own sort."""
+(``oracle.word_tuples``).  The extension terms of ``coderivation.terms``,
+summed per target, and ``compose`` read a cochain by key at canonical
+words; they are compared with the oracle's ``extend_letters_reference``
+and ``compose_reference``, which read every canonical word through the
+oracle's own sort."""
 
 import itertools
 import random
@@ -27,20 +28,19 @@ from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
 from codiff.cochain import (  # noqa: E402
     Cochain, InnerProduct, ScalarCochain, canonical_tuples, tilde, untilde,
     vec_add)
-from codiff.coderivation import compose, extend_letters, splits  # noqa: E402
+from codiff.coderivation import compose, heads_of, terms  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import (EXTERIOR, TENSOR, canonical_word,  # noqa: E402
                            word_parity)
 from codiff.oracle import (compose_reference,  # noqa: E402
-                           extend_letters_reference, splits_reference,
-                           word_tuples)
+                           extend_letters_reference, word_tuples)
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
                              _cyclic_witness, _rotation_sum,
                              _rotation_witness, _unshuffle_sum,
                              is_cyclic_scalar)
 from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import (cyclic_basis_cochains, pair,  # noqa: E402
-                      random_cochain, reorder_sign,
+from conftest import (cyclic_basis_cochains, extensions,  # noqa: E402
+                      pair, random_cochain, reorder_sign,
                       rotation_reorder_sign)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
@@ -400,28 +400,27 @@ def test_tilde_matches_full_enumeration(form, flavor, degree, parity, density,
        n=st.integers(1, 5), k=st.integers(0, 3),
        parities=st.tuples(st.integers(0, 1), st.integers(0, 1)),
        density=DENSITY, seed=st.integers(0, 2 ** 32))
-def test_splits_of_canonical_words_are_read_by_key(space, flavor, n, k,
-                                                   parities, density, seed):
-    """``splits`` yields the terms of the oracle's ``splits_reference``, in
-    order, on a canonical word (odd letters repeat in the exterior
-    algebra).  Every head and suffix it yields is canonical, so the reads by
-    key of ``extend_letters`` and ``compose`` give what the oracle's reads
-    through its own sort give."""
+def test_terms_of_canonical_words_sum_to_the_oracle_extension(
+        space, flavor, n, k, parities, density, seed):
+    """The terms of ``terms`` on the canonical words of degree n - k + 1
+    (odd letters repeat in the exterior algebra) have canonical targets of
+    degree n, and summed per target they are the oracle's extension, value
+    and type, which sums every split of the target.  So the reads by key of
+    ``terms`` and ``compose`` give what the oracle's reads through its own
+    sort give."""
     words = canonical_tuples(space, flavor, n)
     assume(k <= n and words)
     rng = random.Random(seed)
     par = space.parities
-    word = rng.choice(words)
-    assert list(splits(flavor, word, k, par)) == \
-        list(splits_reference(flavor, word, k, par))
-    for _, head, _, post in splits(flavor, word, k, par):
-        for w in (head, post):
-            assert canonical_word(flavor, w, par) == (1, w)
     gen = random_cochain(space, flavor, k, parities[0], rng, density)
-    got = extend_letters(gen, word)
-    want = extend_letters_reference(gen, word)
-    assert [(t, c, type(c)) for t, c in got.items()] == \
-        [(t, c, type(c)) for t, c in want.items()]
+    for t, *_ in terms(canonical_tuples(space, flavor, n - k + 1),
+                       heads_of(gen), flavor, par):
+        assert len(t) == n and canonical_word(flavor, t, par) == (1, t)
+    table = extensions(gen, n)
+    for word in words:
+        want = extend_letters_reference(gen, word)
+        assert {t: (c, type(c)) for t, c in table.get(word, {}).items()} == \
+            {t: (c, type(c)) for t, c in want.items()}
     outer = random_cochain(space, flavor, n - k + 1, parities[1], rng,
                            density)
     assert same(compose(outer, gen), compose_reference(outer, gen))
