@@ -179,7 +179,13 @@ def tilde_reference(c, ip):
 def cyclic_witness_reference(phi, ip):
     space = phi.space
     if phi.flavor == EXTERIOR:
-        return antisymmetry_witness_reference(tilde_reference(phi, ip))
+        # graded alternating: antisymmetric, and zero wherever an even
+        # letter repeats (which antisymmetry misses in characteristic 2)
+        f = tilde_reference(phi, ip)
+        return antisymmetry_witness_reference(f) or next(
+            (t for t in itertools.product(range(space.dim), repeat=f.arity)
+             if f.value(t) and any(not space.parities[x] and t.count(x) > 1
+                                   for x in t)), None)
     k = phi.degree
     for t in itertools.product(range(space.dim), repeat=k + 1):
         lhs = pair(ip, phi.value(t[:k]), t[k])
