@@ -9,9 +9,10 @@ name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
 is the first with rotation orbits of period 3, through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
-file of that checkout, and on the exterior inputs with odd letters of
-``INLINE``, which are written to the temporary directory and so run on an
-older checkout too (they also run ``cohomology`` and ``cyclic`` at window
+file of that checkout, and on the exterior inputs of ``INLINE`` (two with
+odd letters, and one with an odd letter and two arities, l_1 and l_2),
+which are written to the temporary directory and so run on an older
+checkout too (they also run ``cohomology`` and ``cyclic`` at window
 0..12, whose tuples repeat an odd letter up to 13 times and more), over
 Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
 under both conventions, in text and json-lines.  A file with an ``inner_product`` block also runs ``deform``
@@ -62,8 +63,25 @@ map l 2
 %sdeformation lam 2 even_parameter
   lam(a,u) = u
 """
+# an exterior structure with two arities and an odd letter: it validates,
+# and over Q its cohomology at 0..4 is 1, 1, 0, 0, 0 and its cyclic
+# cohomology is 0
+TWO_ARITIES = """field Q
+flavor exterior
+space
+  basis x even
+  basis y odd
+  basis z even
+map d 1
+  d(x) = y
+map l 2
+  l(x,z) = z
+deformation lam 2 even_parameter
+  lam(x,z) = z
+"""
 INLINE = (("odd_letters.alg", ODD_LETTERS % ""),
-          ("odd_letters_bracket.alg", ODD_LETTERS % "  l(u,v) = a\n"))
+          ("odd_letters_bracket.alg", ODD_LETTERS % "  l(u,v) = a\n"),
+          ("two_arities.alg", TWO_ARITIES))
 
 
 def digest(text):

@@ -16,9 +16,10 @@
 
 '#' starts a comment.  Scalars are integers, fractions a/b, or F_p
 residues.  Values are linear combinations like ``2*e + 1/2*f - h``
-(the ``*`` is optional).  Exterior assignments list their letters in basis
-order, and a repeated even letter is refused.  Diagnostics carry a code and
-the line number.
+(the ``*`` is optional); a value that ends in ``+`` or ``-``, or a ``*``
+with no coefficient before it, is refused.  Exterior assignments list their
+letters in basis order, and a repeated even letter is refused.  Diagnostics
+carry a code and the line number.
 """
 
 from __future__ import annotations
@@ -90,37 +91,28 @@ class _Parser:
         self.flavor = None
         self.basis = []
         self.space = None
-        self.maps = {}          # arity -> (name, {tuple: vec}, lineno)
-        self.defos = {}         # name -> [parity, {arity: (entries, lineno)}]
+        self.maps = {}          # arity -> block
+        self.defos = {}         # name -> [parity, {arity: block}]
         self.ip_entries = None  # {(i, j): scalar}
         self.ip_line = 0        # line of the inner_product header
+        # the open block: "space", "ip", or a map or deformation block
+        # (name, arity, {tuple: vec}, line of its header)
         self.block = None
 
     def err(self, code, lineno, message):
         raise ParseError(code, lineno, message)
 
-    def close_space(self, lineno):
-        if not self.basis:
-            self.err(E_SPACE, lineno, "space block declares no basis")
-        try:
-            self.space = GradedSpace(tuple(n for n, _ in self.basis),
-                                     tuple(p for _, p in self.basis),
-                                     self.field)
-        except ValueError as exc:
-            self.err(E_SPACE, lineno, str(exc))
-
     def end_block(self, lineno):
-        if self.block is None:
-            return
-        kind = self.block[0]
-        if kind == "space":
-            self.close_space(lineno)
+        if self.block == "space":
+            if not self.basis:
+                self.err(E_SPACE, lineno, "space block declares no basis")
+            try:
+                self.space = GradedSpace(tuple(n for n, _ in self.basis),
+                                         tuple(p for _, p in self.basis),
+                                         self.field)
+            except ValueError as exc:
+                self.err(E_SPACE, lineno, str(exc))
         self.block = None
-
-    def need_space(self, lineno):
-        if self.space is None or self.flavor is None:
-            self.err(E_STRUCTURE, lineno,
-                     "field, flavor and space must precede this block")
 
     def run(self):
         for lineno, raw in enumerate(self.lines, start=1):
@@ -140,8 +132,14 @@ class _Parser:
     def dispatch(self, line, lineno):
         tokens = line.split()
         head = tokens[0]
-        if head == "field":
+        if head in ("field", "flavor", "space", "map", "inner_product",
+                    "deformation"):
             self.end_block(lineno)
+        if head in ("map", "inner_product", "deformation") and (
+                self.space is None or self.flavor is None):
+            self.err(E_STRUCTURE, lineno,
+                     "field, flavor and space must precede this block")
+        if head == "field":
             if self.field is not None:
                 self.err(E_DUPLICATE, lineno, "second field line")
             if tokens[1:] == ["Q"]:
@@ -154,7 +152,6 @@ class _Parser:
             else:
                 self.err(E_FIELD, lineno, "expected 'field Q' or 'field F p'")
         elif head == "flavor":
-            self.end_block(lineno)
             if self.flavor is not None:
                 self.err(E_DUPLICATE, lineno, "second flavor line")
             if tokens[1:] == ["symmetric"]:
@@ -166,14 +163,13 @@ class _Parser:
                          "expected 'flavor tensor' or 'flavor exterior'")
             self.flavor = tokens[1]
         elif head == "space":
-            self.end_block(lineno)
             if self.space is not None:
                 self.err(E_DUPLICATE, lineno, "second space block")
             if self.field is None:
                 self.err(E_STRUCTURE, lineno, "field line must precede the space")
-            self.block = ("space",)
+            self.block = "space"
         elif head == "basis":
-            if self.block is None or self.block[0] != "space":
+            if self.block != "space":
                 self.err(E_DIRECTIVE, lineno, "basis line outside a space block")
             if len(tokens) != 3 or tokens[2] not in ("even", "odd"):
                 self.err(E_SPACE, lineno, "expected 'basis <name> even|odd'")
@@ -185,27 +181,20 @@ class _Parser:
                          "duplicate basis name %r" % tokens[1])
             self.basis.append((tokens[1], 0 if tokens[2] == "even" else 1))
         elif head == "map":
-            self.end_block(lineno)
-            self.need_space(lineno)
             if len(tokens) != 3:
                 self.err(E_DIRECTIVE, lineno, "expected 'map <name> <arity>'")
             arity = self.parse_arity(tokens[2], lineno)
             if arity in self.maps:
                 self.err(E_DUPLICATE, lineno,
                          "second map block of arity %d" % arity)
-            self.maps[arity] = (tokens[1], {}, lineno)
-            self.block = ("map", arity)
+            self.maps[arity] = self.block = (tokens[1], arity, {}, lineno)
         elif head == "inner_product":
-            self.end_block(lineno)
-            self.need_space(lineno)
             if self.ip_entries is not None:
                 self.err(E_DUPLICATE, lineno, "second inner_product block")
             self.ip_entries = {}
             self.ip_line = lineno
-            self.block = ("ip",)
+            self.block = "ip"
         elif head == "deformation":
-            self.end_block(lineno)
-            self.need_space(lineno)
             if len(tokens) != 4 or tokens[3] not in ("odd_parameter",
                                                      "even_parameter"):
                 self.err(E_DIRECTIVE, lineno,
@@ -222,11 +211,10 @@ class _Parser:
                 self.err(E_DUPLICATE, lineno,
                          "second block for deformation %r arity %d"
                          % (tokens[1], arity))
-            slot[1][arity] = ({}, lineno)
-            self.block = ("deformation", tokens[1], arity)
-        elif self.block is not None and self.block[0] == "ip":
+            slot[1][arity] = self.block = (tokens[1], arity, {}, lineno)
+        elif self.block == "ip":
             self.parse_ip_line(line, lineno)
-        elif self.block is not None and self.block[0] in ("map", "deformation"):
+        elif isinstance(self.block, tuple):
             self.parse_assignment(line, lineno)
         else:
             self.err(E_DIRECTIVE, lineno, "unknown directive %r" % head)
@@ -261,12 +249,7 @@ class _Parser:
         if not m:
             self.err(E_DIRECTIVE, lineno, "unrecognized line %r" % line)
         name, args_s, value_s = m.groups()
-        if self.block[0] == "map":
-            arity = self.block[1]
-            block_name, entries, _ = self.maps[arity]
-        else:
-            _, block_name, arity = self.block
-            entries = self.defos[block_name][1][arity][0]
+        block_name, arity, entries, _ = self.block
         if name != block_name:
             self.err(E_DIRECTIVE, lineno,
                      "assignment to %r inside the block of %r"
@@ -315,7 +298,7 @@ class _Parser:
                     coeff_s, name = tokens
                 else:
                     self.err(E_SCALAR, lineno, "cannot read term %r" % term)
-            if not name:
+            if not name or coeff_s == "":
                 self.err(E_SCALAR, lineno, "cannot read term %r" % term)
             try:
                 idx = self.space.index(name)
@@ -360,14 +343,16 @@ class _Parser:
             cur.append(ch)
             if not ch.isspace():
                 started = True
-        if cur and "".join(cur).strip():
+        if started:
+            # after a trailing + or - this is the empty term ''
             out.append((sign, "".join(cur).strip()))
         if not out:
             self.err(E_SCALAR, lineno, "empty value")
         return out
 
-    def cochain_from_entries(self, arity, entries, what, lineno,
-                             declared_parity=None):
+    def cochain_from_block(self, directive, block, declared_parity=None):
+        name, arity, entries, lineno = block
+        what = "%s %s of arity %d" % (directive, name, arity)
         space = self.space
         parity = None
         for t, vec in entries.items():
@@ -390,13 +375,9 @@ class _Parser:
             self.err(E_ARITY, lineno, "%s: %s" % (what, exc))
 
     def build(self):
-        parts = {}
-        part_names = {}
-        for arity in sorted(self.maps):
-            name, entries, lineno = self.maps[arity]
-            parts[arity] = self.cochain_from_entries(
-                arity, entries, "map %s of arity %d" % (name, arity), lineno)
-            part_names[arity] = name
+        parts = {k: self.cochain_from_block("map", block)
+                 for k, block in sorted(self.maps.items())}
+        part_names = {k: block[0] for k, block in sorted(self.maps.items())}
         ip = None
         if self.ip_entries is not None:
             n = self.space.dim
@@ -414,16 +395,11 @@ class _Parser:
             except ValueError as exc:
                 self.err(E_STRUCTURE, self.ip_line, "inner_product: %s" % exc)
         deformations = {}
-        for name in sorted(self.defos):
-            parity, blocks = self.defos[name]
-            fam = {}
-            for arity in sorted(blocks):
-                entries, lineno = blocks[arity]
-                fam[arity] = self.cochain_from_entries(
-                    arity, entries,
-                    "deformation %s of arity %d" % (name, arity), lineno,
-                    declared_parity=(parity + arity) & 1)
-            deformations[name] = (parity, fam)
+        for name, (parity, blocks) in sorted(self.defos.items()):
+            deformations[name] = (parity, {
+                k: self.cochain_from_block("deformation", block,
+                                           (parity + k) & 1)
+                for k, block in sorted(blocks.items())})
         return AlgebraFile(self.space, self.flavor, parts, part_names, ip,
                            deformations)
 
@@ -469,14 +445,16 @@ def serialize(af):
     lines.append("space")
     for name, parity in zip(space.names, space.parities):
         lines.append("  basis %s %s" % (name, "odd" if parity else "even"))
-    for arity in sorted(af.parts):
-        name = af.part_names.get(arity, "m")
-        lines.append("map %s %d" % (name, arity))
-        part = af.parts[arity]
+
+    def block(header, name, part):
+        lines.append(header)
         for t in sorted(part.coeffs):
             args = ",".join(space.names[i] for i in t)
             lines.append("  %s(%s) = %s"
                          % (name, args, render_vector(space, part.coeffs[t])))
+    for arity in sorted(af.parts):
+        name = af.part_names.get(arity, "m")
+        block("map %s %d" % (name, arity), name, af.parts[arity])
     if af.inner_product is not None:
         lines.append("inner_product")
         for i in range(space.dim):
@@ -490,10 +468,6 @@ def serialize(af):
         parity, fam = af.deformations[name]
         tag = "odd_parameter" if parity else "even_parameter"
         for arity in sorted(fam):
-            lines.append("deformation %s %d %s" % (name, arity, tag))
-            part = fam[arity]
-            for t in sorted(part.coeffs):
-                args = ",".join(space.names[i] for i in t)
-                lines.append("  %s(%s) = %s"
-                             % (name, args, render_vector(space, part.coeffs[t])))
+            block("deformation %s %d %s" % (name, arity, tag), name,
+                  fam[arity])
     return "\n".join(lines) + "\n"

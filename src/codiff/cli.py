@@ -8,12 +8,12 @@
     codiff convert FILE
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
-non-invariant inner product, parity constraint), 2 on an input error (an
-unreadable or malformed file, a bad window, an unknown name, a part beyond
-``--max-arity``, a window or a deformation direction too large to build:
-its top basis would have more than ``homology.MAX_INDEX`` positions, which
-bounds the size of the basis, not the running time), 3 on an internal
-error or lack of memory.  Every
+non-invariant inner product, parity constraint), 2 on an input error (a
+bad command line, an unreadable or malformed file, a bad window, an
+unknown name, a part beyond ``--max-arity``, a window or a deformation
+direction too large to build: its top basis would have more than
+``homology.MAX_INDEX`` positions, which bounds the size of the basis, not
+the running time), 3 on an internal error or lack of memory.  Every
 refusal with exit 2 or 3 is one ``error:`` line on stderr, with nothing on
 stdout and no traceback.
 """
@@ -28,7 +28,7 @@ from .coderivation import (V_OF_W, W_OF_V, convert_convention_parts,
                            family_bracket)
 from .homology import (InvarianceError, WindowTooLarge, classify_deformation,
                        cohomology, cyclic_cohomology)
-from .structures import (DEFAULT_MAX_ARITY, FLAVOR_KIND, InfinityStructure,
+from .structures import (DEFAULT_MAX_ARITY, InfinityStructure,
                          StructureError, validate)
 
 OK, MATH_FAIL, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
@@ -39,6 +39,14 @@ CONVENTION_FLAGS = {"w-of-v": W_OF_V, "v-of-w": V_OF_W}
 class UsageError(Exception):
     """A command line the CLI refuses: a malformed window, names it cannot
     take or does not know, an unknown command."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print its usage and exit, so
+    that a bad command line is refused in one line like any input error."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_window(text):
@@ -55,8 +63,7 @@ def _parse_window(text):
 
 
 def build_structure(af, convention, max_arity):
-    kind = FLAVOR_KIND[af.flavor]
-    return InfinityStructure(kind, af.space, dict(af.parts), convention,
+    return InfinityStructure(af.flavor, af.space, dict(af.parts), convention,
                              max_arity)
 
 
@@ -254,7 +261,7 @@ def _cmd_convert(af, fmt):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="codiff",
         description="exact validation, cohomology and deformation reports for "
                     "homotopy associative and homotopy Lie structures")
@@ -262,7 +269,7 @@ def main(argv=None):
                     choices=["validate", "bracket", "cohomology", "cyclic",
                              "deform", "convert"])
     ap.add_argument("file", help="algebra definition file")
-    ap.add_argument("names", nargs="*",
+    ap.add_argument("names", nargs="*", default=[],
                     help="deformation names for the bracket command")
     ap.add_argument("--convention", choices=sorted(CONVENTION_FLAGS),
                     default="w-of-v")
@@ -270,8 +277,8 @@ def main(argv=None):
     ap.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY)
     ap.add_argument("--format", dest="fmt", choices=["text", "json-lines"],
                     default="text")
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         kw = {} if args.window is None else {
             "window": _parse_window(args.window)}
         with open(args.file, encoding="utf-8") as fh:

@@ -1,9 +1,11 @@
 """Homotopy-associative and homotopy-Lie structures and their validation.
 
-A structure is a finitely supported family {m_k} of cochains (tensor flavor
-for the associative kind, exterior for the Lie kind) together with a sign
-convention.  Validity means the family assembles to an odd codifferential
-on the reversed side; on the V side this is the vanishing, for every n, of
+A structure is a flavor, a finitely supported family {m_k} of cochains of
+that flavor and a sign convention.  The flavor is the structure's kind: an
+A∞ structure (``A_INFINITY``) is a codifferential on the tensor coalgebra,
+an L∞ one (``L_INFINITY``) on the exterior coalgebra.  Validity means the
+family assembles to an odd codifferential on the reversed side; on the V
+side this is the vanishing, for every n, of
 
     sum over a+b=n+1 of  S(a,b) * m_a ∘ (extension of m_b at level a)
 
@@ -21,11 +23,9 @@ from .coderivation import (CONVENTIONS, W_OF_V, bracket_signs, compose,
                            family_bracket, family_is_zero)
 from .graded import EXTERIOR, TENSOR
 
-A_INFINITY = "a_infinity"
-L_INFINITY = "l_infinity"
-
-KIND_FLAVOR = {A_INFINITY: TENSOR, L_INFINITY: EXTERIOR}
-FLAVOR_KIND = {TENSOR: A_INFINITY, EXTERIOR: L_INFINITY}
+# the paper's names for the two flavors
+A_INFINITY = TENSOR
+L_INFINITY = EXTERIOR
 
 DEFAULT_MAX_ARITY = 8
 
@@ -35,18 +35,17 @@ class StructureError(ValueError):
 
 
 class InfinityStructure:
-    def __init__(self, kind, space, parts=None, convention=W_OF_V,
+    def __init__(self, flavor, space, parts=None, convention=W_OF_V,
                  max_arity=DEFAULT_MAX_ARITY):
-        self.kind = kind
+        self.flavor = flavor
         self.space = space
         self.parts = {} if parts is None else parts
         self.convention = convention
         self.max_arity = max_arity
-        if self.kind not in KIND_FLAVOR:
-            raise StructureError("kind must be a_infinity or l_infinity")
+        if flavor not in (TENSOR, EXTERIOR):
+            raise StructureError("flavor must be tensor or exterior")
         if self.convention not in CONVENTIONS:
             raise StructureError("unknown convention %r" % self.convention)
-        flavor = KIND_FLAVOR[self.kind]
         clean = {}
         for k, part in self.parts.items():
             if part.is_zero():
@@ -61,15 +60,11 @@ class InfinityStructure:
                                      % (k, self.max_arity))
             if part.flavor != flavor:
                 raise StructureError("%s structures need %s-flavored parts"
-                                     % (self.kind, flavor))
+                                     % (flavor, flavor))
             if part.space != self.space:
                 raise StructureError("part lives on a different space")
             clean[k] = part
         self.parts = clean
-
-    @property
-    def flavor(self):
-        return KIND_FLAVOR[self.kind]
 
     @property
     def top_arity(self):
@@ -77,9 +72,8 @@ class InfinityStructure:
 
 
 class ValidationReport:
-    def __init__(self, ok, kind="ok", n=0, letters=(), residual=None):
+    def __init__(self, ok, n=0, letters=(), residual=None):
         self.ok = ok
-        self.kind = kind           # ok | parity | relation
         self.n = n
         self.letters = letters
         self.residual = {} if residual is None else residual
@@ -121,7 +115,7 @@ def validate(s):
         res = structure_residual(s, n).coeffs
         if res:
             t = min(res)
-            return ValidationReport(False, "relation", n,
+            return ValidationReport(False, n,
                                     tuple(s.space.names[i] for i in t), res[t])
     return ValidationReport(True)
 

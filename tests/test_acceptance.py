@@ -148,7 +148,7 @@ def test_a04_conjugation(dual_numbers, sl2, koszul_dga, nonassociative):
     # both conventions accept exactly the same fixtures
     for s in (dual_numbers[0], sl2[0], koszul_dga, nonassociative):
         mine = validate(s).ok
-        other = validate(InfinityStructure(s.kind, s.space, s.parts,
+        other = validate(InfinityStructure(s.flavor, s.space, s.parts,
                                            V_OF_W)).ok
         assert mine == other
     report("4 conjugation sign relation + convention agreement: PASS")
@@ -183,7 +183,7 @@ def test_a05_three_route_agreement(dual_numbers, sl2, koszul_dga,
             continue
         parts = dict(base.parts)
         parts[arity] = add(parts[arity], pert) if arity in parts else pert
-        s = InfinityStructure(base.kind, base.space, parts, base.convention)
+        s = InfinityStructure(base.flavor, base.space, parts, base.convention)
         a, b, c = routes(s)
         assert a == b == c
         if not a:

@@ -140,6 +140,11 @@ DIAGNOSTICS = [
     (ONE_EVEN + "map m 1\n  m(a) = 2 3 a\n", E_SCALAR, 6),
     (ONE_EVEN + "map m 1\n  m(a) = 2*\n", E_SCALAR, 6),
     (ONE_EVEN + "map m 1\n  m(a) = -\n", E_SCALAR, 6),
+    # a value cut short after an operator
+    (ONE_EVEN + "map m 1\n  m(a) = a -\n", E_SCALAR, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = a +\n", E_SCALAR, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = 2*a + 3*a -\n", E_SCALAR, 6),
+    (ONE_EVEN + "map m 1\n  m(a) = * a\n", E_SCALAR, 6),
     (ONE_EVEN + "inner_product\n  <a,a> = 1\ninner_product\n",
      E_DUPLICATE, 7),
     (ONE_EVEN + "inner_product\n  a a 1\n", E_DIRECTIVE, 6),
@@ -168,6 +173,23 @@ def test_symmetric_flavor_refusal_names_the_flavors():
     assert str(exc.value) == (
         "line 2: no symmetric flavor: the library computes on tensor and "
         "exterior structures only [E_FLAVOR]")
+
+
+@pytest.mark.parametrize("value,term", [
+    ("a -", ""), ("a +", ""), ("2*a + 3*a -", ""), ("a + + a", ""),
+    ("* a", "* a"), ("a - *a", "*a"),
+])
+def test_truncated_value_names_the_term(value, term):
+    with pytest.raises(ParseError) as exc:
+        parse(ONE_EVEN + "map m 1\n  m(a) = %s\n" % value)
+    assert str(exc.value) == "line 6: cannot read term %r [E_SCALAR]" % term
+
+
+@pytest.mark.parametrize("value,coeff", [("-a", -1), ("--a", 1),
+                                         ("+a", 1), ("2*a - a", 1)])
+def test_leading_signs_are_read(value, coeff):
+    af = parse(ONE_EVEN + "map m 1\n  m(a) = %s\n" % value)
+    assert af.parts[1].coeffs == {(0,): {0: coeff}}
 
 
 def test_exterior_assignment_names_its_letters():

@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
+from codiff import GradedSpace  # noqa: E402
 from codiff.coderivation import CONVENTIONS  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import EXTERIOR, TENSOR  # noqa: E402
@@ -40,8 +40,7 @@ def structures(draw):
     parities = tuple(draw(st.lists(st.integers(0, 1), min_size=dim,
                                    max_size=dim)))
     space = GradedSpace(tuple("abc"[:dim]), parities, field)
-    kind = draw(st.sampled_from([A_INFINITY, L_INFINITY]))
-    flavor = TENSOR if kind == A_INFINITY else EXTERIOR
+    flavor = draw(st.sampled_from([TENSOR, EXTERIOR]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
     arities = draw(st.sampled_from(ARITIES))
@@ -52,7 +51,7 @@ def structures(draw):
                                    st.sampled_from(DENOMINATORS))
                                if field == QQ else None)
              for k in arities}
-    s = InfinityStructure(kind, space, parts, draw(st.sampled_from(CONVENTIONS)))
+    s = InfinityStructure(flavor, space, parts, draw(st.sampled_from(CONVENTIONS)))
     p = draw(st.integers(0, (4 if dim < 3 else 3) - (max(arities) - 1)))
     return s, p
 

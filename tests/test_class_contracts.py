@@ -165,7 +165,7 @@ class TestConstructorChecks:
         (lambda sp: WCochain(sp, SYMMETRIC, 2, 0, {(1, 0): {0: 1}}),
          ValueError, r"non-canonical word \(1, 0\)"),
         (lambda sp: InfinityStructure("other", sp), StructureError,
-         "kind must be a_infinity or l_infinity"),
+         "flavor must be tensor or exterior"),
         (lambda sp: InfinityStructure(A_INFINITY, sp, {}, "other"),
          StructureError, "unknown convention 'other'"),
         (lambda sp: InfinityStructure(A_INFINITY, sp, {3: product(sp)}),
@@ -174,7 +174,7 @@ class TestConstructorChecks:
                                       W_OF_V, 1),
          StructureError, "arity 2 beyond the max_arity cap 1"),
         (lambda sp: InfinityStructure(L_INFINITY, sp, {2: product(sp)}),
-         StructureError, "l_infinity structures need exterior-flavored parts"),
+         StructureError, "exterior structures need exterior-flavored parts"),
         (lambda sp: InfinityStructure(A_INFINITY, GradedSpace(("x",), (0,)),
                                       {2: product(sp)}),
          StructureError, "part lives on a different space"),
@@ -214,9 +214,9 @@ def _constructions(sp):
          ("space", "flavor", "degree", "parity", "coeffs")),
         (Restriction, (2, 1, {}), ("k", "l", "matrix")),
         (InfinityStructure, (A_INFINITY, sp, {2: m}, W_OF_V, 4),
-         ("kind", "space", "parts", "convention", "max_arity")),
-        (ValidationReport, (False, "relation", 3, ("a",), {0: F(1)}),
-         ("ok", "kind", "n", "letters", "residual")),
+         ("flavor", "space", "parts", "convention", "max_arity")),
+        (ValidationReport, (False, 3, ("a",), {0: F(1)}),
+         ("ok", "n", "letters", "residual")),
         (DegreeRow, (2, 3, 1, 2, [m]),
          ("degree", "cocycles", "coboundaries", "quotient",
           "representatives")),
@@ -250,7 +250,7 @@ def test_defaults():
     assert (s.parts, s.convention, s.max_arity) == ({}, W_OF_V,
                                                     DEFAULT_MAX_ARITY)
     r = ValidationReport(True)
-    assert (r.kind, r.n, r.letters, r.residual) == ("ok", 0, (), {})
+    assert (r.n, r.letters, r.residual) == (0, (), {})
     assert DegreeRow(0, 1, 0, 1).representatives == []
     assert CohomologyReport((0, 1), [], False).note == ""
     d = DeformationClass(True, None)

@@ -376,6 +376,32 @@ class TestMainEntryPoint:
         assert captured.err == ("error: bracket takes at most two names, "
                                 "got 3\n")
 
+    @pytest.mark.parametrize("argv,want", [
+        ([], "error: the following arguments are required: command, file\n"),
+        (["frobnicate", "sl2.alg"], None),
+        (["validate", "sl2.alg", "--convention", "sideways"], None),
+        (["validate", "sl2.alg", "--max-arity", "two"], None),
+        (["cohomology", "sl2.alg", "--window", "-1..2"],
+         "error: argument --window: expected one argument\n"),
+    ], ids=["none", "command", "convention", "max-arity", "window"])
+    def test_bad_command_line_is_one_line_and_exit_2(self, capsys, argv,
+                                                     want):
+        """argparse's own refusals, whose wording differs between Python
+        versions except where it is given."""
+        argv = [self.path(a) if a.endswith(".alg") else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert want is None or captured.err == want
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: codiff")
+
     def test_window_too_large_in_process(self, tmp_path, capsys):
         # two even and two odd letters: the degree-d exterior tuples number
         # K(d) = (d + 1) + 2d + (d - 1) = 4d, as odd letters repeat
@@ -743,3 +769,22 @@ def test_sweep_odd_letter_inputs(convention, residual):
     assert run("validate", parse(texts["odd_letters_bracket.alg"]),
                convention=conv) == \
         ("validate: FAIL n=3 word=(u,u,v) residual=%s\n" % residual, 1)
+
+
+@pytest.mark.parametrize("convention", ["w-of-v", "v-of-w"])
+def test_sweep_two_arity_input(convention):
+    """The exterior input with l_1, l_2 and an odd letter answers as the
+    sweep says: it validates, its cohomology at 0..4 over Q is 1, 1, 0,
+    0, 0, its cyclic cohomology is 0, and its direction is a
+    coboundary."""
+    af = parse(sweep_inputs()["two_arities.alg"])
+    assert sorted(af.parts) == [1, 2] and af.flavor == "exterior"
+    conv = codiff.cli.CONVENTION_FLAGS[convention]
+    assert run("validate", af, convention=conv) == ("validate: ok\n", 0)
+    text, status = run("cohomology", af, window=(0, 4), convention=conv)
+    assert (status, quotients(text, "H")) == (0, [1, 1, 0, 0, 0])
+    text, status = run("cyclic", af, window=(0, 4), convention=conv)
+    assert (status, quotients(text, "HC")) == (0, [0, 0, 0, 0, 0])
+    text, status = run("deform", af, convention=conv)
+    assert status == 0
+    assert text.startswith("deform lam: cocycle=yes coboundary=yes ")

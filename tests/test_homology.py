@@ -784,7 +784,7 @@ class TestClassifyDeformation:
 
     def test_undetermined_beyond_cap(self, sl2, rng):
         s, _ = sl2
-        small = InfinityStructure(s.kind, s.space, s.parts, s.convention,
+        small = InfinityStructure(s.flavor, s.space, s.parts, s.convention,
                                   max_arity=2)
         lam = random_cochain(s.space, s.flavor, 3, 0, rng, density=1.0)
         assert not lam.is_zero()

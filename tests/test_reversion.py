@@ -135,7 +135,7 @@ class TestConvertConvention:
     def test_converted_structure_validates_in_other_convention(
             self, dual_numbers, sl2, koszul_dga, nonassociative):
         for s in (dual_numbers[0], sl2[0], koszul_dga, nonassociative):
-            other = InfinityStructure(s.kind, s.space,
+            other = InfinityStructure(s.flavor, s.space,
                                       convert_convention_parts(s.parts), V_OF_W)
             assert validate(other).ok == validate(s).ok
 
@@ -148,5 +148,5 @@ class TestConvertConvention:
             delta = reversed_parts(s)
             for conv in (W_OF_V, V_OF_W):
                 fam = conjugate_family(delta, conv, to_reversed=False)
-                back = InfinityStructure(s.kind, s.space, fam, conv)
+                back = InfinityStructure(s.flavor, s.space, fam, conv)
                 assert validate(back).ok

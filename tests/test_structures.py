@@ -11,7 +11,7 @@ from codiff.cochain import add, zero_cochain
 from codiff.coderivation import (CONVENTIONS, V_OF_W, bracket_signs,
                                  family_bracket, family_is_zero)
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import (A_INFINITY, FLAVOR_KIND, InfinityStructure,
+from codiff.structures import (A_INFINITY, InfinityStructure,
                                StructureError, deform_check, relation_sign,
                                structure_residual, validate)
 from conftest import bracket, make_cochain, random_cochain, reversed_side_ok
@@ -33,7 +33,6 @@ class TestValidate:
     def test_nonassociative_first_failure(self, nonassociative):
         report = validate(nonassociative)
         assert not report.ok
-        assert report.kind == "relation"
         assert report.n == 3
         assert report.letters == ("a", "a", "a")
         assert report.residual == {0: F(1)}  # the associator is a
@@ -132,7 +131,7 @@ class TestThreeRoutes:
             parts = dict(base.parts)
             parts[pert_arity] = add(parts[pert_arity], pert) \
                 if pert_arity in parts else pert
-            s = InfinityStructure(base.kind, base.space, parts, base.convention)
+            s = InfinityStructure(base.flavor, base.space, parts, base.convention)
             a, b, c = self.routes(s)
             assert a == b == c
             if not a:
@@ -174,7 +173,7 @@ def test_validate_needs_no_bracket(monkeypatch, dual_numbers, sl2,
     for path in ALG_FILES:
         with open(path, encoding="utf-8") as fh:
             af = parse(fh.read())
-        s = InfinityStructure(FLAVOR_KIND[af.flavor], af.space, af.parts)
+        s = InfinityStructure(af.flavor, af.space, af.parts)
         assert validate(s).ok == (os.path.basename(path)
                                   != "nonassociative.alg"), path
 
@@ -229,7 +228,7 @@ class TestPureAritySupport:
         base = sl2[0]
         pert = random_cochain(base.space, base.flavor, 2, 0, rng, density=0.5)
         parts = {2: add(base.parts[2], pert)}
-        s = InfinityStructure(base.kind, base.space, parts)
+        s = InfinityStructure(base.flavor, base.space, parts)
         assert plain_square_is_zero(parts) == validate(s).ok
 
 
@@ -238,13 +237,13 @@ class TestConventions:
                                          nonassociative, leibniz_violation):
         for s in (dual_numbers[0], sl2[0], koszul_dga, nonassociative,
                   leibniz_violation):
-            other = InfinityStructure(s.kind, s.space, s.parts, V_OF_W)
+            other = InfinityStructure(s.flavor, s.space, s.parts, V_OF_W)
             assert validate(other).ok == validate(s).ok
 
     def test_max_arity_cap(self, sl2):
         s, _ = sl2
         with pytest.raises(StructureError):
-            InfinityStructure(s.kind, s.space, s.parts, s.convention,
+            InfinityStructure(s.flavor, s.space, s.parts, s.convention,
                               max_arity=1)
 
     def test_flavor_kind_consistency(self, sl2):

@@ -24,7 +24,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
+from codiff import GradedSpace  # noqa: E402
 from codiff.cochain import (  # noqa: E402
     Cochain, InnerProduct, ScalarCochain, canonical_tuples, tilde, untilde,
     vec_add)
@@ -331,8 +331,7 @@ def test_is_cyclic_scalar_matches_full_enumeration(space, arity, parity,
        seed=st.integers(0, 2 ** 32))
 def test_plain_coords_match_list_comprehension(space, flavor, degree, parity,
                                                density, seed):
-    kind = A_INFINITY if flavor == TENSOR else L_INFINITY
-    cx = _PlainComplex(InfinityStructure(kind, space, {}))
+    cx = _PlainComplex(InfinityStructure(flavor, space, {}))
     c = random_cochain(space, flavor, degree, parity, random.Random(seed),
                        density)
     dense = [space.field(c.coeffs.get(t, {}).get(j, 0))

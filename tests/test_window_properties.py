@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import (assume, given, settings,  # noqa: E402
                         strategies as st)
 
-from codiff import A_INFINITY, L_INFINITY, GradedSpace  # noqa: E402
+from codiff import GradedSpace  # noqa: E402
 from codiff.cochain import Cochain, canonical_tuples  # noqa: E402
 from codiff.coderivation import CONVENTIONS  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
@@ -45,8 +45,7 @@ def structures(draw, arity_sets, min_dim=1):
     parities = tuple(draw(st.lists(st.integers(0, 1), min_size=dim,
                                    max_size=dim)))
     space = GradedSpace(tuple("abc"[:dim]), parities, field)
-    kind = draw(st.sampled_from([A_INFINITY, L_INFINITY]))
-    flavor = TENSOR if kind == A_INFINITY else EXTERIOR
+    flavor = draw(st.sampled_from([TENSOR, EXTERIOR]))
     arities = draw(st.sampled_from(arity_sets))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
@@ -55,7 +54,7 @@ def structures(draw, arity_sets, min_dim=1):
     b = draw(st.integers(0, (4 if dim < 3 else 3) - (max(arities) - 1)))
     a = draw(st.integers(0, b))
     convention = draw(st.sampled_from(CONVENTIONS))
-    return InfinityStructure(kind, space, parts, convention), (a, b)
+    return InfinityStructure(flavor, space, parts, convention), (a, b)
 
 
 def plain_images(s, p, degrees):
