@@ -9,9 +9,9 @@ one pass over the structure's entries (``codiff.blocks``); ``coboundary``
 and ``cyclic_coboundary`` remain the per-cochain routes.  D is linear in
 m, so the blocks hold N·D over core ints: N·m, with N the lcm of the
 denominators of every part, over Q, and residues over F_p.  N·D has the
-kernels, images, ranks and reduced echelon forms of D, and field scalars
-appear only in what ``linalg`` returns.  Every matrix passed to ``linalg``
-is a list of sparse rows.  For a window a..b a row reports Z^p = ker D on
+kernels, images and ranks of D, so its rows go to ``linalg``'s core
+entries as they are, and a cocycle gets field scalars only when it becomes
+a representative.  For a window a..b a row reports Z^p = ker D on
 C^p and B^p = im D ∩ C^p, both read from images stacked over the degrees
 they reach (``_window_report``).  With the spread the largest arity less
 one, D maps C^p into degrees p..p+spread.  For one arity it maps into
@@ -91,29 +91,15 @@ class _Complex:
         self.field = s.space.field
         self.spread = (max(s.parts) - 1) if s.parts else 0
         self.modulus = self.field.characteristic
-        self.parts = _core_parts(s.parts, self.field)
+        core = linalg.core_vectors({(l, t): vec for l, m in s.parts.items()
+                                    for t, vec in m.coeffs.items()},
+                                   self.field)
+        self.parts = {l: Cochain(m.space, m.flavor, m.degree, m.parity,
+                                 {t: core[l, t] for t in m.coeffs})
+                      for l, m in s.parts.items()}
         self._basis = functools.cache(self._build_basis)
         self._index = functools.cache(self._build_index)
         self.images = functools.cache(self._block)
-
-
-def _core_parts(parts, field):
-    """The parts as cochains over core ints, converted once: N·m over Q,
-    with N the lcm of the denominators of every part, and the residues
-    over F_p."""
-    if field.characteristic:
-        def core(c):
-            return field(c).value
-    else:
-        n = math.lcm(*[c.denominator for m in parts.values()
-                       for vec in m.coeffs.values() for c in vec.values()])
-
-        def core(c):
-            return c.numerator * (n // c.denominator)
-    return {l: Cochain(m.space, m.flavor, m.degree, m.parity,
-                       {t: {b: core(c) for b, c in vec.items()}
-                        for t, vec in m.coeffs.items()})
-            for l, m in parts.items()}
 
 
 class _PlainComplex(_Complex):
@@ -253,7 +239,9 @@ def _window_report(cx, window, note):
     Z^p is the free-column kernel of the degree-p images.  The cocycles
     outside the span of the ``_sources`` images and the earlier cocycles
     are the representatives; the pivots in degree p span B^p + Z^p, so B^p
-    counts them less the representatives (neither count assumes D^2 = 0)."""
+    counts them less the representatives (neither count assumes D^2 = 0).
+    Both eliminations take core ints; only a representative gets field
+    scalars, divided by its value at its free column (``linalg.scalars``)."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
@@ -263,14 +251,15 @@ def _window_report(cx, window, note):
         kern, reps, pivots = [], [], 0
         if cx.dim(p):
             cols, total = _stack(cx, cx.images(p))
-            kern = linalg.kernel_basis(_transpose(cols, total), len(cols),
-                                       cx.field)
+            kern = linalg.core_kernel(_transpose(cols, total), len(cols),
+                                      cx.modulus)
             sources = [img for q in _sources(cx, window, p)
                        for img in cx.images(q)]
             spanned, pivots = _spanned(cx, sources, [{p: z} for z in kern],
                                        last=p)
-            reps = [cx.reconstruct(p, z) for j, z in enumerate(kern)
-                    if j not in spanned]
+            reps = [cx.reconstruct(p, *linalg.scalars([z], [max(z)],
+                                                      cx.modulus))
+                    for j, z in enumerate(kern) if j not in spanned]
         # the bracket route certifies each class the block picked
         if any(cx.differential(rep) for rep in reps):
             raise RuntimeError("a representative of H^%d is not a cocycle" % p)
@@ -289,15 +278,15 @@ def _sources(cx, window, p):
 def _spanned(cx, sources, vectors, last=None):
     """(The j whose vector lies in the span of the sources and
     vectors[:j], the number of pivots in degree ``last``) from one echelon
-    form of the families {degree: vector} stacked by ``_stack``.  Vector j
-    carries a 1 in the j-th column from the right after every degree, a
-    pivot exactly when a vanishing combination of the sources and
-    vectors[:j + 1] has a nonzero coefficient on vector j."""
+    form of the families {degree: vector} over core ints stacked by
+    ``_stack``.  Vector j carries a 1 in the j-th column from the right
+    after every degree, a pivot exactly when a vanishing combination of the
+    sources and vectors[:j + 1] has a nonzero coefficient on vector j."""
     rows, total = _stack(cx, sources + vectors, last)
-    tag, one = total + len(vectors) - 1, cx.field(1)
+    tag = total + len(vectors) - 1
     for j, row in enumerate(rows[len(sources):]):
-        row[tag - j] = one
-    _, pivots = linalg.echelon(rows, cx.field)
+        row[tag - j] = 1
+    pivots = linalg.core_pivots(rows, cx.modulus)
     start = total - (cx.dim(last) if last is not None else 0)
     return ({tag - c for c in pivots if c >= total},
             sum(start <= c < total for c in pivots))
@@ -669,8 +658,8 @@ def classify_deformation(s, parts, ip=None):
                   "direction of degree %d" % max_deg)
     sources = [img for q in degrees for i, img in enumerate(cx.images(q))
                if cx.parity(q, i) == (param + q + 1) & 1]
-    lam = {k: cx.coords(k, c if ip is None else forms[k])
-           for k, c in live.items()}
+    lam = linalg.core_vectors({k: cx.coords(k, c if ip is None else forms[k])
+                               for k, c in live.items()}, cx.field)
     note = "" if ip is None else ("coboundary tested in the cyclic complex "
                                   "(inner product supplied)")
     return DeformationClass(cocycle, bool(_spanned(cx, sources, [lam])[0]),

@@ -1,17 +1,16 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Matrices come in as lists of sparse rows ``{column: scalar}``, each scalar
-a field scalar or a plain int (an exact scalar of either field), and
-results go out the same way, holding only nonzeros, as field scalars:
-``Fraction``s over Q, ``FpElement``s over F_p.  Only ``invert``, which the
-inner product uses, keeps a dense square matrix in and out.  Inside, one
-elimination core works on the same rows over plain ints: residues in
-[0, p) for F_p, and primitive integer rows for Q, reduced fraction-free
-(after Bareiss, 1968, but dividing out each row's content), so no ``gcd``
-runs per multiply-add.  An int is taken as it is (mod p over F_p; an
-all-int Q row only has its content divided out), any other entry is
-converted once on the way in, and every entry once on the way out, where a
-Q row is divided by its lead; no raw int leaks out, no float is ever
+Matrices come in as lists of sparse rows ``{column: scalar}``.  One
+elimination core works on rows of nonzero plain ints, residues in [1, p)
+over F_p and integer rows over Q, reduced fraction-free (after Bareiss,
+1968, but dividing out each row's content), so no ``gcd`` runs per
+multiply-add; ``core_pivots`` and ``core_kernel`` take and return such
+ints, ``core_vectors`` makes them and ``scalars`` turns them back.  The
+rest take field scalars or plain ints (an int is taken mod p over F_p; an
+all-int Q row only has its content divided out) and return only nonzeros,
+as field scalars: ``Fraction``s over Q, ``FpElement``s over F_p, each
+entry converted once on the way in and once on the way out.  Only
+``invert`` keeps a dense square matrix in and out.  No float is ever
 formed, and no cost grows with the zero cells of a matrix.
 
 Row operations do not change which columns are independent of the earlier
@@ -44,7 +43,7 @@ def _primitive(row):
 
 def _core(rows, field):
     """The rows over the core scalars, with zero entries dropped: residues
-    in [0, p) over F_p, primitive integer rows over Q (empty rows, which
+    in [1, p) over F_p, primitive integer rows over Q (empty rows, which
     change nothing, dropped too)."""
     p = field.characteristic
     if not p:
@@ -61,13 +60,27 @@ def _core(rows, field):
     return [{j: v for j, x in row.items() if (v := conv(x))} for row in rows]
 
 
-def _scalars(rows, pivots, p):
-    """Core pivot rows as rows of field scalars; a Q row is divided by its
-    leading entry."""
+def core_vectors(vectors, field):
+    """Sparse vectors {key: {i: scalar}} over core ints, by one factor for
+    all of them: N·v over Q, with N the lcm of every denominator, and the
+    residues over F_p.  A factor per vector would change what they span
+    together, not only its scale."""
+    if field.characteristic:
+        return {k: {i: field(c).value for i, c in vec.items()}
+                for k, vec in vectors.items()}
+    n = lcm(*[c.denominator for vec in vectors.values()
+              for c in vec.values()])
+    return {k: {i: c.numerator * (n // c.denominator) for i, c in vec.items()}
+            for k, vec in vectors.items()}
+
+
+def scalars(rows, columns, p):
+    """Core rows as rows of field scalars, a Q row divided by its entry at
+    its column in ``columns`` (a lead, or a kernel vector's free column)."""
     if p:
         return [{j: FpElement(v, p) for j, v in row.items()} for row in rows]
     return [{j: Fraction(v, row[c]) for j, v in row.items()}
-            for row, c in zip(rows, pivots)]
+            for row, c in zip(rows, columns)]
 
 
 def _add_multiple(row, g, prow, p):
@@ -142,9 +155,34 @@ def _eliminate(rows, p, reduced):
     return [pivot_rows[c] for c in pivots], pivots
 
 
+def core_pivots(rows, p):
+    """The pivot columns, in order, of core rows over F_p (Q when p == 0),
+    which the elimination may change in place."""
+    return _eliminate(rows, p, False)[1]
+
+
+def core_kernel(rows, ncols, p):
+    """The right kernel of core rows with ncols columns by the reduced
+    elimination: a vector per free column, in order, primitive over Q, at
+    its free column, its last, a positive int (1 over F_p: leads are 1)."""
+    a, pivots = _eliminate(rows, p, True)
+    pivot_set = set(pivots)
+    hits = {c: [] for c in range(ncols) if c not in pivot_set}
+    for row, pc in zip(a, pivots):
+        for j in row:
+            if j != pc:
+                hits[j].append((pc, row))
+    basis = []
+    for c, prows in hits.items():
+        m = lcm(*[row[pc] for pc, row in prows])
+        z = {c: m, **{pc: -row[c] * (m // row[pc]) for pc, row in prows}}
+        basis.append({j: v % p for j, v in z.items()} if p else _primitive(z))
+    return basis
+
+
 def rank(rows, field):
     """Exact rank: the number of pivots of the echelon form."""
-    return len(echelon(rows, field)[1])
+    return len(core_pivots(_core(rows, field), field.characteristic))
 
 
 def echelon(rows, field, reduced=False):
@@ -153,7 +191,7 @@ def echelon(rows, field, reduced=False):
     order."""
     p = field.characteristic
     out, pivots = _eliminate(_core(rows, field), p, reduced)
-    return _scalars(out, pivots, p), pivots
+    return scalars(out, pivots, p), pivots
 
 
 def rref(rows, field):
@@ -163,17 +201,10 @@ def rref(rows, field):
 
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel of the matrix with these rows and ncols
-    columns, from the reduced echelon form: one vector per free column, in
-    column order (the usual deterministic choice)."""
-    a, pivots = echelon(rows, field, reduced=True)
-    pivot_set = set(pivots)
-    one = field(1)
-    basis = {c: {c: one} for c in range(ncols) if c not in pivot_set}
-    for row, pc in zip(a, pivots):
-        for j, x in row.items():
-            if j != pc:
-                basis[j][pc] = -x
-    return list(basis.values())
+    columns, ``core_kernel``'s scaled to a 1 at each free column."""
+    p = field.characteristic
+    basis = core_kernel(_core(rows, field), ncols, p)
+    return scalars(basis, [max(z) for z in basis], p)
 
 
 def solve(rows, b, ncols, field):

@@ -205,20 +205,67 @@ class TestCohomology:
     ], ids=["gl2", "koszul_dga", "gl2-cyclic", "m2-cyclic"])
     def test_two_echelon_forms_per_row(self, monkeypatch, name, complex_,
                                        report):
-        """A row with a nonempty degree takes the kernel of its block and
-        one echelon form of its sources and cocycles, and an empty degree
-        none (gl2 has no basis above degree 4 in the plain complex, above
-        degree 3 in the cyclic one)."""
-        s, calls = bench_structure(name), []
+        """A row with a nonempty degree takes the reduced kernel elimination
+        of its block (``core_kernel``) and one span elimination of its
+        sources and cocycles (``core_pivots``), and an empty degree none
+        (gl2 has no basis above degree 4 in the plain complex, above degree
+        3 in the cyclic one); no other elimination runs."""
+        s, entries, eliminations = bench_structure(name), [], []
 
-        def echelon(rows, field, reduced=False, echelon=linalg.echelon):
-            calls.append(reduced)
-            return echelon(rows, field, reduced)
-        monkeypatch.setattr(linalg, "echelon", echelon)
+        def eliminate(rows, p, reduced, eliminate=linalg._eliminate):
+            eliminations.append(reduced)
+            return eliminate(rows, p, reduced)
+
+        def kernel(rows, ncols, p, kernel=linalg.core_kernel):
+            entries.append("kernel")
+            return kernel(rows, ncols, p)
+
+        def pivots(rows, p, pivots=linalg.core_pivots):
+            entries.append("pivots")
+            return pivots(rows, p)
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        monkeypatch.setattr(linalg, "core_kernel", kernel)
+        monkeypatch.setattr(linalg, "core_pivots", pivots)
         rows = report(s, (0, 5) if name == "gl2.alg" else (0, 3)).rows
         cx = complex_(s)
-        assert calls == [True, False] * sum(1 for row in rows
-                                            if cx.dim(row.degree))
+        nonempty = sum(1 for row in rows if cx.dim(row.degree))
+        assert entries == ["kernel", "pivots"] * nonempty
+        assert eliminations == [True, False] * nonempty
+
+    @pytest.mark.parametrize("field", ["Q", "F 2", "F 3", "F 32003"])
+    @pytest.mark.parametrize("name, report", [
+        ("gl2.alg", cohomology),
+        ("dual_numbers.alg", cohomology),
+        ("m2.alg", lambda s, window: cyclic_cohomology(s, None, window)),
+    ], ids=["gl2", "dual_numbers", "m2-cyclic"])
+    def test_window_report_gives_the_core_plain_ints(self, monkeypatch, field,
+                                                     name, report):
+        """Every row the window report eliminates is plain nonzero ints,
+        residues in [1, p) over F_p, with no conversion pass (``_core``);
+        field scalars are formed (``scalars``) only for the
+        representatives."""
+        s = build_structure(load_file(os.path.join(BENCH_INPUTS, name),
+                                      field), W_OF_V, 8)
+        p, converted = s.space.field.characteristic, []
+
+        def eliminate(rows, modulus, reduced, eliminate=linalg._eliminate):
+            assert modulus == p
+            assert all(x.__class__ is int and (0 < x < p if p else x)
+                       for row in rows for x in row.values())
+            return eliminate(rows, modulus, reduced)
+
+        def scalars(rows, columns, modulus, scalars=linalg.scalars):
+            converted.extend(rows)
+            return scalars(rows, columns, modulus)
+
+        def core(rows, field):
+            raise AssertionError("the window report converted its rows")
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
+        monkeypatch.setattr(linalg, "scalars", scalars)
+        monkeypatch.setattr(linalg, "_core", core)
+        reps = [rep for row in report(s, (0, 3)).rows
+                for rep in row.representatives]
+        assert len(converted) == len(reps)
 
     def test_window_beyond_support_is_empty_not_error(self, abelian1):
         report = cohomology(abelian1, (5, 6))
@@ -750,6 +797,24 @@ class TestClassifyDeformation:
         cyclic = classify_deformation(s, lam, af.inner_product)
         assert (cyclic.cocycle, cyclic.coboundary) == (True, False)
         assert built and max(built) == 2
+
+    @pytest.mark.parametrize("convention", [W_OF_V, V_OF_W])
+    @pytest.mark.parametrize("scale", [1, F(1, 2)], ids=["1", "1/2"])
+    def test_direction_is_scaled_as_one_family(self, convention, scale):
+        """With d(x) = 2y and l(x,z) = z, D(x) is {0: 2y, 1: z -> z} up to
+        sign: content 2 in degree 0 and 1 in degree 1.  Scaled degree by
+        degree, to primitive rows or by each degree's own denominators (for
+        D(x/2)), it would become {0: y, 1: z -> z}, which is no coboundary;
+        the direction is scaled by one factor, so it is one."""
+        s = build_structure(parse("field Q\nflavor exterior\nspace\n"
+                                  "  basis x even\n  basis y odd\n"
+                                  "  basis z even\nmap d 1\n  d(x) = 2*y\n"
+                                  "map l 2\n  l(x,z) = z\n"), convention, 8)
+        beta = make_cochain(s.space, EXTERIOR, 0, 0, {(): {"x": scale}})
+        lam = coboundary(beta, s)
+        assert sorted(lam) == [0, 1]
+        cls = classify_deformation(s, lam)
+        assert cls.cocycle is True and cls.coboundary is True
 
     def test_coboundary_direction(self, sl2, rng):
         s, _ = sl2

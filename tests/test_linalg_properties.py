@@ -5,6 +5,7 @@ matrices are drawn dense and handed to ``linalg`` as sparse rows; over Q
 some have fractional and 20-40 bit entries."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -125,6 +126,31 @@ def test_kernel_basis_spans_the_kernel(fm):
     for v in basis:
         assert all(not x for x in matvec(m, v, field))
     assert oracle.dense_rank(basis, field) == len(basis)
+
+
+@PROPERTY
+@given(matrices())
+def test_core_entries_match_the_public_functions(fm):
+    """On the matrix over core ints, made by ``core_vectors`` with one
+    factor for every row (so over Q the rows need not be primitive),
+    ``core_pivots`` gives the pivots of ``echelon`` and ``core_kernel`` the
+    vectors of ``kernel_basis``, as ints, each with a positive int at its
+    free column, its last: 1 over F_p, where every entry lies in [1, p),
+    and over Q the vector is primitive."""
+    field, m = fm
+    cols, p = len(m[0]) if m else 0, field.characteristic
+    core = linalg.core_vectors(dict(enumerate(sparse_rows(m))), field)
+    pivots = linalg.core_pivots([dict(row) for row in core.values()], p)
+    assert pivots == linalg.echelon(sparse_rows(m), field)[1]
+    kern = linalg.core_kernel(list(core.values()), cols, p)
+    basis = linalg.kernel_basis(sparse_rows(m), cols, field)
+    assert len(kern) == len(basis)
+    for z, v in zip(kern, basis):
+        assert all(x.__class__ is int and (0 < x < p if p else x)
+                   for x in z.values())
+        c = max(z)
+        assert z[c] == 1 if p else z[c] > 0 and gcd(*z.values()) == 1
+        assert {j: field(x) / z[c] for j, x in z.items()} == v
 
 
 @PROPERTY

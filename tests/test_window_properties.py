@@ -157,22 +157,25 @@ def test_mixed_window_report_matches_dense_ranks(case, cyclic):
 
 
 class _Degrees:
-    """What ``_spanned`` reads of a complex: its field and the dimension
-    of each degree."""
+    """What ``_spanned`` reads of a complex: its field, the field's
+    characteristic (``modulus``) and the dimension of each degree."""
 
     def __init__(self, field, dims):
         self.field = field
+        self.modulus = field.characteristic
         self.dim = dims.__getitem__
 
 
 @st.composite
 def span_cases(draw):
     """(field, dimensions of degrees 0 and 1, source families, questioned
-    families, last) of families {degree: sparse vector}.  A source lies in
-    one degree or both.  A questioned family is random, zero, or a
-    combination of the sources and the earlier families; all of them lie
-    in degree ``last`` when so drawn (and combine only families that do),
-    else they spread over both degrees."""
+    families, last) of families {degree: sparse vector} over core ints,
+    what ``_spanned`` takes: ints over Q, residues in [1, p) over F_p.  A
+    source lies in one degree or both.  A questioned family is random,
+    zero, or a combination of the sources and the earlier families; all of
+    them lie in degree ``last`` when so drawn (and combine only families
+    that do), else they spread over both degrees.  The families are drawn
+    over the field, with integer coefficients, and then given as ints."""
     field = draw(st.sampled_from(FIELDS))
     dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
     last = draw(st.sampled_from([None, 0, 1]))
@@ -209,7 +212,13 @@ def span_cases(draw):
                 if not on_last or set(other) <= {last}:
                     family = add(family, other, rng.randint(-2, 2))
         vectors.append(family)
-    return field, dims, sources, vectors, last
+
+    def core(family):
+        p = field.characteristic
+        return {q: {r: x.value if p else x.numerator for r, x in vec.items()}
+                for q, vec in family.items()}
+    return (field, dims, [core(f) for f in sources],
+            [core(f) for f in vectors], last)
 
 
 @PROPERTY
@@ -226,7 +235,7 @@ def test_spanned_marks_each_vector_in_the_span_of_the_earlier_ones(case):
     spanned, pivots = _spanned(_Degrees(field, dims), sources, vectors, last)
 
     def rank(families, degrees=(0, 1)):
-        return dense_rank([[family.get(q, {}).get(r, field(0))
+        return dense_rank([[field(family.get(q, {}).get(r, 0))
                             for q in degrees for r in range(dims[q])]
                            for family in families], field)
     for j in range(len(vectors)):
