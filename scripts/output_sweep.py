@@ -4,9 +4,11 @@
 
 Runs ``validate``, ``bracket`` (with no names, then with each deformation
 name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
-``deform``, ``deform --max-arity 1`` and ``convert``, and on the
+``deform``, ``deform --max-arity 1`` and ``convert``, on the
 2-dimensional tensor inputs also ``cyclic`` at window 0..5, whose arity 6
-is the first with rotation orbits of period 3, through
+is the first with rotation orbits of period 3, and on the inputs with more
+than one ``map`` block also ``cohomology`` and ``cyclic`` at window 0..7,
+where every row reads the sources of every degree in the window, through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
 file of that checkout, and on the exterior inputs of ``INLINE`` (two with
@@ -109,6 +111,9 @@ def commands(text):
     directions = sorted(af.deformations) if af else []
     wide = ([("cyclic", ["--window", "0..5"])]
             if af and af.flavor == "tensor" and af.space.dim == 2 else [])
+    if af and len(af.parts) > 1:
+        wide += [(command, ["--window", "0..7"])
+                 for command in ("cohomology", "cyclic")]
     return ([("validate", []), ("bracket", [])]
             + [("bracket", [d]) for d in directions]
             + [("cohomology", ["--window", "0..3"]),

@@ -15,7 +15,6 @@ from . import linalg
 from .graded import EXTERIOR, TENSOR, canonical_word, word_parity
 
 
-@lru_cache(maxsize=None)
 def canonical_tuples(space, flavor, degree):
     """Ordered canonical basis tuples of the degree-k part of the coalgebra.
 
@@ -23,18 +22,23 @@ def canonical_tuples(space, flavor, degree):
     Degree 0 is the single empty tuple (used for constants; words proper
     start at degree 1).  Tuples come in lexicographic order; the exterior
     ones are grown letter by letter, and only from a prefix that some kept
-    tuple extends, so no dead multiset is visited.
+    tuple extends, so no dead multiset is visited.  The cache is keyed on
+    (dim, parities, flavor, degree), not on names or field.
     """
+    return _canonical_tuples(space.dim, space.parities, flavor, degree)
+
+
+@lru_cache(maxsize=None)
+def _canonical_tuples(n, parities, flavor, degree):
     if degree == 0:
         return ((),)
-    n = space.dim
     if flavor == TENSOR:
         return tuple(itertools.product(range(n), repeat=degree))
     # room[x]: how many letters a tuple may still take from x, x + 1, ...;
     # an odd letter may repeat
     room = [0] * (n + 1)
     for x in reversed(range(n)):
-        room[x] = degree if space.parities[x] else room[x + 1] + 1
+        room[x] = degree if parities[x] else room[x + 1] + 1
     out = []
 
     def grow(prefix, start, left):
@@ -45,7 +49,7 @@ def canonical_tuples(space, flavor, degree):
             if left == 1:
                 out.append(t)
             else:
-                grow(t, x if space.parities[x] else x + 1, left - 1)
+                grow(t, x if parities[x] else x + 1, left - 1)
     grow((), 0, degree)
     return tuple(out)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .cochain import Cochain, add, scale, vec_add, zero_cochain
-from .graded import TENSOR, canonical_word
+from .graded import TENSOR, canonical_merge
 
 W_OF_V = "w_of_v"
 V_OF_W = "v_of_w"
@@ -51,11 +51,11 @@ def terms(support, heads, flavor, par):
 
     A tensor insertion after i letters of parity q carries (-1)^{q|d| +
     i(k-1)}.  An exterior term, with r the rest of w after one b, carries
-    the sign ``canonical_word`` gives h + r times the one it gives b + r,
-    times the number of unshuffles of the target with head h:
-    Π C(count_T(x), count_h(x)), which is 1 unless an odd letter of r
-    recurs in h (equal odd letters commute, so those unshuffles share one
-    sign)."""
+    the sign ``canonical_merge`` gives h + r times the one b + r has, read
+    from the parity of the letters before b, times the number of
+    unshuffles of the target with head h: Π C(count_T(x), count_h(x)),
+    which is 1 unless an odd letter of r recurs in h (equal odd letters
+    commute, so those unshuffles share one sign)."""
     if flavor == TENSOR:
         for w in support:
             pre = 0
@@ -68,15 +68,17 @@ def terms(support, heads, flavor, par):
         return
     odd = {}
     for w in support:
+        pre = 0
         for i, b in enumerate(w):
             hs = heads.get(b)
+            pre += par[b]
             # equal letters sit together in a canonical word: skip repeats
             if not hs or w[i - 1:i] == (b,):
                 continue
             r = w[:i] + w[i + 1:]
-            sign = canonical_word(flavor, (b,) + r, par)[0]
+            sign = -1 if (i + par[b] * (pre - par[b])) & 1 else 1
             for h in hs:
-                cw = canonical_word(flavor, h + r, par)
+                cw = canonical_merge(h, r, par)
                 if cw is None:
                     continue
                 x = sign * cw[0]

@@ -2,9 +2,9 @@
 coalgebras, and their reordering and rotation signs.
 
 ``canonical_word`` is the one routine that counts exterior reordering
-signs; the extension's unshuffles are signed through it.  All sign
-computations return plain ints (+1/-1) so they mix with scalars from any
-exact field.
+signs, and ``canonical_merge`` its form for two canonical words, which
+signs the extension's terms.  All sign computations return plain ints
+(+1/-1) so they mix with scalars from any exact field.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ EXTERIOR = "exterior"
 class GradedSpace:
     """A finite ordered homogeneous basis with Z2 parities over an exact field.
 
-    Immutable and hashable: spaces are compared on every compose and bracket
-    and key the ``canonical_tuples`` cache.
+    Immutable and hashable: spaces are compared on every compose and
+    bracket, and ``canonical_tuples`` is cached on their parities alone.
     """
 
     def __init__(self, names, parities, field=QQ):
@@ -112,3 +112,16 @@ def canonical_word(flavor, letters, parities):
             e += i
         seq.insert(i, x)
     return -1 if e & 1 else 1, tuple(seq)
+
+
+def canonical_merge(h, r, parities):
+    """``canonical_word`` of the exterior word h + r, for canonical words h
+    and r, by a merge: each letter y of r passes the letters x > y of h,
+    with (-1)^{1 + |x||y|} each, and an even letter in both kills it."""
+    e = 0
+    for x in h:
+        k = bisect_left(r, x)
+        if not parities[x] and r[k:k + 1] == (x,):
+            return None
+        e += k + (parities[x] and sum(map(parities.__getitem__, r[:k])))
+    return -1 if e & 1 else 1, tuple(sorted(h + r))

@@ -4,23 +4,26 @@ and cyclic cohomology, and classification of first-order deformations.
 Windowed cohomology, cyclic cohomology and the coboundary test all query one
 cochain complex: the cochains V^p -> V with D(phi) = {phi, m}, or the cyclic
 scalar cochains with the cyclic coboundary.  The complex builds each block
-D_p, D of every degree-p basis vector as sparse coordinates, once and in
-one pass over the structure's entries (``codiff.blocks``); ``coboundary``
-and ``cyclic_coboundary`` remain the per-cochain routes.  D is linear in
-m, so the blocks hold N·D over core ints: N·m, with N the lcm of the
-denominators of every part, over Q, and residues over F_p.  N·D has the
-kernels, images and ranks of D, so its rows go to ``linalg``'s core
-entries as they are, and a cocycle gets field scalars only when it becomes
-a representative.  For a window a..b a row reports Z^p = ker D on
-C^p and B^p = im D ∩ C^p, both read from images stacked over the degrees
-they reach (``_window_report``).  With the spread the largest arity less
-one, D maps C^p into degrees p..p+spread.  For one arity it maps into
-C^{p+spread} alone, so B^p = im D_{p-spread} exactly.
-For mixed arities the sources are every degree a - spread .. b, so B^p is
-a lower bound for the coboundary space and the report says so (membership
-tests remain reliable).  ``_sources`` holds that rule, and every coboundary
-question (B^p, the representatives, ``deform``) is one ``_spanned``
-echelon form of the source images and the questioned vectors.
+D_p, D of every degree-p basis vector as sparse coordinates, in one pass
+over the structure's entries (``codiff.blocks``); ``coboundary`` and
+``cyclic_coboundary`` remain the per-cochain routes.  D is linear in m, so
+the blocks hold N·D over core ints: N·m, with N the lcm of the denominators
+of every part, over Q, and residues over F_p.  N·D has the kernels, images
+and ranks of D, so its rows go to ``linalg``'s core entries as they are,
+and a cocycle gets field scalars only when it becomes a representative.
+For a window a..b a row reports Z^p = ker D on C^p and B^p = im D ∩ C^p
+(``_window_report``).  Each block it reads is eliminated once, its images
+stacked over the degrees they reach and each tagged by a column of its own:
+the tags give ker D_p, the relations of the images, and the rest a basis of
+im D_p.  With the spread the largest arity less one, D maps C^p into
+degrees p..p+spread.  For one arity it maps into C^{p+spread} alone, so
+B^p = im D_{p-spread} exactly.  For mixed arities the sources are every
+degree a - spread .. b, so B^p is a lower bound for the coboundary space
+and the report says so (membership tests remain reliable).  ``_sources``
+holds that rule, and every coboundary question (B^p, the representatives,
+``deform``) is one ``_spanned`` echelon form of the sources and the
+questioned vectors: the bases of the source degrees in the report, and the
+images of the parameter's parity in ``deform``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class _Complex:
     built in one pass (``codiff.blocks``) from the core parts ``parts``;
     ``coords(p, c)`` reads a cochain in the basis over field scalars,
     ``reconstruct(p, v)`` builds the cochain with coordinates v, and
-    ``differential(c)`` is D of one cochain.  Each of ``_basis``, ``_index``
-    and ``images`` is built once per degree.
+    ``differential(c)`` is D of one cochain.  ``_basis`` and ``_index``
+    are built once per degree, ``images`` on each call: its caller owns
+    the block and may change it.
     """
 
     def __init__(self, s):
@@ -99,7 +103,6 @@ class _Complex:
                       for l, m in s.parts.items()}
         self._basis = functools.cache(self._build_basis)
         self._index = functools.cache(self._build_index)
-        self.images = functools.cache(self._block)
 
 
 class _PlainComplex(_Complex):
@@ -121,7 +124,7 @@ class _PlainComplex(_Complex):
         k, j = divmod(i, self.s.space.dim)
         return word_parity(self.s.space, self._basis(p)[k] + (j,))
 
-    def _block(self, p):
+    def images(self, p):
         return plain_block(self.s, self.parts, self.modulus, p, self._index)
 
     def differential(self, c):
@@ -161,7 +164,7 @@ class _CyclicComplex(_Complex):
     def parity(self, p, i):
         return word_parity(self.s.space, self._basis(p)[1][i])
 
-    def _block(self, p):
+    def images(self, p):
         return cyclic_block(self.s, self.parts, self.modulus, p, self._index)
 
     def differential(self, f):
@@ -188,28 +191,21 @@ class _CyclicComplex(_Complex):
                              coeffs)
 
 
-def _transpose(vectors, n):
-    """The n sparse rows of the matrix whose columns are these vectors."""
-    rows = [{} for _ in range(n)]
-    for c, vec in enumerate(vectors):
-        for r, x in vec.items():
-            rows[r][c] = x
-    return rows
-
-
 def _stack(cx, families, last=None):
     """Families {degree: vector} as vectors over the degrees they reach,
     stacked in increasing order, with degree ``last`` after the others when
-    given.  Returns (vectors, total rows)."""
+    given.  Returns (vectors, spans): (degree, its first row, the row after
+    its last) for each degree, in that order."""
     degrees = sorted({q for family in families for q in family} - {last})
     if last is not None:
         degrees.append(last)
-    offset, total = {}, 0
+    spans, total = [], 0
     for q in degrees:
-        offset[q] = total
+        spans.append((q, total, total + cx.dim(q)))
         total += cx.dim(q)
+    offset = {q: lo for q, lo, _ in spans}
     return [{offset[q] + r: x for q, vec in family.items()
-             for r, x in vec.items()} for family in families], total
+             for r, x in vec.items()} for family in families], spans
 
 
 # --- windowed cohomology ----------------------------------------------------
@@ -236,36 +232,59 @@ class CohomologyReport:
 def _window_report(cx, window, note):
     """Z^p, B^p and representatives of Z^p / B^p for p in the window.
 
-    Z^p is the free-column kernel of the degree-p images.  The cocycles
-    outside the span of the ``_sources`` images and the earlier cocycles
-    are the representatives; the pivots in degree p span B^p + Z^p, so B^p
-    counts them less the representatives (neither count assumes D^2 = 0).
-    Both eliminations take core ints; only a representative gets field
-    scalars, divided by its value at its free column (``linalg.scalars``)."""
+    Each degree read is eliminated once (``_eliminated``): Z^p is the
+    relations of the degree-p images, kept until row p, and a basis of
+    im D_q until the last row whose ``_sources`` hold q.  The cocycles
+    outside the span of the source bases and the earlier cocycles are the
+    representatives; the pivots in degree p span B^p + Z^p, so B^p counts
+    them less the representatives (neither count assumes D^2 = 0)."""
     a, b = window
     if a < 0 or b < a:
         raise ValueError("window must satisfy 0 <= a <= b")
     _check_window(cx, a, b)
-    rows_out = []
+    last = {q: p for p in range(a, b + 1) if cx.dim(p)
+            for q in _sources(cx, window, p)}
+    bases, kernels, rows_out = {}, {}, []
     for p in range(a, b + 1):
         kern, reps, pivots = [], [], 0
         if cx.dim(p):
-            cols, total = _stack(cx, cx.images(p))
-            kern = linalg.core_kernel(_transpose(cols, total), len(cols),
-                                      cx.modulus)
-            sources = [img for q in _sources(cx, window, p)
-                       for img in cx.images(q)]
-            spanned, pivots = _spanned(cx, sources, [{p: z} for z in kern],
-                                       last=p)
+            sources = _sources(cx, window, p)
+            for q in (*sources, p):
+                if cx.dim(q) and q not in bases and q not in kernels:
+                    bases[q], kernels[q] = _eliminated(cx, q)
+            kern = kernels[p]
+            spanned, pivots = _spanned(
+                cx, [v for q in sources for v in bases.get(q, ())],
+                [{p: z} for z in kern], last=p)
             reps = [cx.reconstruct(p, *linalg.scalars([z], [max(z)],
                                                       cx.modulus))
                     for j, z in enumerate(kern) if j not in spanned]
+        bases = {q: v for q, v in bases.items() if last.get(q, -1) > p}
+        kernels = {q: z for q, z in kernels.items() if q > p}
         # the bracket route certifies each class the block picked
         if any(cx.differential(rep) for rep in reps):
             raise RuntimeError("a representative of H^%d is not a cocycle" % p)
         rows_out.append(DegreeRow(p, len(kern), pivots - len(reps),
                                   len(kern) - pivots + len(reps), reps))
     return CohomologyReport(window, rows_out, len(cx.s.parts) <= 1, note)
+
+
+def _eliminated(cx, q):
+    """(A basis of im D_q as families {degree: vector}, ker D_q) over core
+    ints from one ``linalg.core_relations`` of the degree-q block, built
+    here and released; one arity's images go in as they are, mixed ones
+    stacked by ``_stack``."""
+    if len(cx.s.parts) == 1:
+        d = q + cx.spread
+        basis, kern = linalg.core_relations(
+            [img.get(d, {}) for img in cx.images(q)], cx.dim(d), cx.modulus)
+        return [{d: row} for row in basis], kern
+    rows, spans = _stack(cx, cx.images(q))
+    basis, kern = linalg.core_relations(rows, spans[-1][2] if spans else 0,
+                                        cx.modulus)
+    return [{d: v for d, lo, hi in spans
+             if (v := {c - lo: x for c, x in row.items() if lo <= c < hi})}
+            for row in basis], kern
 
 
 def _sources(cx, window, p):
@@ -282,12 +301,13 @@ def _spanned(cx, sources, vectors, last=None):
     ``_stack``.  Vector j carries a 1 in the j-th column from the right
     after every degree, a pivot exactly when a vanishing combination of the
     sources and vectors[:j + 1] has a nonzero coefficient on vector j."""
-    rows, total = _stack(cx, sources + vectors, last)
+    rows, spans = _stack(cx, sources + vectors, last)
+    total = spans[-1][2] if spans else 0
     tag = total + len(vectors) - 1
     for j, row in enumerate(rows[len(sources):]):
         row[tag - j] = 1
     pivots = linalg.core_pivots(rows, cx.modulus)
-    start = total - (cx.dim(last) if last is not None else 0)
+    start = spans[-1][1] if last is not None else total
     return ({tag - c for c in pivots if c >= total},
             sum(start <= c < total for c in pivots))
 

@@ -4,14 +4,16 @@ Matrices come in as lists of sparse rows ``{column: scalar}``.  One
 elimination core works on rows of nonzero plain ints, residues in [1, p)
 over F_p and integer rows over Q, reduced fraction-free (after Bareiss,
 1968, but dividing out each row's content), so no ``gcd`` runs per
-multiply-add; ``core_pivots`` and ``core_kernel`` take and return such
-ints, ``core_vectors`` makes them and ``scalars`` turns them back.  The
-rest take field scalars or plain ints (an int is taken mod p over F_p; an
-all-int Q row only has its content divided out) and return only nonzeros,
-as field scalars: ``Fraction``s over Q, ``FpElement``s over F_p, each
-entry converted once on the way in and once on the way out.  Only
-``invert`` keeps a dense square matrix in and out.  No float is ever
-formed, and no cost grows with the zero cells of a matrix.
+multiply-add; ``core_pivots`` and ``core_relations`` take and return such
+ints, ``core_vectors`` makes them and ``scalars`` turns them back.
+``core_relations`` reads a basis of the span and the relations of each row
+on the earlier ones from one elimination, each row tagged by a column of
+its own after the others.  The rest take field scalars or plain ints (an
+int is taken mod p over F_p; an all-int Q row only has its content divided
+out) and return only nonzeros, as field scalars: ``Fraction``s over Q,
+``FpElement``s over F_p, each entry converted once on the way in and once
+on the way out.  Only ``invert`` keeps a dense square matrix in and out.
+No float is ever formed, and no cost grows with the zero cells of a matrix.
 
 Row operations do not change which columns are independent of the earlier
 ones, so the pivot columns, the rank and the reduced row echelon form do not
@@ -21,6 +23,7 @@ sparsest rows first to keep fill-in down.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -117,14 +120,15 @@ def _cancel(row, c, prow):
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _eliminate(rows, p, reduced):
+def _eliminate(rows, p, start):
     """Gaussian elimination of sparse rows over F_p (Q when p == 0).
 
     Each row is reduced against the pivot rows found so far until its
     leading column is new; it then becomes the pivot row of that column,
     scaled to a leading 1 over F_p and kept a primitive integer row over Q.
-    With ``reduced`` the pivot rows are then cleared above every pivot,
-    which gives the reduced row echelon form up to the scale of each row.
+    Unless ``start`` is None, the pivot rows at columns from ``start`` on
+    are then cleared above every pivot, which from ``start`` 0 gives the
+    reduced row echelon form up to the scale of each row.
     Returns (pivot rows, pivot columns), both in column order.
     """
     pivot_rows = {}
@@ -144,8 +148,8 @@ def _eliminate(rows, p, reduced):
             else:
                 row = _cancel(row, c, prow)
     pivots = sorted(pivot_rows)
-    if reduced:
-        for c in reversed(pivots):
+    if start is not None:
+        for c in reversed(pivots[bisect_left(pivots, start):]):
             row = pivot_rows[c]
             for d in [j for j in row if j != c and j in pivot_rows]:
                 if p:
@@ -158,26 +162,27 @@ def _eliminate(rows, p, reduced):
 def core_pivots(rows, p):
     """The pivot columns, in order, of core rows over F_p (Q when p == 0),
     which the elimination may change in place."""
-    return _eliminate(rows, p, False)[1]
+    return _eliminate(rows, p, None)[1]
 
 
-def core_kernel(rows, ncols, p):
-    """The right kernel of core rows with ncols columns by the reduced
-    elimination: a vector per free column, in order, primitive over Q, at
-    its free column, its last, a positive int (1 over F_p: leads are 1)."""
-    a, pivots = _eliminate(rows, p, True)
-    pivot_set = set(pivots)
-    hits = {c: [] for c in range(ncols) if c not in pivot_set}
-    for row, pc in zip(a, pivots):
-        for j in row:
-            if j != pc:
-                hits[j].append((pc, row))
-    basis = []
-    for c, prows in hits.items():
-        m = lcm(*[row[pc] for pc, row in prows])
-        z = {c: m, **{pc: -row[c] * (m // row[pc]) for pc, row in prows}}
-        basis.append({j: v % p for j, v in z.items()} if p else _primitive(z))
-    return basis
+def core_relations(rows, ncols, p):
+    """(A basis of the span, the relations) of core rows with ncols columns
+    over F_p (Q when p == 0), from one elimination in place, row j tagged
+    by a 1 at column ncols + n - 1 - j: the pivot rows before the tags,
+    stripped of them, in column order, and, for each row j in the span of
+    the rows before it, in order, the pivot row at its tag, cleared of the
+    other tag pivots: its relation {i: int} on j and the earlier rows
+    outside that span, primitive over Q, positive at j (1 over F_p)."""
+    tag = ncols + len(rows) - 1
+    for j, row in enumerate(rows):
+        row[tag - j] = 1
+    a, pivots = _eliminate(rows, p, ncols)
+    k = bisect_left(pivots, ncols)
+    for row in a[:k]:
+        for c in [c for c in row if c >= ncols]:
+            del row[c]
+    return a[:k], [{tag - d: -v if row[c] < 0 else v for d, v in row.items()}
+                   for row, c in zip(a[k:], pivots[k:])][::-1]
 
 
 def rank(rows, field):
@@ -190,7 +195,7 @@ def echelon(rows, field, reduced=False):
     Returns (pivot rows, pivot column list): one row per pivot, in column
     order."""
     p = field.characteristic
-    out, pivots = _eliminate(_core(rows, field), p, reduced)
+    out, pivots = _eliminate(_core(rows, field), p, 0 if reduced else None)
     return scalars(out, pivots, p), pivots
 
 
@@ -201,9 +206,14 @@ def rref(rows, field):
 
 def kernel_basis(rows, ncols, field):
     """Basis of the right kernel of the matrix with these rows and ncols
-    columns, ``core_kernel``'s scaled to a 1 at each free column."""
+    columns: the relations of its columns (``core_relations``), each
+    scaled to a 1 at its last column."""
     p = field.characteristic
-    basis = core_kernel(_core(rows, field), ncols, p)
+    cols = [{} for _ in range(ncols)]
+    for r, row in enumerate(_core(rows, field)):
+        for c, x in row.items():
+            cols[c][r] = x
+    basis = core_relations(cols, len(rows), p)[1]
     return scalars(basis, [max(z) for z in basis], p)
 
 

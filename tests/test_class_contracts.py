@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from codiff import cochain
 from codiff.algfile import AlgebraFile
 from codiff.cochain import Cochain, ScalarCochain, canonical_tuples
 from codiff.coderivation import W_OF_V
@@ -51,12 +52,22 @@ class TestGradedSpace:
         assert a != ("a", "b")
 
     def test_equal_spaces_share_canonical_tuples(self):
+        """The tuples are cached on (dim, parities, flavor, degree): equal
+        spaces, and spaces that differ only in names or field, share one
+        tuple object, each lookup a cache hit."""
         a, b = GradedSpace(("p", "q", "r"), (0, 1, 1)), \
             GradedSpace(("p", "q", "r"), (0, 1, 1))
-        first = canonical_tuples(a, EXTERIOR, 3)
-        hits = canonical_tuples.cache_info().hits
-        assert canonical_tuples(b, EXTERIOR, 3) is first
-        assert canonical_tuples.cache_info().hits == hits + 1
+        renamed = GradedSpace(("x", "y", "z"), (0, 1, 1))
+        other_field = GradedSpace(("p", "q", "r"), (0, 1, 1), PrimeField(5))
+        cache = cochain._canonical_tuples.cache_info
+        for flavor in (TENSOR, EXTERIOR):
+            first = canonical_tuples(a, flavor, 3)
+            hits = cache().hits
+            for space in (b, renamed, other_field):
+                assert canonical_tuples(space, flavor, 3) is first
+            assert cache().hits == hits + 3
+        assert canonical_tuples(GradedSpace(("p", "q", "r"), (0, 0, 1)),
+                                EXTERIOR, 3) != first
 
     @pytest.mark.parametrize("args,message", [
         (((), ()), "a graded space needs dimension >= 1"),

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import os
@@ -650,14 +651,16 @@ def shear_cases():
 def assert_blocks_compose_to_zero(cx, degrees):
     """D∘D = 0 read from the blocks: D of the image of each basis vector of
     these degrees, summed over the degrees the image reaches, and reduced
-    mod p over F_p (the blocks hold ints: N·D over Q, residues over F_p)."""
+    mod p over F_p (the blocks hold ints: N·D over Q, residues over F_p).
+    ``images`` builds a block on each call, so each is built here once."""
     p = cx.field.characteristic
+    block = functools.cache(cx.images)
     for degree in degrees:
-        for image in cx.images(degree):
+        for image in block(degree):
             twice = {}
             for q, vec in image.items():
                 for row, x in vec.items():
-                    for r, w in cx.images(q)[row].items():
+                    for r, w in block(q)[row].items():
                         vec_add(twice.setdefault(r, {}), w, x)
             assert not any(x % p if p else x for vec in twice.values()
                            for x in vec.values()), (degree, image)

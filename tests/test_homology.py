@@ -195,6 +195,21 @@ class TestCohomology:
         assert [r.coboundaries for r in cohomology(s, window).rows] == want
         assert window_coboundary_dims(s, window) == want
 
+    @pytest.mark.parametrize("report, want", [
+        (cohomology, [(1, 1, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0), (6, 6, 0),
+                      (11, 11, 0), (22, 22, 0), (43, 43, 0)]),
+        (lambda s, window: cyclic_cohomology(s, None, window),
+         [(1, 1, 0), (1, 1, 0), (2, 2, 0), (2, 2, 0), (3, 2, 1), (4, 2, 2),
+          (6, 3, 3), (8, 4, 4)]),
+    ], ids=["cohomology", "cyclic"])
+    def test_mixed_arity_rows_at_a_wide_window(self, koszul_dga, report,
+                                               want):
+        """At 0..7 every row of the Koszul DGA reads the image bases of
+        degrees 0..7, each from one elimination of its block: the rows
+        (Z^p, B^p, H^p) are pinned."""
+        assert [(r.cocycles, r.coboundaries, r.quotient)
+                for r in report(koszul_dga, (0, 7)).rows] == want
+
     @pytest.mark.parametrize("name, complex_, report", [
         ("gl2.alg", _PlainComplex, cohomology),
         ("koszul_dga.alg", _PlainComplex, cohomology),
@@ -205,32 +220,52 @@ class TestCohomology:
     ], ids=["gl2", "koszul_dga", "gl2-cyclic", "m2-cyclic"])
     def test_two_echelon_forms_per_row(self, monkeypatch, name, complex_,
                                        report):
-        """A row with a nonempty degree takes the reduced kernel elimination
-        of its block (``core_kernel``) and one span elimination of its
-        sources and cocycles (``core_pivots``), and an empty degree none
-        (gl2 has no basis above degree 4 in the plain complex, above degree
-        3 in the cyclic one); no other elimination runs."""
-        s, entries, eliminations = bench_structure(name), [], []
+        """Each nonempty degree the report reads, a row's own or one of its
+        sources (every degree 0..3 for the mixed arities of koszul_dga),
+        is built and eliminated once (``core_relations``), when a row first
+        reads it, with the pivot rows at its tag columns cleared; each
+        nonempty row takes one span elimination of its sources and
+        cocycles (``core_pivots``), and an empty degree none (gl2 has no
+        basis above degree 4 in the plain complex, above degree 3 in the
+        cyclic one); no other elimination runs."""
+        s, calls, eliminations = bench_structure(name), [], []
 
-        def eliminate(rows, p, reduced, eliminate=linalg._eliminate):
-            eliminations.append(reduced)
-            return eliminate(rows, p, reduced)
+        def eliminate(rows, p, start, eliminate=linalg._eliminate):
+            eliminations.append(start)
+            return eliminate(rows, p, start)
 
-        def kernel(rows, ncols, p, kernel=linalg.core_kernel):
-            entries.append("kernel")
-            return kernel(rows, ncols, p)
+        def images(cx, q, images=complex_.images):
+            calls.append(("block", q))
+            return images(cx, q)
+
+        def relations(rows, ncols, p, relations=linalg.core_relations):
+            calls.append(("relations", len(rows), ncols))
+            return relations(rows, ncols, p)
 
         def pivots(rows, p, pivots=linalg.core_pivots):
-            entries.append("pivots")
+            calls.append(("pivots",))
             return pivots(rows, p)
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
-        monkeypatch.setattr(linalg, "core_kernel", kernel)
+        monkeypatch.setattr(complex_, "images", images)
+        monkeypatch.setattr(linalg, "core_relations", relations)
         monkeypatch.setattr(linalg, "core_pivots", pivots)
-        rows = report(s, (0, 5) if name == "gl2.alg" else (0, 3)).rows
-        cx = complex_(s)
-        nonempty = sum(1 for row in rows if cx.dim(row.degree))
-        assert entries == ["kernel", "pivots"] * nonempty
-        assert eliminations == [True, False] * nonempty
+        window = (0, 5) if name == "gl2.alg" else (0, 3)
+        report(s, window)
+        cx, spread = complex_(s), max(s.parts) - 1
+        want, seen = [], set()
+        for p in range(window[0], window[1] + 1):
+            if not cx.dim(p):
+                continue
+            sources = (range(max(window[0] - spread, 0), window[1] + 1)
+                       if len(s.parts) > 1 else [p - spread] * (p >= spread))
+            for q in [*sources, p]:
+                if cx.dim(q) and q not in seen:
+                    seen.add(q)
+                    want += [("block", q), ("relations", cx.dim(q))]
+            want.append(("pivots",))
+        assert [call[:2] for call in calls] == want
+        assert eliminations == [call[2] if call[0] == "relations" else None
+                                for call in calls if call[0] != "block"]
 
     @pytest.mark.parametrize("field", ["Q", "F 2", "F 3", "F 32003"])
     @pytest.mark.parametrize("name, report", [
@@ -248,11 +283,11 @@ class TestCohomology:
                                       field), W_OF_V, 8)
         p, converted = s.space.field.characteristic, []
 
-        def eliminate(rows, modulus, reduced, eliminate=linalg._eliminate):
+        def eliminate(rows, modulus, start, eliminate=linalg._eliminate):
             assert modulus == p
             assert all(x.__class__ is int and (0 < x < p if p else x)
                        for row in rows for x in row.values())
-            return eliminate(rows, modulus, reduced)
+            return eliminate(rows, modulus, start)
 
         def scalars(rows, columns, modulus, scalars=linalg.scalars):
             converted.extend(rows)

@@ -130,27 +130,51 @@ def test_kernel_basis_spans_the_kernel(fm):
 
 @PROPERTY
 @given(matrices())
-def test_core_entries_match_the_public_functions(fm):
+def test_core_relations_against_a_dense_reference(fm):
     """On the matrix over core ints, made by ``core_vectors`` with one
     factor for every row (so over Q the rows need not be primitive),
-    ``core_pivots`` gives the pivots of ``echelon`` and ``core_kernel`` the
-    vectors of ``kernel_basis``, as ints, each with a positive int at its
-    free column, its last: 1 over F_p, where every entry lies in [1, p),
-    and over Q the vector is primitive."""
+    ``core_relations`` gives, for each row j in the span of the rows before
+    it, in order, one relation that sums the rows to zero, on j and the
+    earlier rows outside the span of those before them, as ints with a
+    positive int at j: 1 over F_p, where every entry lies in [1, p), and
+    over Q a primitive vector; scaled to 1 at j they are the free-column
+    kernel vectors of the dense reduced echelon form of the transpose.  Its
+    basis has the pivots of ``echelon`` and spans the rows."""
     field, m = fm
     cols, p = len(m[0]) if m else 0, field.characteristic
     core = linalg.core_vectors(dict(enumerate(sparse_rows(m))), field)
-    pivots = linalg.core_pivots([dict(row) for row in core.values()], p)
-    assert pivots == linalg.echelon(sparse_rows(m), field)[1]
-    kern = linalg.core_kernel(list(core.values()), cols, p)
-    basis = linalg.kernel_basis(sparse_rows(m), cols, field)
-    assert len(kern) == len(basis)
-    for z, v in zip(kern, basis):
+    rows = [core[i] for i in range(len(m))]
+    basis, relations = linalg.core_relations([dict(row) for row in rows],
+                                             cols, p)
+    assert [min(row) for row in basis] == linalg.echelon(sparse_rows(m),
+                                                         field)[1]
+    dense_rows = [dense_vector({j: field(x) for j, x in row.items()}, cols,
+                               field(0)) for row in rows]
+    dense_basis = [dense_vector({j: field(x) for j, x in row.items()}, cols,
+                                field(0)) for row in basis]
+    assert oracle.dense_rank(dense_basis + dense_rows, field) == len(basis)
+    rank = oracle.dense_rank(dense_rows, field)
+    assert len(relations) == len(m) - rank == len(m) - len(basis)
+    # row i is independent when it raises the rank of the rows before it
+    ranks = [oracle.dense_rank(dense_rows[:i], field)
+             for i in range(len(m) + 1)]
+    independent = {i for i in range(len(m)) if ranks[i + 1] > ranks[i]}
+    dependent = [j for j in range(len(m)) if j not in independent]
+    transpose = [[row[c] for row in m] for c in range(cols)]
+    reduced, pivots = reference_rref(transpose, field) if cols else ([], [])
+    assert pivots == sorted(independent)
+    for j, z in zip(dependent, relations):
+        assert max(z) == j and set(z) <= independent | {j}
         assert all(x.__class__ is int and (0 < x < p if p else x)
                    for x in z.values())
-        c = max(z)
-        assert z[c] == 1 if p else z[c] > 0 and gcd(*z.values()) == 1
-        assert {j: field(x) / z[c] for j, x in z.items()} == v
+        assert z[j] == 1 if p else z[j] > 0 and gcd(*z.values()) == 1
+        assert not any(field(sum(z.get(i, 0) * row.get(c, 0)
+                                 for i, row in enumerate(rows)))
+                       for c in range(cols))
+        want = {j: field(1), **{pc: -row[j] for pc, row in zip(pivots,
+                                                               reduced)
+                                if row[j]}}
+        assert {i: field(x) / z[j] for i, x in z.items()} == want
 
 
 @PROPERTY

@@ -30,8 +30,8 @@ from codiff.cochain import (  # noqa: E402
     vec_add)
 from codiff.coderivation import compose, heads_of, terms  # noqa: E402
 from codiff.fields import QQ, PrimeField  # noqa: E402
-from codiff.graded import (EXTERIOR, TENSOR, canonical_word,  # noqa: E402
-                           word_parity)
+from codiff.graded import (EXTERIOR, TENSOR, canonical_merge,  # noqa: E402
+                           canonical_word, word_parity)
 from codiff.oracle import (compose_reference,  # noqa: E402
                            extend_letters_reference, word_tuples)
 from codiff.homology import (_PlainComplex, _antisymmetry_witness,  # noqa: E402
@@ -64,6 +64,33 @@ def test_canonical_tuples_are_the_filtered_multisets(parities, degree):
     space = GradedSpace(tuple("abcdef"[:len(parities)]), tuple(parities), QQ)
     assert (canonical_tuples(space, EXTERIOR, degree)
             == word_tuples(space, EXTERIOR, degree))
+
+
+@st.composite
+def canonical_pairs(draw):
+    """(parities, h, r): two canonical exterior words over 1 to 5 letters
+    of random parity, each sorted with its odd letters repeated at will and
+    an even letter at most once, so the two share odd and even letters."""
+    parities = tuple(draw(st.lists(st.integers(0, 1), min_size=1,
+                                   max_size=5)))
+
+    def word():
+        letters = draw(st.lists(st.integers(0, len(parities) - 1),
+                                max_size=7))
+        return tuple(sorted(x for i, x in enumerate(letters)
+                            if parities[x] or x not in letters[:i]))
+    return parities, word(), word()
+
+
+@PROPERTY
+@given(canonical_pairs())
+def test_canonical_merge_is_the_canonical_word(case):
+    """The merge of two canonical words gives ``canonical_word`` of their
+    concatenation: the same sign and letters, and None exactly when an
+    even letter of one is in the other."""
+    parities, h, r = case
+    assert (canonical_merge(h, r, parities)
+            == canonical_word(EXTERIOR, h + r, parities))
 
 
 def random_scalar(space, flavor, arity, parity, rng, density):
