@@ -19,9 +19,11 @@ checkout too (they also run ``cohomology`` and ``cyclic`` at window
 Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
 under both conventions, in text and json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
-Over Q each file that parses also runs ``cohomology`` and ``cyclic`` after
-a fixed non-integral diagonal change of basis (``rescaled``), so that the
-structure has entries with denominators.
+Over Q each file that parses also runs ``validate``, ``cohomology``,
+``cyclic``, ``deform`` and ``deform --max-arity 1`` after a fixed
+non-integral diagonal change of basis (``rescaled``), so that the structure
+has entries with denominators and its integer lift a factor N > 1 (a
+failing ``validate`` prints its residual with denominators).
 Each run prints one line: the arguments, the exit status, and digests of
 stdout and stderr; a json-lines run adds ``json=ok``, or ``json=bad`` when
 a line of its stdout is not JSON.  The CLI prints dimensions only, so each
@@ -48,6 +50,7 @@ FORMATS = ("text", "json-lines")
 SOURCES = ("tests/fixtures", "bench/inputs")
 INNER_PRODUCT = re.compile(r"^inner_product\n(?:[ \t].*\n)*", re.M)
 RESCALE = (Fraction(1, 2), Fraction(2, 3), Fraction(-3, 2))
+RESCALED_COMMANDS = ("validate", "cohomology", "cyclic", "deform")
 
 # exterior structures with odd letters, whose brackets and coboundaries
 # carry the odd-odd reordering signs: the first validates (over Q its
@@ -248,7 +251,7 @@ def sweep(root):
                                            moved)
                         runs += [(moved_path, moved, command, extra)
                                  for command, extra in commands(moved)
-                                 if command in ("cohomology", "cyclic")]
+                                 if command in RESCALED_COMMANDS]
                     for (path, text, command, extra), convention in \
                             itertools.product(runs, CONVENTIONS):
                         for fmt in FORMATS:

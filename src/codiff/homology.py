@@ -7,10 +7,12 @@ scalar cochains with the cyclic coboundary.  The complex builds each block
 D_p, D of every degree-p basis vector as sparse coordinates, in one pass
 over the structure's entries (``codiff.blocks``); ``coboundary`` and
 ``cyclic_coboundary`` remain the per-cochain routes.  D is linear in m, so
-the blocks hold N·D over core ints: N·m, with N the lcm of the denominators
-of every part, over Q, and residues over F_p.  N·D has the kernels, images
-and ranks of D, so its rows go to ``linalg``'s core entries as they are,
-and a cocycle gets field scalars only when it becomes a representative.
+the blocks hold N·D over core ints, from the structure's ``lift``: N·m,
+with N the lcm of the denominators of every part, over Q, and residues over
+F_p.  N·D has the kernels, images and ranks of D, so its rows go to
+``linalg``'s core entries as they are, and a cocycle gets field scalars
+only when it becomes a representative, once the per-cochain route on the
+lift has certified it.
 For a window a..b a row reports Z^p = ker D on C^p and B^p = im D ∩ C^p
 (``_window_report``).  Each block it reads is eliminated once, its images
 stacked over the degrees they reach and each tagged by a column of its own:
@@ -35,12 +37,13 @@ import math
 from . import linalg
 from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
-from .coderivation import (family_bracket, family_is_zero, heads_of,
-                           reachable, terms)
+from .coderivation import family_bracket, heads_of, reachable, terms
 from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_signs,
                      word_parity)
 # deform_check stays a module attribute: bench/tracer.py wraps it here
-from .structures import deformation_parameter_parity, deform_check  # noqa: F401
+from .structures import (core_family, deform_check,  # noqa: F401
+                         deformation_parameter_parity, family_vanishes,
+                         vanishes)
 
 
 MAX_INDEX = 10 ** 6
@@ -82,25 +85,20 @@ class _Complex:
     from those keys to positions.  Vectors are sparse {basis position:
     scalar} dicts of nonzeros: ``images(p)`` is the block of N·D on C^p,
     N·D of each degree-p basis vector as {degree: vector} over core ints,
-    built in one pass (``codiff.blocks``) from the core parts ``parts``;
+    built in one pass (``codiff.blocks``) from the parts of the lift;
     ``coords(p, c)`` reads a cochain in the basis over field scalars,
     ``reconstruct(p, v)`` builds the cochain with coordinates v, and
-    ``differential(c)`` is D of one cochain.  ``_basis`` and ``_index``
-    are built once per degree, ``images`` on each call: its caller owns
-    the block and may change it.
+    ``is_cocycle(c)`` tests D(c) = 0 for a cochain c over core ints on the
+    lift.  ``_basis`` and ``_index`` are built once per degree, ``images``
+    on each call: its caller owns the block and may change it.
     """
 
     def __init__(self, s):
         self.s = s
+        self.lift = s.lift
         self.field = s.space.field
         self.spread = (max(s.parts) - 1) if s.parts else 0
         self.modulus = self.field.characteristic
-        core = linalg.core_vectors({(l, t): vec for l, m in s.parts.items()
-                                    for t, vec in m.coeffs.items()},
-                                   self.field)
-        self.parts = {l: Cochain(m.space, m.flavor, m.degree, m.parity,
-                                 {t: core[l, t] for t in m.coeffs})
-                      for l, m in s.parts.items()}
         self._basis = functools.cache(self._build_basis)
         self._index = functools.cache(self._build_index)
 
@@ -125,10 +123,11 @@ class _PlainComplex(_Complex):
         return word_parity(self.s.space, self._basis(p)[k] + (j,))
 
     def images(self, p):
-        return plain_block(self.s, self.parts, self.modulus, p, self._index)
+        return plain_block(self.s, self.lift.parts, self.modulus, p,
+                           self._index)
 
-    def differential(self, c):
-        return coboundary(c, self.s)
+    def is_cocycle(self, c):
+        return family_vanishes(coboundary(c, self.lift), self.modulus)
 
     def coords(self, p, c):
         index, field = self._index(p), self.field
@@ -165,10 +164,12 @@ class _CyclicComplex(_Complex):
         return word_parity(self.s.space, self._basis(p)[1][i])
 
     def images(self, p):
-        return cyclic_block(self.s, self.parts, self.modulus, p, self._index)
+        return cyclic_block(self.s, self.lift.parts, self.modulus, p,
+                            self._index)
 
-    def differential(self, f):
-        return cyclic_coboundary(f, self.s)
+    def is_cocycle(self, f):
+        return vanishes((x for d in cyclic_coboundary(f, self.lift).values()
+                         for x in d.coeffs.values()), self.modulus)
 
     def coords(self, p, f):
         """Coordinates at the pivots, read from f on the rotations of its
@@ -256,14 +257,14 @@ def _window_report(cx, window, note):
             spanned, pivots = _spanned(
                 cx, [v for q in sources for v in bases.get(q, ())],
                 [{p: z} for z in kern], last=p)
-            reps = [cx.reconstruct(p, *linalg.scalars([z], [max(z)],
-                                                      cx.modulus))
-                    for j, z in enumerate(kern) if j not in spanned]
+            reps = [z for j, z in enumerate(kern) if j not in spanned]
         bases = {q: v for q, v in bases.items() if last.get(q, -1) > p}
         kernels = {q: z for q, z in kernels.items() if q > p}
         # the bracket route certifies each class the block picked
-        if any(cx.differential(rep) for rep in reps):
+        if not all(cx.is_cocycle(cx.reconstruct(p, z)) for z in reps):
             raise RuntimeError("a representative of H^%d is not a cocycle" % p)
+        reps = [cx.reconstruct(p, *linalg.scalars([z], [max(z)], cx.modulus))
+                for z in reps]
         rows_out.append(DegreeRow(p, len(kern), pivots - len(reps),
                                   len(kern) - pivots + len(reps), reps))
     return CohomologyReport(window, rows_out, len(cx.s.parts) <= 1, note)
@@ -376,9 +377,10 @@ def _rotation_witness(f):
     identity."""
     if f.arity == 1:
         return None
-    par = f.space.parities
+    par, field = f.space.parities, f.space.field
     for t in sorted({*f.coeffs, *(u[-1:] + u[:-1] for u in f.coeffs)}):
-        if f.value(t) != rotation_signs(par, t)[1] * f.value(t[1:] + t[:1]):
+        if field(f.value(t)
+                 - rotation_signs(par, t)[1] * f.value(t[1:] + t[:1])):
             return t
     return None
 
@@ -478,16 +480,18 @@ def _rotation_sum(f, inner, extra_exp):
     out = {}
     for t in sorted({u[i:] + u[:i] for u in reachable(f.coeffs, inner)
                      for i in range(n + 1)}):
-        acc = space.field(0)
+        acc = 0
         for i, e in enumerate(rotation_signs(space.parities, t)):
             u = t[i:] + t[:i]
             head, tail = u[:l], u[l:]
             vec = inner.coeffs.get(head)
             if not vec:
                 continue
-            term = space.field(0)
+            term = 0
             for bidx, c in vec.items():
-                term = term + c * f.coeffs.get((bidx,) + tail, 0)
+                x = f.coeffs.get((bidx,) + tail)
+                if x is not None:
+                    term = term + c * x
             acc = acc + sign * e * term
         if acc:
             out[t] = acc
@@ -651,9 +655,13 @@ def classify_deformation(s, parts, ip=None):
     if ip is not None:
         _require_invariant(s, ip)
     param = deformation_parameter_parity(parts)
-    # D(lambda) = {lambda, m}: deform_check without its second parity check
-    cocycle = family_is_zero(family_bracket(parts, s.parts,
-                                            convention=s.convention))
+    # D(lambda) = {lambda, m}, deform_check's test without its second parity
+    # check, on the direction's core ints and the lift
+    field = s.space.field
+    cocycle = family_vanishes(family_bracket(core_family(parts, field),
+                                             s.lift.parts,
+                                             convention=s.convention),
+                              field.characteristic)
     preserves = None
     if ip is not None:
         # each part's scalar form, built once for the test and the coords

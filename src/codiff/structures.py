@@ -14,11 +14,20 @@ from characteristic 2 this is equivalent to {m, m} = 0 for the modified
 self-bracket, whose coefficient of m_a ∘ m_b is 2 S(a,b) under either
 convention, so ``validate`` checks the relations alone (the bracket route
 and the reversed-side route live in the tests).
+
+Every bracket with m runs on the structure's integer ``lift``: N·m over Q,
+with N the lcm of the denominators of every part, and the residues over
+F_p.  {Nm, Nm} = N²{m, m} and D_{Nm} = N·D_m, and over F_p each bracket is
+an integer polynomial in the entries, which commutes with reduction mod p,
+so a value vanishes in the field exactly when its ints do (``vanishes``).
 """
 
 from __future__ import annotations
 
-from .cochain import add, scale, zero_cochain
+from functools import cached_property
+
+from . import linalg
+from .cochain import Cochain, add, scale, zero_cochain
 from .coderivation import (CONVENTIONS, W_OF_V, bracket_signs, compose,
                            family_bracket, family_is_zero)
 from .graded import EXTERIOR, TENSOR
@@ -70,6 +79,37 @@ class InfinityStructure:
     def top_arity(self):
         return max(self.parts) if self.parts else 0
 
+    @cached_property
+    def lift(self):
+        """The same structure with the parts ``core_family`` gives, built
+        on first use: validation, D and the cocycle test of a direction
+        read it."""
+        return InfinityStructure(self.flavor, self.space,
+                                 core_family(self.parts, self.space.field),
+                                 self.convention, self.max_arity)
+
+
+def core_family(parts, field):
+    """A family {arity: Cochain} over core ints, by one factor for all of
+    its parts (``linalg.core_vectors``): N·parts over Q, with N the lcm of
+    every denominator, and the residues over F_p."""
+    core = linalg.core_vectors({(k, t): vec for k, c in parts.items()
+                                for t, vec in c.coeffs.items()}, field)
+    return {k: Cochain(c.space, c.flavor, c.degree, c.parity,
+                       {t: core[k, t] for t in c.coeffs})
+            for k, c in parts.items()}
+
+
+def vanishes(values, p):
+    """Are these ints all zero in the field: 0, mod p over F_p (p > 0)?"""
+    return not any(x % p for x in values) if p else not any(values)
+
+
+def family_vanishes(fam, p):
+    """Is a family {degree: Cochain} over ints zero in the field?"""
+    return vanishes((x for c in fam.values() for vec in c.coeffs.values()
+                     for x in vec.values()), p)
+
 
 class ValidationReport:
     def __init__(self, ok, n=0, letters=(), residual=None):
@@ -104,19 +144,24 @@ def validate(s):
     Raises StructureError when the parity constraint |m_k| = k mod 2 fails
     (that check comes before any relation is evaluated).  A failing report
     names the least arity n whose residual is nonzero and the residual's
-    first word in canonical order.
+    first word in canonical order.  The relations are evaluated on the
+    lift; only the failing residual is evaluated again on field scalars,
+    for its value at that word.
     """
     for k, c in sorted(s.parts.items()):
         if c.parity != (k & 1):
             raise StructureError(
                 "part of arity %d has parity %d, an odd codifferential needs %d"
                 % (k, c.parity, k & 1))
+    lift, p = s.lift, s.space.field.characteristic
     for n in range(1, 2 * s.top_arity):
-        res = structure_residual(s, n).coeffs
-        if res:
-            t = min(res)
+        words = [t for t, vec in structure_residual(lift, n).coeffs.items()
+                 if not vanishes(vec.values(), p)]
+        if words:
+            t = min(words)
             return ValidationReport(False, n,
-                                    tuple(s.space.names[i] for i in t), res[t])
+                                    tuple(s.space.names[i] for i in t),
+                                    structure_residual(s, n).coeffs[t])
     return ValidationReport(True)
 
 

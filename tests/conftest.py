@@ -159,8 +159,8 @@ def is_cyclic_scalar_blockwise(f):
 
 def cyclic_basis_cochains(space, flavor, degree):
     """The vectors of ``cyclic_scalar_basis`` as ScalarCochains, each
-    orbit's int signs read in the space's field (over F_2 an int -1 would
-    break the rotation identity, which compares field scalars)."""
+    orbit's int signs read in the space's field, as a representative
+    holds them (over F_2 an int -1 is 1)."""
     orbits, pivots = cyclic_scalar_basis(space, flavor, degree)
     return [ScalarCochain(space, flavor, degree + 1, word_parity(space, t),
                           {u: space.field(e) for u, e in orbit.items()})

@@ -11,10 +11,11 @@ from codiff.cochain import (Cochain, InnerProduct, ScalarCochain, add,
                             canonical_tuples, tilde, untilde)
 from codiff.coderivation import V_OF_W, W_OF_V, family_bracket, \
     family_is_zero, modified_bracket
-from codiff.graded import EXTERIOR, TENSOR, word_parity
+from codiff.graded import EXTERIOR, TENSOR, rotation_signs, word_parity
 from codiff.homology import (MAX_INDEX, InvarianceError, WindowTooLarge,
                              _CyclicComplex, _PlainComplex, _check_window,
-                             _rotation_sum, _antisymmetry_witness,
+                             _rotation_sum, _rotation_witness,
+                             _signed_orbits, _antisymmetry_witness,
                              classify_deformation, coboundary, cohomology,
                              cyclic_coboundary, cyclic_cohomology,
                              cyclic_scalar_basis, cyclicize, is_cyclic,
@@ -26,7 +27,8 @@ from codiff.fields import QQ, PrimeField
 from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
 from conftest import (bracket, cyclic_basis_cochains,
-                      cyclic_scalar_basis_reference, make_cochain,
+                      cyclic_scalar_basis_reference,
+                      is_cyclic_scalar_blockwise, make_cochain,
                       pair, random_cochain, scalar_cochains_match,
                       scalar_scale, sparse_rows)
 
@@ -559,6 +561,60 @@ class TestCyclicSpaceAtSmallPrimes:
             assert len(cyclic_scalar_basis(space, TENSOR, arity - 1)[0]) == \
                 cyclic
 
+    @pytest.mark.parametrize("parities", [(0, 1), (0, 1, 1), (0, 0, 1)])
+    def test_the_integer_lift_of_every_kept_f2_orbit_is_cyclic(self,
+                                                               parities):
+        """Over F_2 every tensor orbit is kept, also one whose rotation by
+        its period has sign -1.  Its int signs, the integer cochain that
+        certifies a representative, satisfy the rotation identity only mod
+        2, which is where ``is_cyclic_scalar`` compares."""
+        space = GradedSpace(tuple("abc"[:len(parities)]), parities, F2)
+        odd = 0
+        for arity in range(1, 7):
+            over_q = {t for t, _ in _signed_orbits(parities, space.dim, arity,
+                                                   False)}
+            for t, orbit in _signed_orbits(parities, space.dim, arity, True):
+                f = ScalarCochain(space, TENSOR, arity, word_parity(space, t),
+                                  dict(orbit))
+                assert is_cyclic_scalar(f), t
+                odd += t not in over_q
+        assert odd
+
+    @pytest.mark.parametrize("field", [QQ, F3], ids=str)
+    def test_rotation_witness_of_field_scalars_is_unchanged(self, field, rng):
+        """On field scalars the witness compares in the field as
+        f(t) != sign * f(t rotated) does: the same least tuple, or None
+        exactly when the block form of the rotation identity holds.  The
+        cochains are the orbits of every tuple with their signs in the
+        field, cyclic or not, and random ones."""
+        def witness(f):
+            par = f.space.parities
+            for t in sorted({*f.coeffs, *(u[-1:] + u[:-1] for u in f.coeffs)}):
+                if f.value(t) != (rotation_signs(par, t)[1]
+                                  * f.value(t[1:] + t[:1])):
+                    return t
+            return None
+
+        space = GradedSpace(("a", "u", "v"), (0, 1, 1), field)
+        for arity in range(2, 5):
+            cochains = [ScalarCochain(space, TENSOR, arity,
+                                      word_parity(space, t),
+                                      {u: field(e) for u, e in orbit.items()})
+                        for t, orbit in _signed_orbits(space.parities, 3,
+                                                       arity, True)]
+            for parity in (0, 1):
+                cochains += [ScalarCochain(space, TENSOR, arity, parity, {
+                    t: field(rng.randint(-2, 2))
+                    for t in itertools.product(range(3), repeat=arity)
+                    if word_parity(space, t) == parity
+                    and rng.random() < 0.3}) for _ in range(5)]
+            answers = set()
+            for f in cochains:
+                assert _rotation_witness(f) == witness(f)
+                assert is_cyclic_scalar(f) == is_cyclic_scalar_blockwise(f)
+                answers.add(is_cyclic_scalar(f))
+            assert answers == {True, False}
+
     @pytest.mark.parametrize("parities,arity", [
         (EVEN4, 1), (EVEN4, 2), ((0, 1), 4), ((0, 1, 1), 3),
     ])
@@ -809,6 +865,43 @@ class TestCyclicCohomology:
             phi = untilde(rep, af.inner_product)
             assert not phi.is_zero()
             assert family_is_zero(coboundary(phi, s))
+
+
+class TestCertificate:
+    """The bracket route certifies every representative: one block entry
+    changed makes a basis vector whose image is that one entry a cocycle of
+    the block, and not of D, so the report refuses the row."""
+
+    @pytest.mark.parametrize("field", ["Q", "F 32003", "F 3"])
+    @pytest.mark.parametrize("block, report", [
+        ("plain_block", cohomology),
+        ("cyclic_block", lambda s, window: cyclic_cohomology(s, None, window)),
+    ], ids=["cohomology", "cyclic"])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_a_wrong_block_entry_fails_the_certificate(
+            self, monkeypatch, field, block, report, degree):
+        build = getattr(homology, block)
+        changed = []
+
+        def wrong(s, parts, modulus, p, index):
+            images = build(s, parts, modulus, p, index)
+            if p == degree:
+                for image in images:
+                    entries = [(q, r) for q, vec in image.items() for r in vec]
+                    if len(entries) == 1:
+                        q, r = entries[0]
+                        del image[q][r]
+                        changed.append((q, r))
+                        break
+            return images
+        monkeypatch.setattr(homology, block, wrong)
+        s = build_structure(load_file(os.path.join(FIXTURES,
+                                                   "dual_numbers.alg"),
+                                      field), W_OF_V, 8)
+        with pytest.raises(RuntimeError, match=r"a representative of H\^%d "
+                           "is not a cocycle" % degree):
+            report(s, (0, 3))
+        assert changed
 
 
 class TestClassifyDeformation:

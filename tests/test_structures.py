@@ -1,18 +1,25 @@
+import importlib.util
 import itertools
 import os
+import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import codiff.structures
 from codiff import GradedSpace
-from codiff.algfile import parse
+from codiff.algfile import ParseError, parse
+from codiff.cli import build_structure
 from codiff.cochain import add, zero_cochain
 from codiff.coderivation import (CONVENTIONS, V_OF_W, bracket_signs,
                                  family_bracket, family_is_zero)
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import (A_INFINITY, InfinityStructure,
-                               StructureError, deform_check, relation_sign,
+from codiff.homology import InvarianceError, classify_deformation
+from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY,
+                               InfinityStructure, StructureError,
+                               deform_check, relation_sign,
                                structure_residual, validate)
 from conftest import bracket, make_cochain, random_cochain, reversed_side_ok
 
@@ -250,3 +257,100 @@ class TestConventions:
         s, _ = sl2
         with pytest.raises(StructureError):
             InfinityStructure(A_INFINITY, s.space, s.parts)
+
+
+def _sweep():
+    path = os.path.join(HERE, os.pardir, "scripts", "output_sweep.py")
+    spec = importlib.util.spec_from_file_location("output_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SWEEP = _sweep()
+LIFT_FIELDS = ("Q", "F 32003", "F 2", "F 3")
+
+
+def lift_texts():
+    """(id, text over Q) of every input file, the output sweep's inline
+    inputs, and the sweep's rescaled copy of each, whose entries have
+    denominators."""
+    texts = []
+    for path in ALG_FILES:
+        with open(path, encoding="utf-8") as fh:
+            texts.append((os.path.basename(path), fh.read()))
+    texts += list(SWEEP.INLINE)
+    return texts + [("rescaled-" + name, SWEEP.rescaled(text))
+                    for name, text in texts]
+
+
+LIFT_TEXTS = lift_texts()
+
+
+def field_route_report(s):
+    """(ok, n, letters, residual) of the relations evaluated on the field
+    scalars of s.parts."""
+    for n in range(1, 2 * s.top_arity):
+        res = structure_residual(s, n).coeffs
+        if res:
+            t = min(res)
+            return False, n, tuple(s.space.names[i] for i in t), res[t]
+    return True, 0, (), {}
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("field", LIFT_FIELDS)
+@pytest.mark.parametrize("name,text", LIFT_TEXTS,
+                         ids=[name for name, _ in LIFT_TEXTS])
+def test_the_integer_lift_answers_as_the_field_scalars(name, text, field,
+                                                       convention):
+    """Validation and the cocycle test of a direction run on the
+    structure's integer lift; they give the answers of the field-scalar
+    routes, ``structure_residual`` on s.parts and ``deform_check``.  The
+    lift is N·m over Q, with N the lcm of every denominator, and m itself
+    mod p over F_p.  The directions are the file's, each part of the
+    structure and a random one."""
+    try:
+        af = parse(re.sub(r"^field Q$", "field " + field, text, flags=re.M))
+    except ParseError:
+        return
+    s = build_structure(af, convention, DEFAULT_MAX_ARITY)
+    lift, f = s.lift, s.space.field
+    assert (lift.flavor, lift.space, lift.convention, lift.max_arity) == \
+        (s.flavor, s.space, s.convention, s.max_arity)
+    assert sorted(lift.parts) == sorted(s.parts)
+    n = lcm(*[x.denominator for c in s.parts.values()
+              for vec in c.coeffs.values() for x in vec.values()]) \
+        if not f.characteristic else 1
+    if name.startswith("rescaled-") and field == "Q" and s.parts:
+        assert n > 1
+    for k, c in s.parts.items():
+        ints = lift.parts[k].coeffs
+        assert all(x.__class__ is int for vec in ints.values()
+                   for x in vec.values())
+        assert {t: {b: f(x) for b, x in vec.items()}
+                for t, vec in ints.items()} == \
+            {t: {b: n * x for b, x in vec.items()}
+             for t, vec in c.coeffs.items()}
+    try:
+        report = validate(s)
+    except StructureError:
+        report = None
+    if report is not None:
+        assert (report.ok, report.n, report.letters, report.residual) == \
+            field_route_report(s)
+    rng = random.Random(name)
+    directions = [parts for _, parts in af.deformations.values()]
+    directions += [{k: c} for k, c in s.parts.items()]
+    directions.append({2: random_cochain(s.space, s.flavor, 2, 0, rng)})
+    for lam in directions:
+        try:
+            want = deform_check(s, lam)
+        except StructureError:
+            continue
+        for ip in (None, af.inner_product)[:1 + bool(af.inner_product)]:
+            try:
+                got = classify_deformation(s, lam, ip)
+            except InvarianceError:
+                continue
+            assert got.cocycle == want
