@@ -11,11 +11,13 @@ than one ``map`` block also ``cohomology`` and ``cyclic`` at window 0..7,
 where every row reads the sources of every degree in the window, through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
-file of that checkout, and on the exterior inputs of ``INLINE`` (two with
-odd letters, and one with an odd letter and two arities, l_1 and l_2),
-which are written to the temporary directory and so run on an older
-checkout too (they also run ``cohomology`` and ``cyclic`` at window
-0..12, whose tuples repeat an odd letter up to 13 times and more), over
+file of that checkout, and on the inputs of ``INLINE``, which are written
+to the temporary directory and so run on an older checkout too: three
+exterior ones (two with odd letters, and one with an odd letter and two
+arities, l_1 and l_2), which also run ``cohomology`` and ``cyclic`` at
+window 0..12, whose tuples repeat an odd letter up to 13 times and more,
+and the tensor graded dual numbers (an odd letter and one arity), which
+also run them at window 0..7, over
 Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
 under both conventions, in text and json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
@@ -84,9 +86,26 @@ map l 2
 deformation lam 2 even_parameter
   lam(x,z) = z
 """
+# the graded dual numbers k[u]/u^2 with u odd, a tensor structure with an
+# odd letter and one arity: it validates under both conventions, and over Q
+# its cohomology is 2 in each degree 0..7
+GRADED_DUAL_NUMBERS = """field Q
+flavor tensor
+space
+  basis 1 even
+  basis u odd
+map m 2
+  m(1,1) = 1
+  m(1,u) = u
+  m(u,1) = u
+"""
 INLINE = (("odd_letters.alg", ODD_LETTERS % ""),
           ("odd_letters_bracket.alg", ODD_LETTERS % "  l(u,v) = a\n"),
-          ("two_arities.alg", TWO_ARITIES))
+          ("two_arities.alg", TWO_ARITIES),
+          ("graded_dual_numbers.alg", GRADED_DUAL_NUMBERS))
+# the extra window of ``cohomology`` and ``cyclic`` on an inline input, if
+# not 0..12
+INLINE_WINDOW = {"graded_dual_numbers.alg": "0..7"}
 
 
 def digest(text):
@@ -221,23 +240,24 @@ def sweep(root):
             if name.endswith(".alg"):
                 with open(os.path.join(root, src, name),
                           encoding="utf-8") as fh:
-                    inputs.append((src, name, fh.read()))
-    inputs += [("inline", name, text) for name, text in INLINE]
+                    inputs.append((src, name, fh.read(), None))
+    inputs += [("inline", name, text, INLINE_WINDOW.get(name, "0..12"))
+               for name, text in INLINE]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         # relative paths keep any path in an error message the same in
         # every checkout
         os.chdir(tmp)
         try:
-            for src, name, source in inputs:
+            for src, name, source, window in inputs:
                 for field in FIELDS:
                     path = os.path.join(field.replace(" ", ""), src, name)
                     local = re.sub(r"^field Q$", "field " + field, source,
                                    flags=re.M)
                     runs = [(path, local, command, extra)
                             for command, extra in commands(local)]
-                    if src == "inline":
-                        runs += [(path, local, command, ["--window", "0..12"])
+                    if window:
+                        runs += [(path, local, command, ["--window", window])
                                  for command in ("cohomology", "cyclic")]
                     write(path, local)
                     plain = INNER_PRODUCT.sub("", local)

@@ -1,22 +1,20 @@
 """The blocks of the coboundary D, each built in one pass over the
 structure's nonzero entries.
 
-D is linear in the cochain, so its block on C^p is read off from the
-entries of the parts m_l instead of one bracket per basis cochain.  D is
-linear in m too, so the blocks are built from the complex's core parts,
-whose entries are plain ints: N·m over Q, with N the lcm of the parts'
-denominators, and residues over F_p.  Entry i of a block is N·D of the
-i-th basis vector of degree p as sparse coordinates {degree: {row: int}},
-what ``coboundary`` or ``cyclic_coboundary`` followed by the complex's
-``coords`` give, scaled by N over Q and as residues in [0, p) over F_p.
-Every sum runs over plain ints; over F_p each entry is reduced once, when
-its block is finished.
+D is linear in the cochain and in m, so its block on C^p is read off from
+the entries of the complex's core parts, whose entries are plain ints: N·m
+over Q, with N the lcm of the parts' denominators, and residues over F_p.
+Entry i of a block is N·D of the i-th basis vector of degree p as sparse
+coordinates {degree: {row: int}}, what ``coboundary`` or
+``cyclic_coboundary`` followed by the complex's ``coords`` give, scaled by N
+over Q and as residues in [0, p) over F_p.  Every sum runs over plain ints;
+over F_p each entry is reduced once, when its block is finished.
 
 Plain complex, on the delta cochains (t, j): D(phi) = {phi, m} is a signed
 sum of phi∘m and m∘phi, with the signs of ``coderivation.bracket_signs``.
-Both read the extension terms of ``coderivation.terms``: phi∘m those of m
-landing on the source tuples, m∘phi those of the deltas, whose heads are
-every source tuple, landing on the source words of m.
+The k-th tensor tuple of degree n is the base-dim numeral k, so the tensor
+block places every term by integer strides, from the words of m alone; the
+exterior block reads the extension terms of ``coderivation.terms``.
 
 Cyclic complex: the tensor rotation sum pairs each entry of m with the basis
 tuples that start with its output letter and spreads the product over every
@@ -38,19 +36,23 @@ def _add(vec, key, x):
     vec[key] = x if cur is None else cur + x
 
 
-def _reduced(vec, modulus):
-    """The nonzero entries of a finished block vector, mod p over F_p
-    (``modulus`` p; 0 over Q)."""
-    if modulus:
-        return {r: v for r, x in vec.items() if (v := x % modulus)}
-    return {r: x for r, x in vec.items() if x}
+def _finished(images, modulus):
+    """The images with their nonzero entries only, mod ``modulus`` if set."""
+    def reduced(vec):
+        if modulus:
+            return {r: v for r, x in vec.items() if (v := x % modulus)}
+        return {r: x for r, x in vec.items() if x}
+    return [{q: v for q, vec in img.items() if (v := reduced(vec))}
+            for img in images]
 
 
 def plain_block(s, parts, modulus, p, index):
     """The block of N·D on C^p over the delta basis, from the core parts
     ``parts`` of the structure s.  ``index(q)`` maps each canonical tuple t
     of degree q to the position of the delta at (t, 0); the delta at (t,
-    j) sits j places after it."""
+    j) sits j places after it.  The tensor block reads no index."""
+    if s.flavor == TENSOR:
+        return _finished(_tensor_images(s, parts, p), modulus)
     space, flavor, par = s.space, s.flavor, s.space.parities
     cols = index(p)
     images = [{} for _ in range(space.dim * len(cols))]
@@ -79,8 +81,61 @@ def plain_block(s, parts, modulus, p, index):
             col, row = out[cols[h] + b], rows[t]
             for o, c in m.coeffs[w].items():
                 _add(col, row + o, x * c)
-    return [{q: v for q, vec in img.items() if (v := _reduced(vec, modulus))}
-            for img in images]
+    return _finished(images, modulus)
+
+
+def _tensor_images(s, parts, p):
+    """The tensor block by integer strides: the word of numeral k sits at
+    dim·k, and its letter after i of n letters weighs dim^(n-1-i)."""
+    dim, par = s.space.dim, s.space.parities
+    parity = [[0]]  # parity[n][k]: that of the word of degree n, numeral k
+    for _ in range(p):
+        parity.append([(e + par[x]) & 1 for e in parity[-1]
+                       for x in range(dim)])
+    images = [{} for _ in range(dim ** (p + 1))]
+    for l, m in parts.items():
+        q = p + l - 1
+        signs = [bracket_signs(p, e, l, m.parity, s.convention)
+                 for e in (0, 1)]
+        num = {w: sum(x * dim ** (l - 1 - i) for i, x in enumerate(w))
+               for w in m.coeffs}
+        # phi∘m: the delta at (P·b·S, 0) reads h on P·h·S; the columns of
+        # the other values j copy its column with every row moved by j
+        first = [images[dim * k].setdefault(q, {}) for k in range(dim ** p)]
+        for i in range(p):
+            low = dim ** (p - 1 - i)
+            even = -signs[0][0] if i * (l - 1) & 1 else signs[0][0]
+            for h, vec in m.coeffs.items():
+                for b, c in vec.items():
+                    for P, pre in enumerate(parity[i]):
+                        y = -even * c if pre & m.parity else even * c
+                        a, top = (P * dim + b) * low, P * dim ** l + num[h]
+                        for col, r in zip(first[a:a + low], range(
+                                dim * top * low, dim * (top + 1) * low, dim)):
+                            col[r] = col.get(r, 0) + y
+        for k, vec in enumerate(first):
+            for j in range(1, dim):
+                images[dim * k + j][q] = {r + j: x for r, x in vec.items()}
+        # m∘phi: the delta at (h, b), h of numeral k, lands on P·h·S for
+        # each word P·b·S of m; values[e] is m(w) signed for a head of
+        # parity e, by i, the parity of P and the delta's, d = par[b] + e
+        out = [img[q] for img in images]
+        for w, vec in m.coeffs.items():
+            plus, pre, n = list(vec.items()), 0, num[w]
+            minus = [(o, -c) for o, c in plus]
+            for i, b in enumerate(w):
+                low = dim ** (l - 1 - i)
+                values = [plus if (signs[d][1] < 0) == ((i * (p - 1) + d * pre)
+                                                        & 1) else minus
+                          for d in (par[b], 1 - par[b])]
+                pre += par[b]
+                base = dim * (n // (dim * low) * dim ** (q - i) + n % low)
+                for col, r, e in zip(out[b::dim], range(
+                        base, base + low * dim ** (p + 1), dim * low),
+                        parity[p]):
+                    for o, y in values[e]:
+                        col[r + o] = col.get(r + o, 0) + y
+    return images
 
 
 def cyclic_block(s, parts, modulus, p, index):

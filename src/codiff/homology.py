@@ -106,7 +106,8 @@ class _Complex:
 class _PlainComplex(_Complex):
     """Cochains V^p -> V on the delta basis, with D = coboundary.  The
     degree-p basis is ``canonical_tuples``: with t the k-th tuple, the delta
-    at (t, j) sits at position dim·k + j, and the index maps t to dim·k."""
+    at (t, j) sits at position dim·k + j, and the index maps t to dim·k;
+    a tensor basis is counted, never enumerated, by ``dim``."""
 
     def _build_basis(self, p):
         return canonical_tuples(self.s.space, self.s.flavor, p)
@@ -116,6 +117,8 @@ class _PlainComplex(_Complex):
         return {t: dim * k for k, t in enumerate(self._basis(p))}
 
     def dim(self, p):
+        if self.s.flavor == TENSOR:
+            return self.s.space.dim ** (p + 1)
         return self.s.space.dim * len(self._basis(p))
 
     def parity(self, p, i):

@@ -747,7 +747,7 @@ def test_exterior_differential_from_degree_zero(field):
 
 
 def sweep_inputs():
-    """{name: text} of the output sweep's inline exterior inputs with odd
+    """{name: text} of the output sweep's inline inputs with odd
     letters."""
     path = os.path.join(HERE, os.pardir, "scripts", "output_sweep.py")
     spec = importlib.util.spec_from_file_location("output_sweep", path)
@@ -772,6 +772,20 @@ def test_sweep_odd_letter_inputs(convention, residual):
     assert run("validate", parse(texts["odd_letters_bracket.alg"]),
                convention=conv) == \
         ("validate: FAIL n=3 word=(u,u,v) residual=%s\n" % residual, 1)
+
+
+@pytest.mark.parametrize("convention", ["w-of-v", "v-of-w"])
+def test_sweep_graded_dual_numbers(convention):
+    """The tensor input with an odd letter and one arity answers as the
+    sweep says: it validates, and its cohomology at 0..7 over Q is 2 in
+    every degree."""
+    af = parse(sweep_inputs()["graded_dual_numbers.alg"])
+    assert sorted(af.parts) == [2] and af.flavor == "tensor"
+    assert af.space.parities == (0, 1)
+    conv = codiff.cli.CONVENTION_FLAGS[convention]
+    assert run("validate", af, convention=conv) == ("validate: ok\n", 0)
+    text, status = run("cohomology", af, window=(0, 7), convention=conv)
+    assert (status, quotients(text, "H")) == (0, [2] * 8)
 
 
 @pytest.mark.parametrize("convention", ["w-of-v", "v-of-w"])

@@ -1000,6 +1000,48 @@ class TestClassifyDeformation:
         assert cls.preserves_ip is False and cls.coboundary is False
 
 
+class TestTensorPositions:
+    """The tensor block places every term by arithmetic on positions: the
+    k-th tensor tuple of degree p is the base-dim numeral k, so the delta at
+    (t, j) sits at dim·k + j, and a window report never enumerates the
+    basis its top degree reaches."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+    def test_the_index_is_dim_times_the_numeral(self, dim, p):
+        # mixed parities: the letters alternate even, odd, even, ...
+        space = GradedSpace(tuple("abcd"[:dim]),
+                            tuple(i & 1 for i in range(dim)))
+        s = InfinityStructure(A_INFINITY, space, {})
+        cx = _PlainComplex(s)
+        index = cx._index(p)
+        assert len(index) == dim ** p
+        for t in itertools.product(range(dim), repeat=p):
+            numeral = sum(x * dim ** (p - 1 - i) for i, x in enumerate(t))
+            assert index[t] == dim * numeral
+        assert cx.dim(p) == dim * len(cx._basis(p)) == dim ** (p + 1)
+
+    @pytest.mark.parametrize("name", ["dual_numbers", "koszul_dga"])
+    def test_the_report_enumerates_no_tensor_degree_above_its_window(
+            self, request, monkeypatch, name):
+        """The blocks read no index, so a report builds a basis only for
+        the rows whose representatives it rebuilds, and no index at all;
+        the rows do not change."""
+        s = request.getfixturevalue(name)
+        s = s[0] if isinstance(s, tuple) else s
+        built, want = [], [(r.cocycles, r.coboundaries, r.quotient)
+                           for r in cohomology(s, (0, 4)).rows]
+        build = _PlainComplex._build_basis
+        monkeypatch.setattr(_PlainComplex, "_build_basis",
+                            lambda cx, p: built.append(p) or build(cx, p))
+        monkeypatch.setattr(_PlainComplex, "_build_index",
+                            lambda cx, p: pytest.fail("index of %d" % p))
+        rows = [(r.cocycles, r.coboundaries, r.quotient)
+                for r in cohomology(s, (0, 4)).rows]
+        assert rows == want
+        assert all(p <= 4 for p in built)
+
+
 class TestWindowBound:
     def test_a_huge_window_is_refused(self):
         s = bench_structure("m2.alg")
