@@ -64,8 +64,7 @@ def plain_block(s, parts, modulus, p, index):
         q = p + l - 1
         rows = index(q)
         out = [img.setdefault(q, {}) for img in images]
-        signs = [bracket_signs(p, parity, l, m.parity, s.convention)
-                 for parity in (0, 1)]
+        signs = [bracket_signs(p, parity, l, m.parity) for parity in (0, 1)]
         # phi∘m: the delta at (w, j) reads the extension of m on t, and
         # its sign in the bracket does not depend on the delta's parity
         for t, w, b, h, split in terms(cols, heads_of(m), flavor, par):
@@ -95,8 +94,7 @@ def _tensor_images(s, parts, p):
     images = [{} for _ in range(dim ** (p + 1))]
     for l, m in parts.items():
         q = p + l - 1
-        signs = [bracket_signs(p, e, l, m.parity, s.convention)
-                 for e in (0, 1)]
+        signs = [bracket_signs(p, e, l, m.parity) for e in (0, 1)]
         num = {w: sum(x * dim ** (l - 1 - i) for i, x in enumerate(w))
                for w in m.coeffs}
         # phi∘m: the delta at (P·b·S, 0) reads h on P·h·S; the columns of

@@ -1,11 +1,16 @@
 """Command line interface.
 
-    codiff validate FILE [--convention ...] [--format ...]
+    codiff validate FILE
     codiff bracket FILE [NAME [NAME2]]
     codiff cohomology FILE --window a..b
     codiff cyclic FILE --window a..b
     codiff deform FILE
     codiff convert FILE
+
+Every command takes ``--convention w-of-v|v-of-w``.  The library computes
+in w-of-v: a v-of-w file goes in through the involution σ of
+``convert_convention_parts``, and the cochains printed back (``bracket``,
+the ``validate`` residual) come out through it.
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
 non-invariant inner product, parity constraint), 2 on an input error (a
@@ -24,8 +29,9 @@ import argparse
 import sys
 
 from .algfile import AlgebraFile, ParseError, parse, render_vector, serialize
+from .cochain import vec_scale
 from .coderivation import (V_OF_W, W_OF_V, convert_convention_parts,
-                           family_bracket)
+                           family_bracket, sigma)
 from .homology import (InvarianceError, WindowTooLarge, classify_deformation,
                        cohomology, cyclic_cohomology)
 from .structures import (DEFAULT_MAX_ARITY, InfinityStructure,
@@ -62,9 +68,14 @@ def _parse_window(text):
     return (a, b)
 
 
+def _in_core(parts, convention):
+    """σ for v-of-w: a family of the file in the core's signs, and back."""
+    return convert_convention_parts(parts) if convention == V_OF_W else parts
+
+
 def build_structure(af, convention, max_arity):
-    return InfinityStructure(af.flavor, af.space, dict(af.parts), convention,
-                             max_arity)
+    return InfinityStructure(af.flavor, af.space,
+                             _in_core(af.parts, convention), max_arity)
 
 
 def _emit(records, lines, fmt):
@@ -79,10 +90,12 @@ def run(command, af, convention=W_OF_V, window=(1, 4),
     """Execute one command against a parsed file.  Returns (text, exit);
     an input error raises (StructureError, UsageError, WindowTooLarge)."""
     s = build_structure(af, convention, max_arity)
+    directions = {name: _in_core(fam, convention)
+                  for name, (_, fam) in af.deformations.items()}
     if command == "validate":
-        return _cmd_validate(s, fmt)
+        return _cmd_validate(s, convention, fmt)
     if command == "bracket":
-        return _cmd_bracket(s, af, names, fmt)
+        return _cmd_bracket(s, directions, convention, names, fmt)
     if command in ("cohomology", "cyclic", "deform"):
         refusal = _refuse_invalid_base(s, command, fmt)
         if refusal is not None:
@@ -92,13 +105,13 @@ def run(command, af, convention=W_OF_V, window=(1, 4),
     if command == "cyclic":
         return _cmd_cyclic(s, af, window, fmt)
     if command == "deform":
-        return _cmd_deform(s, af, fmt)
+        return _cmd_deform(s, af, directions, fmt)
     if command == "convert":
         return _cmd_convert(af, fmt)
     raise UsageError("unknown command %r" % command)
 
 
-def _cmd_validate(s, fmt):
+def _cmd_validate(s, convention, fmt):
     try:
         report = validate(s)
     except StructureError as exc:
@@ -109,7 +122,8 @@ def _cmd_validate(s, fmt):
         return _emit([{"command": "validate", "ok": True}],
                      ["validate: ok"], fmt), OK
     word = "(" + ",".join(report.letters) + ")"
-    residual = render_vector(s.space, report.residual)
+    residual = render_vector(s.space, vec_scale(
+        report.residual, sigma(report.n) if convention == V_OF_W else 1))
     rec = {"command": "validate", "ok": False, "n": report.n,
            "word": list(report.letters), "residual": residual}
     line = "validate: FAIL n=%d word=%s residual=%s" % (report.n, word, residual)
@@ -137,10 +151,8 @@ def _family_lines(s, fam, label):
     return lines, records
 
 
-def _cmd_bracket(s, af, names, fmt):
-    fams = {"m": s.parts}
-    for name, (_, fam) in af.deformations.items():
-        fams[name] = fam
+def _cmd_bracket(s, directions, convention, names, fmt):
+    fams = {"m": s.parts, **directions}
     for n in names:
         if n not in fams:
             raise UsageError("unknown direction %r" % n)
@@ -151,7 +163,7 @@ def _cmd_bracket(s, af, names, fmt):
     else:
         label = "{%s,%s}" % (names[0], names[1])
         a, b = fams[names[0]], fams[names[1]]
-    fam = family_bracket(a, b, convention=s.convention)
+    fam = _in_core(family_bracket(a, b), convention)
     lines, records = _family_lines(s, fam, label)
     return _emit(records, lines, fmt), OK
 
@@ -216,12 +228,11 @@ def _refuse_invalid_base(s, command, fmt):
                    "n": base.n}], [line], fmt), MATH_FAIL
 
 
-def _cmd_deform(s, af, fmt):
+def _cmd_deform(s, af, directions, fmt):
     lines, records = [], []
-    for name in sorted(af.deformations):
-        _, fam = af.deformations[name]
+    for name in sorted(directions):
         try:
-            cls = classify_deformation(s, fam, af.inner_product)
+            cls = classify_deformation(s, directions[name], af.inner_product)
         except StructureError as exc:
             return _emit([{"command": "deform", "direction": name,
                            "error": str(exc)}],

@@ -21,14 +21,16 @@ V_OF_W = "v_of_w"
 CONVENTIONS = (W_OF_V, V_OF_W)
 
 
-def convert_convention_parts(parts):
-    """Re-express a family in the opposite sign convention.
+def sigma(k):
+    """σ, the involution between the conventions, on arity k: (-1)^C(k,2)."""
+    return -1 if (k * (k - 1) // 2) & 1 else 1
 
-    Round-tripping one convention's conjugation through the other multiplies
-    the arity-k part by (-1)^{k(k-1)/2}; the map is an involution.
-    """
-    return {k: scale(-1, c) if (k * (k - 1) // 2) & 1 else c
-            for k, c in parts.items()}
+
+def convert_convention_parts(parts):
+    """σ: a family in the opposite sign convention.  The core computes in
+    w_of_v, and {a, b}_V = σ{σa, σb}_W: C(k+l-1,2) - C(k,2) - C(l,2) =
+    (k-1)(l-1) is the difference of the two conventions' bracket signs."""
+    return {k: c if sigma(k) > 0 else scale(-1, c) for k, c in parts.items()}
 
 
 def heads_of(inner):
@@ -117,30 +119,21 @@ def compose(outer, inner):
                    {t: acc[t] for t in sorted(acc)})
 
 
-def bracket_signs(k, a_parity, l, b_parity, convention):
+def bracket_signs(k, a_parity, l, b_parity):
     """The signs of a∘b and of b∘a in the modified bracket {a_k, b_l} of
     cochains of these degrees and parities: the plain bracket's
     a∘b - (-1)^{<a,b>} b∘a, with <a,b> = |a||b| + (k-1)(l-1) the pairing
-    of the bidegrees, twisted by the convention's sign."""
-    if convention not in CONVENTIONS:
-        raise ValueError("unknown convention %r" % convention)
-    e = (k - 1) * b_parity
-    if convention == V_OF_W:
-        e = (k - 1) * (b_parity + l - 1)
-    twist = -1 if e & 1 else 1
+    of the bidegrees, twisted by (-1)^{(k-1)|b|}."""
+    twist = -1 if (k - 1) * b_parity & 1 else 1
     if (a_parity * b_parity + (k - 1) * (l - 1)) & 1:
         return twist, twist
     return twist, -twist
 
 
-def modified_bracket(a, b, convention):
-    """{a_k, b_l}: the bracket conjugated through the parity reversion.
-
-    w_of_v twists by (-1)^{(k-1)|b|}; v_of_w by (-1)^{(k-1)(|b|+l-1)}.
-    Both are graded Lie for the shifted form on bidegrees.
-    """
-    first, second = bracket_signs(a.degree, a.parity, b.degree, b.parity,
-                                  convention)
+def modified_bracket(a, b):
+    """{a_k, b_l}: the bracket conjugated through the parity reversion,
+    graded Lie for the shifted form on bidegrees."""
+    first, second = bracket_signs(a.degree, a.parity, b.degree, b.parity)
     if a.space != b.space or a.flavor != b.flavor:
         raise ValueError("cochain mismatch in bracket")
     return add(scale(first, compose(a, b)), scale(second, compose(b, a)))
@@ -151,12 +144,12 @@ def modified_bracket(a, b, convention):
 # An inhomogeneous cochain is a family {degree: Cochain}; brackets act
 # degree by degree via {a, b}_n = sum over k+l=n+1 of {a_k, b_l}.
 
-def family_bracket(fam_a, fam_b, convention):
-    """Componentwise modified bracket of families under the convention."""
+def family_bracket(fam_a, fam_b):
+    """Componentwise modified bracket of families."""
     out = {}
     for k, a in fam_a.items():
         for l, b in fam_b.items():
-            term = modified_bracket(a, b, convention)
+            term = modified_bracket(a, b)
             if term.is_zero():
                 continue
             n = k + l - 1

@@ -72,7 +72,7 @@ def coboundary(phi, s):
     """D(phi) = {phi, m} as a family {degree: Cochain}."""
     if phi.flavor != s.flavor or phi.space != s.space:
         raise ValueError("cochain does not live in the structure's complex")
-    return family_bracket({phi.degree: phi}, s.parts, convention=s.convention)
+    return family_bracket({phi.degree: phi}, s.parts)
 
 
 # --- the two cochain complexes -----------------------------------------------
@@ -662,8 +662,7 @@ def classify_deformation(s, parts, ip=None):
     # check, on the direction's core ints and the lift
     field = s.space.field
     cocycle = family_vanishes(family_bracket(core_family(parts, field),
-                                             s.lift.parts,
-                                             convention=s.convention),
+                                             s.lift.parts),
                               field.characteristic)
     preserves = None
     if ip is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cochain import Cochain, ScalarCochain, canonical_tuples
+from .cochain import Cochain, ScalarCochain, add, canonical_tuples, scale
 from .coderivation import CONVENTIONS, V_OF_W, W_OF_V
 from .graded import EXTERIOR, TENSOR, GradedSpace
 
@@ -383,10 +383,11 @@ def lie_trivial_cohomology_dims(l2, max_degree):
     return dims
 
 
-def first_order_residuals(s, lam, param):
+def first_order_residuals(s, lam, param, convention):
     """Expand the structure relations of m + u*lambda symbolically, discard
     u^2, and return the u-linear residual per relation degree as
-    {n: {tuple: vector}}.  Re-derives every sign locally."""
+    {n: {tuple: vector}}, in the convention of s.parts and lambda.
+    Re-derives every extension sign locally."""
     space = s.space
     par = space.parities
     field = space.field
@@ -395,13 +396,6 @@ def first_order_residuals(s, lam, param):
     if not degrees:
         return {}
     top = max(degrees)
-
-    def rel_sign(a, b):
-        if s.convention == W_OF_V:
-            e = (a - 1) * b
-        else:
-            e = a - 1
-        return -1 if e & 1 else 1
 
     residuals = {}
     for n in range(1, 2 * top):
@@ -412,7 +406,7 @@ def first_order_residuals(s, lam, param):
                 b = n + 1 - a
                 if b not in degrees:
                     continue
-                base = rel_sign(a, b)
+                base = relation_sign_reference(a, b, convention)
                 m_a = parts.get(a)
                 m_b = parts.get(b)
                 l_a = lam.get(a)
@@ -573,3 +567,51 @@ def conjugate_part(part, convention=W_OF_V, to_reversed=True):
 def conjugate_family(parts, convention=W_OF_V, to_reversed=True):
     return {k: conjugate_part(c, convention, to_reversed)
             for k, c in parts.items()}
+
+
+# --- the v_of_w reference ---------------------------------------------------
+#
+# The library computes in w_of_v alone and reaches v_of_w through the
+# involution σ of ``convert_convention_parts``.  The sign rule of both
+# conventions stays here, so that the tests can check σ against it.
+
+def bracket_signs_reference(k, a_parity, l, b_parity, convention):
+    """The signs of a∘b and of b∘a in {a_k, b_l} under the convention:
+    a∘b - (-1)^{<a,b>} b∘a, with <a,b> = |a||b| + (k-1)(l-1), twisted by
+    (-1)^{(k-1)|b|} under w_of_v and by (-1)^{(k-1)(|b|+l-1)} under v_of_w,
+    which reads b's parity |b| + l - 1 on W, as ``conjugate_part`` reads the
+    W parities under v_of_w."""
+    if convention not in CONVENTIONS:
+        raise ValueError("unknown convention %r" % convention)
+    e = (k - 1) * (b_parity + (l - 1 if convention == V_OF_W else 0))
+    twist = -1 if e & 1 else 1
+    if (a_parity * b_parity + (k - 1) * (l - 1)) & 1:
+        return twist, twist
+    return twist, -twist
+
+
+def relation_sign_reference(a, b, convention):
+    """S(a, b), the sign of m_a∘m_b in the relations of an odd family."""
+    return bracket_signs_reference(a, a & 1, b, b & 1, convention)[0]
+
+
+def bracket_reference(a, b, convention):
+    """{a, b} under the convention, composed by ``compose_reference``."""
+    first, second = bracket_signs_reference(a.degree, a.parity, b.degree,
+                                            b.parity, convention)
+    return add(scale(first, compose_reference(a, b)),
+               scale(second, compose_reference(b, a)))
+
+
+def residual_reference(parts, n, convention):
+    """The degree-n relation residual, the sum over a + b = n + 1 of
+    S(a, b) m_a∘m_b, of a family in the convention, composed by
+    ``compose_reference``; None when no pair of parts reaches degree n."""
+    acc = None
+    for a, outer in parts.items():
+        inner = parts.get(n + 1 - a)
+        if inner is not None:
+            term = scale(relation_sign_reference(a, n + 1 - a, convention),
+                         compose_reference(outer, inner))
+            acc = term if acc is None else add(acc, term)
+    return acc

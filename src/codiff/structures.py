@@ -1,19 +1,20 @@
 """Homotopy-associative and homotopy-Lie structures and their validation.
 
-A structure is a flavor, a finitely supported family {m_k} of cochains of
-that flavor and a sign convention.  The flavor is the structure's kind: an
-A∞ structure (``A_INFINITY``) is a codifferential on the tensor coalgebra,
-an L∞ one (``L_INFINITY``) on the exterior coalgebra.  Validity means the
-family assembles to an odd codifferential on the reversed side; on the V
-side this is the vanishing, for every n, of
+A structure is a flavor and a finitely supported family {m_k} of cochains
+of that flavor.  The flavor is the structure's kind: an A∞ structure
+(``A_INFINITY``) is a codifferential on the tensor coalgebra, an L∞ one
+(``L_INFINITY``) on the exterior coalgebra.  Validity means the family
+assembles to an odd codifferential on the reversed side; on the V side this
+is the vanishing, for every n, of
 
     sum over a+b=n+1 of  S(a,b) * m_a ∘ (extension of m_b at level a)
 
-with S(a,b) = (-1)^{(a-1)b} for w_of_v and (-1)^{a-1} for v_of_w.  Away
-from characteristic 2 this is equivalent to {m, m} = 0 for the modified
-self-bracket, whose coefficient of m_a ∘ m_b is 2 S(a,b) under either
-convention, so ``validate`` checks the relations alone (the bracket route
-and the reversed-side route live in the tests).
+with S(a,b) = (-1)^{(a-1)b}, the w_of_v sign; a v_of_w family comes in
+through σ (``coderivation.convert_convention_parts``).  Away from
+characteristic 2 this is equivalent to {m, m} = 0 for the modified
+self-bracket, whose coefficient of m_a ∘ m_b is 2 S(a,b), so ``validate``
+checks the relations alone (the bracket route and the reversed-side route
+live in the tests).
 
 Every bracket with m runs on the structure's integer ``lift``: N·m over Q,
 with N the lcm of the denominators of every part, and the residues over
@@ -28,8 +29,8 @@ from functools import cached_property
 
 from . import linalg
 from .cochain import Cochain, add, scale, zero_cochain
-from .coderivation import (CONVENTIONS, W_OF_V, bracket_signs, compose,
-                           family_bracket, family_is_zero)
+from .coderivation import (bracket_signs, compose, family_bracket,
+                           family_is_zero)
 from .graded import EXTERIOR, TENSOR
 
 # the paper's names for the two flavors
@@ -44,17 +45,13 @@ class StructureError(ValueError):
 
 
 class InfinityStructure:
-    def __init__(self, flavor, space, parts=None, convention=W_OF_V,
-                 max_arity=DEFAULT_MAX_ARITY):
+    def __init__(self, flavor, space, parts=None, max_arity=DEFAULT_MAX_ARITY):
         self.flavor = flavor
         self.space = space
         self.parts = {} if parts is None else parts
-        self.convention = convention
         self.max_arity = max_arity
         if flavor not in (TENSOR, EXTERIOR):
             raise StructureError("flavor must be tensor or exterior")
-        if self.convention not in CONVENTIONS:
-            raise StructureError("unknown convention %r" % self.convention)
         clean = {}
         for k, part in self.parts.items():
             if part.is_zero():
@@ -86,7 +83,7 @@ class InfinityStructure:
         read it."""
         return InfinityStructure(self.flavor, self.space,
                                  core_family(self.parts, self.space.field),
-                                 self.convention, self.max_arity)
+                                 self.max_arity)
 
 
 def core_family(parts, field):
@@ -119,9 +116,9 @@ class ValidationReport:
         self.residual = {} if residual is None else residual
 
 
-def relation_sign(convention, outer, inner):
+def relation_sign(outer, inner):
     """S(outer, inner), the sign of m_outer∘m_inner in {m_outer, m_inner}."""
-    return bracket_signs(outer, outer & 1, inner, inner & 1, convention)[0]
+    return bracket_signs(outer, outer & 1, inner, inner & 1)[0]
 
 
 def structure_residual(s, n):
@@ -132,7 +129,7 @@ def structure_residual(s, n):
         b = n + 1 - a
         if b in s.parts:
             term = compose(outer, s.parts[b])
-            if relation_sign(s.convention, a, b) < 0:
+            if relation_sign(a, b) < 0:
                 term = scale(-1, term)
             acc = add(acc, term)
     return acc
@@ -184,5 +181,5 @@ def deform_check(s, parts):
     """Is l + u*lambda a structure to first order (u^2 = 0)?  True exactly
     when the direction is a cocycle: {lambda, m} = 0."""
     deformation_parameter_parity(parts)
-    diff = family_bracket(parts, s.parts, convention=s.convention)
+    diff = family_bracket(parts, s.parts)
     return family_is_zero(diff)

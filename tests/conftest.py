@@ -8,8 +8,10 @@ from codiff import (EXTERIOR, TENSOR, A_INFINITY, L_INFINITY, GradedSpace,
                     InfinityStructure, InnerProduct)
 from codiff.algfile import AlgebraFile
 from codiff.cochain import (Cochain, ScalarCochain, add, canonical_tuples,
-                            scale, vec_add)
-from codiff.coderivation import W_OF_V, compose, heads_of, terms
+                            scale, vec_add, zero_cochain)
+from codiff.coderivation import (V_OF_W, W_OF_V, compose,
+                                 convert_convention_parts, family_bracket,
+                                 heads_of, modified_bracket, terms)
 from codiff.graded import word_parity
 from codiff.homology import cyclic_scalar_basis
 from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
@@ -325,6 +327,32 @@ def bracket(a, b):
     return add(compose(a, b), scale(1 if odd else -1, compose(b, a)))
 
 
+def structure_in(flavor, space, parts, convention, **kw):
+    """The structure of a family written in the convention: the core reads
+    a v_of_w family through σ, as ``cli.build_structure`` does."""
+    if convention == V_OF_W:
+        parts = convert_convention_parts(parts)
+    return InfinityStructure(flavor, space, parts, **kw)
+
+
+def family_bracket_in(fam_a, fam_b, convention):
+    """{a, b} of families in the convention, as the command line computes
+    it: the core's bracket for w_of_v, and σ{σa, σb} for v_of_w."""
+    if convention == W_OF_V:
+        return family_bracket(fam_a, fam_b)
+    return convert_convention_parts(family_bracket(
+        convert_convention_parts(fam_a), convert_convention_parts(fam_b)))
+
+
+def bracket_in(a, b, convention):
+    """{a, b} of two cochains in the convention (``family_bracket_in``)."""
+    if convention == W_OF_V:
+        return modified_bracket(a, b)
+    n = a.degree + b.degree - 1
+    return family_bracket_in({a.degree: a}, {b.degree: b}, convention).get(
+        n, zero_cochain(a.space, a.flavor, n, (a.parity + b.parity) & 1))
+
+
 def reduced_diagonal(word):
     """The reduced diagonal of a word as a list of (left, right) Word pairs.
 
@@ -477,7 +505,7 @@ def check_reversion_sign_identity(images, parities):
 def reversed_parts(s):
     """The family conjugated to the reversed side (where validity means
     an odd codifferential for the plain parity grading)."""
-    return conjugate_family(s.parts, s.convention, to_reversed=True)
+    return conjugate_family(s.parts, W_OF_V, to_reversed=True)
 
 
 def reversed_residual(parts_w, n):

@@ -25,8 +25,7 @@ from codiff.fields import QQ, PrimeField  # noqa: E402
 from codiff.graded import EXTERIOR, TENSOR  # noqa: E402
 from codiff.homology import (_CyclicComplex, _PlainComplex,  # noqa: E402
                              coboundary, cyclic_coboundary)
-from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import random_cochain  # noqa: E402
+from conftest import random_cochain, structure_in  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 ARITIES = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
@@ -55,7 +54,7 @@ def structures(draw):
                                    st.sampled_from(DENOMINATORS))
                                if field == QQ else None)
              for k in arities}
-    s = InfinityStructure(flavor, space, parts, draw(st.sampled_from(CONVENTIONS)))
+    s = structure_in(flavor, space, parts, draw(st.sampled_from(CONVENTIONS)))
     top = (4 if dim < 3 else 3) - (max(arities) - 1)
     p = draw(st.integers(0, 4 if flavor == TENSOR and dim < 3 else top))
     return s, p

@@ -9,7 +9,6 @@ import pytest
 from codiff import cochain
 from codiff.algfile import AlgebraFile
 from codiff.cochain import Cochain, ScalarCochain, canonical_tuples
-from codiff.coderivation import W_OF_V
 from codiff.fields import QQ, PrimeField
 from codiff.graded import EXTERIOR, TENSOR, GradedSpace
 from codiff.homology import CohomologyReport, DegreeRow, DeformationClass
@@ -177,12 +176,9 @@ class TestConstructorChecks:
          ValueError, r"non-canonical word \(1, 0\)"),
         (lambda sp: InfinityStructure("other", sp), StructureError,
          "flavor must be tensor or exterior"),
-        (lambda sp: InfinityStructure(A_INFINITY, sp, {}, "other"),
-         StructureError, "unknown convention 'other'"),
         (lambda sp: InfinityStructure(A_INFINITY, sp, {3: product(sp)}),
          StructureError, "part filed under arity 3 has degree 2"),
-        (lambda sp: InfinityStructure(A_INFINITY, sp, {2: product(sp)},
-                                      W_OF_V, 1),
+        (lambda sp: InfinityStructure(A_INFINITY, sp, {2: product(sp)}, 1),
          StructureError, "arity 2 beyond the max_arity cap 1"),
         (lambda sp: InfinityStructure(L_INFINITY, sp, {2: product(sp)}),
          StructureError, "exterior structures need exterior-flavored parts"),
@@ -224,8 +220,8 @@ def _constructions(sp):
         (WCochain, (sp, SYMMETRIC, 2, 0, {(0, 0): {0: F(1)}}),
          ("space", "flavor", "degree", "parity", "coeffs")),
         (Restriction, (2, 1, {}), ("k", "l", "matrix")),
-        (InfinityStructure, (A_INFINITY, sp, {2: m}, W_OF_V, 4),
-         ("flavor", "space", "parts", "convention", "max_arity")),
+        (InfinityStructure, (A_INFINITY, sp, {2: m}, 4),
+         ("flavor", "space", "parts", "max_arity")),
         (ValidationReport, (False, 3, ("a",), {0: F(1)}),
          ("ok", "n", "letters", "residual")),
         (DegreeRow, (2, 3, 1, 2, [m]),
@@ -258,8 +254,7 @@ def test_defaults():
     assert Word(sp, TENSOR, (0,)).coefficient == 1
     assert GradedSpace(("a",), (0,)).field == QQ
     s = InfinityStructure(L_INFINITY, sp)
-    assert (s.parts, s.convention, s.max_arity) == ({}, W_OF_V,
-                                                    DEFAULT_MAX_ARITY)
+    assert (s.parts, s.max_arity) == ({}, DEFAULT_MAX_ARITY)
     r = ValidationReport(True)
     assert (r.n, r.letters, r.residual) == (0, (), {})
     assert DegreeRow(0, 1, 0, 1).representatives == []

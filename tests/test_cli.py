@@ -707,17 +707,187 @@ def test_rescaling_is_a_change_of_basis(path, field, seed):
     assert_a_change_of_basis(af, rescaled)
 
 
-@pytest.mark.parametrize("command", ["cohomology", "cyclic"])
+def sweep_inputs():
+    """{name: text} of the output sweep's inline inputs with odd
+    letters."""
+    path = os.path.join(HERE, os.pardir, "scripts", "output_sweep.py")
+    spec = importlib.util.spec_from_file_location("output_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.INLINE)
+
+
+def negated(rendered):
+    """The rendering of -v, given the rendering of a vector v over Q
+    (``render_vector``)."""
+    pieces = re.split(r" ([+-]) ", rendered)
+    terms = [("-" if pieces[0].startswith("-") else "+", pieces[0].lstrip("-"))]
+    terms += zip(pieces[1::2], pieces[2::2])
+    out = "-" + terms[0][1] if terms[0][0] == "+" else terms[0][1]
+    for sign, body in terms[1:]:
+        out += (" - " if sign == "+" else " + ") + body
+    return out
+
+
+def with_sigma(text):
+    """A text output with σ_n on every printed cochain, the bracket values
+    and the FAIL residual: negated at n = 2, 3 mod 4, where
+    (-1)^{n(n-1)/2} = -1."""
+    def line(text):
+        m = re.match(r"(validate: FAIL n=(\d+) .* residual=|  n=(\d+) \S+ -> )"
+                     r"(.*)$", text)
+        if m is None or int(m.group(2) or m.group(3)) % 4 not in (2, 3):
+            return text
+        return m.group(1) + negated(m.group(4))
+    return "\n".join(line(x) for x in text.split("\n"))
+
+
+def test_negated_and_with_sigma():
+    assert [negated(x) for x in ("u", "-2*u", "x - 1/2*y", "-x + y")] == \
+        ["-u", "2*u", "-x + 1/2*y", "x - y"]
+    assert with_sigma("bracket {m,m}:\n  n=1 (a) -> a\n  n=2 (a,b) -> -b\n"
+                      "  n=3 (a,a,a) -> a - b\n  n=5 (a) -> b\n") == \
+        ("bracket {m,m}:\n  n=1 (a) -> a\n  n=2 (a,b) -> b\n"
+         "  n=3 (a,a,a) -> -a + b\n  n=5 (a) -> b\n")
+    assert with_sigma("validate: FAIL n=3 word=(u,u,v) residual=2*u\n") == \
+        "validate: FAIL n=3 word=(u,u,v) residual=-2*u\n"
+
+
+def assert_convention_is_sigma(path, command, tmp_path, capsys):
+    """``command`` on the file under v-of-w prints what it prints on
+    ``convert FILE``, with σ_n on the printed cochains (``bracket`` with no
+    name, each direction and each direction twice).  Returns (status,
+    stdout) of the run with no name."""
+    status = main(["convert", path])
+    converted = capsys.readouterr().out
+    window = ["--window", "0..3"] if command in ("cohomology",
+                                                 "cyclic") else []
+    if status:
+        assert main([command, path, "--convention", "v-of-w"] + window) \
+            == status
+        return status, capsys.readouterr().out
+    other = tmp_path / "converted.alg"
+    other.write_text(converted, encoding="utf-8")
+    names = sorted(parse(converted).deformations)
+    argvs = [[]]
+    if command == "bracket":
+        argvs += [[n] for n in names] + [[n, n] for n in names]
+    for argv in reversed(argvs):
+        outputs = []
+        for args in ([path, "--convention", "v-of-w"], [str(other)]):
+            status = main([command] + args[:1] + argv + args[1:] + window)
+            outputs.append((status, capsys.readouterr()))
+        (ours, got), (theirs, want) = outputs
+        assert (ours, got.out, got.err) == \
+            (theirs, with_sigma(want.out), want.err), argv
+    return ours, got.out
+
+
+BOUNDARY_COMMANDS = ["validate", "bracket", "cohomology", "cyclic", "deform"]
+
+
+@pytest.mark.parametrize("command", BOUNDARY_COMMANDS)
 @pytest.mark.parametrize("path", ALL_INPUTS, ids=lambda path: os.path.relpath(
     path, os.path.join(HERE, os.pardir)))
-def test_convention_does_not_change_the_answer(path, command, capsys):
-    """Both conventions give isomorphic complexes, so the same report."""
+def test_convention_does_not_change_the_answer(path, command, tmp_path,
+                                               capsys):
+    """``--convention v-of-w`` is σ at the command line
+    (``assert_convention_is_sigma``).  On these inputs, whose mixed
+    arities are 1 and 2 at most, both conventions also give isomorphic
+    complexes, so the ``cohomology`` and ``cyclic`` reports of FILE agree
+    under w-of-v too."""
+    status, out = assert_convention_is_sigma(path, command, tmp_path, capsys)
+    if command in ("cohomology", "cyclic"):
+        assert main([command, path, "--window", "0..3"]) == status
+        assert capsys.readouterr().out == out
+
+
+# F, the CDGA with 1, x even, t, s odd, d(t) = x, unit 1 and m(x,t) =
+# m(t,x) = s, after the gauge {(1,1) -> t}: m(1,1) gains -x and an arity-3
+# part appears.  Its relation at n = 3 joins m2∘m2 (even arities) and
+# m1∘m3 (odd ones), so F validates under w-of-v only, and G = convert F
+# under v-of-w only.
+GAUGED_CDGA = """field Q
+flavor tensor
+space
+  basis 1 even
+  basis x even
+  basis t odd
+  basis s odd
+map d 1
+  d(t) = x
+map m 2
+  m(1,1) = 1 - x
+  m(1,x) = x
+  m(x,1) = x
+  m(1,t) = t
+  m(t,1) = t
+  m(1,s) = s
+  m(s,1) = s
+  m(x,t) = s
+  m(t,x) = s
+map n 3
+  n(1,1,x) = s
+  n(x,1,1) = -s
+"""
+# an exterior structure with l_1 and l_2 and a direction in arities 1 and
+# 2, on which σ is not ±1: {lam, m} at n = 2 reads both of its parts
+TWO_ARITY_DIRECTION = """field Q
+flavor exterior
+space
+  basis x even
+  basis y odd
+  basis z even
+map d 1
+  d(x) = y
+map l 2
+  l(x,z) = z
+deformation lam 1 even_parameter
+  lam(x) = y
+  lam(z) = y
+deformation lam 2 even_parameter
+  lam(x,z) = x
+"""
+
+
+INLINE_INPUTS = list(sweep_inputs().items()) + [
+    ("gauged_cdga.alg", GAUGED_CDGA),
+    ("two_arity_direction.alg", TWO_ARITY_DIRECTION)]
+
+
+@pytest.mark.parametrize("command", BOUNDARY_COMMANDS)
+@pytest.mark.parametrize("name,text", INLINE_INPUTS,
+                         ids=[name for name, _ in INLINE_INPUTS])
+def test_convention_is_sigma_on_inline_inputs(name, text, command, tmp_path,
+                                              capsys):
+    """The same boundary on the sweep's inline inputs, the gauged CDGA,
+    whose relations differ between the conventions, and an input whose
+    direction has two arities of different σ."""
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert_convention_is_sigma(str(path), command, tmp_path, capsys)
+
+
+def test_v_of_w_cyclic_complex_is_that_of_sigma_m(tmp_path, capsys):
+    """A v-of-w structure's cyclic complex is the w-of-v one of σm: for
+    G = convert F, ``cyclic G --convention v-of-w`` prints what ``cyclic F``
+    prints, and no row has a negative HC (a cyclic complex built from m
+    itself is no complex, and its rows read HC = 2, 0, 0, -5, -14)."""
+    f = tmp_path / "f.alg"
+    f.write_text(GAUGED_CDGA, encoding="utf-8")
+    assert main(["convert", str(f)]) == 0
+    g = tmp_path / "g.alg"
+    g.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["validate", str(g), "--convention", "v-of-w"]) == 0
+    assert main(["validate", str(f)]) == 0
+    capsys.readouterr()
     outputs = []
-    for convention in ("w-of-v", "v-of-w"):
-        status = main([command, path, "--window", "0..3",
-                       "--convention", convention])
-        outputs.append((status, capsys.readouterr()))
+    for argv in ([str(g), "--convention", "v-of-w"], [str(f)]):
+        status = main(["cyclic"] + argv + ["--window", "0..4"])
+        outputs.append((status, capsys.readouterr().out))
     assert outputs[0] == outputs[1]
+    hc = [int(x) for x in re.findall(r" HC=(-?\d+)$", outputs[0][1], re.M)]
+    assert outputs[0][0] == 0 and len(hc) == 5 and min(hc) >= 0, hc
 
 
 EXTERIOR_DIFFERENTIAL = """field Q
@@ -744,16 +914,6 @@ def test_exterior_differential_from_degree_zero(field):
     assert re.findall(r"cocycles=(\d+) coboundaries=(\d+) H=(\d+)$", text,
                       re.M) == [("1", "1", "0"), ("2", "2", "0"),
                                 ("2", "2", "0")]
-
-
-def sweep_inputs():
-    """{name: text} of the output sweep's inline inputs with odd
-    letters."""
-    path = os.path.join(HERE, os.pardir, "scripts", "output_sweep.py")
-    spec = importlib.util.spec_from_file_location("output_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return dict(module.INLINE)
 
 
 @pytest.mark.parametrize("convention,residual", [("w-of-v", "2*u"),

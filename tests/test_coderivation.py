@@ -7,15 +7,17 @@ import pytest
 from codiff import GradedSpace
 from codiff.cochain import (Cochain, add, canonical_tuples, scale, vec_add,
                             zero_cochain)
-from codiff.coderivation import (V_OF_W, W_OF_V, compose, family_bracket,
+from codiff.coderivation import (CONVENTIONS, V_OF_W, W_OF_V, compose,
                                  heads_of, modified_bracket, terms)
 from codiff.fields import QQ, PrimeField
 from codiff.graded import EXTERIOR, TENSOR, word_parity
-from codiff.oracle import (SYMMETRIC, WCochain, compose_reference,
-                           extend_letters_reference, word_tuples)
+from codiff.oracle import (SYMMETRIC, WCochain, bracket_reference,
+                           compose_reference, extend_letters_reference,
+                           word_tuples)
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word, bracket,
-                      extend_on, extensions, grading_pair, make_cochain,
-                      random_cochain, reduced_diagonal, restrict)
+                      bracket_in, extend_on, extensions, family_bracket_in,
+                      grading_pair, make_cochain, random_cochain,
+                      reduced_diagonal, restrict)
 
 F = Fraction
 
@@ -202,21 +204,11 @@ class TestBracket:
 
 
 class TestModifiedBracket:
-    def test_convention_is_required(self):
-        # the conventions sign the bracket differently, so neither is
-        # taken silently
-        space = GradedSpace(("a",), (0,))
-        a = zero_cochain(space, EXTERIOR, 2, 0)
-        with pytest.raises(TypeError):
-            modified_bracket(a, a)
-        with pytest.raises(ValueError):
-            modified_bracket(a, a, "neither")
-
     def test_even_second_argument_reduces_to_plain(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
         a = random_cochain(space, TENSOR, 3, 1, rng)
         b = random_cochain(space, TENSOR, 2, 0, rng)
-        assert add(modified_bracket(a, b, W_OF_V),
+        assert add(modified_bracket(a, b),
                    scale(-1, bracket(a, b))).is_zero()
 
     def test_degree_one_first_argument(self, rng):
@@ -224,20 +216,19 @@ class TestModifiedBracket:
         a = random_cochain(space, TENSOR, 1, 1, rng)
         b = random_cochain(space, TENSOR, 2, 1, rng)
         for conv in (W_OF_V, V_OF_W):
-            assert add(modified_bracket(a, b, conv),
+            assert add(bracket_in(a, b, conv),
                        scale(-1, bracket(a, b))).is_zero()
 
     def test_odd_second_argument_flips(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
         a = random_cochain(space, TENSOR, 2, 0, rng)
         b = random_cochain(space, TENSOR, 2, 1, rng)
-        assert add(modified_bracket(a, b, W_OF_V),
-                   bracket(a, b)).is_zero()
+        assert add(modified_bracket(a, b), bracket(a, b)).is_zero()
 
     def test_lie_laws(self, rng):
         space = GradedSpace(("a", "b"), (0, 1))
         for flavor in (TENSOR, EXTERIOR):
-            for trial in range(15):
+            for trial in range(25):
                 degs = [rng.randint(1, 3) for _ in range(3)]
                 pars = [rng.randint(0, 1) for _ in range(3)]
                 a = random_cochain(space, flavor, degs[0], pars[0], rng)
@@ -250,18 +241,23 @@ class TestModifiedBracket:
                 rhs = add(bracket(bracket(a, b), c),
                           scale(sgn, bracket(b, bracket(a, c))))
                 assert add(lhs, scale(-1, rhs)).is_zero()
-                # modified brackets: shifted form laws, both conventions
+                # modified brackets: shifted form laws, both conventions,
+                # and each ordered pair's bracket is the oracle's with the
+                # convention's own sign rule: the core's for w_of_v, and
+                # σ{σx, σy} for v_of_w
                 for conv in (W_OF_V, V_OF_W):
                     sgn = -1 if grading_pair(SHIFTED_FORM, a.bidegree,
                                              b.bidegree) else 1
-                    assert add(modified_bracket(a, b, conv),
-                               scale(sgn, modified_bracket(b, a, conv))).is_zero()
-                    lhs = modified_bracket(a, modified_bracket(b, c, conv), conv)
-                    rhs = add(modified_bracket(modified_bracket(a, b, conv), c,
-                                               conv),
-                              scale(sgn, modified_bracket(
-                                  b, modified_bracket(a, c, conv), conv)))
+                    assert add(bracket_in(a, b, conv),
+                               scale(sgn, bracket_in(b, a, conv))).is_zero()
+                    lhs = bracket_in(a, bracket_in(b, c, conv), conv)
+                    rhs = add(bracket_in(bracket_in(a, b, conv), c, conv),
+                              scale(sgn, bracket_in(
+                                  b, bracket_in(a, c, conv), conv)))
                     assert add(lhs, scale(-1, rhs)).is_zero()
+                    for x, y in itertools.permutations((a, b, c), 2):
+                        assert bracket_in(x, y, conv) == \
+                            bracket_reference(x, y, conv)
 
 
 class TestBracketIsCommutator:
@@ -318,14 +314,14 @@ class TestFamilyBracket:
                  for k in (1, 2)}
         fam_b = {k: random_cochain(space, TENSOR, k, (k + 1) & 1, rng)
                  for k in (1, 3)}
-        for conv in (W_OF_V, V_OF_W):
-            out = family_bracket(fam_a, fam_b, conv)
+        for conv in CONVENTIONS:
+            out = family_bracket_in(fam_a, fam_b, conv)
             for n, c in out.items():
                 acc = None
                 for k, a in fam_a.items():
                     l = n + 1 - k
                     if l in fam_b:
-                        term = modified_bracket(a, fam_b[l], conv)
+                        term = bracket_reference(a, fam_b[l], conv)
                         acc = term if acc is None else add(acc, term)
                 assert acc is not None
                 assert add(c, scale(-1, acc)).is_zero()

@@ -74,8 +74,7 @@ class TestCoboundary:
             for trial in range(15):
                 p = rng.randint(0, 3)
                 phi = random_cochain(s.space, s.flavor, p, rng.randint(0, 1), rng)
-                dd = family_bracket(coboundary(phi, s), s.parts,
-                                    convention=s.convention)
+                dd = family_bracket(coboundary(phi, s), s.parts)
                 assert family_is_zero(dd)
 
     def test_flavor_mismatch(self, dual_numbers, sl2):
@@ -658,7 +657,7 @@ class TestCyclicBracketClosure:
             if phi.is_zero() or psi.is_zero():
                 continue
             assert is_cyclic(bracket(phi, psi), ip)
-            assert is_cyclic(modified_bracket(phi, psi, W_OF_V), ip)
+            assert is_cyclic(modified_bracket(phi, psi), ip)
             done += 1
         assert done >= 10
 
@@ -766,7 +765,7 @@ class TestCyclicCoboundary:
                 fam = cyclic_coboundary(f, s)
                 for l, part in s.parts.items():
                     mine = fam.get(k + l - 1)
-                    via = tilde(modified_bracket(phi, part, s.convention), ip)
+                    via = tilde(modified_bracket(phi, part), ip)
                     if mine is None:
                         assert via.is_zero()
                     else:
@@ -977,8 +976,7 @@ class TestClassifyDeformation:
 
     def test_undetermined_beyond_cap(self, sl2, rng):
         s, _ = sl2
-        small = InfinityStructure(s.flavor, s.space, s.parts, s.convention,
-                                  max_arity=2)
+        small = InfinityStructure(s.flavor, s.space, s.parts, max_arity=2)
         lam = random_cochain(s.space, s.flavor, 3, 0, rng, density=1.0)
         assert not lam.is_zero()
         cls = classify_deformation(small, {3: lam}, None)

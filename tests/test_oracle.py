@@ -3,9 +3,11 @@ from fractions import Fraction
 
 from codiff import GradedSpace
 from codiff.cochain import Cochain, canonical_tuples
+from codiff.coderivation import (CONVENTIONS, V_OF_W, W_OF_V,
+                                 convert_convention_parts)
 from codiff.fields import QQ
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import deform_check
+from codiff.structures import InfinityStructure, deform_check
 from codiff import oracle
 from conftest import koszul_sign, make_cochain, random_cochain, random_family
 
@@ -99,7 +101,7 @@ def test_trivial_coefficient_dims_sl2(sl2):
 
 def test_first_order_zero_direction(dual_numbers):
     s, _ = dual_numbers
-    assert oracle.first_order_residuals(s, {}, 0) == {}
+    assert oracle.first_order_residuals(s, {}, 0, W_OF_V) == {}
 
 
 def test_first_order_agrees_with_deform_check(dual_numbers, sl2, koszul_dga,
@@ -111,11 +113,18 @@ def test_first_order_agrees_with_deform_check(dual_numbers, sl2, koszul_dga,
             lam = random_family(s, rng, param)
             if not lam:
                 continue
-            res = oracle.first_order_residuals(s, lam, param)
-            residual_zero = all(
-                all(not any(vec.values()) for vec in per.values())
-                for per in res.values())
-            assert residual_zero == deform_check(s, lam)
+            want = deform_check(s, lam)
+            for conv in CONVENTIONS:
+                # the family and the direction written in the convention:
+                # σ of the core's for v_of_w
+                flip = convert_convention_parts if conv == V_OF_W else dict
+                written = InfinityStructure(s.flavor, s.space, flip(s.parts))
+                res = oracle.first_order_residuals(written, flip(lam), param,
+                                                   conv)
+                residual_zero = all(
+                    all(not any(vec.values()) for vec in per.values())
+                    for per in res.values())
+                assert residual_zero == want
             checked += 1
     assert checked >= 25
 
@@ -130,8 +139,8 @@ def test_first_order_residual_proportional_to_coboundary(sl2, rng):
         lam = random_family(s, rng, param)
         if not lam:
             continue
-        res = oracle.first_order_residuals(s, lam, param)
-        D = family_bracket(lam, s.parts, convention=s.convention)
+        res = oracle.first_order_residuals(s, lam, param, W_OF_V)
+        D = family_bracket(lam, s.parts)
         for n, per in res.items():
             mine = D.get(n)
             if mine is None:

@@ -12,16 +12,19 @@ import codiff.structures
 from codiff import GradedSpace
 from codiff.algfile import ParseError, parse
 from codiff.cli import build_structure
-from codiff.cochain import add, zero_cochain
+from codiff.cochain import add, scale, zero_cochain
 from codiff.coderivation import (CONVENTIONS, V_OF_W, bracket_signs,
-                                 family_bracket, family_is_zero)
+                                 family_bracket, family_is_zero, sigma)
 from codiff.graded import EXTERIOR, TENSOR
 from codiff.homology import InvarianceError, classify_deformation
 from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY,
                                InfinityStructure, StructureError,
                                deform_check, relation_sign,
                                structure_residual, validate)
-from conftest import bracket, make_cochain, random_cochain, reversed_side_ok
+from codiff.oracle import (bracket_signs_reference, relation_sign_reference,
+                           residual_reference)
+from conftest import (bracket, make_cochain, random_cochain, reversed_side_ok,
+                      structure_in)
 
 F = Fraction
 HERE = os.path.dirname(__file__)
@@ -112,7 +115,7 @@ class TestValidateDga:
 class TestThreeRoutes:
     def routes(self, s):
         direct = validate(s).ok
-        sq = family_bracket(s.parts, s.parts, convention=s.convention)
+        sq = family_bracket(s.parts, s.parts)
         rev = reversed_side_ok(s)
         return direct, family_is_zero(sq), rev
 
@@ -138,7 +141,7 @@ class TestThreeRoutes:
             parts = dict(base.parts)
             parts[pert_arity] = add(parts[pert_arity], pert) \
                 if pert_arity in parts else pert
-            s = InfinityStructure(base.flavor, base.space, parts, base.convention)
+            s = InfinityStructure(base.flavor, base.space, parts)
             a, b, c = self.routes(s)
             assert a == b == c
             if not a:
@@ -150,12 +153,26 @@ class TestThreeRoutes:
 def test_self_bracket_coefficient_is_twice_the_relation_sign(convention):
     # m_a ∘ m_b enters {m, m} from {m_a, m_b} and from {m_b, m_a}; with
     # |m_k| = k mod 2 its coefficient is 2 S(a, b), so away from
-    # characteristic 2 {m, m} = 0 is exactly the relations validate checks
+    # characteristic 2 {m, m} = 0 is exactly the relations validate checks.
+    # The core's w_of_v signs times σ_{a+b-1} σ_a σ_b are the reference
+    # signs of the convention, for any parities: C(a+b-1,2) - C(a,2) -
+    # C(b,2) = (a-1)(b-1)
     for a in range(1, 9):
         for b in range(1, 9):
-            first = bracket_signs(a, a & 1, b, b & 1, convention)[0]
-            second = bracket_signs(b, b & 1, a, a & 1, convention)[1]
-            assert first + second == 2 * relation_sign(convention, a, b)
+            first = bracket_signs_reference(a, a & 1, b, b & 1, convention)[0]
+            second = bracket_signs_reference(b, b & 1, a, a & 1,
+                                             convention)[1]
+            assert first + second == \
+                2 * relation_sign_reference(a, b, convention)
+            twist = sigma(a + b - 1) * sigma(a) * sigma(b) \
+                if convention == V_OF_W else 1
+            assert relation_sign(a, b) * twist == \
+                relation_sign_reference(a, b, convention)
+            for pa in (0, 1):
+                for pb in (0, 1):
+                    assert tuple(twist * x for x in bracket_signs(
+                        a, pa, b, pb)) == bracket_signs_reference(
+                            a, pa, b, pb, convention)
 
 
 ALG_FILES = [os.path.join(d, f) for d in (FIXTURE_DIR, BENCH_INPUTS)
@@ -239,19 +256,54 @@ class TestPureAritySupport:
         assert plain_square_is_zero(parts) == validate(s).ok
 
 
+def assert_residuals_are_the_reference(parts, s, convention):
+    """σ_n times each relation residual of the core structure s is the
+    reference residual of the family ``parts`` it was built from, in the
+    convention (σ_n = 1 for w_of_v).  Returns the number of nonzero
+    residuals."""
+    nonzero = 0
+    for n in range(1, 2 * max(parts, default=0)):
+        want = residual_reference(parts, n, convention)
+        got = structure_residual(s, n)
+        if convention == V_OF_W:
+            got = scale(sigma(n), got)
+        assert got.coeffs == ({} if want is None else want.coeffs), n
+        nonzero += not got.is_zero()
+    return nonzero
+
+
 class TestConventions:
     def test_same_acceptance_on_fixtures(self, dual_numbers, sl2, koszul_dga,
                                          nonassociative, leibniz_violation):
         for s in (dual_numbers[0], sl2[0], koszul_dga, nonassociative,
                   leibniz_violation):
-            other = InfinityStructure(s.flavor, s.space, s.parts, V_OF_W)
+            other = structure_in(s.flavor, s.space, s.parts, V_OF_W)
             assert validate(other).ok == validate(s).ok
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_residuals_of_random_families(self, convention, rng):
+        """σ of the core residual of σm is the reference residual of m, on
+        random odd families (tensor and exterior, arities 1-3, both
+        parities of letter)."""
+        spaces = [GradedSpace(("a", "b"), (0, 1)),
+                  GradedSpace(("a", "b"), (1, 1))]
+        residuals = nonzero = 0
+        for trial in range(250):
+            space = rng.choice(spaces)
+            flavor = rng.choice((TENSOR, EXTERIOR))
+            arities = rng.sample((1, 2, 3), rng.randint(1, 3))
+            parts = {k: random_cochain(space, flavor, k, k & 1, rng)
+                     for k in arities}
+            s = structure_in(flavor, space, parts, convention)
+            nonzero += assert_residuals_are_the_reference(parts, s,
+                                                          convention)
+            residuals += 2 * max(parts) - 1
+        assert residuals >= 750 and nonzero >= 150
 
     def test_max_arity_cap(self, sl2):
         s, _ = sl2
         with pytest.raises(StructureError):
-            InfinityStructure(s.flavor, s.space, s.parts, s.convention,
-                              max_arity=1)
+            InfinityStructure(s.flavor, s.space, s.parts, max_arity=1)
 
     def test_flavor_kind_consistency(self, sl2):
         s, _ = sl2
@@ -316,8 +368,8 @@ def test_the_integer_lift_answers_as_the_field_scalars(name, text, field,
         return
     s = build_structure(af, convention, DEFAULT_MAX_ARITY)
     lift, f = s.lift, s.space.field
-    assert (lift.flavor, lift.space, lift.convention, lift.max_arity) == \
-        (s.flavor, s.space, s.convention, s.max_arity)
+    assert (lift.flavor, lift.space, lift.max_arity) == \
+        (s.flavor, s.space, s.max_arity)
     assert sorted(lift.parts) == sorted(s.parts)
     n = lcm(*[x.denominator for c in s.parts.values()
               for vec in c.coeffs.values() for x in vec.values()]) \
@@ -339,6 +391,7 @@ def test_the_integer_lift_answers_as_the_field_scalars(name, text, field,
     if report is not None:
         assert (report.ok, report.n, report.letters, report.residual) == \
             field_route_report(s)
+    assert_residuals_are_the_reference(af.parts, s, convention)
     rng = random.Random(name)
     directions = [parts for _, parts in af.deformations.values()]
     directions += [{k: c} for k, c in s.parts.items()]

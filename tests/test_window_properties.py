@@ -27,8 +27,8 @@ from codiff.homology import (_spanned, coboundary, cohomology,  # noqa: E402
                              cyclic_coboundary, cyclic_cohomology,
                              cyclic_scalar_basis)
 from codiff.oracle import dense_rank  # noqa: E402
-from codiff.structures import InfinityStructure  # noqa: E402
-from conftest import cyclic_basis_cochains, random_cochain  # noqa: E402
+from conftest import (cyclic_basis_cochains, random_cochain,  # noqa: E402
+                      structure_in)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3)]
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -54,7 +54,7 @@ def structures(draw, arity_sets, min_dim=1):
     b = draw(st.integers(0, (4 if dim < 3 else 3) - (max(arities) - 1)))
     a = draw(st.integers(0, b))
     convention = draw(st.sampled_from(CONVENTIONS))
-    return InfinityStructure(flavor, space, parts, convention), (a, b)
+    return structure_in(flavor, space, parts, convention), (a, b)
 
 
 def plain_images(s, p, degrees):
