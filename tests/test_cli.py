@@ -756,16 +756,20 @@ def test_negated_and_with_sigma():
 def assert_convention_is_sigma(path, command, tmp_path, capsys):
     """``command`` on the file under v-of-w prints what it prints on
     ``convert FILE``, with σ_n on the printed cochains (``bracket`` with no
-    name, each direction and each direction twice).  Returns (status,
-    stdout) of the run with no name."""
+    name, each direction and each direction twice).  A file that
+    ``convert`` refuses fails alike under both conventions.  Returns
+    (status, capture) of the v-of-w run with no name."""
     status = main(["convert", path])
     converted = capsys.readouterr().out
     window = ["--window", "0..3"] if command in ("cohomology",
                                                  "cyclic") else []
     if status:
-        assert main([command, path, "--convention", "v-of-w"] + window) \
-            == status
-        return status, capsys.readouterr().out
+        outputs = []
+        for convention in ("v-of-w", "w-of-v"):
+            ours = main([command, path, "--convention", convention] + window)
+            outputs.append((ours, capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == status
+        return outputs[0]
     other = tmp_path / "converted.alg"
     other.write_text(converted, encoding="utf-8")
     names = sorted(parse(converted).deformations)
@@ -780,26 +784,7 @@ def assert_convention_is_sigma(path, command, tmp_path, capsys):
         (ours, got), (theirs, want) = outputs
         assert (ours, got.out, got.err) == \
             (theirs, with_sigma(want.out), want.err), argv
-    return ours, got.out
-
-
-BOUNDARY_COMMANDS = ["validate", "bracket", "cohomology", "cyclic", "deform"]
-
-
-@pytest.mark.parametrize("command", BOUNDARY_COMMANDS)
-@pytest.mark.parametrize("path", ALL_INPUTS, ids=lambda path: os.path.relpath(
-    path, os.path.join(HERE, os.pardir)))
-def test_convention_does_not_change_the_answer(path, command, tmp_path,
-                                               capsys):
-    """``--convention v-of-w`` is σ at the command line
-    (``assert_convention_is_sigma``).  On these inputs, whose mixed
-    arities are 1 and 2 at most, both conventions also give isomorphic
-    complexes, so the ``cohomology`` and ``cyclic`` reports of FILE agree
-    under w-of-v too."""
-    status, out = assert_convention_is_sigma(path, command, tmp_path, capsys)
-    if command in ("cohomology", "cyclic"):
-        assert main([command, path, "--window", "0..3"]) == status
-        assert capsys.readouterr().out == out
+    return ours, got
 
 
 # F, the CDGA with 1, x even, t, s odd, d(t) = x, unit 1 and m(x,t) =
@@ -850,22 +835,36 @@ deformation lam 2 even_parameter
 """
 
 
-INLINE_INPUTS = list(sweep_inputs().items()) + [
-    ("gauged_cdga.alg", GAUGED_CDGA),
-    ("two_arity_direction.alg", TWO_ARITY_DIRECTION)]
+BOUNDARY_COMMANDS = ["validate", "bracket", "cohomology", "cyclic", "deform"]
+BOUNDARY_INPUTS = [
+    pytest.param(path, None, id=os.path.relpath(path, os.path.join(
+        HERE, os.pardir))) for path in ALL_INPUTS] + [
+    pytest.param(name, text, id=name) for name, text in
+    list(sweep_inputs().items()) + [("gauged_cdga.alg", GAUGED_CDGA),
+                                    ("two_arity_direction.alg",
+                                     TWO_ARITY_DIRECTION)]]
 
 
 @pytest.mark.parametrize("command", BOUNDARY_COMMANDS)
-@pytest.mark.parametrize("name,text", INLINE_INPUTS,
-                         ids=[name for name, _ in INLINE_INPUTS])
-def test_convention_is_sigma_on_inline_inputs(name, text, command, tmp_path,
-                                              capsys):
-    """The same boundary on the sweep's inline inputs, the gauged CDGA,
-    whose relations differ between the conventions, and an input whose
-    direction has two arities of different σ."""
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    assert_convention_is_sigma(str(path), command, tmp_path, capsys)
+@pytest.mark.parametrize("path,text", BOUNDARY_INPUTS)
+def test_convention_does_not_change_the_answer(path, text, command, tmp_path,
+                                               capsys):
+    """``--convention v-of-w`` is σ at the command line
+    (``assert_convention_is_sigma``), on the fixture and bench files and on
+    inline inputs: the sweep's, the gauged CDGA, whose relations differ
+    between the conventions, and an input whose direction has two arities
+    of different σ.  On the files, whose mixed arities are 1 and 2 at
+    most, both conventions also give isomorphic complexes, so the
+    ``cohomology`` and ``cyclic`` reports of FILE agree under w-of-v too;
+    on the gauged CDGA, valid in one convention only, they do not."""
+    if text is not None:
+        (tmp_path / path).write_text(text, encoding="utf-8")
+        path = str(tmp_path / path)
+    status, captured = assert_convention_is_sigma(path, command, tmp_path,
+                                                  capsys)
+    if text is None and command in ("cohomology", "cyclic"):
+        assert main([command, path, "--window", "0..3"]) == status
+        assert capsys.readouterr() == captured
 
 
 def test_v_of_w_cyclic_complex_is_that_of_sigma_m(tmp_path, capsys):
