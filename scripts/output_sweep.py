@@ -8,7 +8,10 @@ name of the file), ``cohomology`` and ``cyclic`` at window 0..3,
 2-dimensional tensor inputs also ``cyclic`` at window 0..5, whose arity 6
 is the first with rotation orbits of period 3, and on the inputs with more
 than one ``map`` block also ``cohomology`` and ``cyclic`` at window 0..7,
-where every row reads the sources of every degree in the window, through
+where every row reads the sources of every degree in the window, and on
+the exterior inputs whose letters are all even also ``cohomology`` and
+``cyclic`` at window 0..12, past the middle degree, whose basis is the
+largest the window builds (no such input is too large to answer), through
 ``codiff.cli.main`` of the checkout at ROOT (its ``src`` goes first on the
 import path), on every ``tests/fixtures/*.alg`` and ``bench/inputs/*.alg``
 file of that checkout, and on the inputs of ``INLINE``, which are written
@@ -135,6 +138,9 @@ def commands(text):
             if af and af.flavor == "tensor" and af.space.dim == 2 else [])
     if af and len(af.parts) > 1:
         wide += [(command, ["--window", "0..7"])
+                 for command in ("cohomology", "cyclic")]
+    if af and af.flavor == "exterior" and not any(af.space.parities):
+        wide += [(command, ["--window", "0..12"])
                  for command in ("cohomology", "cyclic")]
     return ([("validate", []), ("bracket", [])]
             + [("bracket", [d]) for d in directions]

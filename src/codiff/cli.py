@@ -16,9 +16,9 @@ Exit status: 0 on success, 1 on a mathematical failure (relations violated,
 non-invariant inner product, parity constraint), 2 on an input error (a
 bad command line, an unreadable or malformed file, a bad window, an
 unknown name, a part beyond ``--max-arity``, a window or a deformation
-direction too large to build: its top basis would have more than
-``homology.MAX_INDEX`` positions, which bounds the size of the basis, not
-the running time), 3 on an internal error or lack of memory.  Every
+direction too large to build: the largest basis the command builds would
+have more than ``homology.MAX_INDEX`` positions, which bounds the size of
+the basis, not the running time), 3 on an internal error or lack of memory.  Every
 refusal with exit 2 or 3 is one ``error:`` line on stderr, with nothing on
 stdout and no traceback.
 """

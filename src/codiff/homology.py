@@ -50,9 +50,9 @@ MAX_INDEX = 10 ** 6
 
 
 class WindowTooLarge(ValueError):
-    """A window refused before any basis is built: its top plain basis
-    would have more than MAX_INDEX positions, or it has more rows than
-    that."""
+    """A window refused before any basis is built: the largest plain basis
+    the command builds would have more than MAX_INDEX positions, or it has
+    more rows than that."""
 
 
 class InvarianceError(ValueError):
@@ -316,33 +316,41 @@ def _spanned(cx, sources, vectors, last=None):
             sum(start <= c < total for c in pivots))
 
 
-def _check_window(cx, a, b, what=None):
-    """Raise WindowTooLarge when the plain basis of degree d = b + spread,
-    the largest the window builds, would have more than MAX_INDEX
-    positions, or the window has more rows than that; the message names
-    what needs it, ``what`` or else the window a..b.  The size is exact:
-    dim^(d+1) tuples and letters (tensor), or dim * K(d), with K(d) the
-    exterior tuples of j distinct even letters and d - j odd ones for each
-    j.  It bounds the cyclic index too, as K(d + 1) <= dim * K(d).  It
-    bounds the size of the bases, not the work of a block."""
-    dim, d = cx.s.space.dim, b + cx.spread
-    if cx.s.flavor == TENSOR:
-        # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger power
-        # is expanded
-        size = dim ** min(d + 1, 65)
-        form = "%d^%d" % (dim, d + 1) + ("" if d >= 64 else " = %d" % size)
-    else:
-        odd = sum(cx.s.space.parities)
-        even = dim - odd
-        count = math.comb(even, d) if not odd else sum(
-            math.comb(even, j) * math.comb(odd + d - j - 1, d - j)
-            for j in range(min(even, d) + 1))
-        size = dim * count
-        form = "%d*%d = %d" % (dim, count, size)
-    if size > MAX_INDEX:
-        raise WindowTooLarge(
-            "%s: its degree-%d basis would have %s positions, more than %d"
-            % (what or "window %d..%d" % (a, b), d, form, MAX_INDEX))
+def _check_window(cx, a, b, what=None, low=None):
+    """Raise WindowTooLarge when the largest plain basis the command builds,
+    of a degree from ``low`` (else max(a - spread, 0)) to d = b + spread,
+    would have more than MAX_INDEX positions, or the window has more rows
+    than that; the message names what needs it, ``what`` or else the
+    window a..b.  The size is exact: dim^(d+1) tuples and letters (tensor),
+    or dim * K(d), with K(d) the exterior tuples of j distinct even letters
+    and d - j odd ones for each j.  It grows with d but over all-even
+    letters, where dim * C(dim, d) peaks at d = dim // 2, so that degree,
+    clamped to those built, is read after d.  It bounds the cyclic index
+    too, as K(d + 1) <= dim * K(d).  It bounds the size of the bases, not
+    the work of a block."""
+    dim, top = cx.s.space.dim, b + cx.spread
+    odd = sum(cx.s.space.parities)
+    degrees = [top]
+    if cx.s.flavor == EXTERIOR and not odd:
+        low = max(a - cx.spread, 0) if low is None else low
+        degrees.append(min(max(dim // 2, low), top))
+    for d in degrees:
+        if cx.s.flavor == TENSOR:
+            # dim^65 already exceeds MAX_INDEX unless dim is 1: no larger
+            # power is expanded
+            size = dim ** min(d + 1, 65)
+            form = "%d^%d" % (dim, d + 1) + ("" if d >= 64 else " = %d" % size)
+        else:
+            even = dim - odd
+            count = math.comb(even, d) if not odd else sum(
+                math.comb(even, j) * math.comb(odd + d - j - 1, d - j)
+                for j in range(min(even, d) + 1))
+            size = dim * count
+            form = "%d*%d = %d" % (dim, count, size)
+        if size > MAX_INDEX:
+            raise WindowTooLarge(
+                "%s: its degree-%d basis would have %s positions, more than %d"
+                % (what or "window %d..%d" % (a, b), d, form, MAX_INDEX))
     if b - a >= MAX_INDEX:
         raise WindowTooLarge("window %d..%d has %d rows, more than %d"
                              % (a, b, b - a + 1, MAX_INDEX))
@@ -685,7 +693,7 @@ def classify_deformation(s, parts, ip=None):
     cx = _PlainComplex(s) if ip is None else _CyclicComplex(s)
     degrees = sorted({q for k in live for q in _sources(cx, (0, max_deg), k)})
     _check_window(cx, 0, max([max_deg - cx.spread] + degrees),
-                  "direction of degree %d" % max_deg)
+                  "direction of degree %d" % max_deg, min([*degrees, *live]))
     sources = [img for q in degrees for i, img in enumerate(cx.images(q))
                if cx.parity(q, i) == (param + q + 1) & 1]
     lam = linalg.core_vectors({k: cx.coords(k, c if ip is None else forms[k])

@@ -8,9 +8,9 @@ multiply-add; ``core_pivots`` and ``core_relations`` take and return such
 ints, ``core_vectors`` makes them and ``scalars`` turns them back.
 ``core_relations`` reads a basis of the span and the relations of each row
 on the earlier ones from one elimination, each row tagged by a column of
-its own after the others.  The rest take field scalars or plain ints (an
-int is taken mod p over F_p; an all-int Q row only has its content divided
-out) and return only nonzeros, as field scalars: ``Fraction``s over Q,
+its own after the others.  The rest take field scalars or plain ints,
+converted by ``core_vectors`` with one factor for the whole matrix, and
+return only nonzeros, as field scalars: ``Fraction``s over Q,
 ``FpElement``s over F_p, each entry converted once on the way in and once
 on the way out.  Only ``invert`` keeps a dense square matrix in and out.
 No float is ever formed, and no cost grows with the zero cells of a matrix.
@@ -30,50 +30,18 @@ from math import gcd, lcm
 from .fields import FpElement
 
 
-def _primitive(row):
-    """A Q row as the primitive integer row with the same support: the
-    denominators cleared by their lcm, unless every entry is an int, then
-    the content divided out."""
-    if all(x.__class__ is int for x in row.values()):
-        row = {j: x for j, x in row.items() if x}
-    else:
-        m = lcm(*[x.denominator for x in row.values()])
-        row = {j: v for j, x in row.items()
-               if (v := x.numerator * (m // x.denominator))}
-    g = gcd(*row.values())
-    return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def _core(rows, field):
-    """The rows over the core scalars, with zero entries dropped: residues
-    in [1, p) over F_p, primitive integer rows over Q (empty rows, which
-    change nothing, dropped too)."""
-    p = field.characteristic
-    if not p:
-        return [_primitive(row) for row in rows if row]
-
-    def conv(x):
-        # an int is a residue as it is; any other entry but a residue of
-        # F_p goes through the field's checks
-        if x.__class__ is int:
-            return x % p
-        if x.__class__ is FpElement and x.p == p:
-            return x.value
-        return field(x).value
-    return [{j: v for j, x in row.items() if (v := conv(x))} for row in rows]
-
-
 def core_vectors(vectors, field):
-    """Sparse vectors {key: {i: scalar}} over core ints, by one factor for
-    all of them: N·v over Q, with N the lcm of every denominator, and the
-    residues over F_p.  A factor per vector would change what they span
-    together, not only its scale."""
+    """Sparse vectors {key: {i: scalar}} over core ints, zero entries
+    dropped, by one factor for all of them: N·v over Q, with N the lcm of
+    every denominator, and the residues over F_p.  A factor per vector
+    would change what they span together, not only its scale."""
     if field.characteristic:
-        return {k: {i: field(c).value for i, c in vec.items()}
+        return {k: {i: v for i, c in vec.items() if (v := field(c).value)}
                 for k, vec in vectors.items()}
     n = lcm(*[c.denominator for vec in vectors.values()
               for c in vec.values()])
-    return {k: {i: c.numerator * (n // c.denominator) for i, c in vec.items()}
+    return {k: {i: v for i, c in vec.items()
+                if (v := c.numerator * (n // c.denominator))}
             for k, vec in vectors.items()}
 
 
@@ -125,7 +93,8 @@ def _eliminate(rows, p, start):
 
     Each row is reduced against the pivot rows found so far until its
     leading column is new; it then becomes the pivot row of that column,
-    scaled to a leading 1 over F_p and kept a primitive integer row over Q.
+    scaled to a leading 1 over F_p and kept an integer row over Q, made
+    primitive by each reduction.
     Unless ``start`` is None, the pivot rows at columns from ``start`` on
     are then cleared above every pivot, which from ``start`` 0 gives the
     reduced row echelon form up to the scale of each row.
@@ -187,7 +156,8 @@ def core_relations(rows, ncols, p):
 
 def rank(rows, field):
     """Exact rank: the number of pivots of the echelon form."""
-    return len(core_pivots(_core(rows, field), field.characteristic))
+    rows = core_vectors(dict(enumerate(rows)), field).values()
+    return len(core_pivots(rows, field.characteristic))
 
 
 def echelon(rows, field, reduced=False):
@@ -195,7 +165,8 @@ def echelon(rows, field, reduced=False):
     Returns (pivot rows, pivot column list): one row per pivot, in column
     order."""
     p = field.characteristic
-    out, pivots = _eliminate(_core(rows, field), p, 0 if reduced else None)
+    rows = core_vectors(dict(enumerate(rows)), field).values()
+    out, pivots = _eliminate(rows, p, 0 if reduced else None)
     return scalars(out, pivots, p), pivots
 
 
@@ -210,7 +181,7 @@ def kernel_basis(rows, ncols, field):
     scaled to a 1 at its last column."""
     p = field.characteristic
     cols = [{} for _ in range(ncols)]
-    for r, row in enumerate(_core(rows, field)):
+    for r, row in core_vectors(dict(enumerate(rows)), field).items():
         for c, x in row.items():
             cols[c][r] = x
     basis = core_relations(cols, len(rows), p)[1]

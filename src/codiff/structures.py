@@ -29,8 +29,7 @@ from functools import cached_property
 
 from . import linalg
 from .cochain import Cochain, add, scale, zero_cochain
-from .coderivation import (bracket_signs, compose, family_bracket,
-                           family_is_zero)
+from .coderivation import bracket_signs, compose, family_bracket
 from .graded import EXTERIOR, TENSOR
 
 # the paper's names for the two flavors
@@ -179,7 +178,9 @@ def deformation_parameter_parity(parts):
 
 def deform_check(s, parts):
     """Is l + u*lambda a structure to first order (u^2 = 0)?  True exactly
-    when the direction is a cocycle: {lambda, m} = 0."""
+    when the direction is a cocycle: {lambda, m} = 0, bracketed on the
+    direction's core ints and the lift."""
     deformation_parameter_parity(parts)
-    diff = family_bracket(parts, s.parts)
-    return family_is_zero(diff)
+    field = s.space.field
+    return family_vanishes(family_bracket(core_family(parts, field),
+                                          s.lift.parts), field.characteristic)

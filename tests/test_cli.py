@@ -367,6 +367,23 @@ class TestMainEntryPoint:
             "error: deform lam: direction of degree 6: its degree-6 basis "
             "would have 10^7 = 10000000 positions, more than 1000000\n")
 
+    @pytest.mark.parametrize("command", ["cohomology", "cyclic"])
+    @pytest.mark.parametrize("window, degree", [("0..12", 13), ("0..26", 12)])
+    def test_a_window_past_the_middle_degree_is_refused(
+            self, tmp_path, monkeypatch, capsys, command, window, degree):
+        """gl5 has 25 even letters, so its degree-d basis has 25 * C(25, d)
+        positions, most at d = 12 and 13.  At 0..12 the top, degree 13, is
+        refused; at 0..26 the top is empty, and the middle degree the
+        window builds is refused before any basis is built."""
+        for complex_ in (_PlainComplex, _CyclicComplex):
+            monkeypatch.setattr(complex_, "_build_basis", lambda cx, p:
+                                pytest.fail("built the degree-%d basis" % p))
+        path = tmp_path / "gl5.alg"
+        path.write_text(gl_text(5), encoding="utf-8")
+        assert_refused(capsys, [command, str(path), "--window", window], (
+            "error: window %s: its degree-%d basis would have 25*5200300 = "
+            "130007500 positions, more than 1000000\n" % (window, degree)))
+
     def test_bracket_takes_at_most_two_names(self, capsys):
         assert main(["bracket", self.path("sl2.alg"), "lam", "lam"]) == 0
         capsys.readouterr()

@@ -28,7 +28,7 @@ from codiff.structures import (A_INFINITY, L_INFINITY, InfinityStructure,
                                StructureError, validate)
 from conftest import (bracket, cyclic_basis_cochains,
                       cyclic_scalar_basis_reference,
-                      is_cyclic_scalar_blockwise, make_cochain,
+                      gl_text, is_cyclic_scalar_blockwise, make_cochain,
                       pair, random_cochain, scalar_cochains_match,
                       scalar_scale, sparse_rows)
 
@@ -277,9 +277,9 @@ class TestCohomology:
     def test_window_report_gives_the_core_plain_ints(self, monkeypatch, field,
                                                      name, report):
         """Every row the window report eliminates is plain nonzero ints,
-        residues in [1, p) over F_p, with no conversion pass (``_core``);
-        field scalars are formed (``scalars``) only for the
-        representatives."""
+        residues in [1, p) over F_p, with no conversion pass
+        (``core_vectors``) once the lift is built; field scalars are formed
+        (``scalars``) only for the representatives."""
         s = build_structure(load_file(os.path.join(BENCH_INPUTS, name),
                                       field), W_OF_V, 8)
         p, converted = s.space.field.characteristic, []
@@ -294,11 +294,12 @@ class TestCohomology:
             converted.extend(rows)
             return scalars(rows, columns, modulus)
 
-        def core(rows, field):
+        def core(vectors, field):
             raise AssertionError("the window report converted its rows")
+        s.lift  # the structure's one conversion, built before the patch
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
         monkeypatch.setattr(linalg, "scalars", scalars)
-        monkeypatch.setattr(linalg, "_core", core)
+        monkeypatch.setattr(linalg, "core_vectors", core)
         reps = [rep for row in report(s, (0, 3)).rows
                 for rep in row.representatives]
         assert len(converted) == len(reps)
@@ -1097,6 +1098,15 @@ class TestWindowBound:
             classify_deformation(s, {6: lam})
         assert built == []
 
+    def test_a_direction_is_bounded_by_the_degrees_its_test_builds(self):
+        """gl5 has 25 even letters, and its degree-12 basis 130007500
+        positions; the test of a degree-25 direction builds the degrees 24
+        and 25 only, of 625 and 25 positions, so it is not refused."""
+        s = build_structure(parse(gl_text(5)), W_OF_V, 8)
+        names = s.space.names
+        lam = make_cochain(s.space, EXTERIOR, 25, 0, {names: {names[0]: 1}})
+        assert classify_deformation(s, {25: lam}).cocycle
+
     @pytest.mark.parametrize("path", [p for p in INPUT_FILES
                                       if not p.endswith("bad_name.alg")],
                              ids=input_id)
@@ -1104,8 +1114,9 @@ class TestWindowBound:
         """The size the bound reads is dim times every tuple (tensor) or
         every canonical exterior tuple of the top degree, the plain basis
         positions exactly, and the cyclic index is no larger.  A window
-        whose size is 0 passes the index bound even at MAX_INDEX = 0, and
-        only its rows refuse it there."""
+        whose top is empty, over all-even letters past their number, is
+        refused at MAX_INDEX = 0 for the largest basis it builds, that of
+        the middle degree dim // 2."""
         s = build_structure(load_file(path), W_OF_V, 8)
         cx = _PlainComplex(s)
         monkeypatch.setattr(homology, "MAX_INDEX", 0)
@@ -1118,10 +1129,11 @@ class TestWindowBound:
             scan = (sum(1 for _ in itertools.product(range(dim), repeat=d))
                     if s.flavor == TENSOR
                     else len(canonical_tuples(s.space, EXTERIOR, d)))
-            if not scan:
-                assert str(refusal.value) == (
-                    "window 0..%d has %d rows, more than 0" % (b, b + 1))
-                continue
+            largest = d if scan else dim // 2
+            assert str(refusal.value).startswith(
+                "window 0..%d: its degree-%d basis" % (b, largest))
             size = int(re.search(r" = (\d+) positions", str(refusal.value))[1])
-            assert size == dim * scan == cx.dim(d)
+            assert size == cx.dim(largest) > 0
+            if scan:
+                assert size == dim * scan
             assert len(_CyclicComplex(s)._index(d)) <= size

@@ -1,7 +1,8 @@
 """Property tests of the sparse elimination core in ``codiff.linalg`` on
 small random matrices over Q, F_2, F_3 and F_32003, against the independent
 ``oracle.dense_rank`` and a dense Gauss-Jordan reference kept here.  The
-matrices are drawn dense and handed to ``linalg`` as sparse rows; over Q
+matrices are drawn dense and handed to ``linalg`` as sparse rows that may
+keep explicit zero entries and mix plain ints with field scalars; over Q
 some have fractional and 20-40 bit entries."""
 
 from fractions import Fraction
@@ -14,12 +15,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from codiff import linalg, oracle  # noqa: E402
 from codiff.fields import QQ, FpElement, PrimeField  # noqa: E402
-from conftest import dense_vector, sparse_rows  # noqa: E402
+from conftest import dense_vector  # noqa: E402
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 ENTRY = st.integers(-3, 3)
-# entries p/q with q in 1..6, some with numerators of 20 to 40 bits: the
-# core clears their denominators and divides out the content of each row
+# entries p/q with q in 1..6, some with numerators of 20 to 40 bits:
+# ``core_vectors`` clears their denominators by one factor for the matrix
 RATIONAL = st.one_of(
     ENTRY, st.builds(Fraction, ENTRY, st.integers(1, 6)),
     st.builds(Fraction, st.integers(2 ** 20, 2 ** 40)
@@ -29,9 +30,13 @@ PROPERTY = settings(max_examples=100, deadline=None)
 
 @st.composite
 def matrices(draw, max_rows=8, max_cols=10):
-    """(field, matrix): up to max_rows x max_cols entries in -3..3, or over
-    Q also RATIONAL ones, including empty, zero-row and zero-column
-    matrices."""
+    """(field, matrix, rows): up to max_rows x max_cols entries in -3..3,
+    or over Q also RATIONAL ones, including empty, zero-row and zero-column
+    matrices, as a dense matrix of field scalars and as the sparse rows
+    handed to ``linalg``.  Each entry of a row is the drawn int or
+    ``Fraction`` or its field scalar; a zero of the field (over F_2 also
+    the int 2) is dropped, kept as drawn, or kept as 0, Fraction(0) or, over
+    F_p, FpElement(0, p), so no entry may become a pivot on a zero."""
     field = draw(st.sampled_from(FIELDS))
     entry = draw(st.sampled_from([ENTRY, RATIONAL])) if field == QQ else ENTRY
     rows = draw(st.integers(0, max_rows))
@@ -44,7 +49,17 @@ def matrices(draw, max_rows=8, max_cols=10):
         for j in range(cols):
             if i == zero_row or j == zero_col:
                 row[j] = 0
-    return field, [[field(x) for x in row] for row in m]
+    p = field.characteristic
+    zeros = [None, 0, Fraction(0)] + ([FpElement(0, p)] if p else [])
+    sparse = []
+    for row in m:
+        sparse.append({})
+        for j, x in enumerate(row):
+            y = draw(st.sampled_from([x, field(x)] if field(x) else
+                                     [x, *zeros]))
+            if y is not None:
+                sparse[-1][j] = y
+    return field, [[field(x) for x in row] for row in m], sparse
 
 
 def reference_rref(m, field):
@@ -83,15 +98,15 @@ def transpose(m, cols):
 @PROPERTY
 @given(matrices())
 def test_rank_matches_dense_oracle(fm):
-    field, m = fm
-    assert linalg.rank(sparse_rows(m), field) == oracle.dense_rank(m, field)
+    field, m, rows = fm
+    assert linalg.rank(rows, field) == oracle.dense_rank(m, field)
 
 
 @PROPERTY
 @given(matrices())
 def test_rref_matches_dense_reference(fm):
-    field, m = fm
-    rows, pivots = linalg.rref(sparse_rows(m), field)
+    field, m, rows = fm
+    rows, pivots = linalg.rref(rows, field)
     ref_rows, ref_pivots = reference_rref(m, field)
     cols = len(m[0]) if m else 0
     assert (dense(rows, cols, field), pivots) == \
@@ -101,9 +116,9 @@ def test_rref_matches_dense_reference(fm):
 @PROPERTY
 @given(matrices())
 def test_echelon_has_the_rref_pivots_and_row_space(fm):
-    field, m = fm
+    field, m, rows = fm
     cols = len(m[0]) if m else 0
-    rows, pivots = linalg.echelon(sparse_rows(m), field)
+    rows, pivots = linalg.echelon(rows, field)
     ref_rows, ref_pivots = reference_rref(m, field)
     assert pivots == ref_pivots
     assert len(rows) == len(pivots)
@@ -117,9 +132,9 @@ def test_echelon_has_the_rref_pivots_and_row_space(fm):
 @PROPERTY
 @given(matrices())
 def test_kernel_basis_spans_the_kernel(fm):
-    field, m = fm
+    field, m, rows = fm
     cols = len(m[0]) if m else 0
-    sparse_basis = linalg.kernel_basis(sparse_rows(m), cols, field)
+    sparse_basis = linalg.kernel_basis(rows, cols, field)
     assert all(0 <= j < cols for v in sparse_basis for j in v)
     basis = dense(sparse_basis, cols, field)
     assert len(basis) == cols - oracle.dense_rank(m, field)
@@ -132,7 +147,8 @@ def test_kernel_basis_spans_the_kernel(fm):
 @given(matrices())
 def test_core_relations_against_a_dense_reference(fm):
     """On the matrix over core ints, made by ``core_vectors`` with one
-    factor for every row (so over Q the rows need not be primitive),
+    factor for every row (so over Q the rows need not be primitive) and
+    with no zero entry,
     ``core_relations`` gives, for each row j in the span of the rows before
     it, in order, one relation that sums the rows to zero, on j and the
     earlier rows outside the span of those before them, as ints with a
@@ -140,14 +156,15 @@ def test_core_relations_against_a_dense_reference(fm):
     over Q a primitive vector; scaled to 1 at j they are the free-column
     kernel vectors of the dense reduced echelon form of the transpose.  Its
     basis has the pivots of ``echelon`` and spans the rows."""
-    field, m = fm
+    field, m, sparse = fm
     cols, p = len(m[0]) if m else 0, field.characteristic
-    core = linalg.core_vectors(dict(enumerate(sparse_rows(m))), field)
+    core = linalg.core_vectors(dict(enumerate(sparse)), field)
     rows = [core[i] for i in range(len(m))]
+    assert all(x.__class__ is int and (0 < x < p if p else x)
+               for row in rows for x in row.values())
     basis, relations = linalg.core_relations([dict(row) for row in rows],
                                              cols, p)
-    assert [min(row) for row in basis] == linalg.echelon(sparse_rows(m),
-                                                         field)[1]
+    assert [min(row) for row in basis] == linalg.echelon(sparse, field)[1]
     dense_rows = [dense_vector({j: field(x) for j, x in row.items()}, cols,
                                field(0)) for row in rows]
     dense_basis = [dense_vector({j: field(x) for j, x in row.items()}, cols,
@@ -180,7 +197,7 @@ def test_core_relations_against_a_dense_reference(fm):
 @PROPERTY
 @given(matrices(), st.data())
 def test_solve_finds_a_solution_exactly_when_one_exists(fm, data):
-    field, m = fm
+    field, m, rows = fm
     cols = len(m[0]) if m else 0
     if data.draw(st.booleans(), label="b in the column space"):
         x = [field(data.draw(ENTRY)) for _ in range(cols)]
@@ -189,7 +206,7 @@ def test_solve_finds_a_solution_exactly_when_one_exists(fm, data):
         b = [field(data.draw(ENTRY)) for _ in m]
     aug = [row + [y] for row, y in zip(m, b)]
     consistent = oracle.dense_rank(aug, field) == oracle.dense_rank(m, field)
-    x = linalg.solve(sparse_rows(m), dict(enumerate(b)), cols, field)
+    x = linalg.solve(rows, dict(enumerate(b)), cols, field)
     if not consistent:
         assert x is None
     else:
@@ -198,10 +215,23 @@ def test_solve_finds_a_solution_exactly_when_one_exists(fm, data):
 
 
 @PROPERTY
+@given(matrices())
+def test_in_span_is_a_rank_that_does_not_grow(fm):
+    field, m, rows = fm
+    if m:
+        assert linalg.in_span(rows[:-1], rows[-1], field) == (
+            oracle.dense_rank(m, field) == oracle.dense_rank(m[:-1], field))
+
+
+@PROPERTY
 @given(st.sampled_from(FIELDS), st.integers(1, 6), st.data())
 def test_invert_gives_a_two_sided_inverse(field, n, data):
-    a = [[field(data.draw(ENTRY)) for _ in range(n)] for _ in range(n)]
-    inv = linalg.invert(a, field)
+    """Also when the entries handed in mix plain ints with field scalars,
+    over F_2 with 2 for a zero."""
+    raw = [[data.draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    a = [[field(x) for x in row] for row in raw]
+    inv = linalg.invert([[data.draw(st.sampled_from([x, field(x)]))
+                          for x in row] for row in raw], field)
     if oracle.dense_rank(a, field) < n:
         assert inv is None
         return
@@ -232,25 +262,23 @@ def _assert_field_scalars(value, field):
 
 
 @PROPERTY
-@given(matrices(max_rows=5, max_cols=5), st.data())
-def test_results_hold_field_scalars_only(fm, data):
+@given(matrices(max_rows=5, max_cols=5))
+def test_results_hold_field_scalars_only(fm):
     """No raw int (or float) leaks out of the core, even when the input
-    mixes plain ints with field scalars."""
-    field, m = fm
-    m = [[int(field.render(x)) if "/" not in field.render(x)
-          and data.draw(st.booleans()) else x for x in row] for row in m]
+    mixes plain ints and explicit zeros with field scalars."""
+    field, m, sparse = fm
     cols = len(m[0]) if m else 0
-    rows, pivots = linalg.echelon(sparse_rows(m), field)
+    rows, pivots = linalg.echelon(sparse, field)
     _assert_field_scalars(rows, field)
     assert all(type(c) is int for c in pivots)
-    _assert_field_scalars(linalg.rref(sparse_rows(m), field)[0], field)
-    _assert_field_scalars(linalg.kernel_basis(sparse_rows(m), cols, field),
-                          field)
+    _assert_field_scalars(linalg.rref(sparse, field)[0], field)
+    _assert_field_scalars(linalg.kernel_basis(sparse, cols, field), field)
     ones = dict.fromkeys(range(len(m)), field(1))
-    _assert_field_scalars(linalg.solve(sparse_rows(m), ones, cols, field),
-                          field)
-    _assert_field_scalars(linalg.solve(sparse_rows(m),
+    _assert_field_scalars(linalg.solve(sparse, ones, cols, field), field)
+    _assert_field_scalars(linalg.solve(sparse,
                                        dict.fromkeys(range(len(m)), 0), cols,
                                        field), field)
     if m and len(m) == len(m[0]):
-        _assert_field_scalars(linalg.invert(m, field), field)
+        _assert_field_scalars(linalg.invert([dense_vector(row, cols, 0)
+                                             for row in sparse], field),
+                              field)
