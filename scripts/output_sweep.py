@@ -19,8 +19,10 @@ to the temporary directory and so run on an older checkout too: three
 exterior ones (two with odd letters, and one with an odd letter and two
 arities, l_1 and l_2), which also run ``cohomology`` and ``cyclic`` at
 window 0..12, whose tuples repeat an odd letter up to 13 times and more,
-and the tensor graded dual numbers (an odd letter and one arity), which
-also run them at window 0..7, over
+the tensor graded dual numbers (an odd letter and one arity), which
+also run them at window 0..7, a tensor map of the wrong parity (a parity
+error and three base refusals) and sl2 with a non-invariant form and a
+direction, which ``deform`` refuses, over
 Q, F_32003, F_2, F_3 and F_5 (the file's ``field Q`` line rewritten),
 under both conventions, in text and json-lines.  A file with an ``inner_product`` block also runs ``deform``
 with the block removed, which tests its directions in the plain complex.
@@ -102,13 +104,45 @@ map m 2
   m(1,u) = u
   m(u,1) = u
 """
+# a tensor map of the wrong parity (m(a,a) = u is odd): validate answers
+# with a parity error, and cohomology, cyclic and deform refuse the base
+WRONG_PARITY = """field Q
+flavor tensor
+space
+  basis a even
+  basis u odd
+map m 2
+  m(a,a) = u
+"""
+# sl2 with a form that is not invariant, and a direction: deform refuses
+# the form, as cyclic does
+NONINVARIANT_DIRECTION = """field Q
+flavor exterior
+space
+  basis e even
+  basis f even
+  basis h even
+map l 2
+  l(e,f) = h
+  l(e,h) = -2*e
+  l(f,h) = 2*f
+inner_product
+  <e,e> = 1
+  <f,f> = 1
+  <h,h> = 1
+deformation lam 2 even_parameter
+  lam(e,f) = h
+"""
 INLINE = (("odd_letters.alg", ODD_LETTERS % ""),
           ("odd_letters_bracket.alg", ODD_LETTERS % "  l(u,v) = a\n"),
           ("two_arities.alg", TWO_ARITIES),
-          ("graded_dual_numbers.alg", GRADED_DUAL_NUMBERS))
+          ("graded_dual_numbers.alg", GRADED_DUAL_NUMBERS),
+          ("wrong_parity.alg", WRONG_PARITY),
+          ("noninvariant_direction.alg", NONINVARIANT_DIRECTION))
 # the extra window of ``cohomology`` and ``cyclic`` on an inline input, if
-# not 0..12
-INLINE_WINDOW = {"graded_dual_numbers.alg": "0..7"}
+# not 0..12; None for none
+INLINE_WINDOW = {"graded_dual_numbers.alg": "0..7", "wrong_parity.alg": None,
+                 "noninvariant_direction.alg": None}
 
 
 def digest(text):

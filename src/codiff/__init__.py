@@ -10,12 +10,12 @@ from .coderivation import (CONVENTIONS, V_OF_W, W_OF_V, compose,
                            convert_convention_parts, family_bracket,
                            modified_bracket)
 from .structures import (A_INFINITY, L_INFINITY, InfinityStructure,
-                         StructureError, ValidationReport, deform_check,
+                         StructureError, ValidationReport,
                          structure_residual, validate)
 from .homology import (CohomologyReport, DeformationClass, InvarianceError,
                        classify_deformation, coboundary, cohomology,
                        cyclic_coboundary, cyclic_cohomology, cyclicize,
-                       is_cyclic, is_cyclic_scalar)
+                       deform_check, is_cyclic, is_cyclic_scalar)
 from .algfile import AlgebraFile, ParseError, parse, serialize
 
 __version__ = "0.1.0"

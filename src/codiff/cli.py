@@ -13,9 +13,11 @@ in w-of-v: a v-of-w file goes in through the involution σ of
 the ``validate`` residual) come out through it.
 
 Exit status: 0 on success, 1 on a mathematical failure (relations violated,
-non-invariant inner product, parity constraint), 2 on an input error (a
-bad command line, an unreadable or malformed file, a bad window, an
-unknown name, a part beyond ``--max-arity``, a window or a deformation
+non-invariant inner product, parity constraint), one line or one record:
+a command raises it as one ``_Refusal`` and ``run`` renders it; 2 on an
+input error (a bad command line, an unreadable or malformed file, a bad
+window, an unknown name, the name m for ``bracket`` in a file with a
+direction named m, a part beyond ``--max-arity``, a window or a deformation
 direction too large to build: the largest basis the command builds would
 have more than ``homology.MAX_INDEX`` positions, which bounds the size of
 the basis, not the running time), 3 on an internal error or lack of memory.  Every
@@ -78,6 +80,14 @@ def build_structure(af, convention, max_arity):
                              _in_core(af.parts, convention), max_arity)
 
 
+class _Refusal(Exception):
+    """An exit-1 answer: one record and one line, which ``run`` renders."""
+
+    def __init__(self, record, line):
+        super().__init__(line)
+        self.record, self.line = record, line
+
+
 def _emit(records, lines, fmt):
     if fmt == "json-lines":
         import json  # imported here, so text output never loads it
@@ -88,46 +98,56 @@ def _emit(records, lines, fmt):
 def run(command, af, convention=W_OF_V, window=(1, 4),
         max_arity=DEFAULT_MAX_ARITY, fmt="text", names=()):
     """Execute one command against a parsed file.  Returns (text, exit);
-    an input error raises (StructureError, UsageError, WindowTooLarge)."""
+    an input error raises (StructureError, UsageError, WindowTooLarge).
+    Each command returns its (records, lines) or raises its exit-1 answer,
+    and only here are they rendered in ``fmt``."""
     s = build_structure(af, convention, max_arity)
     directions = {name: _in_core(fam, convention)
                   for name, (_, fam) in af.deformations.items()}
-    if command == "validate":
-        return _cmd_validate(s, convention, fmt)
-    if command == "bracket":
-        return _cmd_bracket(s, directions, convention, names, fmt)
-    if command in ("cohomology", "cyclic", "deform"):
-        refusal = _refuse_invalid_base(s, command, fmt)
-        if refusal is not None:
-            return refusal
-    if command == "cohomology":
-        return _cmd_cohomology(s, window, fmt)
-    if command == "cyclic":
-        return _cmd_cyclic(s, af, window, fmt)
-    if command == "deform":
-        return _cmd_deform(s, af, directions, fmt)
-    if command == "convert":
-        return _cmd_convert(af, fmt)
-    raise UsageError("unknown command %r" % command)
+    status = OK
+    try:
+        if command in ("cohomology", "cyclic", "deform"):
+            _refuse_invalid_base(s, command)
+        if command == "validate":
+            records, lines = _cmd_validate(s, convention)
+        elif command == "bracket":
+            records, lines = _cmd_bracket(s, directions, convention, names)
+        elif command == "cohomology":
+            records, lines = _report_lines("cohomology",
+                                           cohomology(s, window), "H")
+        elif command == "cyclic":
+            records, lines = _report_lines("cyclic", cyclic_cohomology(
+                s, af.inner_product, window), "HC")
+        elif command == "deform":
+            records, lines = _cmd_deform(s, af, directions)
+        elif command == "convert":
+            records, lines = _cmd_convert(af)
+        else:
+            raise UsageError("unknown command %r" % command)
+    except InvarianceError as exc:
+        records = [{"command": command, "error": str(exc),
+                    "arity": exc.arity, "word": list(exc.letters)}]
+        lines, status = ["%s: %s" % (command, exc)], MATH_FAIL
+    except _Refusal as exc:
+        records, lines, status = [exc.record], [exc.line], MATH_FAIL
+    return _emit(records, lines, fmt), status
 
 
-def _cmd_validate(s, convention, fmt):
+def _cmd_validate(s, convention):
     try:
         report = validate(s)
     except StructureError as exc:
-        text = _emit([{"command": "validate", "ok": False, "error": str(exc)}],
-                     ["validate: parity error: %s" % exc], fmt)
-        return text, MATH_FAIL
+        raise _Refusal({"command": "validate", "ok": False, "error": str(exc)},
+                       "validate: parity error: %s" % exc)
     if report.ok:
-        return _emit([{"command": "validate", "ok": True}],
-                     ["validate: ok"], fmt), OK
+        return [{"command": "validate", "ok": True}], ["validate: ok"]
     word = "(" + ",".join(report.letters) + ")"
     residual = render_vector(s.space, vec_scale(
         report.residual, sigma(report.n) if convention == V_OF_W else 1))
     rec = {"command": "validate", "ok": False, "n": report.n,
            "word": list(report.letters), "residual": residual}
-    line = "validate: FAIL n=%d word=%s residual=%s" % (report.n, word, residual)
-    return _emit([rec], [line], fmt), MATH_FAIL
+    raise _Refusal(rec, "validate: FAIL n=%d word=%s residual=%s"
+                   % (report.n, word, residual))
 
 
 def _family_lines(s, fam, label):
@@ -148,10 +168,13 @@ def _family_lines(s, fam, label):
         records.append({"command": "bracket", "which": label, "zero": True})
     else:
         lines.extend(entries)
-    return lines, records
+    return records, lines
 
 
-def _cmd_bracket(s, directions, convention, names, fmt):
+def _cmd_bracket(s, directions, convention, names):
+    if "m" in names and "m" in directions:
+        raise UsageError("the name 'm' is both the structure and a "
+                         "deformation direction")
     fams = {"m": s.parts, **directions}
     for n in names:
         if n not in fams:
@@ -163,9 +186,7 @@ def _cmd_bracket(s, directions, convention, names, fmt):
     else:
         label = "{%s,%s}" % (names[0], names[1])
         a, b = fams[names[0]], fams[names[1]]
-    fam = _in_core(family_bracket(a, b), convention)
-    lines, records = _family_lines(s, fam, label)
-    return _emit(records, lines, fmt), OK
+    return _family_lines(s, _in_core(family_bracket(a, b), convention), label)
 
 
 def _report_lines(kind, report, symbol):
@@ -187,59 +208,32 @@ def _report_lines(kind, report, symbol):
             records[-1]["note"] = report.note
     if report.note:
         lines.append("note: %s" % report.note)
-    return lines, records
+    return records, lines
 
 
-def _cmd_cohomology(s, window, fmt):
-    report = cohomology(s, window)
-    lines, records = _report_lines("cohomology", report, "H")
-    return _emit(records, lines, fmt), OK
-
-
-def _cmd_cyclic(s, af, window, fmt):
-    try:
-        report = cyclic_cohomology(s, af.inner_product, window)
-    except InvarianceError as exc:
-        return _refuse_noninvariant("cyclic", exc, fmt)
-    lines, records = _report_lines("cyclic", report, "HC")
-    return _emit(records, lines, fmt), OK
-
-
-def _refuse_noninvariant(command, exc, fmt):
-    """(text, MATH_FAIL) for an inner product that is not invariant."""
-    return _emit([{"command": command, "error": str(exc), "arity": exc.arity,
-                   "word": list(exc.letters)}],
-                 ["%s: %s" % (command, exc)], fmt), MATH_FAIL
-
-
-def _refuse_invalid_base(s, command, fmt):
-    """(text, MATH_FAIL) when the structure fails validation, else None:
-    the complexes of an invalid structure are not complexes at all."""
+def _refuse_invalid_base(s, command):
+    """Refuse when the structure fails validation: the complexes of an
+    invalid structure are not complexes at all."""
     try:
         base = validate(s)
     except StructureError as exc:
-        return _emit([{"command": command, "error": str(exc)}],
-                     ["%s: base structure parity error: %s" % (command, exc)],
-                     fmt), MATH_FAIL
-    if base.ok:
-        return None
-    line = "%s: base structure does not validate (n=%d)" % (command, base.n)
-    return _emit([{"command": command, "error": "base structure invalid",
-                   "n": base.n}], [line], fmt), MATH_FAIL
+        raise _Refusal({"command": command, "error": str(exc)},
+                       "%s: base structure parity error: %s" % (command, exc))
+    if not base.ok:
+        raise _Refusal({"command": command, "error": "base structure invalid",
+                        "n": base.n}, "%s: base structure does not validate "
+                       "(n=%d)" % (command, base.n))
 
 
-def _cmd_deform(s, af, directions, fmt):
+def _cmd_deform(s, af, directions):
     lines, records = [], []
     for name in sorted(directions):
         try:
             cls = classify_deformation(s, directions[name], af.inner_product)
         except StructureError as exc:
-            return _emit([{"command": "deform", "direction": name,
-                           "error": str(exc)}],
-                         ["deform %s: parity error: %s" % (name, exc)],
-                         fmt), MATH_FAIL
-        except InvarianceError as exc:
-            return _refuse_noninvariant("deform", exc, fmt)
+            raise _Refusal({"command": "deform", "direction": name,
+                            "error": str(exc)},
+                           "deform %s: parity error: %s" % (name, exc))
         except WindowTooLarge as exc:
             raise WindowTooLarge("deform %s: %s" % (name, exc)) from None
         def tri(x):
@@ -255,20 +249,18 @@ def _cmd_deform(s, af, directions, fmt):
     if not lines:
         lines = ["deform: no deformation directions in the file"]
         records = [{"command": "deform", "directions": 0}]
-    return _emit(records, lines, fmt), OK
+    return records, lines
 
 
-def _cmd_convert(af, fmt):
+def _cmd_convert(af):
     parts = convert_convention_parts(af.parts)
     defos = {}
     for name, (parity, fam) in af.deformations.items():
         defos[name] = (parity, convert_convention_parts(fam))
-    out = AlgebraFile(af.space, af.flavor, parts, dict(af.part_names),
-                      af.inner_product, defos)
-    text = serialize(out)
-    if fmt == "json-lines":
-        return _emit([{"command": "convert", "text": text}], [], fmt), OK
-    return text, OK
+    text = serialize(AlgebraFile(af.space, af.flavor, parts,
+                                 dict(af.part_names), af.inner_product, defos))
+    # serialize ends its text with one newline, which _emit puts back
+    return [{"command": "convert", "text": text}], [text[:-1]]
 
 
 def main(argv=None):

@@ -93,14 +93,6 @@ def terms(support, heads, flavor, par):
                 yield cw[1], w, b, h, (x, x)
 
 
-def reachable(support, inner):
-    """The target tuples, in canonical order, whose extension by ``inner``
-    can land on a tuple of ``support``, those of ``terms``; every other
-    target gives zero."""
-    return sorted({t for t, *_ in terms(support, heads_of(inner),
-                                        inner.flavor, inner.space.parities)})
-
-
 def compose(outer, inner):
     """outer ∘ (extension of inner landing in outer's degree), of degree
     outer.degree + inner.degree - 1; outer is read by key at each output."""

@@ -37,13 +37,11 @@ import math
 from . import linalg
 from .blocks import OUTSIDE, cyclic_block, orbit_coords, plain_block
 from .cochain import Cochain, ScalarCochain, canonical_tuples, tilde, vec_add
-from .coderivation import family_bracket, heads_of, reachable, terms
+from .coderivation import family_bracket, heads_of, terms
 from .graded import (EXTERIOR, TENSOR, canonical_word, rotation_signs,
                      word_parity)
-# deform_check stays a module attribute: bench/tracer.py wraps it here
-from .structures import (core_family, deform_check,  # noqa: F401
-                         deformation_parameter_parity, family_vanishes,
-                         vanishes)
+from .structures import (core_family, deformation_parameter_parity,
+                         family_vanishes, vanishes)
 
 
 MAX_INDEX = 10 ** 6
@@ -481,16 +479,18 @@ def _rotation_sum(f, inner, extra_exp):
     + extra} f(inner(u_1..u_l), u_{l+1}..) with u the rotated tuple; the
     shared shape of the cyclic bracket and the cyclic coboundary.  f and
     inner are tensor-flavored, so both are read by key.  The sum is read on
-    the rotations of the reachable targets: a nonzero term needs a
-    rotation of some h + w[1:]."""
+    the rotations of h + w[1:], for w in f's support and h a head of its
+    first letter: a nonzero term at the rotation u of t needs (b,) + u[l:]
+    in f's support and u[:l] among the heads of b."""
     space = f.space
     l = inner.degree
     k = f.arity - 1
     n = k + l - 1
     sign = -1 if extra_exp & 1 else 1
+    heads = heads_of(inner)
+    targets = {h + w[1:] for w in f.coeffs for h in heads.get(w[0], ())}
     out = {}
-    for t in sorted({u[i:] + u[:i] for u in reachable(f.coeffs, inner)
-                     for i in range(n + 1)}):
+    for t in sorted({u[i:] + u[:i] for u in targets for i in range(n + 1)}):
         acc = 0
         for i, e in enumerate(rotation_signs(space.parities, t)):
             u = t[i:] + t[:i]
@@ -653,6 +653,16 @@ class DeformationClass:
         self.note = note
 
 
+def deform_check(s, parts):
+    """Is l + u*lambda a structure to first order (u^2 = 0)?  True exactly
+    when the direction is a cocycle: {lambda, m} = 0, bracketed on the
+    direction's core ints and the lift."""
+    deformation_parameter_parity(parts)
+    field = s.space.field
+    return family_vanishes(family_bracket(core_family(parts, field),
+                                          s.lift.parts), field.characteristic)
+
+
 def classify_deformation(s, parts, ip=None):
     """Classify a first-order direction.
 
@@ -666,12 +676,7 @@ def classify_deformation(s, parts, ip=None):
     if ip is not None:
         _require_invariant(s, ip)
     param = deformation_parameter_parity(parts)
-    # D(lambda) = {lambda, m}, deform_check's test without its second parity
-    # check, on the direction's core ints and the lift
-    field = s.space.field
-    cocycle = family_vanishes(family_bracket(core_family(parts, field),
-                                             s.lift.parts),
-                              field.characteristic)
+    cocycle = deform_check(s, parts)
     preserves = None
     if ip is not None:
         # each part's scalar form, built once for the test and the coords

@@ -29,7 +29,8 @@ from functools import cached_property
 
 from . import linalg
 from .cochain import Cochain, add, scale, zero_cochain
-from .coderivation import bracket_signs, compose, family_bracket
+# family_bracket stays a module attribute: bench/tracer.py wraps it here
+from .coderivation import bracket_signs, compose, family_bracket  # noqa: F401
 from .graded import EXTERIOR, TENSOR
 
 # the paper's names for the two flavors
@@ -175,12 +176,3 @@ def deformation_parameter_parity(parts):
             raise StructureError("direction parts do not share a parameter parity")
     return 0 if seen is None else seen
 
-
-def deform_check(s, parts):
-    """Is l + u*lambda a structure to first order (u^2 = 0)?  True exactly
-    when the direction is a cocycle: {lambda, m} = 0, bracketed on the
-    direction's core ints and the lift."""
-    deformation_parameter_parity(parts)
-    field = s.space.field
-    return family_vanishes(family_bracket(core_family(parts, field),
-                                          s.lift.parts), field.characteristic)

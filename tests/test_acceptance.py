@@ -22,9 +22,9 @@ from codiff.fields import QQ
 from codiff.graded import EXTERIOR, TENSOR, word_parity
 from codiff.homology import (classify_deformation, coboundary, cohomology,
                              cyclic_coboundary, cyclic_cohomology, cyclicize,
-                             is_cyclic, is_cyclic_scalar)
+                             deform_check, is_cyclic, is_cyclic_scalar)
 from codiff.oracle import SYMMETRIC, word_tuples
-from codiff.structures import InfinityStructure, deform_check, validate
+from codiff.structures import InfinityStructure, validate
 from conftest import (PARITY_ONLY, PRODUCT_FORM, SHIFTED_FORM, Word, bracket,
                       bracket_in, check_extension_conjugation,
                       check_reversion_sign_identity, grading_pair,

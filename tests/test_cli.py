@@ -18,7 +18,8 @@ from codiff.coderivation import W_OF_V
 from codiff.fields import PRIME_BOUND
 from codiff.homology import _CyclicComplex, _PlainComplex
 from codiff.structures import validate
-from conftest import gl_text, matrix_algebra_text, rescale, shear
+from conftest import (gl_text, make_cochain, matrix_algebra_text, rescale,
+                      shear)
 
 HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -204,6 +205,75 @@ def test_deform_refuses_a_form_on_a_repeated_even_letter(tmp_path, capsys,
         "deform lam: cocycle=yes coboundary=no preserves_ip=no  # direction "
         "is not cyclic, so it cannot be a coboundary in the cyclic "
         "complex\n", "")
+
+
+WRONG_PARITY = """field Q
+flavor tensor
+space
+  basis a even
+  basis u odd
+map m 2
+  m(a,a) = u
+"""
+PART_PARITY = "part of arity 2 has parity 1, an odd codifferential needs 0"
+MIXED_PARAMETER = "direction parts do not share a parameter parity"
+
+
+def assert_one_answer(answer, fmt, line, record):
+    """run's (text, status) is the exit-1 answer: the one line in text, the
+    one JSON record in json-lines."""
+    text, status = answer
+    want = line if fmt == "text" else json.dumps(record, sort_keys=True)
+    assert (text, status) == (want + "\n", 1)
+    assert len(text.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_validate_refuses_a_part_of_the_wrong_parity(fmt):
+    assert_one_answer(
+        run("validate", parse(WRONG_PARITY), fmt=fmt), fmt,
+        "validate: parity error: %s" % PART_PARITY,
+        {"command": "validate", "ok": False, "error": PART_PARITY})
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cyclic", "deform"])
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_a_base_of_the_wrong_parity_is_refused(command, fmt):
+    assert_one_answer(
+        run(command, parse(WRONG_PARITY), window=(0, 2), fmt=fmt), fmt,
+        "%s: base structure parity error: %s" % (command, PART_PARITY),
+        {"command": command, "error": PART_PARITY})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_deform_refuses_a_direction_of_two_parameter_parities(fmt):
+    """The parser gives each direction one parameter parity, so only a
+    file built in code reaches this answer: lam's arity-2 part needs an
+    even parameter and its arity-3 part, of the same parity, an odd one."""
+    af = load("dual_numbers.alg")
+    lam = {k: make_cochain(af.space, af.flavor, k, 0,
+                           {("x",) * k: {"1": 1}}) for k in (2, 3)}
+    af.deformations = {"lam": (0, lam)}
+    assert_one_answer(
+        run("deform", af, fmt=fmt), fmt,
+        "deform lam: parity error: %s" % MIXED_PARAMETER,
+        {"command": "deform", "direction": "lam", "error": MIXED_PARAMETER})
+
+
+@pytest.mark.parametrize("names", [["m"], ["m", "m"], ["m", "lam"]])
+def test_bracket_refuses_a_direction_named_m(tmp_path, capsys, names):
+    """A direction named m would take the structure's name: its bracket
+    with m would print under the label {m,m}."""
+    with open(os.path.join(FIXTURES, "dual_numbers.alg"),
+              encoding="utf-8") as fh:
+        text = fh.read() + "deformation m 2 even_parameter\n  m(1,x) = 1\n"
+    path = tmp_path / "dual_m.alg"
+    path.write_text(text, encoding="utf-8")
+    assert_refused(capsys, ["bracket", str(path)] + names,
+                   "error: the name 'm' is both the structure and a "
+                   "deformation direction\n")
+    assert main(["bracket", str(path), "lam"]) == 0
+    assert capsys.readouterr().out.startswith("bracket {lam,m}:")
 
 
 def over_field(text, field):

@@ -7,7 +7,8 @@ from codiff.coderivation import (CONVENTIONS, V_OF_W, W_OF_V,
                                  convert_convention_parts)
 from codiff.fields import QQ
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.structures import InfinityStructure, deform_check
+from codiff.homology import deform_check
+from codiff.structures import InfinityStructure
 from codiff import oracle
 from conftest import koszul_sign, make_cochain, random_cochain, random_family
 

@@ -16,11 +16,11 @@ from codiff.cochain import add, scale, zero_cochain
 from codiff.coderivation import (CONVENTIONS, V_OF_W, bracket_signs,
                                  family_bracket, family_is_zero, sigma)
 from codiff.graded import EXTERIOR, TENSOR
-from codiff.homology import InvarianceError, classify_deformation
+from codiff.homology import (InvarianceError, classify_deformation,
+                             deform_check)
 from codiff.structures import (A_INFINITY, DEFAULT_MAX_ARITY,
                                InfinityStructure, StructureError,
-                               deform_check, relation_sign,
-                               structure_residual, validate)
+                               relation_sign, structure_residual, validate)
 from codiff.oracle import (bracket_signs_reference, relation_sign_reference,
                            residual_reference)
 from conftest import (bracket, make_cochain, random_cochain, reversed_side_ok,

@@ -1,6 +1,7 @@
-"""Property tests of the support-driven loops: ``compose``,
-``_rotation_sum`` and ``_unshuffle_sum`` visit only the tuples that
-``coderivation.reachable`` returns; ``is_cyclic_scalar`` and the cyclicity
+"""Property tests of the support-driven loops: ``compose`` and
+``_unshuffle_sum`` visit only the targets of ``coderivation.terms``, and
+``_rotation_sum`` only the rotations of h + w[1:], for w in f's support and
+h a head of its first letter; ``is_cyclic_scalar`` and the cyclicity
 witnesses (``_rotation_witness``, ``_antisymmetry_witness``,
 ``_cyclic_witness``) check only the support and the tuples that rotate or
 swap into it; ``tilde`` reads each stored tuple once, and
